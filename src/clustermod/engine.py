@@ -1,16 +1,18 @@
-"""Seeds over a tropical coefficient semifield, with principal-coefficient tracking.
+"""Seeds over a tropical coefficient semifield, carried as integer data only.
 
-Every seed carries two parallel data sets per mutable position:
+A seed holds its ice quiver, its ambient tropical coefficients, its c-vectors
+(the principal coefficients, as tropical elements in the y_j) and its extended
+g-vectors.  Cluster variables are not stored: the F-polynomial of each one is
+computed once, by the Fomin-Zelevinsky recurrence (Cluster algebras IV,
+Prop. 5.1) with one exact division in the y_j, when mutation first produces
+its g-vector, and is kept in a table of the SeedContext keyed by g.  The
+expansion follows from F and g by the separation formula (ibid., Thm 3.7).
 
-* the ambient cluster variable (exact Laurent expansion in the initial
-  variables, coefficients = monomials in the frozen generators) and the
-  ambient tropical coefficient;
-* the principal-coefficient expansion and coefficient, from which the
-  F-polynomial, g-vector and C-matrix are read off.
-
-Extended g-vectors are maintained by the sign-rule recursion and re-derived
-from scratch (homogeneous degree + tropical evaluation) whenever a variable
-enters the registry; a mismatch raises InternalInvariantError.
+Records cross-check the integer data against F: constant term 1, positive
+coefficients, the frozen block of the extended g-vector against -trop(F)(y0),
+and the sign-rule g recursion against the c-vector recursion through tropical
+duality G^T C = I (Nakanishi-Zelevinsky 2012); a mismatch raises
+InternalInvariantError.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import FrozenVertexError, InternalInvariantError
+from .errors import ConfigurationError, FrozenVertexError, InternalInvariantError
 from .quivers import IceQuiver, Vertex
 from .symbolic import (
     LaurentPoly,
@@ -52,7 +54,8 @@ def _ycoef_for_vertex(v: Vertex) -> VarId:
 
 @dataclass(frozen=True)
 class SeedContext:
-    """Fixed data of an initial seed: variable alphabet and ambient semifield."""
+    """Fixed data of an initial seed (variable alphabet and ambient semifield), plus
+    the per-g tables that every seed mutated from it shares."""
 
     quiver0: IceQuiver
     mutables: tuple[Vertex, ...]
@@ -68,12 +71,20 @@ class SeedContext:
         return {v: k for k, v in enumerate(self.mutables)}
 
     @functools.cached_property
-    def xvar_index(self) -> dict[VarId, int]:
-        return {v: k for k, v in enumerate(self.xvars)}
+    def fpolys(self) -> dict[tuple[int, ...], LaurentPoly]:
+        """F-polynomial of every cluster variable met so far, keyed by g-vector."""
+        n = len(self.mutables)
+        return {tuple(int(t == j) for t in range(n)): LaurentPoly.one() for j in range(n)}
 
     @functools.cached_property
-    def ycoef_index(self) -> dict[VarId, int]:
-        return {v: k for k, v in enumerate(self.ycoefs)}
+    def records(self) -> dict[tuple[int, ...], "ClusterVarRecord"]:
+        """Checked record of every cluster variable built so far, keyed by g-vector."""
+        return {}
+
+    @functools.cached_property
+    def mut_rows(self) -> tuple[int, ...]:
+        """Matrix indices of the mutable vertices; mutation keeps the vertex order."""
+        return tuple(self.quiver0.index(v) for v in self.mutables)
 
     @functools.cached_property
     def b0_cols(self) -> tuple[tuple[int, ...], ...]:
@@ -137,35 +148,30 @@ class ExchangeEdge:
 
 @dataclass(frozen=True)
 class Seed:
-    """Labeled seed: quiver, cluster over ZP, coefficient tuple, principal shadow."""
+    """Labeled seed as integer data: quiver, ambient coefficients, c-vectors, g-tilde."""
 
     ctx: SeedContext
     quiver: IceQuiver
-    cluster: tuple[LaurentPoly, ...]
     coeffs: tuple[TropElem, ...]
-    pcluster: tuple[LaurentPoly, ...]
     pcoeffs: tuple[TropElem, ...]
     gtilde: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def initial(quiver: IceQuiver, ctx: SeedContext | None = None) -> "Seed":
         ctx = ctx or seed_context(quiver)
-        n = len(ctx.mutables)
-        m = len(ctx.gens)
-        gtilde = []
-        for j in range(n):
-            vec = [0] * (n + m)
-            vec[j] = 1
-            gtilde.append(tuple(vec))
+        n, m = len(ctx.mutables), len(ctx.gens)
         return Seed(
             ctx=ctx,
             quiver=quiver,
-            cluster=tuple(LaurentPoly.var(v) for v in ctx.xvars),
             coeffs=ctx.y0,
-            pcluster=tuple(LaurentPoly.var(v) for v in ctx.xvars),
             pcoeffs=tuple(TropElem.generator(ctx.pgens, y) for y in ctx.ycoefs),
-            gtilde=tuple(gtilde),
+            gtilde=tuple(tuple(int(t == j) for t in range(n + m)) for j in range(n)),
         )
+
+    @property
+    def cluster(self) -> tuple[LaurentPoly, ...]:
+        """Ambient expansions of the cluster variables, by the separation formula."""
+        return tuple(make_record(self, j).expansion for j in range(len(self.ctx.mutables)))
 
     def epsilon(self, k: int) -> int:
         """Common sign of the k-th c-vector column (well defined by sign coherence)."""
@@ -182,31 +188,20 @@ class Seed:
         """Columns are the c-vectors of the coefficient tuple."""
         return tuple(y.exps for y in self.pcoeffs)
 
-    def _mutate_cluster(self, cluster, coeffs, gens, k, bcol):
-        one_t = TropElem.one(gens)
-        yk = coeffs[k]
-        pos = LaurentPoly.one()
-        neg = LaurentPoly.one()
+    def _mutated_fpoly(self, k: int, bcol: tuple[int, ...]) -> LaurentPoly:
+        """F'_k = (y^[c_k]+ prod F_i^[b_ik]+ + y^[-c_k]+ prod F_i^[-b_ik]+) / F_k."""
+        ctx = self.ctx
+        n = len(ctx.mutables)
+        fpolys = [ctx.fpolys[g[:n]] for g in self.gtilde]
+        c = self.pcoeffs[k].exps
+        pos = LaurentPoly.from_monomial(Monomial({y: e for y, e in zip(ctx.ycoefs, c) if e > 0}))
+        neg = LaurentPoly.from_monomial(Monomial({y: -e for y, e in zip(ctx.ycoefs, c) if e < 0}))
         for i, bi in enumerate(bcol):
             if bi > 0:
-                pos = pos * cluster[i] ** bi
+                pos = pos * fpolys[i] ** bi
             elif bi < 0:
-                neg = neg * cluster[i] ** (-bi)
-        num = yk.as_poly() * pos + neg
-        newx = div_exact(num, cluster[k]) * (yk + one_t).inverse().as_monomial()
-        new_cluster = list(cluster)
-        new_cluster[k] = newx
-        new_coeffs = list(coeffs)
-        new_coeffs[k] = yk.inverse()
-        for j in range(len(cluster)):
-            if j == k:
-                continue
-            bkj = -bcol[j]  # b_{kj} = -b_{jk}
-            if bkj > 0:
-                new_coeffs[j] = coeffs[j] * yk ** bkj * (yk + one_t) ** (-bkj)
-            elif bkj < 0:
-                new_coeffs[j] = coeffs[j] * (yk + one_t) ** (-bkj)
-        return tuple(new_cluster), tuple(new_coeffs)
+                neg = neg * fpolys[i] ** (-bi)
+        return div_exact(pos + neg, fpolys[k])
 
     def mutate(self, v: Vertex) -> "Seed":
         return self.mutate_with_edge(v)[0]
@@ -216,12 +211,12 @@ class Seed:
         if v not in ctx.mut_index:
             raise FrozenVertexError(f"mutation at frozen or unknown vertex {v}")
         k = ctx.mut_index[v]
-        bcol = tuple(self.quiver.entry(u, v) for u in ctx.mutables)
-        cluster, coeffs = self._mutate_cluster(self.cluster, self.coeffs, ctx.gens, k, bcol)
-        pcluster, pcoeffs = self._mutate_cluster(self.pcluster, self.pcoeffs, ctx.pgens, k, bcol)
+        b, col = self.quiver.b, ctx.mut_rows[k]
+        bcol = tuple(b[row][col] for row in ctx.mut_rows)
+        coeffs = _mutate_coeffs(self.coeffs, ctx.gens, k, bcol)
+        pcoeffs = _mutate_coeffs(self.pcoeffs, ctx.pgens, k, bcol)
 
-        n = len(ctx.mutables)
-        m = len(ctx.gens)
+        n, m = len(ctx.mutables), len(ctx.gens)
         eps = self.epsilon(k)
         acc = [-x for x in self.gtilde[k]]
         for i, bi in enumerate(bcol):
@@ -230,44 +225,45 @@ class Seed:
                 row = self.gtilde[i]
                 for t in range(n + m):
                     acc[t] += w * row[t]
-        one_t = TropElem.one(ctx.gens)
         yk = self.coeffs[k]
-        corr = (yk + one_t).inverse() if eps > 0 else yk * (yk + one_t).inverse()
-        for t, e in enumerate(corr.exps):
+        inv = (yk + TropElem.one(ctx.gens)).inverse()
+        f1 = (yk * inv).exps  # y_k / (y_k + 1) in the tropical semifield
+        f2 = inv.exps  # 1 / (y_k + 1)
+        for t, e in enumerate(f2 if eps > 0 else f1):
             acc[n + t] += e
-        gtilde = list(self.gtilde)
-        gtilde[k] = tuple(acc)
-
-        seed = Seed(ctx, self.quiver.mutate(v), cluster, coeffs, pcluster, pcoeffs, tuple(gtilde))
+        gtilde = self.gtilde[:k] + (tuple(acc),) + self.gtilde[k + 1:]
+        new_g = gtilde[k][:n]
+        if new_g not in ctx.fpolys:
+            ctx.fpolys[new_g] = self._mutated_fpoly(k, bcol)
+        seed = Seed(ctx, self.quiver.mutate(v), coeffs, pcoeffs, gtilde)
 
         # exchange relation x_k x'_k = f1 * prod x_i^{[b_ik]_+} + f2 * prod x_i^{[-b_ik]_+}
-        f1 = (yk * (yk + one_t).inverse()).exps
-        f2 = (yk + one_t).inverse().exps
-        term1 = TermData(
-            fexp=f1,
-            factors=tuple(
-                (self.gtilde[i][:n], bi) for i, bi in enumerate(bcol) if bi > 0
-            ),
-        )
-        term2 = TermData(
-            fexp=f2,
-            factors=tuple(
-                (self.gtilde[i][:n], -bi) for i, bi in enumerate(bcol) if bi < 0
-            ),
-        )
-        edge = ExchangeEdge(
-            vertex=v,
-            old_g=self.gtilde[k][:n],
-            new_g=seed.gtilde[k][:n],
-            term1=term1,
-            term2=term2,
-        )
-        return seed, edge
+        gs = [g[:n] for g in self.gtilde]
+        term1 = TermData(f1, tuple((gs[i], bi) for i, bi in enumerate(bcol) if bi > 0))
+        term2 = TermData(f2, tuple((gs[i], -bi) for i, bi in enumerate(bcol) if bi < 0))
+        return seed, ExchangeEdge(v, gs[k], new_g, term1, term2)
 
     def key(self) -> tuple:
         """Canonical unlabeled-seed key: sorted multiset of g-vectors."""
         n = len(self.ctx.mutables)
         return tuple(sorted(g[:n] for g in self.gtilde))
+
+
+def _mutate_coeffs(coeffs, gens, k, bcol) -> tuple[TropElem, ...]:
+    """Tropical coefficient mutation at position k."""
+    yk = coeffs[k]
+    yk1 = yk + TropElem.one(gens)
+    new_coeffs = list(coeffs)
+    new_coeffs[k] = yk.inverse()
+    for j in range(len(coeffs)):
+        if j == k:
+            continue
+        bkj = -bcol[j]  # b_{kj} = -b_{jk}
+        if bkj > 0:
+            new_coeffs[j] = coeffs[j] * yk ** bkj * yk1 ** (-bkj)
+        elif bkj < 0:
+            new_coeffs[j] = coeffs[j] * yk1 ** (-bkj)
+    return tuple(new_coeffs)
 
 
 @dataclass(frozen=True)
@@ -282,77 +278,51 @@ class ClusterVarRecord:
 
 
 def make_record(seed: Seed, j: int) -> ClusterVarRecord:
-    """Build the record for position j and cross-check all principal invariants."""
+    """The record for position j, after cross-checking the seed's integer data
+    against the F-polynomial; built once per g-vector and shared by the context."""
     ctx = seed.ctx
     n = len(ctx.mutables)
-    pexp = seed.pcluster[j]
-    fpoly = substitute(pexp, {v: LaurentPoly.one() for v in ctx.xvars})
+    gtilde = seed.gtilde[j]
+    g = gtilde[:n]
+    for k, c in enumerate(seed.pcoeffs):
+        if sum(a * b for a, b in zip(g, c.exps)) != (k == j):
+            raise InternalInvariantError(
+                f"tropical duality G^T C = I fails at position {j}, column {k}: "
+                f"g = {g}, c = {c.exps}"
+            )
 
-    if fpoly.constant_term() != 1:
-        raise InternalInvariantError(f"F-polynomial constant term != 1: {fpoly}")
-    if any(c <= 0 for _, c in fpoly.terms()):
-        raise InternalInvariantError(f"F-polynomial has non-positive coefficient: {fpoly}")
+    record = ctx.records.get(g)
+    if record is None:
+        fpoly = ctx.fpolys[g]
+        if fpoly.constant_term() != 1:
+            raise InternalInvariantError(f"F-polynomial constant term != 1: {fpoly}")
+        if any(c <= 0 for _, c in fpoly.terms()):
+            raise InternalInvariantError(f"F-polynomial has non-positive coefficient: {fpoly}")
+        bottom = tuple(-e for e in eval_tropical(fpoly, ctx.y0_assign).exps)
+        expansion = separation(g, fpoly, ctx)
+        mons = [mon for mon, _ in expansion.terms()]
+        denom = tuple(max(-mon.exponent(x) for mon in mons) for x in ctx.xvars)
+        ctx.records[g] = record = ClusterVarRecord(g, g + bottom, fpoly, expansion, denom)
 
-    gdir = _homogeneous_degree(pexp, ctx)
-    bottom = tuple(-e for e in eval_tropical(fpoly, ctx.y0_assign).exps)
-    gtilde_direct = gdir + bottom
-    if gtilde_direct != seed.gtilde[j]:
+    if record.gtilde != gtilde:
         raise InternalInvariantError(
-            f"extended g-vector recursion disagrees with direct computation: "
-            f"{seed.gtilde[j]} vs {gtilde_direct}"
+            f"extended g-vector recursion disagrees with -trop(F)(y0): "
+            f"{gtilde} vs {record.gtilde}"
         )
-
-    expansion = seed.cluster[j]
-    denom = None
-    for mon, _ in expansion.terms():
-        vec = [-mon.exponent(x) for x in ctx.xvars]
-        denom = vec if denom is None else [max(a, b) for a, b in zip(denom, vec)]
-    return ClusterVarRecord(
-        gvec=gdir,
-        gtilde=gtilde_direct,
-        fpoly=fpoly,
-        expansion=expansion,
-        denominator=tuple(denom),
-    )
+    return record
 
 
-def _homogeneous_degree(pexp: LaurentPoly, ctx: SeedContext) -> tuple[int, ...]:
+def separation(gvec: tuple[int, ...], fpoly: LaurentPoly, ctx: SeedContext) -> LaurentPoly:
+    """Ambient expansion x^g / F|_P(y) * F(yhat) of the variable with this g and F."""
     n = len(ctx.mutables)
-    deg = None
-    for mon, _ in pexp.terms():
-        vec = [0] * n
-        for v, e in mon.items:
-            i = ctx.xvar_index.get(v)
-            if i is not None:
-                vec[i] += e
-                continue
-            jj = ctx.ycoef_index.get(v)
-            if jj is None:
-                raise InternalInvariantError(f"unexpected variable {v} in principal expansion")
-            col = ctx.b0_cols[jj]
-            for t in range(n):
-                vec[t] -= e * col[t]
-        vec = tuple(vec)
-        if deg is None:
-            deg = vec
-        elif deg != vec:
-            raise InternalInvariantError("principal expansion is not g-homogeneous")
-    if deg is None:
-        raise InternalInvariantError("zero cluster variable")
-    return deg
-
-
-def separation(record: ClusterVarRecord, ctx: SeedContext) -> LaurentPoly:
-    """Reassemble the expansion as x^g / F|_P(y) * F(yhat); must equal the direct one."""
-    n = len(ctx.mutables)
-    lead = Monomial({ctx.xvars[i]: e for i, e in enumerate(record.gvec[:n]) if e})
-    fp = eval_tropical(record.fpoly, ctx.y0_assign)
+    lead = Monomial({ctx.xvars[i]: e for i, e in enumerate(gvec[:n]) if e})
+    fp = eval_tropical(fpoly, ctx.y0_assign)
     lead = lead * fp.inverse().as_monomial()
     yhat = {
         ctx.ycoefs[j]: LaurentPoly.from_monomial(ctx.yhat_monomial(j))
         for j in range(n)
     }
-    return substitute(record.fpoly, yhat) * lead
+    return substitute(fpoly, yhat) * lead
 
 
 @dataclass
@@ -396,6 +366,8 @@ class ExchangeGraph:
 
 def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGraph:
     """Deterministic BFS of the exchange graph, deduplicating unlabeled seeds."""
+    if max_seeds < 1:
+        raise ConfigurationError(f"the seed cap must be at least 1, got {max_seeds}")
     ctx = seed0.ctx
     key0 = seed0.key()
     seeds = {key0: seed0}

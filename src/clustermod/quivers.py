@@ -120,23 +120,28 @@ class IceQuiver:
         return IceQuiver(vertices, frozen, tuple(tuple(row) for row in b))
 
     def mutate(self, k: Vertex) -> "IceQuiver":
-        """Matrix mutation at a mutable vertex; frozen-frozen entries reset to 0."""
+        """Matrix mutation at a mutable vertex; frozen-frozen entries stay 0."""
         if self.is_frozen(k):
             raise FrozenVertexError(f"mutation at frozen vertex {k}")
         kk = self.index(k)
-        n = len(self.vertices)
-        old = self.b
-        new = [[0] * n for _ in range(n)]
-        for p in range(n):
-            for q in range(n):
-                if p == kk or q == kk:
-                    new[p][q] = -old[p][q]
-                else:
-                    new[p][q] = old[p][q] + (abs(old[p][kk]) * old[kk][q] + old[p][kk] * abs(old[kk][q])) // 2
-        for p in range(n):
-            for q in range(n):
-                if self.vertices[p] in self.frozen and self.vertices[q] in self.frozen:
+        new = [list(row) for row in self.b]
+        rowk = self.b[kk]
+        # besides row and column k, b_pq changes only where b_pk * b_kq != 0
+        nbrs = [q for q, e in enumerate(rowk) if e]
+        fmask = [self.vertices[q] in self.frozen for q in nbrs]
+        for q in nbrs:
+            new[kk][q] = -rowk[q]
+            new[q][kk] = rowk[q]
+        for p, fp in zip(nbrs, fmask):
+            bpk = -rowk[p]
+            for q, fq in zip(nbrs, fmask):
+                bkq = rowk[q]
+                if fp and fq:
                     new[p][q] = 0
+                elif bpk > 0 and bkq > 0:
+                    new[p][q] += bpk * bkq
+                elif bpk < 0 and bkq < 0:
+                    new[p][q] -= bpk * bkq
         return IceQuiver(self.vertices, self.frozen, tuple(tuple(row) for row in new))
 
     def subquiver_on(self, labels) -> "IceQuiver":

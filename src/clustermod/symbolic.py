@@ -550,9 +550,6 @@ class TropElem:
     def as_monomial(self) -> Monomial:
         return Monomial({g: e for g, e in zip(self.gens, self.exps) if e})
 
-    def as_poly(self) -> LaurentPoly:
-        return LaurentPoly.from_monomial(self.as_monomial())
-
     def __str__(self) -> str:
         return str(self.as_monomial())
 

@@ -1,36 +1,175 @@
 """Independent oracles used to freeze expected values in the tests.
 
-These deliberately avoid the code paths they check: seed counting keys on
-expansion strings instead of g-vectors, root enumeration uses the Tits form
+These deliberately avoid the code paths they check: the reference seed
+carries every cluster variable as two Laurent polynomials (ambient and
+principal coefficients), each mutated by its exchange relation and one exact
+division, instead of an F-polynomial recurrence on integer seed data; seed
+counting keys on that seed's expansion strings instead of g-vectors; thin
+F-polynomials are sums over submodules; root enumeration uses the Tits form
 on a box instead of reflection closure, and type-A Hom dimensions come from
 the classical interval criterion.
 """
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+from itertools import combinations
 
 from clustermod import Seed
+from clustermod.symbolic import LaurentPoly, TropElem, div_exact, substitute
 
 
-def oracle_seed_count(seed0: Seed, cap: int = 10**5) -> int:
-    """BFS of unlabeled seeds keyed by the sorted cluster-expansion strings."""
+def _mutate_cluster(cluster, coeffs, gens, k, bcol):
+    """Exchange relation at position k over the given tropical coefficients."""
+    one_t = TropElem.one(gens)
+    yk = coeffs[k]
+    pos = LaurentPoly.one()
+    neg = LaurentPoly.one()
+    for i, bi in enumerate(bcol):
+        if bi > 0:
+            pos = pos * cluster[i] ** bi
+        elif bi < 0:
+            neg = neg * cluster[i] ** (-bi)
+    num = LaurentPoly.from_monomial(yk.as_monomial()) * pos + neg
+    new_cluster = list(cluster)
+    new_cluster[k] = div_exact(num, cluster[k]) * (yk + one_t).inverse().as_monomial()
+    new_coeffs = list(coeffs)
+    new_coeffs[k] = yk.inverse()
+    for j in range(len(cluster)):
+        if j == k:
+            continue
+        bkj = -bcol[j]
+        if bkj > 0:
+            new_coeffs[j] = coeffs[j] * yk ** bkj * (yk + one_t) ** (-bkj)
+        elif bkj < 0:
+            new_coeffs[j] = coeffs[j] * (yk + one_t) ** (-bkj)
+    return tuple(new_cluster), tuple(new_coeffs)
 
-    def key(seed):
-        return tuple(sorted(str(p) for p in seed.cluster))
 
-    seen = {key(seed0)}
-    queue = deque([seed0])
+@dataclass(frozen=True)
+class OracleRecord:
+    gvec: tuple[int, ...]
+    fpoly: LaurentPoly
+    expansion: LaurentPoly
+    denominator: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class OracleSeed:
+    """Reference seed over the alphabet of an engine seed's context."""
+
+    ctx: object
+    quiver: object
+    cluster: tuple[LaurentPoly, ...]
+    coeffs: tuple[TropElem, ...]
+    pcluster: tuple[LaurentPoly, ...]
+    pcoeffs: tuple[TropElem, ...]
+
+    @staticmethod
+    def initial(seed0: Seed) -> "OracleSeed":
+        ctx = seed0.ctx
+        xs = tuple(LaurentPoly.var(v) for v in ctx.xvars)
+        ys = tuple(TropElem.generator(ctx.pgens, y) for y in ctx.ycoefs)
+        return OracleSeed(ctx, ctx.quiver0, xs, ctx.y0, xs, ys)
+
+    def mutate(self, v) -> "OracleSeed":
+        ctx = self.ctx
+        k = ctx.mut_index[v]
+        bcol = tuple(self.quiver.entry(u, v) for u in ctx.mutables)
+        cluster, coeffs = _mutate_cluster(self.cluster, self.coeffs, ctx.gens, k, bcol)
+        pcluster, pcoeffs = _mutate_cluster(self.pcluster, self.pcoeffs, ctx.pgens, k, bcol)
+        return OracleSeed(ctx, self.quiver.mutate(v), cluster, coeffs, pcluster, pcoeffs)
+
+    def key(self) -> tuple[str, ...]:
+        return tuple(sorted(str(p) for p in self.cluster))
+
+    def record(self, j: int) -> OracleRecord:
+        """F by specialising the principal expansion at x = 1, g by its degree."""
+        ctx = self.ctx
+        pexp = self.pcluster[j]
+        fpoly = substitute(pexp, {v: LaurentPoly.one() for v in ctx.xvars})
+        expansion = self.cluster[j]
+        denom = None
+        for mon, _ in expansion.terms():
+            vec = [-mon.exponent(x) for x in ctx.xvars]
+            denom = vec if denom is None else [max(a, b) for a, b in zip(denom, vec)]
+        return OracleRecord(_homogeneous_degree(pexp, ctx), fpoly, expansion, tuple(denom))
+
+
+def _homogeneous_degree(pexp: LaurentPoly, ctx) -> tuple[int, ...]:
+    """The common degree of all terms, with deg x_i = e_i and deg y_j = -b_j."""
+    n = len(ctx.mutables)
+    xidx = {v: i for i, v in enumerate(ctx.xvars)}
+    yidx = {v: j for j, v in enumerate(ctx.ycoefs)}
+    degrees = set()
+    for mon, _ in pexp.terms():
+        vec = [0] * n
+        for v, e in mon.items:
+            if v in xidx:
+                vec[xidx[v]] += e
+            else:
+                col = ctx.b0_cols[yidx[v]]
+                for t in range(n):
+                    vec[t] -= e * col[t]
+        degrees.add(tuple(vec))
+    assert len(degrees) == 1, "principal expansion is not g-homogeneous"
+    return degrees.pop()
+
+
+def oracle_bfs(seed0: Seed, cap: int = 10**5) -> dict[tuple[str, ...], OracleSeed]:
+    """BFS of unlabeled reference seeds keyed by their sorted expansion strings."""
+    start = OracleSeed.initial(seed0)
+    seen = {start.key(): start}
+    queue = deque([start])
     while queue:
         seed = queue.popleft()
         for v in seed.ctx.mutables:
             nxt = seed.mutate(v)
-            k = key(nxt)
+            k = nxt.key()
             if k not in seen:
                 if len(seen) >= cap:
                     raise RuntimeError("oracle cap exceeded")
-                seen.add(k)
+                seen[k] = nxt
                 queue.append(nxt)
-    return len(seen)
+    return seen
+
+
+def oracle_seed_count(seed0: Seed, cap: int = 10**5) -> int:
+    return len(oracle_bfs(seed0, cap))
+
+
+def oracle_records(seed0: Seed) -> dict[tuple[int, ...], OracleRecord]:
+    """Reference record of every cluster variable, keyed by g-vector."""
+    out = {}
+    done = set()
+    for seed in oracle_bfs(seed0).values():
+        for j, x in enumerate(seed.cluster):
+            if x in done:
+                continue
+            done.add(x)
+            rec = seed.record(j)
+            assert rec.gvec not in out, f"two cluster variables share the g-vector {rec.gvec}"
+            out[rec.gvec] = rec
+    return out
+
+
+def oracle_thin_fpoly(dims: tuple[int, ...], arrows, ycoefs) -> LaurentPoly:
+    """F of a thin module: sum of y^S over the successor-closed subsets S of its support.
+
+    A subset of the support spans a submodule of a thin module exactly when it
+    is closed under the arrows inside the support.
+    """
+    supp = [i for i, d in enumerate(dims, start=1) if d]
+    inner = [(s, t) for s, t in arrows if s in supp and t in supp]
+    out = LaurentPoly.zero()
+    for size in range(len(supp) + 1):
+        for sub in combinations(supp, size):
+            if all(t in sub for s, t in inner if s in sub):
+                term = LaurentPoly.one()
+                for i in sub:
+                    term = term * LaurentPoly.var(ycoefs[i - 1])
+                out = out + term
+    return out
 
 
 def oracle_positive_roots(cartan, box: int = 6) -> set[tuple[int, ...]]:

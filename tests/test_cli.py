@@ -111,6 +111,16 @@ def test_engine_respects_seed_cap(capsys, monkeypatch):
     assert data["seeds"] == 3 and not data["exhaustive"]
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_engine_seed_cap_below_one_exits_2(capsys, cap):
+    code, out, err = run(capsys, "engine", "enumerate", "--cartan", "A3", "--linear",
+                         "--max-seeds", cap)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_rep_show_json_matrices(capsys):
     code, out, _ = run(capsys, "rep", "show", "--cartan", "A3", "--linear",
                        "--object", "mod:0,1,1")

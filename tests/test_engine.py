@@ -1,9 +1,10 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from clustermod.cartan import cartan_type, linear_height
+from clustermod.cartan import cartan_type, check_height_function, linear_height
 from clustermod.engine import (
     Seed,
     enumerate_exchange_graph,
@@ -14,9 +15,10 @@ from clustermod.engine import (
 )
 from clustermod.errors import FrozenVertexError
 from clustermod.quivers import IceQuiver, Vertex, build_gamma_l, build_qcheck
+from clustermod.reps import RepContext
 from clustermod.symbolic import LaurentPoly, Monomial, TropElem, fvar, xvar, ycoef
 
-from oracles import oracle_seed_count
+from oracles import OracleSeed, oracle_records, oracle_seed_count, oracle_thin_fpoly
 
 A2 = cartan_type("A2")
 A3 = cartan_type("A3")
@@ -102,10 +104,12 @@ def test_derived_two_step_f_polynomial(a3_graph):
     assert rec.fpoly == poly(({}, 1), ({y2: 1}, 1), ({y1: 1, y2: 1}, 1))
 
 
-def test_separation_matches_direct_expansion(a3_graph):
+def test_separation_matches_direct_expansion(a3_seed, a3_graph):
     ctx = a3_graph.ctx
+    want = oracle_records(a3_seed)
+    assert set(want) == set(a3_graph.registry)
     for g, rec in a3_graph.registry.items():
-        assert separation(rec, ctx) == rec.expansion
+        assert separation(g, rec.fpoly, ctx) == want[g].expansion
 
 
 def test_separation_leading_monomial(a3_graph):
@@ -234,10 +238,16 @@ def test_separation_on_grid_seed_after_sequence():
 
     seed = Seed.initial(build_gamma_l(A3, XI3, 2))
     ctx = seed.ctx
-    final, _ = run_sequence(seed, s_l_sequence(A3, XI3, 2))
+    sequence = s_l_sequence(A3, XI3, 2)
+    final, _ = run_sequence(seed, sequence)
+    reference = OracleSeed.initial(seed)
+    for v in sequence:
+        reference = reference.mutate(v)
     for j in range(len(ctx.mutables)):
         rec = make_record(final, j)
-        assert separation(rec, ctx) == rec.expansion
+        want = reference.record(j)
+        assert (rec.gvec, rec.fpoly, rec.denominator) == (want.gvec, want.fpoly, want.denominator)
+        assert separation(rec.gvec, rec.fpoly, ctx) == want.expansion
 
 
 def test_seed_json_smoke(a3_seed):
@@ -246,3 +256,53 @@ def test_seed_json_smoke(a3_seed):
     data = json.loads(seed_json(a3_seed))
     assert data["cluster"] == ["x[1]", "x[2]", "x[3]"]
     assert data["coefficients"] == ["f[1]^-1", "f[1] f[2]^-1", "f[2] f[3]^-1"]
+
+
+# ---- records against the two-Laurent reference seed -------------------------------------
+
+
+def _orientations(cartan):
+    """A height function for every orientation of the Dynkin tree."""
+    out = []
+    for signs in itertools.product((1, -1), repeat=len(cartan.edges)):
+        step = dict(zip(cartan.edges, signs))
+        xi = {1: 0}
+        while len(xi) < cartan.rank:
+            for (a, b), s in step.items():
+                if a in xi and b not in xi:
+                    xi[b] = xi[a] - s
+                elif b in xi and a not in xi:
+                    xi[a] = xi[b] + s
+        out.append(check_height_function(cartan, xi))
+    return out
+
+
+ORACLE_SCOPES = (
+    [(name, linear_height(cartan_type(name))) for name in ("A2", "A5")]
+    + [("D5", _orientations(cartan_type("D5"))[0])]
+    + [(name, xi) for name in ("A3", "A4", "D4") for xi in _orientations(cartan_type(name))]
+)
+
+
+@pytest.mark.parametrize("name,xi", ORACLE_SCOPES,
+                         ids=[f"{n}-{','.join(map(str, xi.values()))}" for n, xi in ORACLE_SCOPES])
+def test_records_match_two_laurent_oracle(name, xi):
+    cartan = cartan_type(name)
+    seed0 = Seed.initial(build_qcheck(cartan, xi))
+    graph = enumerate_exchange_graph(seed0)
+    want = oracle_records(seed0)
+    assert set(graph.registry) == set(want)
+    for g, rec in graph.registry.items():
+        assert rec.fpoly == want[g].fpoly, g
+        assert rec.expansion == want[g].expansion, g
+        assert rec.denominator == want[g].denominator, g
+
+    # thin modules: F is the sum of y^S over the submodule supports S
+    repctx = RepContext(cartan, xi)
+    thin = 0
+    for obj in repctx.indecomposables():
+        if obj.is_module and max(obj.dims) == 1:
+            rec = graph.registry[repctx.g_vector(obj)]
+            assert rec.fpoly == oracle_thin_fpoly(obj.dims, repctx.arrows, seed0.ctx.ycoefs), obj
+            thin += 1
+    assert thin >= cartan.rank

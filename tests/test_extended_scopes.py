@@ -1,8 +1,8 @@
 """Wider-scope regressions beyond the acceptance floor: A5 counts, the second
-star orientation of D4, and an E6 smoke pass through the full pipeline.
+star orientation of D4, the E6 pipeline and its full exchange-graph bundle.
 
-Set CLUSTERMOD_SLOW_TESTS=1 to also run the full E6 exchange-graph bundle
-(about half a minute)."""
+Set CLUSTERMOD_SLOW_TESTS=1 to also enumerate the E7 exchange graph (a few
+seconds)."""
 import os
 
 import pytest
@@ -70,8 +70,6 @@ def test_e6_grid_pipeline():
     assert verify_grid_sequence(ct, XI_E6, 2).passed
 
 
-@pytest.mark.skipif(not os.environ.get("CLUSTERMOD_SLOW_TESTS"),
-                    reason="set CLUSTERMOD_SLOW_TESTS=1 to run the E6 bundle")
 def test_e6_full_exchange_graph_bundle():
     from clustermod.verify import get_bundle
 
@@ -83,3 +81,15 @@ def test_e6_full_exchange_graph_bundle():
     r = verify_exchange_exponents(ct, XI_E6)
     assert r.passed and r.scope["engine_pinned"] == 0
     assert verify_tropical_socle(ct, XI_E6).passed
+
+
+@pytest.mark.skipif(not os.environ.get("CLUSTERMOD_SLOW_TESTS"),
+                    reason="set CLUSTERMOD_SLOW_TESTS=1 to enumerate E7")
+def test_e7_exchange_graph_counts():
+    ct = cartan_type("E7")
+    xi = {1: 0, 3: -1, 4: 0, 2: -1, 5: -1, 6: 0, 7: -1}
+    graph = enumerate_exchange_graph(Seed.initial(build_qcheck(ct, xi)))
+    assert graph.exhaustive
+    assert graph.seed_count == 4160  # the classical count of E7 clusters
+    assert len(graph.edges) == 14560  # 7 * 4160 / 2
+    assert graph.variable_count == 70  # 63 positive roots + 7 shifts

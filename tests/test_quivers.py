@@ -87,6 +87,35 @@ def test_skew_symmetry_preserved_by_random_mutations():
         assert all(q.b[p][r] == -q.b[r][p] for p in range(n) for r in range(n))
 
 
+def test_mutation_matches_full_matrix_formula():
+    import random
+
+    def reference(q, k):
+        """b'_pq = -b_pq on row and column k, else b_pq + (|b_pk| b_kq + b_pk |b_kq|) / 2."""
+        kk, b, n = q.index(k), q.b, len(q.vertices)
+        new = [[-b[p][r] if kk in (p, r)
+                else b[p][r] + (abs(b[p][kk]) * b[kk][r] + b[p][kk] * abs(b[kk][r])) // 2
+                for r in range(n)] for p in range(n)]
+        for p in range(n):
+            for r in range(n):
+                if q.vertices[p] in q.frozen and q.vertices[r] in q.frozen:
+                    new[p][r] = 0
+        return tuple(tuple(row) for row in new)
+
+    rng = random.Random(11)
+    vertices = [Vertex(i) for i in range(1, 6)] + [Vertex(i, primed=True) for i in (1, 2, 3)]
+    frozen = vertices[5:]
+    for _ in range(30):
+        arrows = [(s, t, rng.randint(1, 3)) for s in vertices for t in vertices
+                  if s != t and not (s in frozen and t in frozen) and rng.random() < 0.15]
+        q = IceQuiver.from_arrows(vertices, frozen, arrows)
+        for _ in range(10):
+            v = vertices[rng.randrange(5)]
+            want = reference(q, v)
+            q = q.mutate(v)
+            assert q.b == want
+
+
 # ---- grid quivers ---------------------------------------------------------------
 
 GAMMA2_A3_ARROWS = {
