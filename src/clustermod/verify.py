@@ -556,27 +556,32 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
             rep.check(seed.coeffs[k] == _frozen_row_coeff(seed, k),
                       f"coefficient read-off at seed {key} column {k}")
 
-    # exchange-relation product identity, with each factor rebuilt from its F and g
-    expansion = {g: separation(g, r.fpoly, ctx) for g, r in graph.registry.items()}
+    # exchange-relation product identity
     for edge in graph.edges:
-        lhs = expansion[edge.old_g] * expansion[edge.new_g]
+        lhs = graph.registry[edge.old_g].expansion * graph.registry[edge.new_g].expansion
         rhs = LaurentPoly.zero()
         for term in (edge.term1, edge.term2):
             part = LaurentPoly.from_monomial(
                 TropElem(ctx.gens, term.fexp).as_monomial()
             )
             for fg, mult in term.factors:
-                part = part * expansion[fg] ** mult
+                part = part * graph.registry[fg].expansion ** mult
             rhs = rhs + part
         rep.check(lhs == rhs, "edge product identity", old=edge.old_g, new=edge.new_g)
 
+    # the walk runs in a fresh context, so it recomputes every F-polynomial along
+    # its own path; each new variable passes the record checks and must match
+    # the exchange-graph record of its g-vector
     rng = random.Random(rng_seed)
     seed = Seed.initial(build_qcheck(cartan, xi))
     for step in range(walks):
         v = ctx.mutables[rng.randrange(n)]
         forward = seed.mutate(v)
+        record = make_record(forward, seed.ctx.mut_index[v])
         back = forward.mutate(v)
-        rep.check(back == seed, f"mutation involution at walk step {step}", vertex=v)
+        rep.check(back == seed and record == graph.registry.get(record.gvec),
+                  f"mutation involution and walk record at step {step}", vertex=v,
+                  g=record.gvec)
         seed = forward
     return _timed(rep, t0)
 

@@ -62,9 +62,21 @@ def test_qcheck_mutation_at_sink(a3_seed):
     assert s1.cluster[k] == want  # (f2 + f3 x2)/x3
 
 
+def _same_as_oracle(rec, want):
+    return (rec.gvec, rec.fpoly, rec.expansion, rec.denominator) == (
+        want.gvec, want.fpoly, want.expansion, want.denominator)
+
+
 def test_double_mutation_is_identity(a3_seed):
+    reference = OracleSeed.initial(a3_seed)
     for v in a3_seed.ctx.mutables:
-        assert a3_seed.mutate(v).mutate(v) == a3_seed
+        k = a3_seed.ctx.mut_index[v]
+        forward = a3_seed.mutate(v)
+        assert _same_as_oracle(make_record(forward, k), reference.mutate(v).record(k))
+        back = forward.mutate(v)
+        assert back == a3_seed
+        for j in range(len(a3_seed.ctx.mutables)):
+            assert _same_as_oracle(make_record(back, j), reference.record(j))
 
 
 def test_mutation_at_frozen_rejected(a3_seed):
@@ -224,9 +236,13 @@ def test_gamma_seed_coefficients_match_structure():
 def test_run_sequence_and_involution_walk():
     rng = random.Random(123)
     seed = Seed.initial(build_gamma_l(A3, XI3, 2))
+    reference = OracleSeed.initial(seed)
     for _ in range(30):
         v = seed.ctx.mutables[rng.randrange(len(seed.ctx.mutables))]
+        k = seed.ctx.mut_index[v]
         nxt = seed.mutate(v)
+        reference = reference.mutate(v)
+        assert _same_as_oracle(make_record(nxt, k), reference.record(k))
         assert nxt.mutate(v) == seed
         seed = nxt
     back, edges = run_sequence(seed, [])
