@@ -100,8 +100,9 @@ def parse_height(cartan: CartanData, text: str) -> dict[int, int]:
         piece = piece.strip()
         if not piece:
             continue
-        if ":" not in piece:
-            raise DomainError(f"bad height entry {piece!r}")
-        i, v = piece.split(":", 1)
-        xi[int(i)] = int(v)
+        i, _, v = piece.partition(":")
+        try:
+            xi[int(i)] = int(v)
+        except ValueError:
+            raise DomainError(f"bad height entry {piece!r}") from None
     return check_height_function(cartan, xi)

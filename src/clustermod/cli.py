@@ -52,6 +52,13 @@ def _scope(args):
     return cartan, xi
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -116,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run verification checks")
     v.add_argument("check", choices=list(CHECK_NAMES) + ["all"])
     _add_scope_args(v)
-    v.add_argument("--walks", type=int, default=1000)
+    v.add_argument("--walks", type=_nonnegative_int, default=1000)
     v.add_argument("--seed", type=int, default=20240901,
                    help="seed for the randomized mutation walks")
     v.add_argument("--format", default="text", choices=["text", "json"])
@@ -156,8 +163,12 @@ def _cmd_quiver(args) -> int:
             quiver = build_qxil(cartan, xi, args.level)
         _emit(_format_quiver(quiver, args.format), args.out)
         return EXIT_OK
-    with open(args.infile, encoding="utf-8") as fh:
-        quiver = IceQuiver.from_json(fh.read())
+    try:
+        with open(args.infile, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {args.infile}: {exc.strerror}") from None
+    quiver = IceQuiver.from_json(text)
     if args.action == "mutate":
         labels = [Vertex.parse(text) for text in args.at]
         if args.seq:
@@ -186,8 +197,6 @@ def _cmd_rep(args) -> int:
         obj = CQObject.parse(args.object)
         if not obj.is_module:
             raise DomainError("only modules have underlying representations")
-        if not ctx.is_root(obj.dims):
-            raise DomainError(f"{obj.dims} is not a positive root")
         print(rep_json(ctx.rep(obj.dims)))
         return EXIT_OK
     rows = []
@@ -207,9 +216,6 @@ def _cmd_psi(args) -> int:
     cartan, xi = _scope(args)
     ctx = RepContext(cartan, xi)
     objs = [CQObject.parse(piece) for piece in args.object.split("+")]
-    for obj in objs:
-        if obj.is_module and not ctx.is_root(obj.dims):
-            raise DomainError(f"{obj.dims} is not a positive root")
     print(psi(objs, ctx, args.level))
     return EXIT_OK
 
@@ -252,6 +258,12 @@ def _cmd_table(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse before Python 3.12 drops a '--' given as an option's value
+    # ('--xi=--') and hands the command an empty list instead of a string
+    for token in argv:
+        if token.startswith("--") and token.endswith("=--"):
+            parser.error(f"'--' is not a value: {token}")
     args = parser.parse_args(argv)
     try:
         if args.command == "quiver":

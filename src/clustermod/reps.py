@@ -1,8 +1,12 @@
 """Dynkin quiver representations and the cluster-category combinatorics built on them.
 
-Indecomposables are realized over Q by reflection functors; socles, Hom spaces and
-extension dimensions come from exact linear algebra with Fractions.  Objects of the
-cluster category are modules (positive roots) plus one shifted projective per vertex.
+Objects of the cluster category are modules (positive roots) plus one shifted
+projective per vertex.  Socles and Ext^1 dimensions are integer formulas in the
+dimension vectors: a Dynkin quiver is representation-directed, so for
+indecomposables X, Y at most one of Hom(X, Y) and Ext^1(X, Y) is nonzero and the
+Euler form <x, y> gives both (Ringel, LNM 1099).  Explicit indecomposables over Q,
+built by reflection functors, and their Hom spaces by exact Fraction linear
+algebra serve `rep` and the image of the morphism in `im_h`.
 """
 from __future__ import annotations
 
@@ -28,12 +32,6 @@ def _mat(rows) -> Matrix:
 
 def _zeros(nrows: int, ncols: int) -> Matrix:
     return tuple((Fraction(0),) * ncols for _ in range(nrows))
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
 
 
 def _matmul(a: Matrix, b: Matrix, n: int, m: int, p: int) -> Matrix:
@@ -64,13 +62,6 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]],
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def _rank(m: Matrix, nrows: int, ncols: int) -> int:
-    if nrows == 0 or ncols == 0:
-        return 0
-    _, pivots = _rref([list(row) for row in m], ncols)
-    return len(pivots)
 
 
 def _null_space(m: Matrix, nrows: int, ncols: int) -> list[tuple[Fraction, ...]]:
@@ -155,10 +146,13 @@ class CQObject:
     @staticmethod
     def parse(text: str) -> "CQObject":
         text = text.strip()
-        if text.startswith("shp:"):
-            return CQObject.shifted(int(text[4:]))
-        if text.startswith("mod:"):
-            return CQObject.module(tuple(int(x) for x in text[4:].split(",")))
+        try:
+            if text.startswith("shp:"):
+                return CQObject.shifted(int(text[4:]))
+            if text.startswith("mod:"):
+                return CQObject.module(tuple(int(x) for x in text[4:].split(",")))
+        except ValueError:
+            pass
         raise DomainError(f"cannot parse object spec {text!r}")
 
 
@@ -196,6 +190,10 @@ class RepContext:
         self.out = {i: tuple(t for s, t in self.arrows if s == i) for i in cartan.vertices}
         self.inn = {i: tuple(s for s, t in self.arrows if t == i) for i in cartan.vertices}
         self._rep_cache: dict[tuple[int, ...], QuiverRep] = {}
+        self._proj = {i: self._reach(i, self.out) for i in cartan.vertices}
+        self._inj = {i: self._reach(i, self.inn) for i in cartan.vertices}
+        self._vertex_of_proj = {d: i for i, d in self._proj.items()}
+        self._vertex_of_inj = {d: i for i, d in self._inj.items()}
 
     # ---- roots and basic dimension vectors -------------------------------
 
@@ -207,30 +205,29 @@ class RepContext:
     def _root_set(self) -> frozenset:
         return frozenset(self.roots)
 
-    def is_root(self, dims) -> bool:
-        return tuple(dims) in self._root_set
+    def check_object(self, obj: CQObject) -> None:
+        """Raise DomainError unless obj is an indecomposable of this cluster category."""
+        if obj.is_module:
+            if obj.dims not in self._root_set:
+                raise DomainError(f"{obj.dims} is not a positive root")
+        elif obj.i not in self.out:
+            raise DomainError(f"{obj} needs a vertex in 1..{self.n}")
+
+    def _reach(self, i: int, step) -> tuple[int, ...]:
+        reach = {i}
+        stack = [i]
+        while stack:
+            for w in step[stack.pop()]:
+                if w not in reach:
+                    reach.add(w)
+                    stack.append(w)
+        return tuple(1 if j in reach else 0 for j in self.cartan.vertices)
 
     def proj_dims(self, i: int) -> tuple[int, ...]:
-        reach = {i}
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            for w in self.out[v]:
-                if w not in reach:
-                    reach.add(w)
-                    stack.append(w)
-        return tuple(1 if j in reach else 0 for j in self.cartan.vertices)
+        return self._proj[i]
 
     def inj_dims(self, i: int) -> tuple[int, ...]:
-        reach = {i}
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            for w in self.inn[v]:
-                if w not in reach:
-                    reach.add(w)
-                    stack.append(w)
-        return tuple(1 if j in reach else 0 for j in self.cartan.vertices)
+        return self._inj[i]
 
     def indecomposables(self) -> tuple[CQObject, ...]:
         shifts = tuple(CQObject.shifted(i) for i in self.cartan.vertices)
@@ -364,28 +361,14 @@ class RepContext:
     # ---- socle, g-vectors -------------------------------------------------
 
     def socle(self, obj: CQObject) -> tuple[int, ...]:
-        if obj.kind == "shift":
-            return (0,) * self.n
-        rep = self.rep(obj.dims)
-        soc = []
-        for i in self.cartan.vertices:
-            di = rep.dims[i - 1]
-            stacked = []
-            for t in self.out[i]:
-                m = rep.matrix(i, t)
-                for r in range(rep.dims[t - 1]):
-                    stacked.append(list(m[r]))
-            rank = _rank(_mat(stacked), len(stacked), di) if stacked else 0
-            soc.append(di - rank)
-        return tuple(soc)
+        """soc_i = dim Hom(S_i, M) = max(<e_i, dim M>, 0) = max(-g_i, 0); zero on shifts."""
+        return tuple(max(-x, 0) for x in self.g_vector(obj))
 
     def g_vector(self, obj: CQObject) -> tuple[int, ...]:
+        self.check_object(obj)
         if obj.kind == "shift":
             return self._unit(obj.i)
-        d = obj.dims
-        return tuple(
-            sum(d[t - 1] for t in self.out[j]) - d[j - 1] for j in self.cartan.vertices
-        )
+        return self.g_of_dims(obj.dims)
 
     def extended_g(self, obj: CQObject) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self.g_vector(obj), self.socle(obj)
@@ -394,25 +377,23 @@ class RepContext:
 
     @functools.cached_property
     def _coxeter(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """-E^-1 E^T and its inverse -E^-T E, where <x, y> = x^T E y.
+
+        Row i of E^-1 is dim P_i, because <dim P_i, y> = dim Hom(P_i, Y) = y_i.
+        """
         n = self.n
-        e = [[0] * n for _ in range(n)]
-        for i in range(n):
-            e[i][i] = 1
+        e = [[int(r == c) for c in range(n)] for r in range(n)]
         for s, t in self.arrows:
             e[s - 1][t - 1] -= 1
-        em = _mat(e)
-        einv = _invert(em, n)
-        et = tuple(tuple(em[c][r] for c in range(n)) for r in range(n))
-        einvt = tuple(tuple(einv[c][r] for c in range(n)) for r in range(n))
-        phi = _matmul(einv, et, n, n, n)
-        phi_inv = _matmul(einvt, em, n, n, n)
+        einv = [self._proj[i] for i in self.cartan.vertices]
 
-        def to_int(m):
-            if any(x.denominator != 1 for row in m for x in row):
-                raise InternalInvariantError("Coxeter matrix is not integral")
-            return tuple(tuple(-int(x) for x in row) for row in m)
+        def neg_product(a, b):
+            return tuple(
+                tuple(-sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
+                for r in range(n)
+            )
 
-        return to_int(phi), to_int(phi_inv)
+        return neg_product(einv, tuple(zip(*e))), neg_product(tuple(zip(*einv)), e)
 
     def _apply(self, mat, vec) -> tuple[int, ...]:
         return tuple(sum(mat[r][c] * vec[c] for c in range(self.n)) for r in range(self.n))
@@ -420,9 +401,9 @@ class RepContext:
     def tau_inv(self, obj: CQObject) -> CQObject:
         if obj.kind == "shift":
             return CQObject.module(self.proj_dims(obj.i))
-        for j in self.cartan.vertices:
-            if obj.dims == self.inj_dims(j):
-                return CQObject.shifted(j)
+        j = self._vertex_of_inj.get(obj.dims)
+        if j is not None:
+            return CQObject.shifted(j)
         out = self._apply(self._coxeter[1], obj.dims)
         if out not in self._root_set:
             raise InternalInvariantError(f"tau^-1 of {obj.dims} gave non-root {out}")
@@ -431,9 +412,9 @@ class RepContext:
     def tau(self, obj: CQObject) -> CQObject:
         if obj.kind == "shift":
             return CQObject.module(self.inj_dims(obj.i))
-        for j in self.cartan.vertices:
-            if obj.dims == self.proj_dims(j):
-                return CQObject.shifted(j)
+        j = self._vertex_of_proj.get(obj.dims)
+        if j is not None:
+            return CQObject.shifted(j)
         out = self._apply(self._coxeter[0], obj.dims)
         if out not in self._root_set:
             raise InternalInvariantError(f"tau of {obj.dims} gave non-root {out}")
@@ -482,13 +463,12 @@ class RepContext:
         return val
 
     def ext1_mod(self, x: CQObject, y: CQObject) -> int:
-        hom_dim, _ = self.hom(self.rep(x.dims), self.rep(y.dims))
-        ext = hom_dim - self.euler_form(x.dims, y.dims)
-        if ext < 0:
-            raise InternalInvariantError("negative Ext dimension")
-        return ext
+        """dim Ext^1(X, Y) = max(-<x, y>, 0) for modules X, Y."""
+        return max(-self.euler_form(x.dims, y.dims), 0)
 
     def ext1_cluster(self, x: CQObject, y: CQObject) -> int:
+        self.check_object(x)
+        self.check_object(y)
         if x.kind == "shift" and y.kind == "shift":
             return 0
         if x.kind == "shift":
@@ -510,16 +490,23 @@ class RepContext:
 
     def im_h(self, l_obj: CQObject, n_obj: CQObject) -> QuiverRep:
         """Image of the (unique up to scalar) morphism tau^-1 L -> N, module case only."""
+        self.check_object(l_obj)
+        self.check_object(n_obj)
         lt = self.tau_inv(l_obj)
         if not lt.is_module or not n_obj.is_module:
             raise ShiftCaseUnsupported("tau^-1 L or N is not a module")
+        # dim Hom(tau^-1 L, N) = max(<dim tau^-1 L, dim N>, 0), as in ext1_mod
+        euler = self.euler_form(lt.dims, n_obj.dims)
+        if euler <= 0:
+            raise ShiftCaseUnsupported("Hom(tau^-1 L, N) = 0")
+        if euler > 1:
+            raise ShiftCaseUnsupported("Hom(tau^-1 L, N) is not one-dimensional")
         rl = self.rep(lt.dims)
         rn = self.rep(n_obj.dims)
         dim, basis = self.hom(rl, rn)
-        if dim == 0:
-            raise ShiftCaseUnsupported("Hom(tau^-1 L, N) = 0")
-        if dim > 1:
-            raise ShiftCaseUnsupported("Hom(tau^-1 L, N) is not one-dimensional")
+        if dim != 1:
+            raise InternalInvariantError(
+                f"Hom({lt.dims}, {n_obj.dims}) has dimension {dim}, Euler form gives 1")
         h = basis[0]
         col_bases = {}
         dims = []
@@ -591,22 +578,6 @@ class RepContext:
             if m > 4 * total:
                 raise InternalInvariantError("AR knitting failed to close")
         return tuple(seen)
-
-    def ar_rows(self) -> tuple[tuple[CQObject, ...], ...]:
-        """tau^-1 orbits, one per vertex, starting at the shifted projectives."""
-        obj_at = self._orbit_fn
-        rows = []
-        for i in self.cartan.vertices:
-            row = []
-            m = 0
-            while True:
-                o = obj_at(m, i)
-                if o in row:
-                    break
-                row.append(o)
-                m += 1
-            rows.append(tuple(row))
-        return tuple(rows)
 
     def ar_arrows(self) -> tuple[tuple[CQObject, CQObject], ...]:
         total = len(self.roots) + self.n

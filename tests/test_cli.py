@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clustermod.cli import main
 
@@ -180,3 +184,80 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_psi_vertex_out_of_range_exits_3(capsys):
+    code, out, err = run(capsys, "psi", "--cartan", "A3", "--linear", "--object", "shp:9")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["mod:a", "shp:x", "mod:"])
+def test_malformed_object_spec_exits_3(capsys, spec):
+    for argv in (("psi", "--cartan", "A3", "--linear", "--object", spec),
+                 ("rep", "show", "--cartan", "A3", "--linear", "--object", spec)):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: cannot parse object spec {spec!r}\n"
+
+
+def test_quiver_mutate_missing_file_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "quiver", "mutate", "--in", str(tmp_path / "missing.json"),
+                         "--at", "(1,0)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
+def test_verify_negative_walks_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "properties", "--cartan", "A2", "--xi", "1:0,2:-1", "--walks", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "clustermod verify: error: argument --walks: must be >= 0, got -1"]
+    assert "Traceback" not in err
+
+
+# ---- fuzzed argv: every outcome is an exit code, never a traceback -------------------
+
+HEIGHTS = {"A2": "1:0,2:-1", "A3": "1:0,2:-1,3:0", "D4": "1:0,2:-1,3:0,4:0"}
+INTS = st.integers(-2, 3).map(str)
+OBJECT_SPECS = st.one_of(
+    st.builds("mod:{}".format, st.lists(INTS, max_size=5).map(",".join)),
+    st.builds("shp:{}".format, INTS),
+    st.text(alphabet="modshp:,+-0123x ", max_size=12),
+).flatmap(lambda first: st.sampled_from([first, first + "+shp:1", "mod:0,1+" + first]))
+HEIGHT_TEXTS = st.one_of(
+    st.sampled_from(sorted(HEIGHTS.values())),
+    st.text(alphabet="0123456789:,-x ", max_size=16),
+)
+LEVEL_TEXTS = st.one_of(st.integers(-2, 4).map(str), st.text(alphabet="0123-x", max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cartan=st.sampled_from(sorted(HEIGHTS)), command=st.sampled_from(["psi", "show", "list"]),
+       obj=OBJECT_SPECS, xi=st.one_of(st.none(), HEIGHT_TEXTS), level=LEVEL_TEXTS)
+@example(cartan="A2", command="psi", obj="--", xi=None, level="2")
+@example(cartan="A3", command="show", obj="mod:1", xi="1:0,2:x,3:0", level="2")
+def test_cli_fuzz_exit_codes(cartan, command, obj, xi, level):
+    argv = ["--cartan", cartan, f"--xi={xi if xi is not None else HEIGHTS[cartan]}"]
+    if command == "psi":
+        argv = ["psi", *argv, f"--object={obj}", f"--level={level}"]
+    elif command == "show":
+        argv = ["rep", "show", *argv, f"--object={obj}"]
+    else:
+        argv = ["rep", "list", *argv, "--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1

@@ -1,10 +1,9 @@
-import itertools
 import json
 import random
 
 import pytest
 
-from clustermod.cartan import cartan_type, check_height_function, linear_height
+from clustermod.cartan import cartan_type, linear_height
 from clustermod.engine import (
     Seed,
     enumerate_exchange_graph,
@@ -18,7 +17,13 @@ from clustermod.quivers import IceQuiver, Vertex, build_gamma_l, build_qcheck
 from clustermod.reps import RepContext
 from clustermod.symbolic import LaurentPoly, Monomial, TropElem, fvar, xvar, ycoef
 
-from oracles import OracleSeed, oracle_records, oracle_seed_count, oracle_thin_fpoly
+from oracles import (
+    OracleSeed,
+    oracle_records,
+    oracle_seed_count,
+    oracle_thin_fpoly,
+    orientations,
+)
 
 A2 = cartan_type("A2")
 A3 = cartan_type("A3")
@@ -277,26 +282,10 @@ def test_seed_json_smoke(a3_seed):
 # ---- records against the two-Laurent reference seed -------------------------------------
 
 
-def _orientations(cartan):
-    """A height function for every orientation of the Dynkin tree."""
-    out = []
-    for signs in itertools.product((1, -1), repeat=len(cartan.edges)):
-        step = dict(zip(cartan.edges, signs))
-        xi = {1: 0}
-        while len(xi) < cartan.rank:
-            for (a, b), s in step.items():
-                if a in xi and b not in xi:
-                    xi[b] = xi[a] - s
-                elif b in xi and a not in xi:
-                    xi[a] = xi[b] + s
-        out.append(check_height_function(cartan, xi))
-    return out
-
-
 ORACLE_SCOPES = (
     [(name, linear_height(cartan_type(name))) for name in ("A2", "A5")]
-    + [("D5", _orientations(cartan_type("D5"))[0])]
-    + [(name, xi) for name in ("A3", "A4", "D4") for xi in _orientations(cartan_type(name))]
+    + [("D5", orientations(cartan_type("D5"))[0])]
+    + [(name, xi) for name in ("A3", "A4", "D4") for xi in orientations(cartan_type(name))]
 )
 
 

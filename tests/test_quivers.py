@@ -12,6 +12,8 @@ from clustermod.quivers import (
     build_qxil,
 )
 
+from oracles import orientations
+
 A2 = cartan_type("A2")
 A3 = cartan_type("A3")
 A4 = cartan_type("A4")
@@ -190,32 +192,10 @@ def test_qcheck_structure():
     assert sub.equals(build_qxi(A3, XI_A3_LIN))
 
 
-def _all_height_functions(ct):
-    """Every height function with xi(1) = 0: one sign choice per tree edge."""
-    import itertools
-
-    out = []
-    for signs in itertools.product((1, -1), repeat=len(ct.edges)):
-        xi = {1: 0}
-        pending = list(zip(ct.edges, signs))
-        while pending:
-            rest = []
-            for (a, b), s in pending:
-                if a in xi:
-                    xi[b] = xi[a] + s
-                elif b in xi:
-                    xi[a] = xi[b] - s
-                else:
-                    rest.append(((a, b), s))
-            pending = rest
-        out.append(xi)
-    return out
-
-
 def test_qcheck_principal_part_all_heights():
     for name in ("A2", "A3", "A4", "A5", "D4"):
         ct = cartan_type(name)
-        for xi in _all_height_functions(ct):
+        for xi in orientations(ct):
             q = build_qcheck(ct, xi)
             sub = q.subquiver_on([Vertex(i) for i in ct.vertices])
             assert sub.equals(build_qxi(ct, xi))

@@ -4,14 +4,23 @@ import pytest
 
 from clustermod.cartan import cartan_type, linear_height
 from clustermod.errors import DomainError, ShiftCaseUnsupported
+from clustermod.hlmap import psi
 from clustermod.reps import CQObject, RepContext, positive_roots
 
-from oracles import oracle_hom_dim_typeA_linear, oracle_positive_roots
+from oracles import (
+    oracle_exchange_pairs,
+    oracle_ext1_mod,
+    oracle_hom_dim_typeA_linear,
+    oracle_positive_roots,
+    oracle_socle,
+    orientations,
+)
 
 A2 = cartan_type("A2")
 A3 = cartan_type("A3")
 A4 = cartan_type("A4")
 D4 = cartan_type("D4")
+E6 = cartan_type("E6")
 
 XI_D4 = {1: 0, 2: -1, 3: 0, 4: 0}
 
@@ -103,6 +112,23 @@ def test_socle_d4_center():
     assert rc.socle(mod(1, 2, 1, 1)) == (0, 2, 0, 0)
 
 
+def _scope_id(cartan, xi):
+    return cartan.name + "-" + ",".join(str(xi[i]) for i in cartan.vertices)
+
+
+SOCLE_SCOPES = [
+    (cartan, xi) for cartan in (A3, A4, D4, cartan_type("D5")) for xi in orientations(cartan)
+] + [(E6, xi) for xi in orientations(E6)[::31]]
+
+
+@pytest.mark.parametrize("cartan,xi", SOCLE_SCOPES,
+                         ids=[_scope_id(c, xi) for c, xi in SOCLE_SCOPES])
+def test_socle_matches_rank_oracle(cartan, xi):
+    rc = RepContext(cartan, xi)
+    for obj in rc.indecomposables():
+        assert rc.socle(obj) == oracle_socle(rc, obj), obj
+
+
 # ---- g-vectors ------------------------------------------------------------------------
 
 GTILDE_TABLE = {
@@ -190,6 +216,25 @@ def test_hom_against_interval_oracle(rc_fixture, request):
             assert d == oracle_hom_dim_typeA_linear(a, b)
 
 
+EXT_SCOPES = [(D4, xi) for xi in orientations(D4)] + [(E6, orientations(E6)[5])]
+
+
+@pytest.mark.parametrize("cartan,xi", EXT_SCOPES,
+                         ids=[_scope_id(c, xi) for c, xi in EXT_SCOPES])
+def test_ext1_mod_matches_hom_oracle(cartan, xi):
+    rc = RepContext(cartan, xi)
+    for a, b in itertools.product(rc.roots, rc.roots):
+        assert rc.ext1_mod(mod(*a), mod(*b)) == oracle_ext1_mod(rc, mod(*a), mod(*b)), (a, b)
+
+
+@pytest.mark.parametrize("cartan", [A3, D4])
+def test_exchange_pairs_match_hom_oracle(cartan):
+    for xi in orientations(cartan):
+        rc = RepContext(cartan, xi)
+        pairs = {frozenset((str(a), str(b))) for a, b in rc.exchange_pairs()}
+        assert pairs == oracle_exchange_pairs(rc)
+
+
 def test_ext_cluster_examples(rc3):
     assert rc3.ext1_cluster(mod(0, 0, 1), mod(1, 1, 0)) == 1
     assert rc3.ext1_cluster(CQObject.shifted(1), CQObject.shifted(2)) == 0
@@ -256,5 +301,25 @@ def test_kappa_examples(rc3):
 def test_object_spec_round_trip():
     for text in ["mod:0,1,1", "shp:2"]:
         assert str(CQObject.parse(text)) == text
+    for text in ["bogus:1", "mod:a", "shp:x", "mod:", "mod:1,,0"]:
+        with pytest.raises(DomainError):
+            CQObject.parse(text)
+
+
+@pytest.mark.parametrize("bad", [mod(1, 0, 1), mod(1, 1), CQObject.shifted(9),
+                                 CQObject.shifted(0)])
+def test_objects_outside_the_category_rejected(rc3, bad):
+    good = mod(0, 1, 0)
     with pytest.raises(DomainError):
-        CQObject.parse("bogus:1")
+        rc3.socle(bad)
+    with pytest.raises(DomainError):
+        rc3.g_vector(bad)
+    for x, y in ((bad, good), (good, bad)):
+        with pytest.raises(DomainError):
+            rc3.ext1_cluster(x, y)
+        with pytest.raises(DomainError):
+            rc3.im_h(x, y)
+    with pytest.raises(DomainError):
+        psi(bad, rc3, 2)
+    with pytest.raises(DomainError):
+        psi([good, bad], rc3, 2)
