@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_INTERNAL = 4
 
 
 def _add_scope_args(p: argparse.ArgumentParser, level=True):
@@ -168,6 +169,8 @@ def _cmd_quiver(args) -> int:
             text = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read {args.infile}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"cannot read {args.infile}: not UTF-8 text") from None
     quiver = IceQuiver.from_json(text)
     if args.action == "mutate":
         labels = [Vertex.parse(text) for text in args.at]
@@ -265,31 +268,28 @@ def main(argv=None) -> int:
         if token.startswith("--") and token.endswith("=--"):
             parser.error(f"'--' is not a value: {token}")
     args = parser.parse_args(argv)
+    command = {"quiver": _cmd_quiver, "engine": _cmd_engine, "rep": _cmd_rep, "psi": _cmd_psi,
+               "verify": _cmd_verify, "table": _cmd_table}[args.command]
     try:
-        if args.command == "quiver":
-            return _cmd_quiver(args)
-        if args.command == "engine":
-            return _cmd_engine(args)
-        if args.command == "rep":
-            return _cmd_rep(args)
-        if args.command == "psi":
-            return _cmd_psi(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "table":
-            return _cmd_table(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed stdout shows here rather than at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): drop the rest of the output quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except InternalInvariantError:
-        raise
+    except InternalInvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ClusterModError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -13,6 +13,10 @@ coefficients, the frozen block of the extended g-vector against -trop(F)(y0),
 and the sign-rule g recursion against the c-vector recursion through tropical
 duality G^T C = I (Nakanishi-Zelevinsky 2012); a mismatch raises
 InternalInvariantError.
+
+The exchange-graph BFS mutates each edge once: the reverse step of an edge it
+has found is known to land back on the seed it came from, so it is skipped.
+Sign coherence is checked on every column of every stored seed.
 """
 from __future__ import annotations
 
@@ -176,13 +180,12 @@ class Seed:
     def epsilon(self, k: int) -> int:
         """Common sign of the k-th c-vector column (well defined by sign coherence)."""
         col = self.pcoeffs[k].exps
-        pos = any(e > 0 for e in col)
-        neg = any(e < 0 for e in col)
-        if pos and neg:
+        lo, hi = min(col), max(col)
+        if lo < 0 < hi:
             raise InternalInvariantError(f"c-vector column {k} not sign-coherent: {col}")
-        if not pos and not neg:
+        if lo == hi == 0:
             raise InternalInvariantError(f"c-vector column {k} is zero")
-        return 1 if pos else -1
+        return 1 if hi > 0 else -1
 
     def c_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Columns are the c-vectors of the coefficient tuple."""
@@ -208,29 +211,25 @@ class Seed:
 
     def mutate_with_edge(self, v: Vertex) -> tuple["Seed", ExchangeEdge]:
         ctx = self.ctx
-        if v not in ctx.mut_index:
+        k = ctx.mut_index.get(v)
+        if k is None:
             raise FrozenVertexError(f"mutation at frozen or unknown vertex {v}")
-        k = ctx.mut_index[v]
         b, col = self.quiver.b, ctx.mut_rows[k]
         bcol = tuple(b[row][col] for row in ctx.mut_rows)
         coeffs = _mutate_coeffs(self.coeffs, ctx.gens, k, bcol)
         pcoeffs = _mutate_coeffs(self.pcoeffs, ctx.pgens, k, bcol)
 
-        n, m = len(ctx.mutables), len(ctx.gens)
+        n = len(ctx.mutables)
         eps = self.epsilon(k)
         acc = [-x for x in self.gtilde[k]]
         for i, bi in enumerate(bcol):
-            w = max(-bi, 0) if eps > 0 else max(bi, 0)
-            if w:
-                row = self.gtilde[i]
-                for t in range(n + m):
-                    acc[t] += w * row[t]
-        yk = self.coeffs[k]
-        inv = (yk + TropElem.one(ctx.gens)).inverse()
-        f1 = (yk * inv).exps  # y_k / (y_k + 1) in the tropical semifield
-        f2 = inv.exps  # 1 / (y_k + 1)
-        for t, e in enumerate(f2 if eps > 0 else f1):
-            acc[n + t] += e
+            w = -bi if eps > 0 else bi
+            if w > 0:
+                acc = [a + w * e for a, e in zip(acc, self.gtilde[i])]
+        yk = self.coeffs[k].exps
+        f1 = tuple([a if a > 0 else 0 for a in yk])  # y_k / (y_k + 1) in the tropical semifield
+        f2 = tuple([-a if a < 0 else 0 for a in yk])  # 1 / (y_k + 1)
+        acc[n:] = [a + e for a, e in zip(acc[n:], f2 if eps > 0 else f1)]
         gtilde = self.gtilde[:k] + (tuple(acc),) + self.gtilde[k + 1:]
         new_g = gtilde[k][:n]
         if new_g not in ctx.fpolys:
@@ -239,8 +238,8 @@ class Seed:
 
         # exchange relation x_k x'_k = f1 * prod x_i^{[b_ik]_+} + f2 * prod x_i^{[-b_ik]_+}
         gs = [g[:n] for g in self.gtilde]
-        term1 = TermData(f1, tuple((gs[i], bi) for i, bi in enumerate(bcol) if bi > 0))
-        term2 = TermData(f2, tuple((gs[i], -bi) for i, bi in enumerate(bcol) if bi < 0))
+        term1 = TermData(f1, tuple([(gs[i], bi) for i, bi in enumerate(bcol) if bi > 0]))
+        term2 = TermData(f2, tuple([(gs[i], -bi) for i, bi in enumerate(bcol) if bi < 0]))
         return seed, ExchangeEdge(v, gs[k], new_g, term1, term2)
 
     def key(self) -> tuple:
@@ -250,19 +249,23 @@ class Seed:
 
 
 def _mutate_coeffs(coeffs, gens, k, bcol) -> tuple[TropElem, ...]:
-    """Tropical coefficient mutation at position k."""
-    yk = coeffs[k]
-    yk1 = yk + TropElem.one(gens)
+    """Tropical coefficient mutation at position k, on exponent vectors.
+
+    y'_k = y_k^-1, and y'_j = y_j [y_k]_+^{b_kj} for b_kj > 0 or
+    y_j min(y_k, 0)^{-b_kj} for b_kj < 0, where b_kj = -b_jk.
+    """
+    if any(y.gens != gens for y in coeffs):
+        raise ConfigurationError("tropical elements over different generator lists")
+    yk = coeffs[k].exps
+    pos = [a if a > 0 else 0 for a in yk]
+    neg = [a if a < 0 else 0 for a in yk]
     new_coeffs = list(coeffs)
-    new_coeffs[k] = yk.inverse()
-    for j in range(len(coeffs)):
-        if j == k:
-            continue
-        bkj = -bcol[j]  # b_{kj} = -b_{jk}
-        if bkj > 0:
-            new_coeffs[j] = coeffs[j] * yk ** bkj * yk1 ** (-bkj)
-        elif bkj < 0:
-            new_coeffs[j] = coeffs[j] * yk1 ** (-bkj)
+    new_coeffs[k] = TropElem(gens, tuple([-a for a in yk]))
+    for j, bjk in enumerate(bcol):  # b_kk = 0 leaves position k as set above
+        step = pos if bjk < 0 else neg
+        if bjk and any(step):
+            w = abs(bjk)
+            new_coeffs[j] = TropElem(gens, tuple([a + w * s for a, s in zip(coeffs[j].exps, step)]))
     return tuple(new_coeffs)
 
 
@@ -365,39 +368,55 @@ class ExchangeGraph:
 
 
 def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGraph:
-    """Deterministic BFS of the exchange graph, deduplicating unlabeled seeds."""
+    """Deterministic BFS of the exchange graph, deduplicating unlabeled seeds.
+
+    Each edge is mutated once.  A seed is fixed by its cluster (Gekhtman-Shapiro-
+    Vainshtein 2008), and a cluster minus one variable lies in exactly two
+    clusters (Fomin-Zelevinsky, CA II), so mutating the stored seed at the end
+    of an edge in the direction of the edge's new variable walks back to the
+    seed it came from; that direction is marked and skipped when the seed is
+    dequeued.  Sign coherence is checked on every column of every stored seed."""
     if max_seeds < 1:
         raise ConfigurationError(f"the seed cap must be at least 1, got {max_seeds}")
     ctx = seed0.ctx
-    key0 = seed0.key()
-    seeds = {key0: seed0}
+    n = len(ctx.mutables)
+    seeds: dict[tuple, Seed] = {}
     registry: dict[tuple[int, ...], ClusterVarRecord] = {}
+    queue: deque[tuple] = deque()
+    # directions of each queued seed that walk back along an edge already found
+    walked: dict[tuple, set[int]] = {}
     exhaustive = True
 
-    def register(seed: Seed):
-        n = len(ctx.mutables)
-        for j in range(len(ctx.mutables)):
+    def store(key: tuple, seed: Seed):
+        seeds[key] = seed
+        queue.append(key)
+        walked[key] = set()
+        for j in range(n):
             g = seed.gtilde[j][:n]
             if g not in registry:
                 registry[g] = make_record(seed, j)
+        for k in range(n):
+            seed.epsilon(k)
 
-    register(seed0)
-    queue = deque([key0])
+    store(seed0.key(), seed0)
     edges: dict[tuple, ExchangeEdge] = {}
     while queue:
         key = queue.popleft()
         seed = seeds[key]
-        for v in ctx.mutables:
+        skip = walked.pop(key)
+        for k, v in enumerate(ctx.mutables):
+            if k in skip:
+                continue
             new_seed, edge = seed.mutate_with_edge(v)
             nk = new_seed.key()
-            known = nk in seeds
-            if not known:
+            if nk not in seeds:
                 if len(seeds) >= max_seeds:
                     exhaustive = False
                     continue
-                seeds[nk] = new_seed
-                queue.append(nk)
-                register(new_seed)
+                store(nk, new_seed)
+            back = walked.get(nk)
+            if back is not None:  # nk is still queued
+                back.add(next(p for p, g in enumerate(seeds[nk].gtilde) if g[:n] == edge.new_g))
             ekey = (min(key, nk), max(key, nk))
             if ekey not in edges:
                 edges[ekey] = edge

@@ -113,6 +113,8 @@ class IceQuiver:
         for arrow in arrows:
             src, tgt = arrow[0], arrow[1]
             mult = arrow[2] if len(arrow) > 2 else 1
+            if src not in idx or tgt not in idx:
+                raise ConfigurationError(f"arrow {src}->{tgt} has an endpoint off the vertex list")
             if src in frozen and tgt in frozen:
                 raise ConfigurationError(f"arrow between frozen vertices {src}->{tgt}")
             b[idx[tgt]][idx[src]] += mult
@@ -124,25 +126,32 @@ class IceQuiver:
         if self.is_frozen(k):
             raise FrozenVertexError(f"mutation at frozen vertex {k}")
         kk = self.index(k)
-        new = [list(row) for row in self.b]
         rowk = self.b[kk]
-        # besides row and column k, b_pq changes only where b_pk * b_kq != 0
+        # besides row and column k, b_pq changes only where b_pk * b_kq != 0, so
+        # only row k and the rows of the neighbours of k are rebuilt
         nbrs = [q for q, e in enumerate(rowk) if e]
         fmask = [self.vertices[q] in self.frozen for q in nbrs]
-        for q in nbrs:
-            new[kk][q] = -rowk[q]
-            new[q][kk] = rowk[q]
+        new = list(self.b)
+        new[kk] = tuple(-e for e in rowk)
         for p, fp in zip(nbrs, fmask):
+            row = list(self.b[p])
             bpk = -rowk[p]
+            row[kk] = rowk[p]
             for q, fq in zip(nbrs, fmask):
                 bkq = rowk[q]
                 if fp and fq:
-                    new[p][q] = 0
+                    row[q] = 0
                 elif bpk > 0 and bkq > 0:
-                    new[p][q] += bpk * bkq
+                    row[q] += bpk * bkq
                 elif bpk < 0 and bkq < 0:
-                    new[p][q] -= bpk * bkq
-        return IceQuiver(self.vertices, self.frozen, tuple(tuple(row) for row in new))
+                    row[q] -= bpk * bkq
+            new[p] = tuple(row)
+        # same labels and frozen set, and mutation keeps B skew-symmetric, so the
+        # checks of __post_init__ hold by construction and are not rerun
+        out = object.__new__(IceQuiver)
+        out.__dict__.update(vertices=self.vertices, frozen=self.frozen, b=tuple(new),
+                            _index=self._index)
+        return out
 
     def subquiver_on(self, labels) -> "IceQuiver":
         """Label-preserving restriction to the given vertex set."""
@@ -189,13 +198,21 @@ class IceQuiver:
 
     @staticmethod
     def from_json(text: str) -> "IceQuiver":
-        data = json.loads(text)
-        vertices = [Vertex.parse(v["label"]) for v in data["vertices"]]
-        frozen = [Vertex.parse(v["label"]) for v in data["vertices"] if v.get("frozen")]
-        arrows = [
-            (Vertex.parse(a["from"]), Vertex.parse(a["to"]), int(a.get("mult", 1)))
-            for a in data["arrows"]
-        ]
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # nesting too deep for the decoder
+            raise ConfigurationError(f"quiver file is not JSON: {exc}") from None
+        try:
+            vertices = [Vertex.parse(v["label"]) for v in data["vertices"]]
+            frozen = [Vertex.parse(v["label"]) for v in data["vertices"] if v.get("frozen")]
+            arrows = [
+                (Vertex.parse(a["from"]), Vertex.parse(a["to"]), int(a.get("mult", 1)))
+                for a in data["arrows"]
+            ]
+        except KeyError as exc:
+            raise ConfigurationError(f"quiver JSON lacks the key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed quiver JSON: {exc}") from None
         return IceQuiver.from_arrows(vertices, frozen, arrows)
 
     def to_dot(self) -> str:

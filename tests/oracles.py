@@ -4,12 +4,14 @@ These deliberately avoid the code paths they check: the reference seed
 carries every cluster variable as two Laurent polynomials (ambient and
 principal coefficients), each mutated by its exchange relation and one exact
 division, instead of an F-polynomial recurrence on integer seed data; seed
-counting keys on that seed's expansion strings instead of g-vectors; thin
-F-polynomials are sums over submodules; root enumeration uses the Tits form
-on a box instead of reflection closure, and type-A Hom dimensions come from
-the classical interval criterion.  Socles and Ext^1 dimensions are read off
-explicit representations over Q (a rank of the outgoing maps, a Fraction Hom
-space) instead of the Euler-form formulas they check.
+counting keys on that seed's expansion strings instead of g-vectors; the
+reference exchange-graph BFS mutates every seed in every direction instead of
+each edge once; thin F-polynomials are sums over submodules; root enumeration
+uses the Tits form on a box instead of reflection closure, and type-A Hom
+dimensions come from the classical interval criterion.  Socles and Ext^1
+dimensions are read off explicit representations over Q (a rank of the
+outgoing maps, a Fraction Hom space) instead of the Euler-form formulas they
+check.
 """
 from __future__ import annotations
 
@@ -20,6 +22,8 @@ from itertools import combinations, product
 
 from clustermod import Seed
 from clustermod.cartan import check_height_function
+from clustermod.engine import ClusterVarRecord, ExchangeEdge, ExchangeGraph, make_record
+from clustermod.errors import ConfigurationError
 from clustermod.symbolic import LaurentPoly, TropElem, div_exact, substitute
 
 
@@ -155,6 +159,47 @@ def oracle_records(seed0: Seed) -> dict[tuple[int, ...], OracleRecord]:
             assert rec.gvec not in out, f"two cluster variables share the g-vector {rec.gvec}"
             out[rec.gvec] = rec
     return out
+
+
+def oracle_full_bfs(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGraph:
+    """The exchange-graph BFS that mutates every stored seed in all n directions,
+    so each edge is computed twice; the engine mutates each edge once."""
+    if max_seeds < 1:
+        raise ConfigurationError(f"the seed cap must be at least 1, got {max_seeds}")
+    ctx = seed0.ctx
+    key0 = seed0.key()
+    seeds = {key0: seed0}
+    registry: dict[tuple[int, ...], ClusterVarRecord] = {}
+    exhaustive = True
+
+    def register(seed: Seed):
+        n = len(ctx.mutables)
+        for j in range(len(ctx.mutables)):
+            g = seed.gtilde[j][:n]
+            if g not in registry:
+                registry[g] = make_record(seed, j)
+
+    register(seed0)
+    queue = deque([key0])
+    edges: dict[tuple, ExchangeEdge] = {}
+    while queue:
+        key = queue.popleft()
+        seed = seeds[key]
+        for v in ctx.mutables:
+            new_seed, edge = seed.mutate_with_edge(v)
+            nk = new_seed.key()
+            known = nk in seeds
+            if not known:
+                if len(seeds) >= max_seeds:
+                    exhaustive = False
+                    continue
+                seeds[nk] = new_seed
+                queue.append(nk)
+                register(new_seed)
+            ekey = (min(key, nk), max(key, nk))
+            if ekey not in edges:
+                edges[ekey] = edge
+    return ExchangeGraph(ctx, seeds, list(edges.values()), registry, exhaustive)
 
 
 def oracle_thin_fpoly(dims: tuple[int, ...], arrows, ycoefs) -> LaurentPoly:

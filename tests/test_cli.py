@@ -1,12 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import clustermod
+from clustermod import cli
 from clustermod.cli import main
+from clustermod.errors import InternalInvariantError
 
 
 def run(capsys, *argv):
@@ -219,6 +225,63 @@ def test_verify_negative_walks_exits_2(capsys):
     assert [line for line in err.splitlines() if "error:" in line] == [
         "clustermod verify: error: argument --walks: must be >= 0, got -1"]
     assert "Traceback" not in err
+
+
+UNLISTED_VERTEX = json.dumps({"vertices": [{"label": "1"}, {"label": "2"}],
+                              "arrows": [{"from": "1", "to": "(9,1)", "mult": 1}]})
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{}", "error: quiver JSON lacks the key 'vertices'\n"),
+    ("not json", "error: quiver file is not JSON: Expecting value: line 1 column 1 (char 0)\n"),
+    ("[1,2]", "error: malformed quiver JSON: list indices must be integers or slices, not str\n"),
+    (UNLISTED_VERTEX, "error: arrow 1->(9,1) has an endpoint off the vertex list\n"),
+], ids=["empty-object", "not-json", "list", "unlisted-vertex"])
+def test_quiver_file_that_is_not_quiver_json_exits_2(tmp_path, capsys, text, message):
+    qfile = tmp_path / "q.json"
+    qfile.write_text(text)
+    for argv in (("quiver", "mutate", "--in", str(qfile), "--at", "1"),
+                 ("quiver", "export", "--in", str(qfile))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", message)
+
+
+def test_quiver_file_that_is_not_text_exits_2(tmp_path, capsys):
+    qfile = tmp_path / "q.json"
+    qfile.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "quiver", "export", "--in", str(qfile))
+    assert (code, out, err) == (2, "", f"error: cannot read {qfile}: not UTF-8 text\n")
+
+
+def test_quiver_file_nested_too_deep_exits_2(tmp_path, capsys):
+    qfile = tmp_path / "q.json"
+    qfile.write_text("[" * 200000)
+    code, out, err = run(capsys, "quiver", "export", "--in", str(qfile))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: quiver file is not JSON: ") and err.count("\n") == 1
+
+
+def test_internal_invariant_error_exits_4(monkeypatch, capsys):
+    def broken(seed0, max_seeds):
+        raise InternalInvariantError("c-vector column 0 is zero")
+
+    monkeypatch.setattr(cli, "enumerate_exchange_graph", broken)
+    code, out, err = run(capsys, "engine", "enumerate", "--cartan", "A2", "--linear")
+    assert (code, out) == (4, "")
+    assert err == "error: internal invariant failed: c-vector column 0 is zero\n"
+
+
+def test_closed_stdout_ends_quietly():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(clustermod.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["engine", "enumerate", "--cartan", "A3", "--linear"]
+    proc = subprocess.Popen([sys.executable, "-m", "clustermod.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the report is written, as with `| head`
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 # ---- fuzzed argv: every outcome is an exit code, never a traceback -------------------

@@ -1,0 +1,163 @@
+"""The exchange-graph BFS that mutates each edge once, against the reference BFS
+that mutates every seed in every direction, and against the classical counts."""
+import random
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clustermod.cartan import cartan_type, linear_height
+from clustermod.engine import Seed, enumerate_exchange_graph
+from clustermod.quivers import build_gamma_l, build_qcheck
+from clustermod.symbolic import TropElem
+
+from oracles import OracleSeed, oracle_full_bfs, orientations
+
+
+def _scopes(names):
+    return [(name, xi) for name in names for xi in orientations(cartan_type(name))]
+
+
+def _ids(scopes):
+    return [f"{n}-{','.join(map(str, xi.values()))}" for n, xi in scopes]
+
+
+def _assert_same_graph(quiver, max_seeds=10**6):
+    # fresh contexts, so the F-polynomial tables fill in each BFS's own order
+    got = enumerate_exchange_graph(Seed.initial(quiver), max_seeds)
+    want = oracle_full_bfs(Seed.initial(quiver), max_seeds)
+    assert list(got.seeds.items()) == list(want.seeds.items())
+    assert [(e.vertex, e.old_g, e.new_g, e.term1, e.term2) for e in got.edges] == [
+        (e.vertex, e.old_g, e.new_g, e.term1, e.term2) for e in want.edges]
+    assert list(got.registry.items()) == list(want.registry.items())
+    assert list(got.ctx.fpolys.items()) == list(want.ctx.fpolys.items())
+    assert got.exhaustive == want.exhaustive
+    assert got.report_json() == want.report_json()
+    return got
+
+
+# ---- one mutation per edge against the every-direction reference --------------------
+
+EQUIVALENCE_SCOPES = _scopes(("A3", "A4", "D4")) + [("E6", orientations(cartan_type("E6"))[5])]
+
+
+@pytest.mark.parametrize("name,xi", EQUIVALENCE_SCOPES, ids=_ids(EQUIVALENCE_SCOPES))
+def test_bfs_matches_every_direction_reference(name, xi):
+    graph = _assert_same_graph(build_qcheck(cartan_type(name), xi))
+    assert graph.exhaustive
+
+
+@pytest.mark.parametrize("name,level,cap", [("A3", 2, 300), ("D4", 2, 200)])
+def test_capped_grid_bfs_matches_every_direction_reference(name, level, cap):
+    cartan = cartan_type(name)
+    quiver = build_gamma_l(cartan, linear_height(cartan) if name == "A3"
+                           else orientations(cartan)[0], level)
+    graph = _assert_same_graph(quiver, cap)
+    assert not graph.exhaustive and graph.seed_count == cap
+
+
+def test_skipped_directions_walk_back_along_known_edges(monkeypatch):
+    real = Seed.mutate_with_edge
+    calls = []
+
+    def spy(seed, v):
+        out = real(seed, v)
+        calls.append((seed.key(), v, out[0].key()))
+        return out
+
+    monkeypatch.setattr(Seed, "mutate_with_edge", spy)
+    for name, xi in _scopes(("A3", "D4")):
+        calls.clear()
+        graph = enumerate_exchange_graph(Seed.initial(build_qcheck(cartan_type(name), xi)))
+        assert len(calls) == len(graph.edges)  # each edge is mutated once
+        joined = {(min(a, b), max(a, b)) for a, _, b in calls}
+        assert len(joined) == len(graph.edges)
+        mutated = {(key, v) for key, v, _ in calls}
+        skipped = 0
+        for key, seed in graph.seeds.items():
+            for v in graph.ctx.mutables:
+                if (key, v) in mutated:
+                    continue
+                skipped += 1
+                nk = real(seed, v)[0].key()
+                assert nk in graph.seeds, (name, key, v)
+                assert (min(key, nk), max(key, nk)) in joined, (name, key, v)
+        assert skipped == len(graph.edges)
+
+
+@pytest.mark.parametrize("max_seeds", [10**6, 30])
+def test_sign_coherence_checked_on_every_stored_column(monkeypatch, max_seeds):
+    real = Seed.epsilon
+    checked = set()
+
+    def spy(seed, k):
+        checked.add((seed.key(), k))
+        return real(seed, k)
+
+    monkeypatch.setattr(Seed, "epsilon", spy)
+    cartan = cartan_type("D4")
+    graph = enumerate_exchange_graph(Seed.initial(build_qcheck(cartan, orientations(cartan)[2])),
+                                     max_seeds)
+    assert graph.exhaustive == (max_seeds > 50)
+    assert checked == {(key, k) for key in graph.seeds for k in range(cartan.rank)}
+
+
+# ---- coefficient mutation on exponent tuples against TropElem arithmetic -------------
+
+
+@pytest.mark.parametrize("quiver", [
+    build_qcheck(cartan_type("D4"), orientations(cartan_type("D4"))[3]),
+    build_gamma_l(cartan_type("A2"), linear_height(cartan_type("A2")), 2),
+], ids=["D4-qcheck", "A2-gamma-2"])
+def test_coefficient_mutation_matches_tropical_arithmetic(quiver):
+    rng = random.Random(11)
+    seed = Seed.initial(quiver)
+    ref = OracleSeed.initial(seed)
+    one = TropElem.one(seed.ctx.gens)
+    for _ in range(25):
+        v = rng.choice(seed.ctx.mutables)
+        yk = seed.coeffs[seed.ctx.mut_index[v]]
+        seed, edge = seed.mutate_with_edge(v)
+        ref = ref.mutate(v)
+        assert seed.coeffs == ref.coeffs
+        assert seed.pcoeffs == ref.pcoeffs
+        inv = (yk + one).inverse()
+        assert (edge.term1.fexp, edge.term2.fexp) == ((yk * inv).exps, inv.exps)
+
+
+# ---- classical counts over orientations ------------------------------------------------
+
+
+def _classical(name):
+    """(seeds, positive roots) of the finite type (Fomin-Zelevinsky 2003)."""
+    family, n = name[0], int(name[1:])
+    if family == "A":
+        return comb(2 * n + 2, n + 1) // (n + 2), n * (n + 1) // 2
+    if family == "D":
+        return (3 * n - 2) * comb(2 * n - 2, n - 1) // n, n * (n - 1)
+    return {"E6": (833, 36), "E7": (4160, 63), "E8": (25080, 120)}[name]
+
+
+def _assert_classical_counts(name, xi):
+    n = cartan_type(name).rank
+    graph = enumerate_exchange_graph(Seed.initial(build_qcheck(cartan_type(name), xi)))
+    seeds, roots = _classical(name)
+    assert graph.exhaustive
+    assert graph.seed_count == seeds
+    assert 2 * len(graph.edges) == n * seeds
+    assert graph.variable_count == roots + n
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "D4"])
+def test_classical_counts_every_orientation(name):
+    for xi in orientations(cartan_type(name)):
+        _assert_classical_counts(name, xi)
+
+
+@pytest.mark.parametrize("name", ["A6", "D5", "D6", "E6"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_classical_counts_drawn_orientations(name, data):
+    xi = data.draw(st.sampled_from(orientations(cartan_type(name))), label="xi")
+    _assert_classical_counts(name, xi)

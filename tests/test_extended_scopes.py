@@ -2,7 +2,8 @@
 star orientation of D4, the E6 pipeline and its full exchange-graph bundle.
 
 Set CLUSTERMOD_SLOW_TESTS=1 to also enumerate the E7 exchange graph (a few
-seconds)."""
+seconds) and the E8 one on an orientation whose largest F-polynomials stay
+small (about half a minute)."""
 import os
 
 import pytest
@@ -93,3 +94,16 @@ def test_e7_exchange_graph_counts():
     assert graph.seed_count == 4160  # the classical count of E7 clusters
     assert len(graph.edges) == 14560  # 7 * 4160 / 2
     assert graph.variable_count == 70  # 63 positive roots + 7 shifts
+
+
+@pytest.mark.skipif(not os.environ.get("CLUSTERMOD_SLOW_TESTS"),
+                    reason="set CLUSTERMOD_SLOW_TESTS=1 to enumerate E8")
+def test_e8_exchange_graph_counts():
+    ct = cartan_type("E8")
+    # heights fall along 1-3-4-5-6-7-8; the bipartite orientation is far slower
+    xi = {1: 0, 2: -1, 3: -1, 4: -2, 5: -3, 6: -4, 7: -5, 8: -6}
+    graph = enumerate_exchange_graph(Seed.initial(build_qcheck(ct, xi)))
+    assert graph.exhaustive
+    assert graph.seed_count == 25080  # the classical count of E8 clusters
+    assert len(graph.edges) == 100320  # 8 * 25080 / 2
+    assert graph.variable_count == 128  # 120 positive roots + 8 shifts
