@@ -80,6 +80,10 @@ def check_height_function(cartan: CartanData, xi: dict[int, int]) -> dict[int, i
     missing = set(cartan.vertices) - set(xi)
     if missing:
         raise DomainError(f"height function missing vertices {sorted(missing)}")
+    unknown = set(xi) - set(cartan.vertices)
+    if unknown:
+        raise DomainError(f"height function names vertices {sorted(unknown)} "
+                          f"off the {cartan.name} diagram")
     for a, b in cartan.edges:
         if abs(xi[a] - xi[b]) != 1:
             raise DomainError(f"|xi({a})-xi({b})| != 1 for Dynkin edge {a}~{b}")
@@ -100,9 +104,12 @@ def parse_height(cartan: CartanData, text: str) -> dict[int, int]:
         piece = piece.strip()
         if not piece:
             continue
-        i, _, v = piece.partition(":")
+        key, _, val = piece.partition(":")
         try:
-            xi[int(i)] = int(v)
+            i, v = int(key), int(val)
         except ValueError:
             raise DomainError(f"bad height entry {piece!r}") from None
+        if i in xi:
+            raise DomainError(f"height function names vertex {i} twice")
+        xi[i] = v
     return check_height_function(cartan, xi)

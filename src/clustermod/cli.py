@@ -103,8 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ee = esub.add_parser("enumerate")
     _add_scope_args(ee)
     ee.add_argument("--family", default="qcheck", choices=["qcheck", "gamma"])
+    # a string default goes through type=int only when this command is parsed
     ee.add_argument("--max-seeds", type=int,
-                    default=int(os.environ.get("CLUSTERMOD_MAX_SEEDS", 10**6)))
+                    default=os.environ.get("CLUSTERMOD_MAX_SEEDS", str(10**6)))
     ee.add_argument("--out")
 
     r = sub.add_parser("rep", help="indecomposable objects of the cluster category")

@@ -1,12 +1,18 @@
 """Seeds over a tropical coefficient semifield, carried as integer data only.
 
-A seed holds its ice quiver, its ambient tropical coefficients, its c-vectors
-(the principal coefficients, as tropical elements in the y_j) and its extended
-g-vectors.  Cluster variables are not stored: the F-polynomial of each one is
+A seed holds each quantity once: its ice quiver B-tilde, its c-vectors as
+integer columns (the exponents of the principal coefficients in the y_j) and
+its extended g-vectors.  The ambient tropical coefficient y_k is not stored: it
+is read off column k of the frozen rows of B-tilde, one row sum per frozen
+generator, and the same read-off gives the initial coefficients y0 and the two
+exponent vectors of each exchange relation.
+
+Cluster variables are not stored either: the F-polynomial of each one is
 computed once, by the Fomin-Zelevinsky recurrence (Cluster algebras IV,
 Prop. 5.1) with one exact division in the y_j, when mutation first produces
 its g-vector, and is kept in a table of the SeedContext keyed by g.  The
-expansion follows from F and g by the separation formula (ibid., Thm 3.7).
+expansion follows from F and the extended g-vector by the separation formula
+(ibid., Thm 3.7).
 
 Records cross-check the integer data against F: constant term 1, positive
 coefficients, the frozen block of the extended g-vector against -trop(F)(y0),
@@ -67,8 +73,6 @@ class SeedContext:
     xvars: tuple[VarId, ...]
     gens: tuple[VarId, ...]
     ycoefs: tuple[VarId, ...]
-    pgens: tuple[VarId, ...]
-    y0: tuple[TropElem, ...]
 
     @functools.cached_property
     def mut_index(self) -> dict[Vertex, int]:
@@ -98,6 +102,26 @@ class SeedContext:
         )
 
     @functools.cached_property
+    def gen_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Matrix indices of the frozen vertices of each generator, in `gens` order."""
+        rows = {g: [] for g in self.gens}
+        for v in self.frozens:
+            rows[_gen_for_vertex(v)].append(self.quiver0.index(v))
+        return tuple(tuple(r) for r in rows.values())
+
+    def coeff_exps(self, b: tuple[tuple[int, ...], ...], k: int) -> tuple[int, ...]:
+        """Exponents of the ambient coefficient y_k of the matrix b: column k
+        summed over the frozen rows of each generator."""
+        col = self.mut_rows[k]
+        return tuple([sum([b[r][col] for r in rows]) for rows in self.gen_rows])
+
+    @functools.cached_property
+    def y0(self) -> tuple[TropElem, ...]:
+        """Ambient coefficients of the initial seed."""
+        b = self.quiver0.b
+        return tuple(TropElem(self.gens, self.coeff_exps(b, k)) for k in range(len(self.mutables)))
+
+    @functools.cached_property
     def y0_assign(self) -> dict[VarId, TropElem]:
         return {self.ycoefs[j]: self.y0[j] for j in range(len(self.mutables))}
 
@@ -110,25 +134,13 @@ class SeedContext:
 def seed_context(quiver: IceQuiver) -> SeedContext:
     mutables = quiver.mutable_vertices
     frozens = quiver.frozen_vertices
-    gen_of = {v: _gen_for_vertex(v) for v in frozens}
-    gens = tuple(sorted(set(gen_of.values()), key=lambda g: g.sort_key))
-    y0 = []
-    for u in mutables:
-        exps: dict[VarId, int] = {}
-        for v in frozens:
-            e = quiver.entry(v, u)
-            if e:
-                exps[gen_of[v]] = exps.get(gen_of[v], 0) + e
-        y0.append(TropElem.from_exponents(gens, exps))
     return SeedContext(
         quiver0=quiver,
         mutables=mutables,
         frozens=frozens,
         xvars=tuple(_var_for_vertex(v) for v in mutables),
-        gens=gens,
+        gens=tuple(sorted({_gen_for_vertex(v) for v in frozens}, key=lambda g: g.sort_key)),
         ycoefs=tuple(_ycoef_for_vertex(v) for v in mutables),
-        pgens=tuple(_ycoef_for_vertex(v) for v in mutables),
-        y0=tuple(y0),
     )
 
 
@@ -152,12 +164,11 @@ class ExchangeEdge:
 
 @dataclass(frozen=True)
 class Seed:
-    """Labeled seed as integer data: quiver, ambient coefficients, c-vectors, g-tilde."""
+    """Labeled seed as integer data: quiver B-tilde, c-vectors (columns), g-tilde."""
 
     ctx: SeedContext
     quiver: IceQuiver
-    coeffs: tuple[TropElem, ...]
-    pcoeffs: tuple[TropElem, ...]
+    cvecs: tuple[tuple[int, ...], ...]
     gtilde: tuple[tuple[int, ...], ...]
 
     @staticmethod
@@ -167,10 +178,15 @@ class Seed:
         return Seed(
             ctx=ctx,
             quiver=quiver,
-            coeffs=ctx.y0,
-            pcoeffs=tuple(TropElem.generator(ctx.pgens, y) for y in ctx.ycoefs),
+            cvecs=tuple(tuple(int(t == j) for t in range(n)) for j in range(n)),
             gtilde=tuple(tuple(int(t == j) for t in range(n + m)) for j in range(n)),
         )
+
+    @property
+    def coeffs(self) -> tuple[TropElem, ...]:
+        """Ambient tropical coefficients, read off the frozen rows of B-tilde."""
+        ctx, b = self.ctx, self.quiver.b
+        return tuple(TropElem(ctx.gens, ctx.coeff_exps(b, k)) for k in range(len(ctx.mutables)))
 
     @property
     def cluster(self) -> tuple[LaurentPoly, ...]:
@@ -179,7 +195,7 @@ class Seed:
 
     def epsilon(self, k: int) -> int:
         """Common sign of the k-th c-vector column (well defined by sign coherence)."""
-        col = self.pcoeffs[k].exps
+        col = self.cvecs[k]
         lo, hi = min(col), max(col)
         if lo < 0 < hi:
             raise InternalInvariantError(f"c-vector column {k} not sign-coherent: {col}")
@@ -187,16 +203,12 @@ class Seed:
             raise InternalInvariantError(f"c-vector column {k} is zero")
         return 1 if hi > 0 else -1
 
-    def c_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Columns are the c-vectors of the coefficient tuple."""
-        return tuple(y.exps for y in self.pcoeffs)
-
     def _mutated_fpoly(self, k: int, bcol: tuple[int, ...]) -> LaurentPoly:
         """F'_k = (y^[c_k]+ prod F_i^[b_ik]+ + y^[-c_k]+ prod F_i^[-b_ik]+) / F_k."""
         ctx = self.ctx
         n = len(ctx.mutables)
         fpolys = [ctx.fpolys[g[:n]] for g in self.gtilde]
-        c = self.pcoeffs[k].exps
+        c = self.cvecs[k]
         pos = LaurentPoly.from_monomial(Monomial({y: e for y, e in zip(ctx.ycoefs, c) if e > 0}))
         neg = LaurentPoly.from_monomial(Monomial({y: -e for y, e in zip(ctx.ycoefs, c) if e < 0}))
         for i, bi in enumerate(bcol):
@@ -216,8 +228,7 @@ class Seed:
             raise FrozenVertexError(f"mutation at frozen or unknown vertex {v}")
         b, col = self.quiver.b, ctx.mut_rows[k]
         bcol = tuple(b[row][col] for row in ctx.mut_rows)
-        coeffs = _mutate_coeffs(self.coeffs, ctx.gens, k, bcol)
-        pcoeffs = _mutate_coeffs(self.pcoeffs, ctx.pgens, k, bcol)
+        cvecs = _mutate_cvecs(self.cvecs, k, bcol)
 
         n = len(ctx.mutables)
         eps = self.epsilon(k)
@@ -226,7 +237,7 @@ class Seed:
             w = -bi if eps > 0 else bi
             if w > 0:
                 acc = [a + w * e for a, e in zip(acc, self.gtilde[i])]
-        yk = self.coeffs[k].exps
+        yk = ctx.coeff_exps(b, k)
         f1 = tuple([a if a > 0 else 0 for a in yk])  # y_k / (y_k + 1) in the tropical semifield
         f2 = tuple([-a if a < 0 else 0 for a in yk])  # 1 / (y_k + 1)
         acc[n:] = [a + e for a, e in zip(acc[n:], f2 if eps > 0 else f1)]
@@ -234,7 +245,7 @@ class Seed:
         new_g = gtilde[k][:n]
         if new_g not in ctx.fpolys:
             ctx.fpolys[new_g] = self._mutated_fpoly(k, bcol)
-        seed = Seed(ctx, self.quiver.mutate(v), coeffs, pcoeffs, gtilde)
+        seed = Seed(ctx, self.quiver.mutate(v), cvecs, gtilde)
 
         # exchange relation x_k x'_k = f1 * prod x_i^{[b_ik]_+} + f2 * prod x_i^{[-b_ik]_+}
         gs = [g[:n] for g in self.gtilde]
@@ -248,25 +259,24 @@ class Seed:
         return tuple(sorted(g[:n] for g in self.gtilde))
 
 
-def _mutate_coeffs(coeffs, gens, k, bcol) -> tuple[TropElem, ...]:
-    """Tropical coefficient mutation at position k, on exponent vectors.
+def _mutate_cvecs(cvecs, k, bcol) -> tuple[tuple[int, ...], ...]:
+    """c-vector mutation at position k: the principal coefficients mutated in
+    their tropical semifield, on exponent vectors.
 
-    y'_k = y_k^-1, and y'_j = y_j [y_k]_+^{b_kj} for b_kj > 0 or
-    y_j min(y_k, 0)^{-b_kj} for b_kj < 0, where b_kj = -b_jk.
+    c'_k = -c_k, and c'_j = c_j + b_kj [c_k]_+ for b_kj > 0 or
+    c_j - b_kj min(c_k, 0) for b_kj < 0, where b_kj = -b_jk.
     """
-    if any(y.gens != gens for y in coeffs):
-        raise ConfigurationError("tropical elements over different generator lists")
-    yk = coeffs[k].exps
-    pos = [a if a > 0 else 0 for a in yk]
-    neg = [a if a < 0 else 0 for a in yk]
-    new_coeffs = list(coeffs)
-    new_coeffs[k] = TropElem(gens, tuple([-a for a in yk]))
+    ck = cvecs[k]
+    pos = [a if a > 0 else 0 for a in ck]
+    neg = [a if a < 0 else 0 for a in ck]
+    new = list(cvecs)
+    new[k] = tuple([-a for a in ck])
     for j, bjk in enumerate(bcol):  # b_kk = 0 leaves position k as set above
         step = pos if bjk < 0 else neg
         if bjk and any(step):
             w = abs(bjk)
-            new_coeffs[j] = TropElem(gens, tuple([a + w * s for a, s in zip(coeffs[j].exps, step)]))
-    return tuple(new_coeffs)
+            new[j] = tuple([a + w * s for a, s in zip(cvecs[j], step)])
+    return tuple(new)
 
 
 @dataclass(frozen=True)
@@ -287,11 +297,11 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
     n = len(ctx.mutables)
     gtilde = seed.gtilde[j]
     g = gtilde[:n]
-    for k, c in enumerate(seed.pcoeffs):
-        if sum(a * b for a, b in zip(g, c.exps)) != (k == j):
+    for k, c in enumerate(seed.cvecs):
+        if sum(a * b for a, b in zip(g, c)) != (k == j):
             raise InternalInvariantError(
                 f"tropical duality G^T C = I fails at position {j}, column {k}: "
-                f"g = {g}, c = {c.exps}"
+                f"g = {g}, c = {c}"
             )
 
     record = ctx.records.get(g)
@@ -301,11 +311,11 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
             raise InternalInvariantError(f"F-polynomial constant term != 1: {fpoly}")
         if any(c <= 0 for _, c in fpoly.terms()):
             raise InternalInvariantError(f"F-polynomial has non-positive coefficient: {fpoly}")
-        bottom = tuple(-e for e in eval_tropical(fpoly, ctx.y0_assign).exps)
-        expansion = separation(g, fpoly, ctx)
+        full = g + tuple(-e for e in eval_tropical(fpoly, ctx.y0_assign).exps)
+        expansion = separation(full, fpoly, ctx)
         mons = [mon for mon, _ in expansion.terms()]
         denom = tuple(max(-mon.exponent(x) for mon in mons) for x in ctx.xvars)
-        ctx.records[g] = record = ClusterVarRecord(g, g + bottom, fpoly, expansion, denom)
+        ctx.records[g] = record = ClusterVarRecord(g, full, fpoly, expansion, denom)
 
     if record.gtilde != gtilde:
         raise InternalInvariantError(
@@ -315,12 +325,11 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
     return record
 
 
-def separation(gvec: tuple[int, ...], fpoly: LaurentPoly, ctx: SeedContext) -> LaurentPoly:
-    """Ambient expansion x^g / F|_P(y) * F(yhat) of the variable with this g and F."""
+def separation(gtilde: tuple[int, ...], fpoly: LaurentPoly, ctx: SeedContext) -> LaurentPoly:
+    """Ambient expansion x^g f^bottom * F(yhat) of the variable with this extended
+    g-vector and F; the bottom block is -trop(F)(y0), so f^bottom = 1 / F|_P(y)."""
     n = len(ctx.mutables)
-    lead = Monomial({ctx.xvars[i]: e for i, e in enumerate(gvec[:n]) if e})
-    fp = eval_tropical(fpoly, ctx.y0_assign)
-    lead = lead * fp.inverse().as_monomial()
+    lead = Monomial([(v, e) for v, e in zip(ctx.xvars + ctx.gens, gtilde) if e])
     yhat = {
         ctx.ycoefs[j]: LaurentPoly.from_monomial(ctx.yhat_monomial(j))
         for j in range(n)

@@ -12,6 +12,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .cartan import CartanData, cartan_type, linear_height
 from .engine import (
@@ -548,12 +549,13 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
 
     for key in sorted(graph.seeds):
         seed = graph.seeds[key]
+        coeffs = seed.coeffs
         for k in range(n):
-            col = seed.pcoeffs[k].exps
+            col = seed.cvecs[k]
             rep.check(all(e >= 0 for e in col) or all(e <= 0 for e in col),
                       f"sign coherence at seed {key} column {k}", col=col)
-            # ambient coefficients stay consistent with the frozen matrix rows
-            rep.check(seed.coeffs[k] == _frozen_row_coeff(seed, k),
+            # the frozen-row read-off against c-vectors, B and the g-tilde bottoms
+            rep.check(coeffs[k] == _prop313_coeff(seed, k),
                       f"coefficient read-off at seed {key} column {k}")
 
     # exchange-relation product identity
@@ -586,70 +588,47 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
     return _timed(rep, t0)
 
 
-def _frozen_row_coeff(seed: Seed, k: int) -> TropElem:
+def _prop313_coeff(seed: Seed, k: int) -> TropElem:
+    """y_k = y0^{c_k} prod_i F_i|_P(y0)^{b_ik} (Fomin-Zelevinsky, Cluster algebras IV,
+    Prop. 3.13) in the tropical semifield, where F_i|_P(y0) = f^{-bottom(g-tilde_i)}."""
     ctx = seed.ctx
-    exps: dict = {}
-    from .engine import _gen_for_vertex
-
-    for v in ctx.frozens:
-        e = seed.quiver.entry(v, ctx.mutables[k])
-        if e:
-            g = _gen_for_vertex(v)
-            exps[g] = exps.get(g, 0) + e
-    return TropElem.from_exponents(ctx.gens, exps)
+    n = len(ctx.mutables)
+    b, col = seed.quiver.b, ctx.mut_rows[k]
+    exps = [0] * len(ctx.gens)
+    for c, y in zip(seed.cvecs[k], ctx.y0):
+        exps = [a + c * e for a, e in zip(exps, y.exps)]
+    for row, g in zip(ctx.mut_rows, seed.gtilde):
+        exps = [a - b[row][col] * e for a, e in zip(exps, g[n:])]
+    return TropElem(ctx.gens, tuple(exps))
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
-CHECK_NAMES = (
-    "examples",
-    "goldens",
-    "psi-kr",
-    "trop-socle",
-    "yhat",
-    "exchange",
-    "hw-exchange",
-    "tsystem",
-    "sequence",
-    "properties",
-)
+# every check in the order `all` runs them; each entry looks its verify_* function
+# up when it is called, so a rebinding of the module attribute takes effect
+_CHECKS = {
+    "examples": lambda s: verify_worked_examples_a3(),
+    "goldens": lambda s: verify_quiver_goldens(),
+    "psi-kr": lambda s: verify_psi_kr_images(s.cartan, s.xi, s.l),
+    "trop-socle": lambda s: verify_tropical_socle(s.cartan, s.xi),
+    "yhat": lambda s: verify_yhat_identity(s.cartan, s.xi),
+    "exchange": lambda s: verify_exchange_exponents(s.cartan, s.xi),
+    "hw-exchange": lambda s: verify_hw_exchange(s.cartan, s.xi, s.l),
+    "tsystem": lambda s: verify_tsystem(s.cartan, s.xi, s.l),
+    "sequence": lambda s: verify_grid_sequence(s.cartan, s.xi, s.l),
+    "properties": lambda s: verify_properties(s.cartan, s.xi, walks=s.walks,
+                                              rng_seed=s.rng_seed),
+}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_check(name: str, cartan: CartanData | None = None, xi: dict[int, int] | None = None,
               l: int = 2, walks: int = 1000, rng_seed: int = 20240901) -> list[Report]:
     """Run one named check (or 'all') over the given scope; returns reports."""
-    if name == "examples":
-        return [verify_worked_examples_a3()]
-    if name == "goldens":
-        return [verify_quiver_goldens()]
-    if cartan is None or xi is None:
+    if name not in ("examples", "goldens") and (cartan is None or xi is None):
         raise ConfigurationError("this check needs a Cartan type and a height function")
-    if name == "psi-kr":
-        return [verify_psi_kr_images(cartan, xi, l)]
-    if name == "trop-socle":
-        return [verify_tropical_socle(cartan, xi)]
-    if name == "yhat":
-        return [verify_yhat_identity(cartan, xi)]
-    if name == "exchange":
-        return [verify_exchange_exponents(cartan, xi)]
-    if name == "hw-exchange":
-        return [verify_hw_exchange(cartan, xi, l)]
-    if name == "tsystem":
-        return [verify_tsystem(cartan, xi, l)]
-    if name == "sequence":
-        return [verify_grid_sequence(cartan, xi, l)]
-    if name == "properties":
-        return [verify_properties(cartan, xi, walks=walks, rng_seed=rng_seed)]
-    if name == "all":
-        out = [verify_worked_examples_a3(), verify_quiver_goldens()]
-        out.append(verify_psi_kr_images(cartan, xi, l))
-        out.append(verify_tropical_socle(cartan, xi))
-        out.append(verify_yhat_identity(cartan, xi))
-        out.append(verify_exchange_exponents(cartan, xi))
-        out.append(verify_hw_exchange(cartan, xi, l))
-        out.append(verify_tsystem(cartan, xi, l))
-        out.append(verify_grid_sequence(cartan, xi, l))
-        out.append(verify_properties(cartan, xi, walks=walks, rng_seed=rng_seed))
-        return out
-    raise ConfigurationError(f"unknown check {name!r}")
+    if name != "all" and name not in _CHECKS:
+        raise ConfigurationError(f"unknown check {name!r}")
+    scope = SimpleNamespace(cartan=cartan, xi=xi, l=l, walks=walks, rng_seed=rng_seed)
+    return [_CHECKS[n](scope) for n in (CHECK_NAMES if name == "all" else (name,))]

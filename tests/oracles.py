@@ -77,7 +77,7 @@ class OracleSeed:
     def initial(seed0: Seed) -> "OracleSeed":
         ctx = seed0.ctx
         xs = tuple(LaurentPoly.var(v) for v in ctx.xvars)
-        ys = tuple(TropElem.generator(ctx.pgens, y) for y in ctx.ycoefs)
+        ys = tuple(TropElem.generator(ctx.ycoefs, y) for y in ctx.ycoefs)
         return OracleSeed(ctx, ctx.quiver0, xs, ctx.y0, xs, ys)
 
     def mutate(self, v) -> "OracleSeed":
@@ -85,7 +85,7 @@ class OracleSeed:
         k = ctx.mut_index[v]
         bcol = tuple(self.quiver.entry(u, v) for u in ctx.mutables)
         cluster, coeffs = _mutate_cluster(self.cluster, self.coeffs, ctx.gens, k, bcol)
-        pcluster, pcoeffs = _mutate_cluster(self.pcluster, self.pcoeffs, ctx.pgens, k, bcol)
+        pcluster, pcoeffs = _mutate_cluster(self.pcluster, self.pcoeffs, ctx.ycoefs, k, bcol)
         return OracleSeed(ctx, self.quiver.mutate(v), cluster, coeffs, pcluster, pcoeffs)
 
     def key(self) -> tuple[str, ...]:

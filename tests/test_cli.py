@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -129,6 +130,27 @@ def test_engine_seed_cap_below_one_exits_2(capsys, cap):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_seed_cap_env_that_is_not_an_int(capsys, monkeypatch):
+    monkeypatch.setenv("CLUSTERMOD_MAX_SEEDS", "abc")
+    code, out, _ = run(capsys, "verify", "examples")
+    assert code == 0 and out.startswith("PASS examples")
+    with pytest.raises(SystemExit) as exc:
+        main(["engine", "enumerate", "--cartan", "A2", "--linear"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-seeds: invalid int value: 'abc'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("xi,message", [
+    ("1:0,2:-1,3:-2,9:4", "error: height function names vertices [9] off the A3 diagram\n"),
+    ("1:5,1:0,2:-1,3:-2", "error: height function names vertex 1 twice\n"),
+], ids=["unknown-vertex", "repeated-vertex"])
+def test_height_function_off_the_diagram_exits_3(capsys, xi, message):
+    code, out, err = run(capsys, "psi", "--cartan", "A3", "--xi", xi, "--object", "shp:1")
+    assert (code, out, err) == (3, "", message)
 
 
 def test_rep_show_json_matrices(capsys):
@@ -324,3 +346,62 @@ def test_cli_fuzz_exit_codes(cartan, command, obj, xi, level):
     if code:
         assert out.getvalue() == ""
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+
+
+def _main_captured(argv, env=None):
+    """Exit code, stdout and stderr of one in-process run, with CLUSTERMOD_MAX_SEEDS
+    set to env (or unset when env is None)."""
+    out, err = io.StringIO(), io.StringIO()
+    # patch.dict restores the whole environment on exit, the popped variable included
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("CLUSTERMOD_MAX_SEEDS", None)
+        if env is not None:
+            os.environ["CLUSTERMOD_MAX_SEEDS"] = env
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+CAP_TEXTS = st.one_of(st.integers(-2, 20).map(str), st.text(alphabet="0123456789-x ", max_size=4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cartan=st.sampled_from(["A2", "A3"]), cap=st.one_of(st.none(), CAP_TEXTS),
+       env=st.one_of(st.none(), CAP_TEXTS))
+@example(cartan="A3", cap=None, env="abc")
+def test_cli_fuzz_engine_enumerate(cartan, cap, env):
+    argv = ["engine", "enumerate", "--cartan", cartan, "--linear"]
+    if cap is not None:
+        argv.append(f"--max-seeds={cap}")
+    code, out, err = _main_captured(argv, env)
+    if code == 0:
+        data = json.loads(out)
+        assert data["exhaustive"] == (data["seeds"] == {"A2": 5, "A3": 14}[cartan])
+    else:
+        assert code == 2 and out == ""
+
+
+# --xi edits that name a vertex off the diagram or a vertex twice
+XI_EDITS = st.sampled_from(["", "", ",9:4", ",0:0", ",1:0", ",2:-1", ",1:7"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(cartan=st.sampled_from(["A2", "A3"]), check=st.sampled_from(["tsystem", "psi-kr", "yhat"]),
+       xi=st.one_of(st.sampled_from(["1:0,2:-1", "1:0,2:-1,3:0"]).flatmap(
+           lambda base: XI_EDITS.map(base.__add__)), HEIGHT_TEXTS),
+       level=LEVEL_TEXTS, walks=st.one_of(st.integers(-2, 5).map(str), st.text("0123-x", max_size=3)))
+@example(cartan="A3", check="psi-kr", xi="1:0,2:-1,3:0,9:4", level="2", walks="1")
+@example(cartan="A3", check="tsystem", xi="1:5,1:0,2:-1,3:0", level="2", walks="1")
+def test_cli_fuzz_verify(cartan, check, xi, level, walks):
+    code, out, err = _main_captured(["verify", check, "--cartan", cartan, f"--xi={xi}",
+                                     f"--level={level}", f"--walks={walks}"])
+    if code:
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+    else:
+        assert out.startswith(f"PASS {check} ")

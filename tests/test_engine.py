@@ -16,6 +16,7 @@ from clustermod.errors import FrozenVertexError
 from clustermod.quivers import IceQuiver, Vertex, build_gamma_l, build_qcheck
 from clustermod.reps import RepContext
 from clustermod.symbolic import LaurentPoly, Monomial, TropElem, fvar, xvar, ycoef
+from clustermod.verify import s_l_sequence
 
 from oracles import (
     OracleSeed,
@@ -93,7 +94,7 @@ def test_mutation_at_frozen_rejected(a3_seed):
 
 
 def test_initial_records(a3_seed):
-    assert a3_seed.c_matrix() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert a3_seed.cvecs == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for j in range(3):
         rec = make_record(a3_seed, j)
         assert rec.fpoly == LaurentPoly.one()
@@ -126,7 +127,7 @@ def test_separation_matches_direct_expansion(a3_seed, a3_graph):
     want = oracle_records(a3_seed)
     assert set(want) == set(a3_graph.registry)
     for g, rec in a3_graph.registry.items():
-        assert separation(g, rec.fpoly, ctx) == want[g].expansion
+        assert separation(rec.gtilde, rec.fpoly, ctx) == want[g].expansion
 
 
 def test_separation_leading_monomial(a3_graph):
@@ -187,7 +188,7 @@ def test_enumeration_is_deterministic(a3_seed):
 def test_sign_coherence_everywhere(a3_graph):
     for seed in a3_graph.seeds.values():
         for k in range(3):
-            col = seed.pcoeffs[k].exps
+            col = seed.cvecs[k]
             assert all(e >= 0 for e in col) or all(e <= 0 for e in col)
 
 
@@ -268,7 +269,33 @@ def test_separation_on_grid_seed_after_sequence():
         rec = make_record(final, j)
         want = reference.record(j)
         assert (rec.gvec, rec.fpoly, rec.denominator) == (want.gvec, want.fpoly, want.denominator)
-        assert separation(rec.gvec, rec.fpoly, ctx) == want.expansion
+        assert separation(rec.gtilde, rec.fpoly, ctx) == want.expansion
+
+
+@pytest.mark.parametrize("name,xi", [("A4", {1: 0, 2: -1, 3: -2, 4: -1}),
+                                     ("D4", {1: 0, 2: -1, 3: 0, 4: 0})], ids=["A4", "D4"])
+def test_coefficients_obey_ca4_prop_3_13_along_s_l(name, xi):
+    """y_k = y0^{c_k} prod_i F_i|_P(y0)^{b_ik} (Cluster algebras IV, Prop. 3.13) in the
+    tropical semifield, with F_i|_P(y0) = f^{-bottom(g-tilde_i)}, against the frozen-row
+    read-off and the reference seed's TropElem coefficients, at every step of s_l."""
+    cartan = cartan_type(name)
+    seed = Seed.initial(build_gamma_l(cartan, xi, 3))
+    ctx = seed.ctx
+    n = len(ctx.mutables)
+    reference = OracleSeed.initial(seed)
+    steps = s_l_sequence(cartan, xi, 3)
+    for v in [None] + steps:
+        if v is not None:
+            seed, reference = seed.mutate(v), reference.mutate(v)
+        assert seed.cvecs == tuple(c.exps for c in reference.pcoeffs)
+        for k, u in enumerate(ctx.mutables):
+            want = TropElem.one(ctx.gens)
+            for c, y in zip(seed.cvecs[k], ctx.y0):
+                want = want * y ** c
+            for i, w in enumerate(ctx.mutables):
+                want = want * TropElem(ctx.gens, seed.gtilde[i][n:]) ** -seed.quiver.entry(w, u)
+            assert seed.coeffs[k] == want == reference.coeffs[k], (v, u)
+    assert len(steps) == 2 * cartan.rank
 
 
 def test_seed_json_smoke(a3_seed):
