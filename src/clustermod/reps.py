@@ -5,12 +5,14 @@ projective per vertex.  Socles and Ext^1 dimensions are integer formulas in the
 dimension vectors: a Dynkin quiver is representation-directed, so for
 indecomposables X, Y at most one of Hom(X, Y) and Ext^1(X, Y) is nonzero and the
 Euler form <x, y> gives both (Ringel, LNM 1099).  Explicit indecomposables over Q,
-built by reflection functors, and their Hom spaces by exact Fraction linear
-algebra serve `rep` and the image of the morphism in `im_h`.
+built by reflection functors, and their Hom spaces by exact linear algebra serve
+`rep` and the image of the morphism in `im_h`.  Matrix entries are ints; a Fraction
+appears only after a pivot division that is not exact.
 """
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +20,8 @@ from .cartan import CartanData, check_height_function
 from .errors import DomainError, InternalInvariantError, ShiftCaseUnsupported
 from .quivers import IceQuiver, build_qxi
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+# int entries, with a Fraction only after an inexact pivot division
+Matrix = tuple[tuple[int | Fraction, ...], ...]
 
 
 def _flip(arrows, k):
@@ -27,24 +30,35 @@ def _flip(arrows, k):
 
 
 def _mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(row) for row in rows)
 
 
 def _zeros(nrows: int, ncols: int) -> Matrix:
-    return tuple((Fraction(0),) * ncols for _ in range(nrows))
+    return tuple((0,) * ncols for _ in range(nrows))
 
 
 def _matmul(a: Matrix, b: Matrix, n: int, m: int, p: int) -> Matrix:
     # a: n x m, b: m x p
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p))
-        for i in range(n)
+        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)) for i in range(n)
     )
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+def _div(x, pv):
+    """x / pv exactly: an int when the quotient is integral, else a Fraction."""
+    if type(x) is int and type(pv) is int:
+        q, rem = divmod(x, pv)
+        if not rem:
+            return q
+    q = Fraction(x, pv)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over Q: its nonzero rows and the pivot columns."""
     mat = [list(r) for r in rows]
     pivots: list[int] = []
+    fractions = False
     r = 0
     for c in range(ncols):
         pr = next((rr for rr in range(r, len(mat)) if mat[rr][c] != 0), None)
@@ -52,37 +66,43 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]],
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
+        if pv != 1:
+            mat[r] = [_div(x, pv) for x in mat[r]]
+        prow = mat[r]
+        # while every pivot row is integral, elimination keeps the result integral
+        fractions = fractions or any(type(x) is not int for x in prow)
         for rr in range(len(mat)):
-            if rr != r and mat[rr][c] != 0:
-                f = mat[rr][c]
-                mat[rr] = [a - f * b for a, b in zip(mat[rr], mat[r])]
+            f = mat[rr][c]
+            if rr != r and f != 0:
+                mat[rr] = [a - f * b for a, b in zip(mat[rr], prow)]
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
+    if fractions:
+        return [[_div(x, 1) for x in row] for row in mat[:r]], pivots
     return mat[:r], pivots
 
 
-def _null_space(m: Matrix, nrows: int, ncols: int) -> list[tuple[Fraction, ...]]:
+def _null_space(m: Matrix, nrows: int, ncols: int) -> list[tuple]:
     """Basis of {x : m x = 0} as length-ncols vectors."""
     if ncols == 0:
         return []
     if nrows == 0:
-        return [tuple(Fraction(1) if i == j else Fraction(0) for i in range(ncols)) for j in range(ncols)]
+        return [tuple(int(i == j) for i in range(ncols)) for j in range(ncols)]
     rref, pivots = _rref([list(row) for row in m], ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
+        x = [0] * ncols
+        x[fc] = 1
         for row, pc in zip(rref, pivots):
             x[pc] = -row[fc]
         basis.append(tuple(x))
     return basis
 
 
-def _column_basis(m: Matrix, nrows: int, ncols: int) -> list[tuple[Fraction, ...]]:
+def _column_basis(m: Matrix, nrows: int, ncols: int) -> list[tuple]:
     """Independent columns of m, as length-nrows vectors."""
     if nrows == 0 or ncols == 0:
         return []
@@ -90,14 +110,14 @@ def _column_basis(m: Matrix, nrows: int, ncols: int) -> list[tuple[Fraction, ...
     return [tuple(m[r][c] for r in range(nrows)) for c in pivots]
 
 
-def _solve_matrix(a: Matrix, b: Matrix, nrows: int, acols: int, bcols: int) -> Matrix:
+def _solve_matrix(a: Matrix, b: Matrix, nrows: int, acols: int, bcols: int, where: str) -> Matrix:
     """Solve a Z = b column by column; a must have full column rank on span(b)."""
     rows = [list(a[r]) + list(b[r]) for r in range(nrows)]
     rref, pivots = _rref(rows, acols + bcols)
-    z = [[Fraction(0)] * bcols for _ in range(acols)]
+    z = [[0] * bcols for _ in range(acols)]
     for row, pc in zip(rref, pivots):
         if pc >= acols:
-            raise InternalInvariantError("inconsistent linear system in solve")
+            raise InternalInvariantError(f"inconsistent linear system in solve for {where}")
         for j in range(bcols):
             z[pc][j] = row[acols + j]
     return _mat(z)
@@ -194,6 +214,7 @@ class RepContext:
         self._inj = {i: self._reach(i, self.inn) for i in cartan.vertices}
         self._vertex_of_proj = {d: i for i, d in self._proj.items()}
         self._vertex_of_inj = {d: i for i, d in self._inj.items()}
+        self._vertex_of_unit = {self._unit(i): i for i in cartan.vertices}
 
     # ---- roots and basic dimension vectors -------------------------------
 
@@ -271,24 +292,22 @@ class RepContext:
         """
         start = (self.arrows, alpha)
         prev: dict = {start: None}
-        queue = [start]
+        queue = deque([start])
         goal = None
         while queue:
-            state = queue.pop(0)
+            state = queue.popleft()
             arrows, beta = state
-            j = next((v for v in self.cartan.vertices if beta == self._unit(v)), None)
+            j = self._vertex_of_unit.get(beta)
             if j is not None:
                 goal = (state, j)
                 break
-            sinks = [v for v in self.cartan.vertices if not any(s == v for s, _ in arrows)]
-            for k in sinks:
-                s = 2 * beta[k - 1] - sum(beta[j2 - 1] for j2 in self.cartan.neighbors(k))
-                gamma = tuple(
-                    beta[v - 1] if v != k else beta[k - 1] - s for v in self.cartan.vertices
-                )
-                if any(x < 0 for x in gamma):
+            sources = {s for s, _ in arrows}
+            for k in (v for v in self.cartan.vertices if v not in sources):
+                # the reflection at the sink k changes coordinate k only
+                bk = sum(beta[j2 - 1] for j2 in self.cartan.neighbors(k)) - beta[k - 1]
+                if bk < 0:
                     continue
-                nxt = (_flip(arrows, k), gamma)
+                nxt = (_flip(arrows, k), beta[:k - 1] + (bk,) + beta[k:])
                 if nxt not in prev:
                     prev[nxt] = (state, k)
                     queue.append(nxt)
@@ -326,17 +345,13 @@ class RepContext:
         img = _column_basis(_mat(stacked) if stacked else _zeros(0, dk), total, dk)
         rank = len(img)
         new_dk = total - rank
-        # complete the image to a basis of the ambient space with standard vectors
-        cols: list[tuple[Fraction, ...]] = list(img)
-        for e in range(total):
-            if len(cols) == total:
-                break
-            cand = tuple(Fraction(1) if r == e else Fraction(0) for r in range(total))
-            test = [[cols[c][r] for c in range(len(cols))] + [cand[r]] for r in range(total)]
-            if len(_rref(test, len(cols) + 1)[1]) == len(cols) + 1:
-                cols.append(cand)
+        # complete the image to a basis of the ambient space with standard vectors: the
+        # pivot columns of [img | I] past the image block are the first ones independent
+        ident = [[int(r == e) for e in range(total)] for r in range(total)]
+        _, pivots = _rref([[v[r] for v in img] + ident[r] for r in range(total)], rank + total)
+        cols = img + [ident[e - rank] for e in pivots[rank:]]
         p = _mat([[cols[c][r] for c in range(total)] for r in range(total)])
-        p_inv = _invert(p, total)
+        p_inv = _invert(p, total, f"the reflection of dimension vector {dims} at vertex {k}")
         proj = tuple(p_inv[rank + r] for r in range(new_dk))  # new_dk x total
 
         new_dims = tuple(new_dk if v == k else dims[v - 1] for v in self.cartan.vertices)
@@ -435,7 +450,7 @@ class RepContext:
             ya = y.matrix(s, t)
             for r in range(y.dims[t - 1]):
                 for c in range(x.dims[s - 1]):
-                    row = [Fraction(0)] * total
+                    row = [0] * total
                     # (Y_a H_s)[r][c]
                     for u in range(y.dims[s - 1]):
                         row[offs[s] + u * x.dims[s - 1] + c] += ya[r][u]
@@ -526,7 +541,8 @@ class RepContext:
                 len(bs),
             )
             bmat = _mat([[bt[c][r] for c in range(len(bt))] for r in range(rn.dims[t - 1])])
-            z = _solve_matrix(bmat, moved, rn.dims[t - 1], len(bt), len(bs))
+            z = _solve_matrix(bmat, moved, rn.dims[t - 1], len(bt), len(bs),
+                              f"Hom({lt.dims}, {n_obj.dims}) at arrow {s}->{t}")
             mats.append((s, t, z))
         return QuiverRep(self.n, tuple(dims), tuple(mats))
 
@@ -609,7 +625,7 @@ def rep_json(rep: QuiverRep) -> str:
     """
     import json
 
-    def entry(x: Fraction):
+    def entry(x):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
     return json.dumps(
@@ -624,9 +640,9 @@ def rep_json(rep: QuiverRep) -> str:
     )
 
 
-def _invert(m: Matrix, n: int) -> Matrix:
-    rows = [list(m[r]) + [Fraction(1) if c == r else Fraction(0) for c in range(n)] for r in range(n)]
+def _invert(m: Matrix, n: int, where: str) -> Matrix:
+    rows = [list(m[r]) + [int(c == r) for c in range(n)] for r in range(n)]
     rref, pivots = _rref(rows, 2 * n)
     if pivots[:n] != list(range(n)):
-        raise InternalInvariantError("matrix is singular")
+        raise InternalInvariantError(f"matrix is singular in {where}")
     return _mat([row[n:] for row in rref])

@@ -21,7 +21,12 @@ from .engine import (
     make_record,
     separation,
 )
-from .errors import ConfigurationError, InternalInvariantError, ShiftCaseUnsupported
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    InternalInvariantError,
+    ShiftCaseUnsupported,
+)
 from .hlmap import (
     YMonomial,
     hw_extract,
@@ -411,6 +416,8 @@ def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report
 def verify_tsystem(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
     """Monomial-level T-system identities: the Dynkin-edge reduction and the
     KR recurrence on a window around the relevant heights."""
+    if l < 1:
+        raise DomainError("level must be >= 1")
     t0 = time.perf_counter()
     rep = Report("tsystem", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     for i in cartan.vertices:

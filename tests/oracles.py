@@ -10,8 +10,11 @@ each edge once; thin F-polynomials are sums over submodules; root enumeration
 uses the Tits form on a box instead of reflection closure, and type-A Hom
 dimensions come from the classical interval criterion.  Socles and Ext^1
 dimensions are read off explicit representations over Q (a rank of the
-outgoing maps, a Fraction Hom space) instead of the Euler-form formulas they
-check.
+outgoing maps, a Hom space) instead of the Euler-form formulas they check.
+The reference row reduction divides every pivot row in Fractions, where the
+library keeps integer entries integral, and the reference reflection-chain
+search is the plain list-queue BFS that the library's search must reproduce
+state for state.
 """
 from __future__ import annotations
 
@@ -329,3 +332,71 @@ def oracle_exchange_pairs(rc) -> set[frozenset[str]]:
         if ext == 1:
             out.add(frozenset((str(x), str(y))))
     return out
+
+
+def oracle_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form with every pivot row divided in Fractions."""
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((rr for rr in range(r, len(mat)) if mat[rr][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for rr in range(len(mat)):
+            if rr != r and mat[rr][c] != 0:
+                f = mat[rr][c]
+                mat[rr] = [a - f * b for a, b in zip(mat[rr], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _flip(arrows, k):
+    return tuple(sorted((t, s) if k in (s, t) else (s, t) for s, t in arrows))
+
+
+def oracle_reflection_chain(rc, alpha):
+    """BFS over (orientation, root) states down to a simple root, as
+    [(arrows_0, k_0), ..., (arrows_m, j)] with k_t a sink of arrows_t."""
+    def unit(v):
+        return tuple(1 if w == v else 0 for w in rc.cartan.vertices)
+
+    start = (rc.arrows, alpha)
+    prev: dict = {start: None}
+    queue = [start]
+    goal = None
+    while queue:
+        state = queue.pop(0)
+        arrows, beta = state
+        j = next((v for v in rc.cartan.vertices if beta == unit(v)), None)
+        if j is not None:
+            goal = (state, j)
+            break
+        sinks = [v for v in rc.cartan.vertices if not any(s == v for s, _ in arrows)]
+        for k in sinks:
+            s = 2 * beta[k - 1] - sum(beta[j2 - 1] for j2 in rc.cartan.neighbors(k))
+            gamma = tuple(
+                beta[v - 1] if v != k else beta[k - 1] - s for v in rc.cartan.vertices
+            )
+            if any(x < 0 for x in gamma):
+                continue
+            nxt = (_flip(arrows, k), gamma)
+            if nxt not in prev:
+                prev[nxt] = (state, k)
+                queue.append(nxt)
+    state, j = goal
+    steps = []
+    cur = state
+    while prev[cur] is not None:
+        parent, k = prev[cur]
+        steps.append((parent[0], k))
+        cur = parent
+    steps.reverse()
+    steps.append((state[0], j))
+    return steps

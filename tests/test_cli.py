@@ -249,6 +249,13 @@ def test_verify_negative_walks_exits_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("level", ["0", "-2"])
+def test_verify_tsystem_rejects_levels_below_1(capsys, level):
+    code, out, err = run(capsys, "verify", "tsystem", "--cartan", "A3", "--xi", "1:0,2:-1,3:0",
+                         f"--level={level}")
+    assert (code, out, err) == (3, "", "error: level must be >= 1\n")
+
+
 UNLISTED_VERTEX = json.dumps({"vertices": [{"label": "1"}, {"label": "2"}],
                               "arrows": [{"from": "1", "to": "(9,1)", "mult": 1}]})
 

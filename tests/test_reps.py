@@ -1,17 +1,25 @@
+import hashlib
 import itertools
+import os
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clustermod import reps
 from clustermod.cartan import cartan_type, linear_height
-from clustermod.errors import DomainError, ShiftCaseUnsupported
+from clustermod.errors import DomainError, InternalInvariantError, ShiftCaseUnsupported
 from clustermod.hlmap import psi
-from clustermod.reps import CQObject, RepContext, positive_roots
+from clustermod.reps import CQObject, RepContext, positive_roots, rep_json
 
 from oracles import (
     oracle_exchange_pairs,
     oracle_ext1_mod,
     oracle_hom_dim_typeA_linear,
     oracle_positive_roots,
+    oracle_reflection_chain,
+    oracle_rref,
     oracle_socle,
     orientations,
 )
@@ -323,3 +331,188 @@ def test_objects_outside_the_category_rejected(rc3, bad):
         psi(bad, rc3, 2)
     with pytest.raises(DomainError):
         psi([good, bad], rc3, 2)
+
+
+# ---- exact linear algebra -----------------------------------------------------------------
+
+
+def _reference_rref(rows, ncols):
+    return oracle_rref([[Fraction(x) for x in row] for row in rows], ncols)
+
+
+def _assert_normal(rows):
+    """Every integral entry is an int; a Fraction only where the value is not integral."""
+    for row in rows:
+        for x in row:
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1), rows
+
+
+ENTRIES = st.integers(-3, 3)
+
+
+def _matrices(nrows, ncols):
+    return st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def _shaped(draw, max_rows=4, max_cols=5):
+    nrows, ncols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    return draw(_matrices(nrows, ncols)), nrows, ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shaped())
+def test_rref_and_null_space_match_the_fraction_reference(shaped):
+    m, nrows, ncols = shaped
+    want, want_pivots = _reference_rref(m, ncols)
+    got, pivots = reps._rref(m, ncols)
+    assert (got, pivots) == (want, want_pivots)
+    _assert_normal(got)
+    null = reps._null_space(reps._mat(m), nrows, ncols)
+    want_null = []
+    for fc in (c for c in range(ncols) if c not in want_pivots):
+        x = [Fraction(int(c == fc)) for c in range(ncols)]
+        for row, pc in zip(want, want_pivots):
+            x[pc] = -row[fc]
+        want_null.append(tuple(x))
+    assert null == want_null
+    _assert_normal(null)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), _matrices(n, n))))
+def test_invert_matches_the_fraction_reference(case):
+    n, m = case
+    rows = [row + [int(c == r) for c in range(n)] for r, row in enumerate(m)]
+    want, pivots = _reference_rref(rows, 2 * n)
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(InternalInvariantError):
+            reps._invert(reps._mat(m), n, "a test matrix")
+        return
+    got = reps._invert(reps._mat(m), n, "a test matrix")
+    assert got == tuple(tuple(row[n:]) for row in want)
+    _assert_normal(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_solve_matrix_matches_the_fraction_reference(nrows, acols, bcols, data):
+    a = data.draw(_matrices(nrows, acols))
+    b = data.draw(_matrices(nrows, bcols))
+    want, pivots = _reference_rref([ra + rb for ra, rb in zip(a, b)], acols + bcols)
+    if any(pc >= acols for pc in pivots):
+        with pytest.raises(InternalInvariantError):
+            reps._solve_matrix(a, b, nrows, acols, bcols, "a test system")
+        return
+    z = [[Fraction(0)] * bcols for _ in range(acols)]
+    for row, pc in zip(want, pivots):
+        z[pc] = row[acols:]
+    got = reps._solve_matrix(a, b, nrows, acols, bcols, "a test system")
+    assert got == tuple(map(tuple, z))
+    _assert_normal(got)
+
+
+def test_rref_keeps_a_fraction_only_where_a_pivot_does_not_divide():
+    rows, pivots = reps._rref([[2, 1]], 2)
+    assert (rows, pivots) == ([[1, Fraction(1, 2)]], [0])
+    assert type(rows[0][0]) is int and type(rows[0][1]) is Fraction
+    # the second pivot clears the half, and the result is integral again
+    rows, pivots = reps._rref([[2, 1, 0], [1, 1, 1]], 3)
+    assert (rows, pivots) == ([[1, 0, -1], [0, 1, 2]], [0, 1])
+    _assert_normal(rows)
+    assert reps._rref([[3, 6, -9]], 3)[0] == [[1, 2, -3]]
+
+
+# ---- the representation layer, pinned ----------------------------------------------------
+
+# SHA-256 of every rep_json(rep(root)) and every rep_json(im_h(L, N)) (or its
+# ShiftCaseUnsupported message) in both directions of every exchange pair, over all
+# orientations of A3, A4 and D4 and one of E6; computed with Fraction linear algebra
+REP_LAYER_DIGEST = "2d47851e92bb1c28aee780cdfa822e4a8ac683c867c6471d41b8288d505ccdb0"
+
+
+def test_representation_layer_output_is_pinned():
+    scopes = [(c, xi) for c in (A3, A4, D4) for xi in orientations(c)]
+    scopes.append((E6, {1: 0, 2: 1, 3: -1, 4: 0, 5: -1, 6: 0}))
+    digest = hashlib.sha256()
+    for cartan, xi in scopes:
+        rc = RepContext(cartan, xi)
+        for root in rc.roots:
+            digest.update(rep_json(rc.rep(root)).encode())
+        for x, y in rc.exchange_pairs():
+            for l_obj, n_obj in ((x, y), (y, x)):
+                try:
+                    out = rep_json(rc.im_h(l_obj, n_obj))
+                except ShiftCaseUnsupported as exc:
+                    out = str(exc)
+                digest.update(f"{l_obj}>{n_obj}\n{out}\n".encode())
+    assert digest.hexdigest() == REP_LAYER_DIGEST
+
+
+CHAIN_SCOPES = [(c, xi) for c in (A3, A4, D4, cartan_type("D5")) for xi in orientations(c)]
+
+
+def test_reflection_chains_match_the_list_queue_bfs():
+    for cartan, xi in CHAIN_SCOPES:
+        rc = RepContext(cartan, xi)
+        for root in rc.roots:
+            assert rc._reflection_chain(root) == oracle_reflection_chain(rc, root), (xi, root)
+
+
+# ---- invariant failures name their context ------------------------------------------------
+
+
+def test_singular_basis_change_names_the_reflection(monkeypatch):
+    column_basis = reps._column_basis
+    # a repeated image column makes the basis change of the reflection singular
+    monkeypatch.setattr(reps, "_column_basis", lambda m, nr, nc: (
+        lambda cols: cols + cols[:1])(column_basis(m, nr, nc)))
+    rc = RepContext(D4, XI_D4)
+    with pytest.raises(InternalInvariantError) as exc:
+        rc.rep((1, 1, 1, 1))
+    assert str(exc.value) == ("matrix is singular in the reflection of dimension vector "
+                              "(1, 1, 1, 1) at vertex 2")
+
+
+def test_inconsistent_image_names_the_hom_pair_and_arrow(monkeypatch):
+    rc = RepContext(A3, linear_height(A3))
+    for dims in ((1, 1, 1), (1, 1, 0)):
+        rc.rep(dims)
+
+    def not_a_morphism(x, y):
+        # zero at vertex 2, so N(1->2) moves the image at 1 out of the image at 2
+        dim, basis = RepContext.hom(rc, x, y)
+        return dim, [{**fam, 2: ((0,),)} for fam in basis]
+
+    monkeypatch.setattr(rc, "hom", not_a_morphism)
+    with pytest.raises(InternalInvariantError) as exc:
+        rc.im_h(CQObject.shifted(1), mod(1, 1, 0))
+    assert str(exc.value) == ("inconsistent linear system in solve for "
+                              "Hom((1, 1, 1), (1, 1, 0)) at arrow 1->2")
+
+
+# ---- scale ----------------------------------------------------------------------------------
+
+E8 = cartan_type("E8")
+E8_SCOPES = [({1: 0, 2: -1, 3: -1, 4: 0, 5: -1, 6: 0, 7: -1, 8: 0}, "bipartite"),
+             (orientations(E8)[0], "first")]
+
+
+@pytest.mark.skipif(not os.environ.get("CLUSTERMOD_SLOW_TESTS"),
+                    reason="set CLUSTERMOD_SLOW_TESTS=1 to build every E8 representation")
+@pytest.mark.parametrize("xi", [xi for xi, _ in E8_SCOPES], ids=[i for _, i in E8_SCOPES])
+def test_e8_representations_and_images(xi):
+    rc = RepContext(E8, xi)
+    for root in rc.roots:
+        assert rc.rep(root).dims == root  # the End check runs at build time
+    images = 0
+    for x, y in rc.exchange_pairs():
+        for l_obj, n_obj in ((x, y), (y, x)):
+            try:
+                dims = rc.im_h(l_obj, n_obj).dims
+            except ShiftCaseUnsupported:
+                continue
+            assert any(dims) and all(0 <= a <= b for a, b in zip(dims, n_obj.dims))
+            images += 1
+    assert images == 3120  # both orientations, as built with Fraction linear algebra
