@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -129,6 +130,16 @@ class SeedContext:
         """yhat_j = y_j * prod_i x_i^{b_ij} over the initial seed."""
         mon = self.y0[j].as_monomial()
         return mon * Monomial({self.xvars[i]: e for i, e in enumerate(self.b0_cols[j]) if e})
+
+    @functools.cached_property
+    def yhat(self) -> dict[VarId, LaurentPoly]:
+        """The substitution y_j -> yhat_j of the separation formula."""
+        return {y: LaurentPoly.from_monomial(self.yhat_monomial(j))
+                for j, y in enumerate(self.ycoefs)}
+
+    @functools.cached_property
+    def x_index(self) -> dict[VarId, int]:
+        return {x: i for i, x in enumerate(self.xvars)}
 
 
 def seed_context(quiver: IceQuiver) -> SeedContext:
@@ -292,13 +303,17 @@ class ClusterVarRecord:
 
 def make_record(seed: Seed, j: int) -> ClusterVarRecord:
     """The record for position j, after cross-checking the seed's integer data
-    against the F-polynomial; built once per g-vector and shared by the context."""
+    against the F-polynomial; built once per g-vector and shared by the context.
+
+    Building it is linear in the size of F: one tropical evaluation, one
+    substitution for the expansion and one pass over the expansion's
+    monomials for the denominator vector."""
     ctx = seed.ctx
     n = len(ctx.mutables)
     gtilde = seed.gtilde[j]
     g = gtilde[:n]
     for k, c in enumerate(seed.cvecs):
-        if sum(a * b for a, b in zip(g, c)) != (k == j):
+        if sum(map(operator.mul, g, c)) != (k == j):
             raise InternalInvariantError(
                 f"tropical duality G^T C = I fails at position {j}, column {k}: "
                 f"g = {g}, c = {c}"
@@ -309,13 +324,20 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
         fpoly = ctx.fpolys[g]
         if fpoly.constant_term() != 1:
             raise InternalInvariantError(f"F-polynomial constant term != 1: {fpoly}")
-        if any(c <= 0 for _, c in fpoly.terms()):
+        if any(c <= 0 for c in fpoly.coefficients()):
             raise InternalInvariantError(f"F-polynomial has non-positive coefficient: {fpoly}")
         full = g + tuple(-e for e in eval_tropical(fpoly, ctx.y0_assign).exps)
         expansion = separation(full, fpoly, ctx)
-        mons = [mon for mon, _ in expansion.terms()]
-        denom = tuple(max(-mon.exponent(x) for mon in mons) for x in ctx.xvars)
-        ctx.records[g] = record = ClusterVarRecord(g, full, fpoly, expansion, denom)
+        # denominator d_i = max over monomials of -(exponent of x_i), absent = 0
+        xpos, denom = ctx.x_index, None
+        for mon in expansion.monomials():
+            vec = [0] * n
+            for v, e in mon.items:
+                i = xpos.get(v)
+                if i is not None:
+                    vec[i] = -e
+            denom = vec if denom is None else list(map(max, denom, vec))
+        ctx.records[g] = record = ClusterVarRecord(g, full, fpoly, expansion, tuple(denom))
 
     if record.gtilde != gtilde:
         raise InternalInvariantError(
@@ -327,14 +349,11 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
 
 def separation(gtilde: tuple[int, ...], fpoly: LaurentPoly, ctx: SeedContext) -> LaurentPoly:
     """Ambient expansion x^g f^bottom * F(yhat) of the variable with this extended
-    g-vector and F; the bottom block is -trop(F)(y0), so f^bottom = 1 / F|_P(y)."""
-    n = len(ctx.mutables)
+    g-vector and F; the bottom block is -trop(F)(y0), so f^bottom = 1 / F|_P(y).
+    The yhat images are one-term polynomials, built once per context, so the
+    substitution maps each term of F to one monomial."""
     lead = Monomial([(v, e) for v, e in zip(ctx.xvars + ctx.gens, gtilde) if e])
-    yhat = {
-        ctx.ycoefs[j]: LaurentPoly.from_monomial(ctx.yhat_monomial(j))
-        for j in range(n)
-    }
-    return substitute(fpoly, yhat) * lead
+    return substitute(fpoly, ctx.yhat) * lead
 
 
 @dataclass

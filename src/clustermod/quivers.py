@@ -211,7 +211,7 @@ class IceQuiver:
             ]
         except KeyError as exc:
             raise ConfigurationError(f"quiver JSON lacks the key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # int(Infinity)
             raise ConfigurationError(f"malformed quiver JSON: {exc}") from None
         return IceQuiver.from_arrows(vertices, frozen, arrows)
 

@@ -85,6 +85,10 @@ def tvar(*index: int) -> VarId:
     return _var("t", tuple(index))
 
 
+def _item_key(item: tuple[VarId, int]) -> tuple:
+    return item[0].sort_key
+
+
 class Monomial:
     """Exponent map VarId -> nonzero integer; the multiplicative carrier of all formulas."""
 
@@ -102,7 +106,7 @@ class Monomial:
                 merged[v] = e
             elif v in merged:
                 del merged[v]
-        items = tuple(sorted(merged.items(), key=lambda p: p[0].sort_key))
+        items = tuple(sorted(merged.items(), key=_item_key))
         self._items = items
         self._hash = hash(items)
 
@@ -281,6 +285,14 @@ class LaurentPoly:
         """Terms sorted with the leading (largest) monomial first."""
         return sorted(self._terms.items(), key=lambda t: monomial_sort_key(t[0]), reverse=True)
 
+    def monomials(self):
+        """Monomials in storage order, without the sort of `terms()`."""
+        return self._terms.keys()
+
+    def coefficients(self):
+        """Coefficients in storage order, without the sort of `terms()`."""
+        return self._terms.values()
+
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -398,19 +410,45 @@ def substitute(p: LaurentPoly, assign: Mapping[VarId, LaurentPoly]) -> LaurentPo
     """Ring-homomorphic image of p; unassigned variables map to themselves.
 
     A variable occurring with a negative exponent must be assigned a monomial
-    (invertible) value.
+    (invertible) value.  A term whose assigned images are all monomials maps
+    straight to one exponent dict; any other term is multiplied out.  Each
+    image term is added into one result dict, so the cost is linear in the
+    size of the term images.
     """
-    out = LaurentPoly.zero()
+    out: dict[Monomial, int] = {}
     for m, c in p._terms.items():
-        acc = LaurentPoly.constant(c)
+        exps: dict[VarId, int] = {}
+        coef = c
         for v, e in m.items:
             img = assign.get(v)
             if img is None:
-                acc = acc * Monomial.of(v, e)
-                continue
-            acc = acc * img ** e
-        out = out + acc
-    return out
+                exps[v] = exps.get(v, 0) + e
+            elif len(img._terms) == 1:
+                (im, ic), = img._terms.items()
+                if e < 0 and ic not in (1, -1):
+                    raise ConfigurationError("negative power of a non-unit")
+                coef *= ic ** abs(e)
+                for w, f in im._items:
+                    exps[w] = exps.get(w, 0) + e * f
+            else:
+                acc = LaurentPoly.constant(c)
+                for w, f in m.items:
+                    img = assign.get(w)
+                    acc = acc * (Monomial.of(w, f) if img is None else img ** f)
+                image = acc._terms.items()
+                break
+        else:
+            image = ((Monomial._from_sorted(tuple(sorted(
+                [t for t in exps.items() if t[1]], key=_item_key))), coef),)
+        for mm, cc in image:
+            cc += out.get(mm, 0)
+            if cc:
+                out[mm] = cc
+            else:
+                del out[mm]
+    q = LaurentPoly.__new__(LaurentPoly)
+    q._terms = out
+    return q
 
 
 def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -563,23 +601,33 @@ def eval_tropical(f: LaurentPoly, assign: Mapping[VarId, TropElem]) -> TropElem:
 
     Coefficients are discarded; any negative coefficient is rejected since the
     tropical evaluation of a general expression is not defined term-by-term.
+    Each term is one exponent list, and the sum is their componentwise minimum.
     """
     if f.is_zero:
         raise ConfigurationError("cannot tropically evaluate the zero polynomial")
-    total: TropElem | None = None
+    gens = low = None
     for m, c in f._terms.items():
         if c < 0:
             raise NotSubtractionFreeError("polynomial has a negative coefficient")
-        val: TropElem | None = None
+        tgens = vec = None
         for v, e in m.items:
             try:
-                factor = assign[v] ** e
+                t = assign[v]
             except KeyError:
                 raise ConfigurationError(f"no tropical value assigned to {v}") from None
-            val = factor if val is None else val * factor
-        if val is None:
-            gens = next(iter(assign.values())).gens if assign else ()
-            val = TropElem.one(tuple(gens))
-        total = val if total is None else total + val
-    assert total is not None
-    return total
+            if vec is None:
+                tgens, vec = t.gens, [e * a for a in t.exps]
+            elif t.gens != tgens:
+                raise ConfigurationError("tropical elements over different generator lists")
+            else:
+                vec = [a + e * b for a, b in zip(vec, t.exps)]
+        if vec is None:
+            tgens = tuple(next(iter(assign.values())).gens) if assign else ()
+            vec = [0] * len(tgens)
+        if low is None:
+            gens, low = tgens, vec
+        elif tgens != gens:
+            raise ConfigurationError("tropical elements over different generator lists")
+        else:
+            low = list(map(min, low, vec))
+    return TropElem(gens, tuple(low))

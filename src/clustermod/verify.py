@@ -473,11 +473,11 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
         i, r = v.i, v.r
         k = (xi[i] - r) // 2 + 1
         j = ctx.mut_index[v]
-        rep.check(position_hw(seed, j) == kr_monomial(i, k, r),
-                  f"pre-mutation KR label at {v}", got=position_hw(seed, j))
+        got = position_hw(seed, j)
+        rep.check(got == kr_monomial(i, k, r), f"pre-mutation KR label at {v}", got=got)
         new_seed, edge = seed.mutate_with_edge(v)
-        rep.check(position_hw(new_seed, j) == kr_monomial(i, k, r - 2),
-                  f"post-mutation KR label at {v}", got=position_hw(new_seed, j))
+        got = position_hw(new_seed, j)
+        rep.check(got == kr_monomial(i, k, r - 2), f"post-mutation KR label at {v}", got=got)
 
         def term_hw(term):
             out = _expand_gens(term.fexp, ctx, xi)
@@ -543,8 +543,8 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
     obj_by_g = {repctx.g_vector(o): o for o in repctx.indecomposables()}
     for g, record in sorted(graph.registry.items()):
         rep.check(record.fpoly.constant_term() == 1, f"F constant term at {g}")
-        rep.check(all(c > 0 for _, c in record.fpoly.terms()), f"F positivity at {g}")
-        rep.check(all(c > 0 for _, c in record.expansion.terms()),
+        rep.check(all(c > 0 for c in record.fpoly.coefficients()), f"F positivity at {g}")
+        rep.check(all(c > 0 for c in record.expansion.coefficients()),
                   f"expansion positivity at {g}")
         obj = obj_by_g[g]
         dims = obj.dims if obj.is_module else tuple(-int(t == obj.i) for t in cartan.vertices)

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: the reference seed
 carries every cluster variable as two Laurent polynomials (ambient and
 principal coefficients), each mutated by its exchange relation and one exact
-division, instead of an F-polynomial recurrence on integer seed data; seed
+division, instead of an F-polynomial recurrence on integer seed data, and
+reads F off by the polynomial-arithmetic substitution kept below; seed
 counting keys on that seed's expansion strings instead of g-vectors; the
 reference exchange-graph BFS mutates every seed in every direction instead of
 each edge once; thin F-polynomials are sums over submodules; root enumeration
@@ -22,12 +23,64 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Mapping
 
 from clustermod import Seed
 from clustermod.cartan import check_height_function
 from clustermod.engine import ClusterVarRecord, ExchangeEdge, ExchangeGraph, make_record
-from clustermod.errors import ConfigurationError
-from clustermod.symbolic import LaurentPoly, TropElem, div_exact, substitute
+from clustermod.errors import ConfigurationError, NotSubtractionFreeError
+from clustermod.symbolic import LaurentPoly, Monomial, TropElem, VarId, div_exact
+
+
+# The polynomial-arithmetic substitution and the TropElem-arithmetic tropical
+# evaluation, kept as they stood before the library maps terms straight to
+# exponent dicts and exponent lists.
+
+
+def oracle_substitute(p: LaurentPoly, assign: Mapping[VarId, LaurentPoly]) -> LaurentPoly:
+    """Ring-homomorphic image of p; unassigned variables map to themselves.
+
+    A variable occurring with a negative exponent must be assigned a monomial
+    (invertible) value.
+    """
+    out = LaurentPoly.zero()
+    for m, c in p._terms.items():
+        acc = LaurentPoly.constant(c)
+        for v, e in m.items:
+            img = assign.get(v)
+            if img is None:
+                acc = acc * Monomial.of(v, e)
+                continue
+            acc = acc * img ** e
+        out = out + acc
+    return out
+
+
+def oracle_eval_tropical(f: LaurentPoly, assign: Mapping[VarId, TropElem]) -> TropElem:
+    """Evaluate a subtraction-free Laurent polynomial in a tropical semifield.
+
+    Coefficients are discarded; any negative coefficient is rejected since the
+    tropical evaluation of a general expression is not defined term-by-term.
+    """
+    if f.is_zero:
+        raise ConfigurationError("cannot tropically evaluate the zero polynomial")
+    total: TropElem | None = None
+    for m, c in f._terms.items():
+        if c < 0:
+            raise NotSubtractionFreeError("polynomial has a negative coefficient")
+        val: TropElem | None = None
+        for v, e in m.items:
+            try:
+                factor = assign[v] ** e
+            except KeyError:
+                raise ConfigurationError(f"no tropical value assigned to {v}") from None
+            val = factor if val is None else val * factor
+        if val is None:
+            gens = next(iter(assign.values())).gens if assign else ()
+            val = TropElem.one(tuple(gens))
+        total = val if total is None else total + val
+    assert total is not None
+    return total
 
 
 def _mutate_cluster(cluster, coeffs, gens, k, bcol):
@@ -98,7 +151,7 @@ class OracleSeed:
         """F by specialising the principal expansion at x = 1, g by its degree."""
         ctx = self.ctx
         pexp = self.pcluster[j]
-        fpoly = substitute(pexp, {v: LaurentPoly.one() for v in ctx.xvars})
+        fpoly = oracle_substitute(pexp, {v: LaurentPoly.one() for v in ctx.xvars})
         expansion = self.cluster[j]
         denom = None
         for mon, _ in expansion.terms():
@@ -280,9 +333,9 @@ def orientations(cartan) -> list[dict[int, int]]:
     return out
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Rank by Gaussian elimination over Q."""
-    rows = [list(r) for r in rows]
+def _rank(rows: list[list[int | Fraction]]) -> int:
+    """Rank by Gaussian elimination over Q, in Fractions."""
+    rows = [[Fraction(a) for a in r] for r in rows]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)

@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -412,3 +414,90 @@ def test_cli_fuzz_verify(cartan, check, xi, level, walks):
         assert sum("error:" in line for line in err.splitlines()) == 1
     else:
         assert out.startswith(f"PASS {check} ")
+
+
+LABELS = st.one_of(st.sampled_from(["1", "2", "3", "1'", "2'", "(1,0)", "(2,-1)", "(9,9)"]),
+                   st.text(alphabet="(),-'0123x ", max_size=6), st.integers(-2, 3), st.none())
+QUIVER_DATA = st.fixed_dictionaries({
+    "vertices": st.lists(st.one_of(
+        st.fixed_dictionaries({"label": LABELS}, optional={"frozen": st.booleans()}),
+        st.lists(LABELS, max_size=2)), max_size=5),
+    "arrows": st.lists(st.fixed_dictionaries(
+        {"from": LABELS, "to": LABELS},
+        optional={"mult": st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2))},
+    ), max_size=5),
+})
+QUIVER_TEXTS = st.one_of(
+    st.sampled_from([
+        '{"vertices": [{"label": "1"}, {"label": "2"}, {"label": "2\'", "frozen": true}],'
+        ' "arrows": [{"from": "1", "to": "2"}, {"from": "2\'", "to": "2", "mult": 2}]}',
+    ]),
+    QUIVER_DATA.map(json.dumps),
+    st.text(alphabet='{}[]":,0123 avlbe', max_size=20),
+)
+
+
+@pytest.fixture(scope="module")
+def quiver_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "q.json"
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=QUIVER_TEXTS, action=st.sampled_from(["mutate", "export"]),
+       at=st.lists(LABELS.filter(lambda x: x is not None).map(str), max_size=3),
+       seq=st.one_of(st.none(), st.text(alphabet="(),-'0123x", max_size=10)),
+       fmt=st.one_of(st.none(), st.sampled_from(["json", "dot", "text", "svg"])))
+@example(text='{"vertices": [{"label": "1"}], "arrows": [{"from": "1", "to": "1",'
+              ' "mult": Infinity}]}', action="export", at=[], seq=None, fmt=None)
+def test_cli_fuzz_quiver_mutate_export(quiver_file, text, action, at, seq, fmt):
+    quiver_file.write_text(text)
+    argv = ["quiver", action, "--in", str(quiver_file)]
+    if action == "mutate":
+        argv += [f"--at={label}" for label in at] + ([f"--seq={seq}"] if seq is not None else [])
+    if fmt is not None:
+        argv.append(f"--format={fmt}")
+    code, out, err = _main_captured(argv)
+    if code:
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+# ---- command output, pinned ----------------------------------------------------------
+
+PINNED_RUNS = {
+    "enumerate A3": ["engine", "enumerate", "--cartan", "A3", "--linear"],
+    "enumerate A4": ["engine", "enumerate", "--cartan", "A4", "--xi", "1:0,2:-1,3:-2,4:-1"],
+    "enumerate D4": ["engine", "enumerate", "--cartan", "D4", "--xi", "1:0,2:-1,3:0,4:0"],
+    "enumerate E6": ["engine", "enumerate", "--cartan", "E6", "--xi", "1:0,2:1,3:-1,4:0,5:-1,6:0"],
+    "verify all A3": ["verify", "all", "--cartan", "A3", "--linear", "--level", "2"],
+    "verify all D4": ["verify", "all", "--cartan", "D4", "--xi", "1:0,2:-1,3:0,4:0",
+                      "--level", "2"],
+    "verify sequence A5": ["verify", "sequence", "--cartan", "A5", "--xi", "1:0,2:-1,3:0,4:1,5:0",
+                           "--level", "5", "--format", "json"],
+}
+# SHA-256 of each run's stdout with the report timings removed: F-polynomials,
+# g-vectors, denominators and every report item, byte for byte
+PINNED_DIGESTS = {
+    "enumerate A3": "d42f3376c6f314e50d8bccb266fb24e06636e5d82f64cc40a317b79e402b3a92",
+    "enumerate A4": "1e9a649733e14948f42978e714b892e849edf193d9c046a8f149d5c484785fa8",
+    "enumerate D4": "68d71a0140d2b0d3e4ee1865fb49d54a555d0a829e5641ea085eeeb2a86621f6",
+    "enumerate E6": "7035e6aa037a4ab6299e935dd13efe48e8304e13f4d45b056eb890dbc9ea5691",
+    "verify all A3": "e99e4f1c0834b888c65ee67ff2533318471162f1028d85c11f9f4f0b33f65b6b",
+    "verify all D4": "262ec01574f2486a2d2334d7aae54e44b23f8d327cb575509c366c67d0640602",
+    "verify sequence A5": "6b6ed5b44fa3c43c54091c92f257b4c1ee536020a131116573784d6e0ffe8677",
+}
+
+
+def _pinned_digests() -> dict[str, str]:
+    out = {}
+    for name, argv in PINNED_RUNS.items():
+        code, text, _ = _main_captured(argv)
+        assert code == 0, name
+        text = re.sub(r' \(\d+\.\d\ds\)$', "", text, flags=re.M)  # text reports
+        text = re.sub(r'\n *"seconds": [0-9.e-]+', "", text)  # JSON reports
+        out[name] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_command_output_is_pinned():
+    assert _pinned_digests() == PINNED_DIGESTS

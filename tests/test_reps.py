@@ -14,6 +14,7 @@ from clustermod.hlmap import psi
 from clustermod.reps import CQObject, RepContext, positive_roots, rep_json
 
 from oracles import (
+    _rank,
     oracle_exchange_pairs,
     oracle_ext1_mod,
     oracle_hom_dim_typeA_linear,
@@ -135,6 +136,13 @@ def test_socle_matches_rank_oracle(cartan, xi):
     rc = RepContext(cartan, xi)
     for obj in rc.indecomposables():
         assert rc.socle(obj) == oracle_socle(rc, obj), obj
+
+
+def test_rank_oracle_is_exact():
+    # the third row is a rational combination of the first two; float elimination
+    # leaves a residue in the last pivot and reads rank 3
+    assert _rank([[-59, 17, 5], [77, -98, 49], [57, -8, -11]]) == 2
+    assert _rank([[3, 1], [1, 2]]) == 2 and _rank([[2, 4], [1, 2]]) == 1
 
 
 # ---- g-vectors ------------------------------------------------------------------------

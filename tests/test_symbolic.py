@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clustermod.errors import (
+    ClusterModError,
     ConfigurationError,
     InexactDivisionError,
     NotSubtractionFreeError,
@@ -21,6 +22,7 @@ from clustermod.symbolic import (
     Yvar,
     zvar,
 )
+from oracles import oracle_eval_tropical, oracle_substitute
 
 X1, X2 = xvar(1), xvar(2)
 F1, F2 = fvar(1), fvar(2)
@@ -183,6 +185,82 @@ def test_substitute_composes_on_monomial_images(p, e1, e2):
     lhs = substitute(substitute(p, sigma), tau)
     composed = {v: substitute(img, tau) for v, img in sigma.items()}
     assert lhs == substitute(p, composed)
+
+
+# ---- substitution and tropical evaluation against the arithmetic oracles --------
+
+IMG_VARS = [xvar(2), fvar(1), tvar(1)]
+
+
+@st.composite
+def image_monomials(draw):
+    """A one-term image over a small alphabet, so that term images often collide."""
+    exps = {v: draw(st.integers(-2, 2)) for v in draw(st.sets(st.sampled_from(IMG_VARS),
+                                                               max_size=2))}
+    return LaurentPoly.from_monomial(Monomial(exps), draw(st.sampled_from([1, -1, 2, -2])))
+
+
+def _outcome(fn, *args):
+    """The result of fn, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except ClusterModError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_substitution(p, assign):
+    got, want = _outcome(substitute, p, assign), _outcome(oracle_substitute, p, assign)
+    assert got == want
+    if isinstance(want, LaurentPoly):  # the same terms, stored in the same order
+        assert list(got.monomials()) == list(want.monomials())
+        assert str(got) == str(want)
+
+
+@given(polys(), st.dictionaries(st.sampled_from(VARS), image_monomials()))
+@settings(max_examples=80, deadline=None)
+def test_substitute_matches_oracle_on_monomial_images(p, assign):
+    """Units, coefficients +-2 (negative powers of which raise) and unassigned variables."""
+    _assert_same_substitution(p, assign)
+
+
+@given(polys(), st.dictionaries(st.sampled_from(VARS), st.one_of(image_monomials(), polys())))
+@settings(max_examples=80, deadline=None)
+def test_substitute_matches_oracle_on_general_images(p, assign):
+    """Non-monomial and zero images, negative exponents on them, unassigned variables."""
+    _assert_same_substitution(p, assign)
+
+
+@pytest.mark.parametrize("p,assign", [
+    (poly(({X1: 1}, 1), ({X2: 1}, -1)), {X1: poly(({F1: 1}, 1)), X2: poly(({F1: 1}, 1))}),
+    (poly(({X1: -1}, 3), ({X2: 2}, 1)), {X1: poly(({F1: -1}, -1)), X2: poly(({F1: 1}, 2))}),
+    (poly(({X1: 1, X2: -1}, 1), ({}, 2)), {X1: poly(({F1: 1}, 1), ({}, -1)),
+                                          X2: poly(({F1: 1}, 2))}),
+    (poly(({X1: 2, X2: -1}, 1)), {X1: poly(({F1: 1}, 1), ({}, 1)),
+                                  X2: poly(({}, 1), ({F1: 1}, 1))}),
+    (poly(({X2: 1, F1: 1}, 1), ({X1: -1}, 1)), {X1: LaurentPoly.zero()}),
+], ids=["cancelling", "unit-negative-power", "non-unit-negative-power",
+        "non-monomial-negative-power", "zero-image"])
+def test_substitute_matches_oracle_examples(p, assign):
+    _assert_same_substitution(p, assign)
+
+
+TROP_GENS = (fvar(1), fvar(2))
+TROPS = st.builds(TropElem, st.just(TROP_GENS), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+
+
+@given(polys(), st.dictionaries(st.sampled_from(VARS), st.one_of(
+    TROPS, st.builds(TropElem, st.just((fvar(1),)), st.tuples(st.integers(-3, 3))))))
+@settings(max_examples=80, deadline=None)
+def test_eval_tropical_matches_oracle(f, assign):
+    """Negative coefficients, unassigned variables, the zero polynomial and values
+    over different generator lists raise the same error as the oracle."""
+    assert _outcome(eval_tropical, f, assign) == _outcome(oracle_eval_tropical, f, assign)
+
+
+@given(polys(positive=True), st.fixed_dictionaries({v: TROPS for v in VARS}))
+@settings(max_examples=40, deadline=None)
+def test_eval_tropical_matches_oracle_when_defined(f, assign):
+    assert _outcome(eval_tropical, f, assign) == _outcome(oracle_eval_tropical, f, assign)
 
 
 # ---- exact division ----------------------------------------------------------
