@@ -5,8 +5,8 @@ means every exponent is nonnegative.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .cartan import CartanData
 from .errors import DomainError, NonDominantError
@@ -32,6 +32,14 @@ class YMonomial:
                 del d[key]
         self._items = tuple(sorted(d.items()))
         self._hash = hash(self._items)
+
+    @classmethod
+    def _from_sorted(cls, items: tuple) -> "YMonomial":
+        """Wrap items sorted by key, with distinct keys and no zero exponent."""
+        m = cls.__new__(cls)
+        m._items = items
+        m._hash = hash(items)
+        return m
 
     @staticmethod
     def one() -> "YMonomial":
@@ -64,18 +72,18 @@ class YMonomial:
                 d[key] = e
             else:
                 del d[key]
-        return YMonomial(d)
+        return YMonomial._from_sorted(tuple(sorted(d.items())))
 
     def __truediv__(self, other: "YMonomial") -> "YMonomial":
         return self * other.inverse()
 
     def inverse(self) -> "YMonomial":
-        return YMonomial(tuple((k, -e) for k, e in self._items))
+        return YMonomial._from_sorted(tuple((k, -e) for k, e in self._items))
 
     def __pow__(self, n: int) -> "YMonomial":
         if n == 0:
             return YMonomial()
-        return YMonomial(tuple((k, n * e) for k, e in self._items))
+        return YMonomial._from_sorted(tuple((k, n * e) for k, e in self._items))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, YMonomial) and self._items == other._items
@@ -99,20 +107,31 @@ class YMonomial:
         return [[i, r, e] for (i, r), e in self._items]
 
 
-def z_monomial(i: int, p: int, xi: dict[int, int]) -> YMonomial:
-    """Initial cluster variable z_{i,p} = prod of Y_{i,p+2k} up to height xi(i)."""
+def _z_range(i: int, p: int, xi: dict[int, int]) -> range:
+    """The spectral parameters r of the factors Y_{i,r} of z_{i,p}."""
     if (p - xi[i]) % 2:
         raise DomainError(f"spectral parameter {p} off the lattice of column {i}")
     if p > xi[i]:
         raise DomainError(f"z variable needs p <= xi({i}) = {xi[i]}, got {p}")
-    return YMonomial({(i, q): 1 for q in range(p, xi[i] + 1, 2)})
+    return range(p, xi[i] + 1, 2)
+
+
+def _add_z(exps: dict, i: int, p: int, xi: dict[int, int], e: int) -> None:
+    """Multiply the exponent map `exps` by z_{i,p}^e in place."""
+    for q in _z_range(i, p, xi):
+        exps[(i, q)] = exps.get((i, q), 0) + e
+
+
+def z_monomial(i: int, p: int, xi: dict[int, int]) -> YMonomial:
+    """Initial cluster variable z_{i,p} = prod of Y_{i,p+2k} up to height xi(i)."""
+    return YMonomial._from_sorted(tuple(((i, q), 1) for q in _z_range(i, p, xi)))
 
 
 def kr_monomial(i: int, k: int, r: int) -> YMonomial:
     """Highest weight of the Kirillov-Reshetikhin module with k factors from Y_{i,r}."""
     if k < 0:
         raise DomainError("KR length must be >= 0")
-    return YMonomial({(i, r + 2 * j): 1 for j in range(k)})
+    return YMonomial._from_sorted(tuple(((i, r + 2 * j), 1) for j in range(k)))
 
 
 def uv_monomials(i: int, l: int, xi: dict[int, int]) -> tuple[YMonomial, YMonomial]:
@@ -141,25 +160,29 @@ def psi(objs, repctx: RepContext, l: int) -> YMonomial:
     """Highest l-weight monomial of the cluster module attached to a rigid object.
 
     Accepts a single CQObject or an iterable (a direct sum); multiplicative over
-    summands.  The result must be dominant; anything else signals a convention
-    error somewhere upstream.
+    summands: prod_i z_{i,xi-2l+2}^{g_i} (u_i v_i)^{s_i} over every summand, with
+    u_i v_i = z_{i,xi-2l+2} z_{i,xi}^-1 z_{i,xi-2l}, summed into one exponent map.
+    The result must be dominant; anything else signals a convention error
+    somewhere upstream.
     """
     if isinstance(objs, CQObject):
         objs = (objs,)
     if l < 1:
         raise DomainError("level must be >= 1")
     xi = repctx.xi
-    out = YMonomial.one()
+    exps: dict[tuple[int, int], int] = {}
     for obj in objs:
         g, s = repctx.extended_g(obj)
         for i in repctx.cartan.vertices:
             gi = g[i - 1]
             if gi:
-                out = out * z_monomial(i, xi[i] - 2 * l + 2, xi) ** gi
+                _add_z(exps, i, xi[i] - 2 * l + 2, xi, gi)
             si = s[i - 1]
             if si:
-                u, v = uv_monomials(i, l, xi)
-                out = out * (u * v) ** si
+                _add_z(exps, i, xi[i] - 2 * l + 2, xi, si)
+                _add_z(exps, i, xi[i], xi, -si)
+                _add_z(exps, i, xi[i] - 2 * l, xi, si)
+    out = YMonomial(exps)
     if not out.is_dominant:
         raise NonDominantError(f"psi produced non-dominant monomial {out}")
     return out
@@ -175,15 +198,12 @@ class HwSource:
 
 
 def hw_extract(source: HwSource, xi: dict[int, int]) -> YMonomial:
-    """Expand z^{g-tilde} into Y-variables; the result must be dominant."""
-    n = len(source.mut_labels)
-    out = YMonomial.one()
-    for (i, r), e in zip(source.mut_labels, source.gtilde[:n]):
+    """Expand z^{g-tilde} into Y-variables in one exponent map; the result must be dominant."""
+    exps: dict[tuple[int, int], int] = {}
+    for (i, r), e in zip(source.mut_labels + source.gen_labels, source.gtilde):
         if e:
-            out = out * z_monomial(i, r, xi) ** e
-    for (i, r), e in zip(source.gen_labels, source.gtilde[n:]):
-        if e:
-            out = out * z_monomial(i, r, xi) ** e
+            _add_z(exps, i, r, xi, e)
+    out = YMonomial(exps)
     if not out.is_dominant:
         raise NonDominantError(f"hw extraction produced non-dominant monomial {out}")
     return out

@@ -47,6 +47,15 @@ class Vertex:
         raise ConfigurationError(f"cannot parse vertex label {text!r}")
 
 
+def _json_field(obj: dict, key: str, default, kind: type, what: str):
+    """obj[key], or default when absent; a value of any other JSON type than `kind`
+    (a bool is not an integer) is malformed quiver JSON."""
+    value = obj.get(key, default)
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {what}, got {json.dumps(value)}")
+    return value
+
+
 @dataclass(frozen=True)
 class IceQuiver:
     """Vertex-labeled quiver with a frozen subset and skew-symmetric matrix."""
@@ -204,14 +213,16 @@ class IceQuiver:
             raise ConfigurationError(f"quiver file is not JSON: {exc}") from None
         try:
             vertices = [Vertex.parse(v["label"]) for v in data["vertices"]]
-            frozen = [Vertex.parse(v["label"]) for v in data["vertices"] if v.get("frozen")]
+            frozen = [Vertex.parse(v["label"]) for v in data["vertices"]
+                      if _json_field(v, "frozen", False, bool, "a boolean")]
             arrows = [
-                (Vertex.parse(a["from"]), Vertex.parse(a["to"]), int(a.get("mult", 1)))
+                (Vertex.parse(a["from"]), Vertex.parse(a["to"]),
+                 _json_field(a, "mult", 1, int, "an integer"))
                 for a in data["arrows"]
             ]
         except KeyError as exc:
             raise ConfigurationError(f"quiver JSON lacks the key {exc}") from None
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # int(Infinity)
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed quiver JSON: {exc}") from None
         return IceQuiver.from_arrows(vertices, frozen, arrows)
 

@@ -5,9 +5,11 @@ projective per vertex.  Socles and Ext^1 dimensions are integer formulas in the
 dimension vectors: a Dynkin quiver is representation-directed, so for
 indecomposables X, Y at most one of Hom(X, Y) and Ext^1(X, Y) is nonzero and the
 Euler form <x, y> gives both (Ringel, LNM 1099).  Explicit indecomposables over Q,
-built by reflection functors, and their Hom spaces by exact linear algebra serve
-`rep` and the image of the morphism in `im_h`.  Matrix entries are ints; a Fraction
-appears only after a pivot division that is not exact.
+built by reflection functors along a BFS over (orientation, root) states, and their
+Hom spaces by exact linear algebra serve `rep` and `im_h`.  Hom between
+indecomposables is at most one-dimensional, so `im_h` reads the image of the
+morphism off one reduced row echelon form per vertex of its Hom vector.  Matrix
+entries are ints; a Fraction appears only after a pivot division that is not exact.
 """
 from __future__ import annotations
 
@@ -37,13 +39,6 @@ def _zeros(nrows: int, ncols: int) -> Matrix:
     return tuple((0,) * ncols for _ in range(nrows))
 
 
-def _matmul(a: Matrix, b: Matrix, n: int, m: int, p: int) -> Matrix:
-    # a: n x m, b: m x p
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)) for i in range(n)
-    )
-
-
 def _div(x, pv):
     """x / pv exactly: an int when the quotient is integral, else a Fraction."""
     if type(x) is int and type(pv) is int:
@@ -52,6 +47,11 @@ def _div(x, pv):
             return q
     q = Fraction(x, pv)
     return q.numerator if q.denominator == 1 else q
+
+
+def _exact(x):
+    """x with an integral Fraction as an int, as `_rref` leaves its entries."""
+    return x if type(x) is int else _div(x, 1)
 
 
 def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
@@ -80,7 +80,7 @@ def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
         if r == len(mat):
             break
     if fractions:
-        return [[_div(x, 1) for x in row] for row in mat[:r]], pivots
+        return [[_exact(x) for x in row] for row in mat[:r]], pivots
     return mat[:r], pivots
 
 
@@ -108,19 +108,6 @@ def _column_basis(m: Matrix, nrows: int, ncols: int) -> list[tuple]:
         return []
     _, pivots = _rref([list(row) for row in m], ncols)
     return [tuple(m[r][c] for r in range(nrows)) for c in pivots]
-
-
-def _solve_matrix(a: Matrix, b: Matrix, nrows: int, acols: int, bcols: int, where: str) -> Matrix:
-    """Solve a Z = b column by column; a must have full column rank on span(b)."""
-    rows = [list(a[r]) + list(b[r]) for r in range(nrows)]
-    rref, pivots = _rref(rows, acols + bcols)
-    z = [[0] * bcols for _ in range(acols)]
-    for row, pc in zip(rref, pivots):
-        if pc >= acols:
-            raise InternalInvariantError(f"inconsistent linear system in solve for {where}")
-        for j in range(bcols):
-            z[pc][j] = row[acols + j]
-    return _mat(z)
 
 
 @dataclass(frozen=True)
@@ -210,6 +197,8 @@ class RepContext:
         self.out = {i: tuple(t for s, t in self.arrows if s == i) for i in cartan.vertices}
         self.inn = {i: tuple(s for s, t in self.arrows if t == i) for i in cartan.vertices}
         self._rep_cache: dict[tuple[int, ...], QuiverRep] = {}
+        self._tau_inv_cache: dict[CQObject, CQObject] = {}
+        self._tau_cache: dict[CQObject, CQObject] = {}
         self._proj = {i: self._reach(i, self.out) for i in cartan.vertices}
         self._inj = {i: self._reach(i, self.inn) for i in cartan.vertices}
         self._vertex_of_proj = {d: i for i, d in self._proj.items()}
@@ -283,31 +272,53 @@ class RepContext:
         self._rep_cache[dims] = rep
         return rep
 
+    @functools.cached_property
+    def _sink_tests(self) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+        """Per vertex k: (k, bits of the base arrows at k, bits of those leaving k, neighbours).
+
+        An orientation is the bitmask of the base arrows it reverses; k is a sink of
+        `mask` exactly when `mask & at_k == leaving_k`, and reflecting at k flips `at_k`.
+        """
+        bits = tuple(enumerate(self.arrows))
+        return tuple(
+            (k, sum(1 << b for b, arrow in bits if k in arrow),
+             sum(1 << b for b, (s, _) in bits if s == k), self.cartan.neighbors(k))
+            for k in self.cartan.vertices)
+
+    def _orientation(self, mask: int) -> tuple[tuple[int, int], ...]:
+        """The sorted arrows of the base orientation with the arrows in `mask` reversed."""
+        return tuple(sorted((t, s) if mask >> b & 1 else (s, t)
+                            for b, (s, t) in enumerate(self.arrows)))
+
     def _reflection_chain(self, alpha):
         """BFS over (orientation, root) states down to a simple root.
 
         Returns [(arrows_0, k_0), ..., (arrows_m, j)] where arrows_0 is the base
         orientation, k_t is a sink of arrows_t, and the final entry holds the
-        simple root index j reached.
+        simple root index j reached.  A state keys its orientation by the bitmask of
+        reversed base arrows; sinks are tried in vertex order, and arrow tuples are
+        built only for the chain returned.
         """
-        start = (self.arrows, alpha)
+        start = (0, alpha)
         prev: dict = {start: None}
         queue = deque([start])
         goal = None
+        sink_tests = self._sink_tests
         while queue:
             state = queue.popleft()
-            arrows, beta = state
+            mask, beta = state
             j = self._vertex_of_unit.get(beta)
             if j is not None:
                 goal = (state, j)
                 break
-            sources = {s for s, _ in arrows}
-            for k in (v for v in self.cartan.vertices if v not in sources):
+            for k, at_k, leaving_k, nbrs in sink_tests:
+                if mask & at_k != leaving_k:
+                    continue
                 # the reflection at the sink k changes coordinate k only
-                bk = sum(beta[j2 - 1] for j2 in self.cartan.neighbors(k)) - beta[k - 1]
+                bk = sum(beta[j2 - 1] for j2 in nbrs) - beta[k - 1]
                 if bk < 0:
                     continue
-                nxt = (_flip(arrows, k), beta[:k - 1] + (bk,) + beta[k:])
+                nxt = (mask ^ at_k, beta[:k - 1] + (bk,) + beta[k:])
                 if nxt not in prev:
                     prev[nxt] = (state, k)
                     queue.append(nxt)
@@ -318,10 +329,10 @@ class RepContext:
         cur = state
         while prev[cur] is not None:
             parent, k = prev[cur]
-            steps.append((parent[0], k))
+            steps.append((self._orientation(parent[0]), k))
             cur = parent
         steps.reverse()
-        steps.append((state[0], j))
+        steps.append((self._orientation(state[0]), j))
         return steps
 
     def _unit(self, v: int) -> tuple[int, ...]:
@@ -414,25 +425,30 @@ class RepContext:
         return tuple(sum(mat[r][c] * vec[c] for c in range(self.n)) for r in range(self.n))
 
     def tau_inv(self, obj: CQObject) -> CQObject:
-        if obj.kind == "shift":
-            return CQObject.module(self.proj_dims(obj.i))
-        j = self._vertex_of_inj.get(obj.dims)
-        if j is not None:
-            return CQObject.shifted(j)
-        out = self._apply(self._coxeter[1], obj.dims)
-        if out not in self._root_set:
-            raise InternalInvariantError(f"tau^-1 of {obj.dims} gave non-root {out}")
-        return CQObject.module(out)
+        out = self._tau_inv_cache.get(obj)
+        if out is None:
+            out = self._tau_inv_cache[obj] = self._translate(
+                obj, self._proj, self._vertex_of_inj, self._coxeter[1], "tau^-1")
+        return out
 
     def tau(self, obj: CQObject) -> CQObject:
+        out = self._tau_cache.get(obj)
+        if out is None:
+            out = self._tau_cache[obj] = self._translate(
+                obj, self._inj, self._vertex_of_proj, self._coxeter[0], "tau")
+        return out
+
+    def _translate(self, obj, shift_image, shifted_from, coxeter, name) -> CQObject:
+        """tau or tau^-1: shifts go to modules, the end modules of the orbit to shifts,
+        and every other module by the Coxeter matrix."""
         if obj.kind == "shift":
-            return CQObject.module(self.inj_dims(obj.i))
-        j = self._vertex_of_proj.get(obj.dims)
+            return CQObject.module(shift_image[obj.i])
+        j = shifted_from.get(obj.dims)
         if j is not None:
             return CQObject.shifted(j)
-        out = self._apply(self._coxeter[0], obj.dims)
+        out = self._apply(coxeter, obj.dims)
         if out not in self._root_set:
-            raise InternalInvariantError(f"tau of {obj.dims} gave non-root {out}")
+            raise InternalInvariantError(f"{name} of {obj.dims} gave non-root {out}")
         return CQObject.module(out)
 
     # ---- Hom / Ext ----------------------------------------------------------
@@ -504,7 +520,13 @@ class RepContext:
     # ---- exchange-relation ingredients --------------------------------------
 
     def im_h(self, l_obj: CQObject, n_obj: CQObject) -> QuiverRep:
-        """Image of the (unique up to scalar) morphism tau^-1 L -> N, module case only."""
+        """Image of the (unique up to scalar) morphism h: tau^-1 L -> N, module case only.
+
+        At each vertex i the pivot columns P_i of the block h_i span the image, and
+        the reduced rows R_i of h_i give h_i = h_i[:, P_i] R_i.  Since N_a h_s = h_t L_a
+        on an arrow a: s -> t, N_a h_s[:, P_s] = h_t[:, P_t] z with z = R_t L_a[:, P_s],
+        so z is the image's map on a in the basis P; the product is checked.
+        """
         self.check_object(l_obj)
         self.check_object(n_obj)
         lt = self.tau_inv(l_obj)
@@ -523,28 +545,28 @@ class RepContext:
             raise InternalInvariantError(
                 f"Hom({lt.dims}, {n_obj.dims}) has dimension {dim}, Euler form gives 1")
         h = basis[0]
-        col_bases = {}
-        dims = []
-        for i in self.cartan.vertices:
-            cb = _column_basis(h[i], rn.dims[i - 1], rl.dims[i - 1])
-            col_bases[i] = cb
-            dims.append(len(cb))
+        reduced = {i: _rref(h[i], rl.dims[i - 1]) for i in self.cartan.vertices}
         mats = []
         for s, t in self.arrows:
-            bs, bt = col_bases[s], col_bases[t]
-            na = rn.matrix(s, t)
-            moved = _matmul(
-                na,
-                _mat([[bs[c][r] for c in range(len(bs))] for r in range(rn.dims[s - 1])]),
-                rn.dims[t - 1],
-                rn.dims[s - 1],
-                len(bs),
+            rows_t, piv_t = reduced[t]
+            piv_s = reduced[s][1]
+            la = rl.matrix(s, t)
+            z = tuple(
+                tuple(_exact(sum(x * la[k][c] for k, x in enumerate(row))) for c in piv_s)
+                for row in rows_t
             )
-            bmat = _mat([[bt[c][r] for c in range(len(bt))] for r in range(rn.dims[t - 1])])
-            z = _solve_matrix(bmat, moved, rn.dims[t - 1], len(bt), len(bs),
-                              f"Hom({lt.dims}, {n_obj.dims}) at arrow {s}->{t}")
+            ht, hs, na = h[t], h[s], rn.matrix(s, t)
+            if any(
+                sum(hrow[p] * z[q][c] for q, p in enumerate(piv_t))
+                != sum(x * hs[k][pc] for k, x in enumerate(narow))
+                for hrow, narow in zip(ht, na) for c, pc in enumerate(piv_s)
+            ):
+                raise InternalInvariantError(
+                    f"inconsistent linear system in solve for "
+                    f"Hom({lt.dims}, {n_obj.dims}) at arrow {s}->{t}")
             mats.append((s, t, z))
-        return QuiverRep(self.n, tuple(dims), tuple(mats))
+        dims = tuple(len(reduced[i][1]) for i in self.cartan.vertices)
+        return QuiverRep(self.n, dims, tuple(mats))
 
     def g_of_dims(self, d) -> tuple[int, ...]:
         return tuple(

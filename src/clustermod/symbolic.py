@@ -6,8 +6,8 @@ unbounded Python integers.  Everything here is immutable and pure.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .errors import (
     ConfigurationError,

@@ -15,7 +15,10 @@ outgoing maps, a Hom space) instead of the Euler-form formulas they check.
 The reference row reduction divides every pivot row in Fractions, where the
 library keeps integer entries integral, and the reference reflection-chain
 search is the plain list-queue BFS that the library's search must reproduce
-state for state.
+state for state.  The reference image of the exchange morphism takes a column
+basis of the Hom vector at each vertex and solves one linear system per arrow,
+where the library reads the arrow maps off one reduced row echelon form per
+vertex.
 """
 from __future__ import annotations
 
@@ -28,7 +31,13 @@ from typing import Mapping
 from clustermod import Seed
 from clustermod.cartan import check_height_function
 from clustermod.engine import ClusterVarRecord, ExchangeEdge, ExchangeGraph, make_record
-from clustermod.errors import ConfigurationError, NotSubtractionFreeError
+from clustermod.errors import (
+    ConfigurationError,
+    InternalInvariantError,
+    NotSubtractionFreeError,
+    ShiftCaseUnsupported,
+)
+from clustermod.reps import QuiverRep, _column_basis, _mat, _rref
 from clustermod.symbolic import LaurentPoly, Monomial, TropElem, VarId, div_exact
 
 
@@ -453,3 +462,70 @@ def oracle_reflection_chain(rc, alpha):
     steps.reverse()
     steps.append((state[0], j))
     return steps
+
+
+# The solve-based image of the exchange morphism, kept as it stood before the
+# library read the arrow maps off one reduced row echelon form per vertex.
+
+
+def _matmul(a, b, n: int, m: int, p: int):
+    # a: n x m, b: m x p
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)) for i in range(n)
+    )
+
+
+def oracle_solve_matrix(a, b, nrows: int, acols: int, bcols: int, where: str):
+    """Solve a Z = b column by column; a must have full column rank on span(b)."""
+    rows = [list(a[r]) + list(b[r]) for r in range(nrows)]
+    rref, pivots = _rref(rows, acols + bcols)
+    z = [[0] * bcols for _ in range(acols)]
+    for row, pc in zip(rref, pivots):
+        if pc >= acols:
+            raise InternalInvariantError(f"inconsistent linear system in solve for {where}")
+        for j in range(bcols):
+            z[pc][j] = row[acols + j]
+    return _mat(z)
+
+
+def oracle_im_h(rc, l_obj, n_obj) -> QuiverRep:
+    """Image of the (unique up to scalar) morphism tau^-1 L -> N, module case only."""
+    rc.check_object(l_obj)
+    rc.check_object(n_obj)
+    lt = rc.tau_inv(l_obj)
+    if not lt.is_module or not n_obj.is_module:
+        raise ShiftCaseUnsupported("tau^-1 L or N is not a module")
+    euler = rc.euler_form(lt.dims, n_obj.dims)
+    if euler <= 0:
+        raise ShiftCaseUnsupported("Hom(tau^-1 L, N) = 0")
+    if euler > 1:
+        raise ShiftCaseUnsupported("Hom(tau^-1 L, N) is not one-dimensional")
+    rl = rc.rep(lt.dims)
+    rn = rc.rep(n_obj.dims)
+    dim, basis = rc.hom(rl, rn)
+    if dim != 1:
+        raise InternalInvariantError(
+            f"Hom({lt.dims}, {n_obj.dims}) has dimension {dim}, Euler form gives 1")
+    h = basis[0]
+    col_bases = {}
+    dims = []
+    for i in rc.cartan.vertices:
+        cb = _column_basis(h[i], rn.dims[i - 1], rl.dims[i - 1])
+        col_bases[i] = cb
+        dims.append(len(cb))
+    mats = []
+    for s, t in rc.arrows:
+        bs, bt = col_bases[s], col_bases[t]
+        na = rn.matrix(s, t)
+        moved = _matmul(
+            na,
+            _mat([[bs[c][r] for c in range(len(bs))] for r in range(rn.dims[s - 1])]),
+            rn.dims[t - 1],
+            rn.dims[s - 1],
+            len(bs),
+        )
+        bmat = _mat([[bt[c][r] for c in range(len(bt))] for r in range(rn.dims[t - 1])])
+        z = oracle_solve_matrix(bmat, moved, rn.dims[t - 1], len(bt), len(bs),
+                                f"Hom({lt.dims}, {n_obj.dims}) at arrow {s}->{t}")
+        mats.append((s, t, z))
+    return QuiverRep(rc.n, tuple(dims), tuple(mats))

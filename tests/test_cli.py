@@ -420,11 +420,13 @@ LABELS = st.one_of(st.sampled_from(["1", "2", "3", "1'", "2'", "(1,0)", "(2,-1)"
                    st.text(alphabet="(),-'0123x ", max_size=6), st.integers(-2, 3), st.none())
 QUIVER_DATA = st.fixed_dictionaries({
     "vertices": st.lists(st.one_of(
-        st.fixed_dictionaries({"label": LABELS}, optional={"frozen": st.booleans()}),
+        st.fixed_dictionaries({"label": LABELS}, optional={
+            "frozen": st.one_of(st.booleans(), st.sampled_from([0, 1, "false", None]))}),
         st.lists(LABELS, max_size=2)), max_size=5),
     "arrows": st.lists(st.fixed_dictionaries(
         {"from": LABELS, "to": LABELS},
-        optional={"mult": st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2))},
+        optional={"mult": st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2),
+                                    st.booleans())},
     ), max_size=5),
 })
 QUIVER_TEXTS = st.one_of(
@@ -449,6 +451,13 @@ def quiver_file(tmp_path_factory):
        fmt=st.one_of(st.none(), st.sampled_from(["json", "dot", "text", "svg"])))
 @example(text='{"vertices": [{"label": "1"}], "arrows": [{"from": "1", "to": "1",'
               ' "mult": Infinity}]}', action="export", at=[], seq=None, fmt=None)
+@example(text='{"vertices": [{"label": "1"}, {"label": "2"}], "arrows": [{"from": "1", "to": "2",'
+              ' "mult": 1.5}, {"from": "2", "to": "1", "mult": "-2"}]}',
+         action="export", at=[], seq=None, fmt="json")
+@example(text='{"vertices": [{"label": "1"}, {"label": "2", "frozen": "false"}], "arrows": []}',
+         action="export", at=[], seq=None, fmt="json")
+@example(text='{"vertices": [{"label": "1"}, {"label": "2"}], "arrows": [{"from": "1", "to": "2",'
+              ' "mult": true}]}', action="mutate", at=["1"], seq=None, fmt=None)
 def test_cli_fuzz_quiver_mutate_export(quiver_file, text, action, at, seq, fmt):
     quiver_file.write_text(text)
     argv = ["quiver", action, "--in", str(quiver_file)]
@@ -460,6 +469,24 @@ def test_cli_fuzz_quiver_mutate_export(quiver_file, text, action, at, seq, fmt):
     if code:
         assert out == ""
         assert sum("error:" in line for line in err.splitlines()) == 1
+    if _mistyped_field(text):
+        assert code == 2
+
+
+def _mistyped_field(text: str) -> bool:
+    """A vertex whose "frozen" is not a JSON boolean, or an arrow whose "mult" is not a
+    JSON integer, in a quiver file that is a JSON object."""
+    try:
+        data = json.loads(text)
+    except ValueError:
+        return False
+
+    def mistyped(entries, key, kind):
+        return isinstance(entries, list) and any(
+            isinstance(x, dict) and key in x and type(x[key]) is not kind for x in entries)
+
+    return isinstance(data, dict) and (mistyped(data.get("vertices"), "frozen", bool)
+                                       or mistyped(data.get("arrows"), "mult", int))
 
 
 # ---- command output, pinned ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Wider-scope regressions beyond the acceptance floor: A5 counts, the second
-star orientation of D4, the E6 pipeline and its full exchange-graph bundle.
+star orientation of D4, the E6 pipeline and its full exchange-graph bundle, and
+`trop-socle` and `psi-kr` on drawn orientations of A6, D5, D6 and E6.
 
 Set CLUSTERMOD_SLOW_TESTS=1 to also enumerate the E7 exchange graph (a few
 seconds) and the E8 one on an orientation whose largest F-polynomials stay
@@ -7,6 +8,8 @@ small (about half a minute)."""
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustermod.cartan import cartan_type, linear_height
 from clustermod.engine import Seed, enumerate_exchange_graph
@@ -14,6 +17,7 @@ from clustermod.hlmap import kr_monomial, psi
 from clustermod.quivers import build_qcheck
 from clustermod.reps import CQObject, RepContext
 from clustermod.verify import (
+    run_check,
     verify_tropical_socle,
     verify_yhat_identity,
     verify_grid_sequence,
@@ -21,6 +25,8 @@ from clustermod.verify import (
     verify_hw_exchange,
     verify_tsystem,
 )
+
+from oracles import orientations
 
 XI_E6 = {1: 0, 2: -1, 3: -1, 4: 0, 5: -1, 6: 0}
 XI_D4_UP = {1: 0, 2: 1, 3: 0, 4: 0}  # center above the leaves
@@ -82,6 +88,20 @@ def test_e6_full_exchange_graph_bundle():
     r = verify_exchange_exponents(ct, XI_E6)
     assert r.passed and r.scope["engine_pinned"] == 0
     assert verify_tropical_socle(ct, XI_E6).passed
+
+
+DRAWN_SCOPES = st.sampled_from(["A6", "D5", "D6", "E6"]).map(cartan_type).flatmap(
+    lambda ct: st.tuples(st.just(ct), st.sampled_from(orientations(ct))))
+
+
+@settings(max_examples=8, deadline=None)
+@given(DRAWN_SCOPES, st.integers(1, 4))
+def test_trop_socle_and_psi_kr_on_drawn_orientations(scope, l):
+    # the bundle behind trop-socle raises unless the engine's g-vectors are exactly
+    # those of the indecomposables; psi-kr needs a dominant, injective psi
+    cartan, xi = scope
+    for report in run_check("trop-socle", cartan, xi) + run_check("psi-kr", cartan, xi, l=l):
+        assert report.passed and report.items > 0, report.failures[:3]
 
 
 @pytest.mark.skipif(not os.environ.get("CLUSTERMOD_SLOW_TESTS"),

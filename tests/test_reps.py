@@ -4,7 +4,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clustermod import reps
@@ -18,10 +18,12 @@ from oracles import (
     oracle_exchange_pairs,
     oracle_ext1_mod,
     oracle_hom_dim_typeA_linear,
+    oracle_im_h,
     oracle_positive_roots,
     oracle_reflection_chain,
     oracle_rref,
     oracle_socle,
+    oracle_solve_matrix,
     orientations,
 )
 
@@ -411,12 +413,12 @@ def test_solve_matrix_matches_the_fraction_reference(nrows, acols, bcols, data):
     want, pivots = _reference_rref([ra + rb for ra, rb in zip(a, b)], acols + bcols)
     if any(pc >= acols for pc in pivots):
         with pytest.raises(InternalInvariantError):
-            reps._solve_matrix(a, b, nrows, acols, bcols, "a test system")
+            oracle_solve_matrix(a, b, nrows, acols, bcols, "a test system")
         return
     z = [[Fraction(0)] * bcols for _ in range(acols)]
     for row, pc in zip(want, pivots):
         z[pc] = row[acols:]
-    got = reps._solve_matrix(a, b, nrows, acols, bcols, "a test system")
+    got = oracle_solve_matrix(a, b, nrows, acols, bcols, "a test system")
     assert got == tuple(map(tuple, z))
     _assert_normal(got)
 
@@ -466,6 +468,28 @@ def test_reflection_chains_match_the_list_queue_bfs():
         rc = RepContext(cartan, xi)
         for root in rc.roots:
             assert rc._reflection_chain(root) == oracle_reflection_chain(rc, root), (xi, root)
+
+
+IMAGE_SCOPES = [(c, xi) for c in (cartan_type("A5"), cartan_type("D5"), cartan_type("D6"))
+                for xi in orientations(c)]
+
+
+def _image_or_reason(image, rc, l_obj, n_obj) -> str:
+    try:
+        return rep_json(image(rc, l_obj, n_obj))
+    except ShiftCaseUnsupported as exc:
+        return str(exc)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(IMAGE_SCOPES))
+@example((E6, {1: 0, 2: 1, 3: -1, 4: 0, 5: -1, 6: -2}))
+def test_images_match_the_solve_based_oracle(scope):
+    rc = RepContext(*scope)
+    for x, y in rc.exchange_pairs():
+        for l_obj, n_obj in ((x, y), (y, x)):
+            assert (_image_or_reason(RepContext.im_h, rc, l_obj, n_obj)
+                    == _image_or_reason(oracle_im_h, rc, l_obj, n_obj)), (scope, l_obj, n_obj)
 
 
 # ---- invariant failures name their context ------------------------------------------------
