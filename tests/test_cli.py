@@ -501,9 +501,15 @@ PINNED_RUNS = {
                       "--level", "2"],
     "verify sequence A5": ["verify", "sequence", "--cartan", "A5", "--xi", "1:0,2:-1,3:0,4:1,5:0",
                            "--level", "5", "--format", "json"],
+    "psi table D4": ["table", "psi-monomials", "--cartan", "D4", "--xi", "1:0,2:-1,3:0,4:0",
+                     "--level", "3"],
+    "psi table E6": ["table", "psi-monomials", "--cartan", "E6",
+                     "--xi", "1:0,2:1,3:-1,4:0,5:-1,6:0", "--level", "2"],
+    "psi sum D4": ["psi", "--cartan", "D4", "--xi", "1:0,2:-1,3:0,4:0", "--level", "3",
+                   "--object", "mod:1,2,1,1+mod:0,1,0,0+shp:3"],
 }
 # SHA-256 of each run's stdout with the report timings removed: F-polynomials,
-# g-vectors, denominators and every report item, byte for byte
+# g-vectors, denominators, Psi monomials and every report item, byte for byte
 PINNED_DIGESTS = {
     "enumerate A3": "d42f3376c6f314e50d8bccb266fb24e06636e5d82f64cc40a317b79e402b3a92",
     "enumerate A4": "1e9a649733e14948f42978e714b892e849edf193d9c046a8f149d5c484785fa8",
@@ -512,6 +518,9 @@ PINNED_DIGESTS = {
     "verify all A3": "e99e4f1c0834b888c65ee67ff2533318471162f1028d85c11f9f4f0b33f65b6b",
     "verify all D4": "262ec01574f2486a2d2334d7aae54e44b23f8d327cb575509c366c67d0640602",
     "verify sequence A5": "6b6ed5b44fa3c43c54091c92f257b4c1ee536020a131116573784d6e0ffe8677",
+    "psi table D4": "5b7a589c297a4ae20f3297778a7de8447debdb84cd352ca6e76f18854a87555d",
+    "psi table E6": "1498844bf9bce44c819bd33037bf3fb2ffad1961f0e0076d0cc63ca924b2455f",
+    "psi sum D4": "a86824d68ded92c7e03748e3536c13d392fe5cdc1080c97fee3bedb3c823ac70",
 }
 
 
