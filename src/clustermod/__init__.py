@@ -15,7 +15,6 @@ from .engine import (
     separation,
 )
 from .hlmap import (
-    YMonomial,
     a_monomial,
     hw_extract,
     hw_source_from_record,
@@ -45,7 +44,6 @@ from .symbolic import (
     fvar,
     substitute,
     trop_add,
-    tvar,
     xvar,
     ycoef,
     Yvar,

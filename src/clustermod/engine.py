@@ -459,13 +459,3 @@ def run_sequence(seed: Seed, vertices: Iterable[Vertex]) -> tuple[Seed, list[Exc
         edges.append(edge)
     return seed, edges
 
-
-def seed_json(seed: Seed) -> str:
-    return json.dumps(
-        {
-            "quiver": json.loads(seed.quiver.to_json()),
-            "cluster": [str(p) for p in seed.cluster],
-            "coefficients": [str(y) for y in seed.coeffs],
-        },
-        indent=2,
-    )

@@ -16,14 +16,14 @@ from .errors import (
 )
 
 # Canonical family order used for printing, hashing and term comparison.
-_FAMILIES = ("x", "f", "Y", "z", "y", "t")
+_FAMILIES = ("x", "f", "Y", "z", "y")
 _FAMILY_ORDER = {name: k for k, name in enumerate(_FAMILIES)}
 
 _DIV_STEP_CAP = 1_000_000  # guards non-termination when an "exact" division is not
 
 
 class VarId:
-    """A formal variable: family in {x, f, Y, z, y, t}, integer index tuple.
+    """A formal variable: family in {x, f, Y, z, y}, integer index tuple.
 
     Immutable by convention; hash and sort key are precomputed since these
     sit on the hot path of every polynomial operation.
@@ -81,10 +81,6 @@ def ycoef(*index: int) -> VarId:
     return _var("y", tuple(index))
 
 
-def tvar(*index: int) -> VarId:
-    return _var("t", tuple(index))
-
-
 def _item_key(item: tuple[VarId, int]) -> tuple:
     return item[0].sort_key
 
@@ -120,6 +116,7 @@ class Monomial:
 
     @classmethod
     def _from_sorted(cls, items: tuple) -> "Monomial":
+        """Wrap items sorted by variable, with distinct variables and no zero exponent."""
         m = cls.__new__(cls)
         m._items = items
         m._hash = hash(items)
@@ -141,6 +138,10 @@ class Monomial:
     @property
     def is_one(self) -> bool:
         return not self._items
+
+    @property
+    def is_dominant(self) -> bool:
+        return all(e >= 0 for _, e in self._items)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if self.is_one:
@@ -171,12 +172,12 @@ class Monomial:
         return Monomial._from_sorted(tuple(out))
 
     def inverse(self) -> "Monomial":
-        return Monomial(tuple((v, -e) for v, e in self._items))
+        return Monomial._from_sorted(tuple((v, -e) for v, e in self._items))
 
     def __pow__(self, n: int) -> "Monomial":
         if n == 0:
             return Monomial.one()
-        return Monomial(tuple((v, n * e) for v, e in self._items))
+        return Monomial._from_sorted(tuple((v, n * e) for v, e in self._items))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         return self * other.inverse()

@@ -28,14 +28,13 @@ from .errors import (
     ShiftCaseUnsupported,
 )
 from .hlmap import (
-    YMonomial,
+    expand_z,
     hw_extract,
     hw_source_from_record,
     kr_monomial,
     psi,
     uv_monomials,
     yhat_monomial,
-    z_monomial,
 )
 from .quivers import Vertex, build_gamma_l, build_qcheck, build_qxil
 from .reps import CQObject, RepContext
@@ -204,14 +203,6 @@ QXIL2_A4_ARROWS = {
 }
 
 
-def _expand_gens(fexp, ctx, xi) -> YMonomial:
-    out = YMonomial.one()
-    for g, e in zip(ctx.gens, fexp):
-        if e:
-            out = out * z_monomial(g.index[0], g.index[1], xi) ** e
-    return out
-
-
 def s_l_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> list[Vertex]:
     """Column sweeps ordered by decreasing height (ties by index): l-1 steps per column."""
     order = sorted(cartan.vertices, key=lambda i: (-xi[i], i))
@@ -296,7 +287,7 @@ def verify_psi_kr_images(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
         got = psi(CQObject.module(repctx.inj_dims(i)), repctx, l)
         want = kr_monomial(i, l, xi[i] - 2 * l)
         rep.check(got == want, f"psi of injective {i}", got=got, want=want)
-    seen: dict[YMonomial, CQObject] = {}
+    seen: dict[Monomial, CQObject] = {}
     for obj in repctx.indecomposables():
         mono = psi(obj, repctx, l)
         rep.check(mono not in seen, f"psi injectivity at {obj}", clash=seen.get(mono))
@@ -403,7 +394,7 @@ def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report
         ea = analyze_edge(repctx, obj_by_g, edge)
         alpha = repctx.kappa(ea.x_obj, ea.m_parts, ea.y_obj)
         lhs = psi(ea.x_obj, repctx, l) * psi(ea.y_obj, repctx, l)
-        rhs = psi(ea.m_parts, repctx, l) if ea.m_parts else YMonomial.one()
+        rhs = psi(ea.m_parts, repctx, l) if ea.m_parts else Monomial.one()
         for i in cartan.vertices:
             e = alpha[i - 1]
             if e:
@@ -421,7 +412,7 @@ def verify_tsystem(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
     t0 = time.perf_counter()
     rep = Report("tsystem", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     for i in cartan.vertices:
-        lhs = YMonomial.one()
+        lhs = Monomial.one()
         for j in cartan.neighbors(i):
             if xi[i] == xi[j] + 1:
                 # Dynkin arrow i -> j contributes the shifted-projective image at j
@@ -429,7 +420,7 @@ def verify_tsystem(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
             else:
                 # Dynkin arrow j -> i contributes the injective image at j
                 lhs = lhs * kr_monomial(j, l, xi[j] - 2 * l)
-        rhs = YMonomial.one()
+        rhs = Monomial.one()
         for j in cartan.neighbors(i):
             rhs = rhs * kr_monomial(j, l, xi[i] - 2 * l + 1)
         rep.check(lhs == rhs, f"edge-product reduction at {i}", lhs=lhs, rhs=rhs)
@@ -459,10 +450,7 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
     n_mut = len(ctx.mutables)
 
     for j, v in enumerate(ctx.mutables):
-        mon = ctx.yhat_monomial(j)
-        out = YMonomial.one()
-        for var, e in mon.items:
-            out = out * z_monomial(var.index[0], var.index[1], xi) ** e
+        out = expand_z(((var.index, e) for var, e in ctx.yhat_monomial(j).items), xi)
         want = yhat_monomial(v.i, v.r, cartan)
         rep.check(out == want, f"yhat at {v} equals A-inverse", got=out, want=want)
 
@@ -480,7 +468,7 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
         rep.check(got == kr_monomial(i, k, r - 2), f"post-mutation KR label at {v}", got=got)
 
         def term_hw(term):
-            out = _expand_gens(term.fexp, ctx, xi)
+            out = expand_z(zip((g.index for g in ctx.gens), term.fexp), xi)
             for fg, mult in term.factors:
                 for jj in range(n_mut):
                     if seed.gtilde[jj][:n_mut] == fg:
@@ -492,7 +480,7 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
 
         h1, h2 = term_hw(edge.term1), term_hw(edge.term2)
         dominant = kr_monomial(i, k - 1, r) * kr_monomial(i, k + 1, r - 2)
-        other = YMonomial.one()
+        other = Monomial.one()
         for jn in cartan.neighbors(i):
             other = other * kr_monomial(jn, k, r - 1)
         rep.check(

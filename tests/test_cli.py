@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 import clustermod
 from clustermod import cli
+from clustermod.cartan import cartan_type
 from clustermod.cli import main
 from clustermod.errors import InternalInvariantError
+from clustermod.quivers import IceQuiver
+from oracles import orientations
 
 
 def run(capsys, *argv):
@@ -471,6 +474,38 @@ def test_cli_fuzz_quiver_mutate_export(quiver_file, text, action, at, seq, fmt):
         assert sum("error:" in line for line in err.splitlines()) == 1
     if _mistyped_field(text):
         assert code == 2
+
+
+# heights near zero: every orientation of each type shifted by a small offset, or a short
+# text that may be malformed; with --rmin >= -12 and --level <= 4 every window stays small
+BUILD_HEIGHTS = st.sampled_from(["A2", "A3", "A4", "D4"]).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.one_of(
+        st.builds(lambda xi, shift: ",".join(f"{i}:{h + shift}" for i, h in sorted(xi.items())),
+                  st.sampled_from(orientations(cartan_type(name))), st.integers(-3, 3)),
+        st.text(alphabet="0123:,-x ", max_size=10))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scope=BUILD_HEIGHTS,
+       family=st.sampled_from(["gamma", "gammafull", "qxi", "qcheck", "qxil"]),
+       level=st.one_of(st.none(), st.integers(-1, 4)), rmin=st.one_of(st.none(), st.integers(-12, 4)),
+       fmt=st.one_of(st.none(), st.sampled_from(["json", "dot", "text", "svg"])))
+@example(scope=("A3", "1:0,2:-1,3:0"), family="gammafull", level=None, rmin=4, fmt="json")
+@example(scope=("D4", "1:0,2:-1,3:0,4:0"), family="qxil", level=0, rmin=None, fmt=None)
+def test_cli_fuzz_quiver_build(scope, family, level, rmin, fmt):
+    cartan, xi = scope
+    argv = ["quiver", "build", "--cartan", cartan, f"--xi={xi}", "--family", family]
+    argv += [f"--{name}={value}" for name, value in (("level", level), ("rmin", rmin),
+                                                      ("format", fmt)) if value is not None]
+    code, out, err = _main_captured(argv)
+    assert code in (0, 2, 3), (argv, err)
+    if code:
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+    elif fmt in (None, "json"):
+        quiver = IceQuiver.from_json(out)
+        assert quiver.to_json() + "\n" == out
 
 
 def _mistyped_field(text: str) -> bool:

@@ -298,14 +298,6 @@ def test_coefficients_obey_ca4_prop_3_13_along_s_l(name, xi):
     assert len(steps) == 2 * cartan.rank
 
 
-def test_seed_json_smoke(a3_seed):
-    from clustermod.engine import seed_json
-
-    data = json.loads(seed_json(a3_seed))
-    assert data["cluster"] == ["x[1]", "x[2]", "x[3]"]
-    assert data["coefficients"] == ["f[1]^-1", "f[1] f[2]^-1", "f[2] f[3]^-1"]
-
-
 # ---- records against the two-Laurent reference seed -------------------------------------
 
 

@@ -7,8 +7,8 @@ from clustermod.engine import Seed, make_record
 from clustermod.errors import DomainError, NonDominantError
 from clustermod.hlmap import (
     HwSource,
-    YMonomial,
     a_monomial,
+    expand_z,
     hw_extract,
     hw_source_from_record,
     kr_monomial,
@@ -19,6 +19,7 @@ from clustermod.hlmap import (
 )
 from clustermod.quivers import build_gamma_l
 from clustermod.reps import CQObject, RepContext
+from clustermod.symbolic import Monomial, Yvar
 
 A3 = cartan_type("A3")
 XI3 = linear_height(A3)
@@ -27,7 +28,7 @@ XI_D4 = {1: 0, 2: -1, 3: 0, 4: 0}
 
 
 def Y(*pairs):
-    return YMonomial({(i, r): e for i, r, e in pairs})
+    return Monomial({Yvar(i, r): e for i, r, e in pairs})
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +44,25 @@ def test_ymonomial_arithmetic():
     b = Y((2, -1, -2), (3, 0, 1))
     assert a * b == Y((1, 0, 1), (3, 0, 1))
     assert (a / a).is_one
-    assert a ** 0 == YMonomial.one()
+    assert a ** 0 == Monomial.one()
     assert not (a * b.inverse()).is_dominant
     assert str(Y((3, -4, 1), (1, -2, 1))) == "Y[1,-2] Y[3,-4]"
+    assert str(Y((3, -4, -2), (1, 0, 1), (1, -2, 1))) == "Y[1,-2] Y[1,0] Y[3,-4]^-2"
+    # inverse and powers keep the canonical order, so they equal freshly built monomials
+    assert a.inverse() == Y((1, 0, -1), (2, -1, -2)) and (a * b) ** 3 == Y((1, 0, 3), (3, 0, 3))
+    assert a.is_dominant and Monomial.one().is_dominant
+
+
+def test_expand_z_is_the_product_of_z_powers():
+    pairs = [((1, -2), 2), ((3, -4), -1), ((1, 0), -1), ((2, -5), 0), ((3, -2), 1)]
+    want = Monomial.one()
+    for (i, p), e in pairs:
+        want = want * z_monomial(i, p, XI3) ** e
+    assert expand_z(pairs, XI3) == want == Y((1, -2, 2), (1, 0, 1), (3, -4, -1))
+    assert expand_z([((1, -2), 1), ((1, -2), -1)], XI3).is_one
+    assert expand_z([((1, 7), 0)], XI3).is_one  # a zero exponent expands nothing
+    with pytest.raises(DomainError):
+        expand_z([((1, -1), 1)], XI3)
 
 
 def test_z_monomial_examples():
@@ -60,7 +77,7 @@ def test_z_monomial_examples():
 
 def test_kr_monomial_examples():
     assert kr_monomial(1, 2, -2) == Y((1, -2, 1), (1, 0, 1))
-    assert kr_monomial(2, 0, 7) == YMonomial.one()
+    assert kr_monomial(2, 0, 7) == Monomial.one()
     assert kr_monomial(2, 2, -5) == Y((2, -5, 1), (2, -3, 1))
     with pytest.raises(DomainError):
         kr_monomial(1, -1, 0)
@@ -94,8 +111,8 @@ def test_a_inverse_lowers_weight_rows():
     for i in (1, 2, 3):
         inv = a_monomial(i, -1, A3).inverse()
         rows = {}
-        for (j, r), e in inv.items:
-            rows[j] = rows.get(j, 0) + e
+        for v, e in inv.items:
+            rows[v.index[0]] = rows.get(v.index[0], 0) + e
         assert rows[i] == -2
         for j in A3.neighbors(i):
             assert rows[j] == 1
@@ -157,7 +174,7 @@ def test_psi_level1_hl_monomials(rc3):
     # at level one the u's vanish and the socle block contributes the bottom z's
     for obj in rc3.indecomposables():
         g, s = rc3.extended_g(obj)
-        want = YMonomial.one()
+        want = Monomial.one()
         for i in (1, 2, 3):
             if g[i - 1]:
                 want = want * z_monomial(i, XI3[i], XI3) ** g[i - 1]
@@ -169,6 +186,16 @@ def test_psi_level1_hl_monomials(rc3):
 def test_non_dominant_raises():
     with pytest.raises(NonDominantError):
         hw_extract(HwSource((-1,), ((1, 0),), ()), {1: 0})
+
+
+@pytest.mark.parametrize("source", [
+    HwSource((1, 1), ((1, 0),), ()),  # an entry with no label
+    HwSource((1,), ((1, 0), (2, 0)), ()),  # a label with no entry
+    HwSource((1, 0), ((1, 0),), ((2, 0), (2, -2))),
+])
+def test_hw_extract_rejects_a_gtilde_of_the_wrong_length(source):
+    with pytest.raises(DomainError, match="g-tilde has"):
+        hw_extract(source, {1: 0, 2: 0})
 
 
 # ---- hw extraction ----------------------------------------------------------------------

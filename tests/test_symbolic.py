@@ -16,7 +16,6 @@ from clustermod.symbolic import (
     fvar,
     substitute,
     trop_add,
-    tvar,
     xvar,
     ycoef,
     Yvar,
@@ -90,7 +89,7 @@ def trop(e1, e2):
 
 
 def test_trop_add_examples():
-    u = TropElem((tvar(1),), (1,))
+    u = TropElem((ycoef(1),), (1,))
     assert trop_add(u, u ** 2) == u
     a = trop(2, -1)
     assert trop_add(a, a) == a
@@ -189,7 +188,7 @@ def test_substitute_composes_on_monomial_images(p, e1, e2):
 
 # ---- substitution and tropical evaluation against the arithmetic oracles --------
 
-IMG_VARS = [xvar(2), fvar(1), tvar(1)]
+IMG_VARS = [xvar(2), fvar(1), ycoef(1)]
 
 
 @st.composite
