@@ -19,22 +19,21 @@ def _y_monomial(exps: Mapping[tuple[int, int], int]) -> Monomial:
     return Monomial._from_sorted(tuple((Yvar(i, r), e) for (i, r), e in sorted(exps.items()) if e))
 
 
-def _z_range(i: int, p: int, xi: dict[int, int]) -> range:
-    """The spectral parameters r of the factors Y_{i,r} of z_{i,p}."""
-    if (p - xi[i]) % 2:
-        raise DomainError(f"spectral parameter {p} off the lattice of column {i}")
-    if p > xi[i]:
-        raise DomainError(f"z variable needs p <= xi({i}) = {xi[i]}, got {p}")
-    return range(p, xi[i] + 1, 2)
-
-
 def expand_z(pairs: Iterable[tuple[tuple[int, int], int]], xi: dict[int, int]) -> Monomial:
-    """prod z_{i,p}^e over ((i, p), e) pairs, expanded into Y-variables in one exponent map."""
+    """prod z_{i,p}^e over ((i, p), e) pairs, expanded into Y-variables in one exponent map.
+
+    z_{i,p} = prod Y_{i,q} over q = p, p+2, ..., xi(i); a zero exponent expands nothing.
+    """
     exps: dict[tuple[int, int], int] = {}
     for (i, p), e in pairs:
-        if e:
-            for q in _z_range(i, p, xi):
-                exps[(i, q)] = exps.get((i, q), 0) + e
+        if not e:
+            continue
+        if (p - xi[i]) % 2:
+            raise DomainError(f"spectral parameter {p} off the lattice of column {i}")
+        if p > xi[i]:
+            raise DomainError(f"z variable needs p <= xi({i}) = {xi[i]}, got {p}")
+        for q in range(p, xi[i] + 1, 2):
+            exps[(i, q)] = exps.get((i, q), 0) + e
     return _y_monomial(exps)
 
 
@@ -86,17 +85,14 @@ def psi(objs, repctx: RepContext, l: int) -> Monomial:
     if l < 1:
         raise DomainError("level must be >= 1")
     xi = repctx.xi
-
-    def pairs():
-        for obj in objs:
-            g, s = repctx.extended_g(obj)
-            for i in repctx.cartan.vertices:
-                top = xi[i] - 2 * l + 2
-                yield (i, top), g[i - 1] + s[i - 1]
-                yield (i, xi[i]), -s[i - 1]
-                yield (i, top - 2), s[i - 1]
-
-    out = expand_z(pairs(), xi)
+    pairs = []
+    for obj in objs:
+        g, s = repctx.extended_g(obj)
+        for i in repctx.cartan.vertices:
+            top = xi[i] - 2 * l + 2
+            pairs += [((i, top), g[i - 1] + s[i - 1]), ((i, xi[i]), -s[i - 1]),
+                      ((i, top - 2), s[i - 1])]
+    out = expand_z(pairs, xi)
     if not out.is_dominant:
         raise NonDominantError(f"psi produced non-dominant monomial {out}")
     return out
