@@ -46,7 +46,7 @@ def kr_monomial(i: int, k: int, r: int) -> Monomial:
     """Highest weight of the Kirillov-Reshetikhin module with k factors from Y_{i,r}."""
     if k < 0:
         raise DomainError("KR length must be >= 0")
-    return _y_monomial({(i, r + 2 * j): 1 for j in range(k)})
+    return Monomial._from_sorted(tuple((Yvar(i, r + 2 * j), 1) for j in range(k)))
 
 
 def uv_monomials(i: int, l: int, xi: dict[int, int]) -> tuple[Monomial, Monomial]:

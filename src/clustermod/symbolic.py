@@ -102,9 +102,8 @@ class Monomial:
                 merged[v] = e
             elif v in merged:
                 del merged[v]
-        items = tuple(sorted(merged.items(), key=_item_key))
-        self._items = items
-        self._hash = hash(items)
+        self._items = tuple(sorted(merged.items(), key=_item_key))
+        self._hash = None
 
     @staticmethod
     def one() -> "Monomial":
@@ -119,7 +118,7 @@ class Monomial:
         """Wrap items sorted by variable, with distinct variables and no zero exponent."""
         m = cls.__new__(cls)
         m._items = items
-        m._hash = hash(items)
+        m._hash = None
         return m
 
     @property
@@ -186,7 +185,11 @@ class Monomial:
         return isinstance(other, Monomial) and self._items == other._items
 
     def __hash__(self) -> int:
-        return self._hash
+        # taken on first use: many monomials (Y-monomials in the checks) are only compared
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._items)
+        return h
 
     def __str__(self) -> str:
         if not self._items:
