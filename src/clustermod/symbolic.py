@@ -25,11 +25,11 @@ _DIV_STEP_CAP = 1_000_000  # guards non-termination when an "exact" division is 
 class VarId:
     """A formal variable: family in {x, f, Y, z, y}, integer index tuple.
 
-    Immutable by convention; hash and sort key are precomputed since these
-    sit on the hot path of every polynomial operation.
+    Immutable by convention; hash, sort key and text are precomputed since these
+    sit on the hot path of every polynomial operation and every printed monomial.
     """
 
-    __slots__ = ("family", "index", "sort_key", "_hash")
+    __slots__ = ("family", "index", "sort_key", "_hash", "_text")
 
     def __init__(self, family: str, index: tuple[int, ...]):
         if family not in _FAMILY_ORDER:
@@ -38,6 +38,7 @@ class VarId:
         self.index = tuple(index)
         self.sort_key = (_FAMILY_ORDER[family], self.index)
         self._hash = hash(self.sort_key)
+        self._text = "%s[%s]" % (family, ",".join(str(c) for c in self.index))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VarId) and self.sort_key == other.sort_key
@@ -49,7 +50,7 @@ class VarId:
         return self.sort_key < other.sort_key
 
     def __str__(self) -> str:
-        return "%s[%s]" % (self.family, ",".join(str(c) for c in self.index))
+        return self._text
 
     def __repr__(self) -> str:
         return f"VarId({self.family!r}, {self.index!r})"
@@ -196,7 +197,7 @@ class Monomial:
             return "1"
         parts = []
         for v, e in self._items:
-            parts.append(str(v) if e == 1 else f"{v}^{e}")
+            parts.append(v._text if e == 1 else f"{v._text}^{e}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
