@@ -37,13 +37,11 @@ from .reps import CQObject, QuiverRep, RepContext, positive_roots
 from .symbolic import (
     LaurentPoly,
     Monomial,
-    TropElem,
     VarId,
     div_exact,
     eval_tropical,
     fvar,
     substitute,
-    trop_add,
     xvar,
     ycoef,
     Yvar,

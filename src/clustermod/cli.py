@@ -150,12 +150,18 @@ def _format_quiver(quiver: IceQuiver, fmt: str) -> str:
 
 def _cmd_quiver(args) -> int:
     if args.action == "build":
-        cartan, xi = _scope(args)
         fam = args.family
+        if args.rmin is not None and fam != "gammafull":
+            raise ConfigurationError("--rmin applies only to --family gammafull")
+        cartan, xi = _scope(args)
         if fam == "gamma":
             quiver = build_gamma_l(cartan, xi, args.level)
         elif fam == "gammafull":
-            rmin = args.rmin if args.rmin is not None else min(xi.values()) - 2 * args.level
+            rmin = args.rmin
+            if rmin is None:
+                if args.level < 1:
+                    raise DomainError("level must be >= 1")
+                rmin = min(xi.values()) - 2 * args.level
             quiver = build_gamma_full(cartan, xi, rmin)
         elif fam == "qxi":
             quiver = build_qxi(cartan, xi)

@@ -5,7 +5,9 @@ integer columns (the exponents of the principal coefficients in the y_j) and
 its extended g-vectors.  The ambient tropical coefficient y_k is not stored: it
 is read off column k of the frozen rows of B-tilde, one row sum per frozen
 generator, and the same read-off gives the initial coefficients y0 and the two
-exponent vectors of each exchange relation.
+exponent vectors of each exchange relation.  Every tropical value is such an
+exponent tuple over the frozen generators: a product adds tuples and the
+auxiliary sum takes their componentwise minimum.
 
 Cluster variables are not stored either: the F-polynomial of each one is
 computed once, by the Fomin-Zelevinsky recurrence (Cluster algebras IV,
@@ -38,7 +40,6 @@ from .quivers import IceQuiver, Vertex
 from .symbolic import (
     LaurentPoly,
     Monomial,
-    TropElem,
     VarId,
     div_exact,
     eval_tropical,
@@ -116,20 +117,22 @@ class SeedContext:
         col = self.mut_rows[k]
         return tuple([sum([b[r][col] for r in rows]) for rows in self.gen_rows])
 
-    @functools.cached_property
-    def y0(self) -> tuple[TropElem, ...]:
-        """Ambient coefficients of the initial seed."""
-        b = self.quiver0.b
-        return tuple(TropElem(self.gens, self.coeff_exps(b, k)) for k in range(len(self.mutables)))
+    def coeffs_of(self, b: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+        """Exponents over `gens` of every ambient coefficient of the matrix b."""
+        return tuple(self.coeff_exps(b, k) for k in range(len(self.mutables)))
 
     @functools.cached_property
-    def y0_assign(self) -> dict[VarId, TropElem]:
-        return {self.ycoefs[j]: self.y0[j] for j in range(len(self.mutables))}
+    def y0(self) -> tuple[tuple[int, ...], ...]:
+        """Ambient coefficients of the initial seed, as exponents over `gens`."""
+        return self.coeffs_of(self.quiver0.b)
+
+    @functools.cached_property
+    def y0_assign(self) -> dict[VarId, tuple[int, ...]]:
+        return dict(zip(self.ycoefs, self.y0))
 
     def yhat_monomial(self, j: int) -> Monomial:
         """yhat_j = y_j * prod_i x_i^{b_ij} over the initial seed."""
-        mon = self.y0[j].as_monomial()
-        return mon * Monomial({self.xvars[i]: e for i, e in enumerate(self.b0_cols[j]) if e})
+        return Monomial([*zip(self.gens, self.y0[j]), *zip(self.xvars, self.b0_cols[j])])
 
     @functools.cached_property
     def yhat(self) -> dict[VarId, LaurentPoly]:
@@ -194,10 +197,10 @@ class Seed:
         )
 
     @property
-    def coeffs(self) -> tuple[TropElem, ...]:
-        """Ambient tropical coefficients, read off the frozen rows of B-tilde."""
-        ctx, b = self.ctx, self.quiver.b
-        return tuple(TropElem(ctx.gens, ctx.coeff_exps(b, k)) for k in range(len(ctx.mutables)))
+    def coeffs(self) -> tuple[tuple[int, ...], ...]:
+        """Ambient tropical coefficients as exponents over `gens`, read off the
+        frozen rows of B-tilde."""
+        return self.ctx.coeffs_of(self.quiver.b)
 
     @property
     def cluster(self) -> tuple[LaurentPoly, ...]:
@@ -209,9 +212,10 @@ class Seed:
         col = self.cvecs[k]
         lo, hi = min(col), max(col)
         if lo < 0 < hi:
-            raise InternalInvariantError(f"c-vector column {k} not sign-coherent: {col}")
+            raise InternalInvariantError(
+                f"c-vector column {k} of seed {self.key()} not sign-coherent: {col}")
         if lo == hi == 0:
-            raise InternalInvariantError(f"c-vector column {k} is zero")
+            raise InternalInvariantError(f"c-vector column {k} of seed {self.key()} is zero")
         return 1 if hi > 0 else -1
 
     def _mutated_fpoly(self, k: int, bcol: tuple[int, ...]) -> LaurentPoly:
@@ -323,10 +327,11 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
     if record is None:
         fpoly = ctx.fpolys[g]
         if fpoly.constant_term() != 1:
-            raise InternalInvariantError(f"F-polynomial constant term != 1: {fpoly}")
+            raise InternalInvariantError(f"F-polynomial constant term != 1 at g = {g}: {fpoly}")
         if any(c <= 0 for c in fpoly.coefficients()):
-            raise InternalInvariantError(f"F-polynomial has non-positive coefficient: {fpoly}")
-        full = g + tuple(-e for e in eval_tropical(fpoly, ctx.y0_assign).exps)
+            raise InternalInvariantError(
+                f"F-polynomial has non-positive coefficient at g = {g}: {fpoly}")
+        full = g + tuple(-e for e in eval_tropical(fpoly, ctx.y0_assign))
         expansion = separation(full, fpoly, ctx)
         # denominator d_i = max over monomials of -(exponent of x_i), absent = 0
         xpos, denom = ctx.x_index, None

@@ -247,6 +247,8 @@ def build_gamma_full(cartan: CartanData, xi: dict[int, int], r_min: int) -> IceQ
         while p >= r_min:
             vertices.append(Vertex(i, p))
             p -= 2
+    if not vertices:
+        raise DomainError(f"the window r >= {r_min} holds no vertex")
     vset = set(vertices)
     arrows = []
     for v in vertices:

@@ -1,4 +1,4 @@
-"""Exact arithmetic: multivariate Laurent polynomials over Z and tropical semifield elements.
+"""Exact arithmetic: multivariate Laurent polynomials over Z and their tropical evaluation.
 
 Variables form an extensible alphabet of (family, index) pairs; coefficients are
 unbounded Python integers.  Everything here is immutable and pure.
@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 from .errors import (
     ConfigurationError,
@@ -538,101 +537,39 @@ def _quotient_box(a: LaurentPoly, b: LaurentPoly) -> dict[VarId, tuple[int, int]
     return box
 
 
-@dataclass(frozen=True)
-class TropElem:
-    """Element of Trop(gens): exponent vector with multiplication = +, oplus = min."""
-
-    gens: tuple[VarId, ...]
-    exps: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.gens) != len(self.exps):
-            raise ConfigurationError("generator/exponent length mismatch")
-
-    @staticmethod
-    def one(gens: tuple[VarId, ...]) -> "TropElem":
-        return TropElem(gens, (0,) * len(gens))
-
-    @staticmethod
-    def generator(gens: tuple[VarId, ...], v: VarId, e: int = 1) -> "TropElem":
-        return TropElem(gens, tuple(e if g == v else 0 for g in gens))
-
-    @staticmethod
-    def from_exponents(gens: tuple[VarId, ...], exps: Mapping[VarId, int]) -> "TropElem":
-        unknown = set(exps) - set(gens)
-        if unknown:
-            raise ConfigurationError(f"exponents on non-generators: {unknown}")
-        return TropElem(gens, tuple(exps.get(g, 0) for g in gens))
-
-    def _check(self, other: "TropElem"):
-        if self.gens != other.gens:
-            raise ConfigurationError("tropical elements over different generator lists")
-
-    @property
-    def is_one(self) -> bool:
-        return not any(self.exps)
-
-    def exponent(self, v: VarId) -> int:
-        return self.exps[self.gens.index(v)]
-
-    def __mul__(self, other: "TropElem") -> "TropElem":
-        self._check(other)
-        return TropElem(self.gens, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def __add__(self, other: "TropElem") -> "TropElem":
-        """Auxiliary addition: componentwise minimum of exponent vectors."""
-        self._check(other)
-        return TropElem(self.gens, tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def inverse(self) -> "TropElem":
-        return TropElem(self.gens, tuple(-a for a in self.exps))
-
-    def __pow__(self, n: int) -> "TropElem":
-        return TropElem(self.gens, tuple(n * a for a in self.exps))
-
-    def as_monomial(self) -> Monomial:
-        return Monomial({g: e for g, e in zip(self.gens, self.exps) if e})
-
-    def __str__(self) -> str:
-        return str(self.as_monomial())
-
-
-def trop_add(a: TropElem, b: TropElem) -> TropElem:
-    return a + b
-
-
-def eval_tropical(f: LaurentPoly, assign: Mapping[VarId, TropElem]) -> TropElem:
+def eval_tropical(f: LaurentPoly, assign: Mapping[VarId, tuple[int, ...]]) -> tuple[int, ...]:
     """Evaluate a subtraction-free Laurent polynomial in a tropical semifield.
 
-    Coefficients are discarded; any negative coefficient is rejected since the
-    tropical evaluation of a general expression is not defined term-by-term.
-    Each term is one exponent list, and the sum is their componentwise minimum.
+    A semifield value is its exponent tuple over a fixed generator list, so
+    multiplication adds tuples and the auxiliary addition is the componentwise
+    minimum.  Coefficients are discarded; any negative coefficient is rejected
+    since the tropical evaluation of a general expression is not defined
+    term-by-term.  The values met must all have one length.
     """
     if f.is_zero:
         raise ConfigurationError("cannot tropically evaluate the zero polynomial")
-    gens = low = None
+    low = None
     for m, c in f._terms.items():
         if c < 0:
             raise NotSubtractionFreeError("polynomial has a negative coefficient")
-        tgens = vec = None
+        vec = None
         for v, e in m.items:
             try:
                 t = assign[v]
             except KeyError:
                 raise ConfigurationError(f"no tropical value assigned to {v}") from None
             if vec is None:
-                tgens, vec = t.gens, [e * a for a in t.exps]
-            elif t.gens != tgens:
-                raise ConfigurationError("tropical elements over different generator lists")
+                vec = [e * a for a in t]
+            elif len(t) != len(vec):
+                raise ConfigurationError("tropical values of different lengths")
             else:
-                vec = [a + e * b for a, b in zip(vec, t.exps)]
+                vec = [a + e * b for a, b in zip(vec, t)]
         if vec is None:
-            tgens = tuple(next(iter(assign.values())).gens) if assign else ()
-            vec = [0] * len(tgens)
+            vec = [0] * len(next(iter(assign.values()))) if assign else []
         if low is None:
-            gens, low = tgens, vec
-        elif tgens != gens:
-            raise ConfigurationError("tropical elements over different generator lists")
+            low = vec
+        elif len(vec) != len(low):
+            raise ConfigurationError("tropical values of different lengths")
         else:
             low = list(map(min, low, vec))
-    return TropElem(gens, tuple(low))
+    return tuple(low)

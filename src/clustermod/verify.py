@@ -38,7 +38,7 @@ from .hlmap import (
 )
 from .quivers import Vertex, build_gamma_l, build_qcheck, build_qxil
 from .reps import CQObject, RepContext
-from .symbolic import LaurentPoly, Monomial, TropElem, eval_tropical, fvar
+from .symbolic import LaurentPoly, Monomial, eval_tropical, fvar
 
 
 @dataclass
@@ -304,8 +304,9 @@ def verify_tropical_socle(cartan: CartanData, xi: dict[int, int]) -> Report:
     for g, record in sorted(graph.registry.items()):
         obj = obj_by_g[g]
         val = eval_tropical(record.fpoly, ctx.y0_assign)
-        want = TropElem(ctx.gens, tuple(-s for s in repctx.socle(obj)))
-        rep.check(val == want, f"tropical F value of {obj}", got=val, want=want)
+        want = tuple(-s for s in repctx.socle(obj))
+        rep.check(val == want, f"tropical F value of {obj}",
+                  got=Monomial(zip(ctx.gens, val)), want=Monomial(zip(ctx.gens, want)))
     return _timed(rep, t0)
 
 
@@ -518,7 +519,7 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
     t0 = time.perf_counter()
     rep = Report("properties", {"cartan": cartan.name, "xi": _xi_key(xi), "walks": walks,
                                 "seed": rng_seed})
-    _, _, repctx, graph, _ = get_bundle(cartan, xi)
+    _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
     ctx = graph.ctx
     n = len(ctx.mutables)
 
@@ -528,7 +529,6 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
         rep.check(graph.variable_count == VARIABLE_COUNTS[cartan.name], "variable count",
                   got=graph.variable_count, want=VARIABLE_COUNTS[cartan.name])
 
-    obj_by_g = {repctx.g_vector(o): o for o in repctx.indecomposables()}
     for g, record in sorted(graph.registry.items()):
         rep.check(record.fpoly.constant_term() == 1, f"F constant term at {g}")
         rep.check(all(c > 0 for c in record.fpoly.coefficients()), f"F positivity at {g}")
@@ -558,9 +558,7 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
         lhs = graph.registry[edge.old_g].expansion * graph.registry[edge.new_g].expansion
         rhs = LaurentPoly.zero()
         for term in (edge.term1, edge.term2):
-            part = LaurentPoly.from_monomial(
-                TropElem(ctx.gens, term.fexp).as_monomial()
-            )
+            part = LaurentPoly.from_monomial(Monomial(zip(ctx.gens, term.fexp)))
             for fg, mult in term.factors:
                 part = part * graph.registry[fg].expansion ** mult
             rhs = rhs + part
@@ -583,18 +581,19 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
     return _timed(rep, t0)
 
 
-def _prop313_coeff(seed: Seed, k: int) -> TropElem:
+def _prop313_coeff(seed: Seed, k: int) -> tuple[int, ...]:
     """y_k = y0^{c_k} prod_i F_i|_P(y0)^{b_ik} (Fomin-Zelevinsky, Cluster algebras IV,
-    Prop. 3.13) in the tropical semifield, where F_i|_P(y0) = f^{-bottom(g-tilde_i)}."""
+    Prop. 3.13) in the tropical semifield, where F_i|_P(y0) = f^{-bottom(g-tilde_i)};
+    the exponents over the frozen generators."""
     ctx = seed.ctx
     n = len(ctx.mutables)
     b, col = seed.quiver.b, ctx.mut_rows[k]
     exps = [0] * len(ctx.gens)
     for c, y in zip(seed.cvecs[k], ctx.y0):
-        exps = [a + c * e for a, e in zip(exps, y.exps)]
+        exps = [a + c * e for a, e in zip(exps, y)]
     for row, g in zip(ctx.mut_rows, seed.gtilde):
         exps = [a - b[row][col] * e for a, e in zip(exps, g[n:])]
-    return TropElem(ctx.gens, tuple(exps))
+    return tuple(exps)
 
 
 # ---------------------------------------------------------------------------

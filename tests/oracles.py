@@ -18,7 +18,9 @@ search is the plain list-queue BFS that the library's search must reproduce
 state for state.  The reference image of the exchange morphism takes a column
 basis of the Hom vector at each vertex and solves one linear system per arrow,
 where the library reads the arrow maps off one reduced row echelon form per
-vertex.
+vertex.  The reference seed's tropical coefficients are `TropElem`s, which carry
+their generator list and do semiring arithmetic, where the library keeps bare
+exponent tuples.
 """
 from __future__ import annotations
 
@@ -38,7 +40,75 @@ from clustermod.errors import (
     ShiftCaseUnsupported,
 )
 from clustermod.reps import QuiverRep, _column_basis, _mat, _rref
-from clustermod.symbolic import LaurentPoly, Monomial, TropElem, VarId, div_exact
+from clustermod.symbolic import LaurentPoly, Monomial, VarId, div_exact
+
+
+# The tropical semifield as arithmetic on elements that carry their generator
+# list, kept as it stood before the library reduced every tropical value to an
+# exponent tuple over the frozen generators.
+
+
+@dataclass(frozen=True)
+class TropElem:
+    """Element of Trop(gens): exponent vector with multiplication = +, oplus = min."""
+
+    gens: tuple[VarId, ...]
+    exps: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.gens) != len(self.exps):
+            raise ConfigurationError("generator/exponent length mismatch")
+
+    @staticmethod
+    def one(gens: tuple[VarId, ...]) -> "TropElem":
+        return TropElem(gens, (0,) * len(gens))
+
+    @staticmethod
+    def generator(gens: tuple[VarId, ...], v: VarId, e: int = 1) -> "TropElem":
+        return TropElem(gens, tuple(e if g == v else 0 for g in gens))
+
+    @staticmethod
+    def from_exponents(gens: tuple[VarId, ...], exps: Mapping[VarId, int]) -> "TropElem":
+        unknown = set(exps) - set(gens)
+        if unknown:
+            raise ConfigurationError(f"exponents on non-generators: {unknown}")
+        return TropElem(gens, tuple(exps.get(g, 0) for g in gens))
+
+    def _check(self, other: "TropElem"):
+        if self.gens != other.gens:
+            raise ConfigurationError("tropical elements over different generator lists")
+
+    @property
+    def is_one(self) -> bool:
+        return not any(self.exps)
+
+    def exponent(self, v: VarId) -> int:
+        return self.exps[self.gens.index(v)]
+
+    def __mul__(self, other: "TropElem") -> "TropElem":
+        self._check(other)
+        return TropElem(self.gens, tuple(a + b for a, b in zip(self.exps, other.exps)))
+
+    def __add__(self, other: "TropElem") -> "TropElem":
+        """Auxiliary addition: componentwise minimum of exponent vectors."""
+        self._check(other)
+        return TropElem(self.gens, tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
+
+    def inverse(self) -> "TropElem":
+        return TropElem(self.gens, tuple(-a for a in self.exps))
+
+    def __pow__(self, n: int) -> "TropElem":
+        return TropElem(self.gens, tuple(n * a for a in self.exps))
+
+    def as_monomial(self) -> Monomial:
+        return Monomial({g: e for g, e in zip(self.gens, self.exps) if e})
+
+    def __str__(self) -> str:
+        return str(self.as_monomial())
+
+
+def trop_add(a: TropElem, b: TropElem) -> TropElem:
+    return a + b
 
 
 # The polynomial-arithmetic substitution and the TropElem-arithmetic tropical
@@ -143,7 +213,8 @@ class OracleSeed:
         ctx = seed0.ctx
         xs = tuple(LaurentPoly.var(v) for v in ctx.xvars)
         ys = tuple(TropElem.generator(ctx.ycoefs, y) for y in ctx.ycoefs)
-        return OracleSeed(ctx, ctx.quiver0, xs, ctx.y0, xs, ys)
+        y0 = tuple(TropElem(ctx.gens, y) for y in ctx.y0)
+        return OracleSeed(ctx, ctx.quiver0, xs, y0, xs, ys)
 
     def mutate(self, v) -> "OracleSeed":
         ctx = self.ctx

@@ -92,6 +92,36 @@ def test_quiver_build_full_grid_window(capsys):
     assert len(data["vertices"]) == 9
 
 
+@pytest.mark.parametrize("level", ["0", "-1"])
+def test_quiver_build_full_grid_level_below_1_exits_3(capsys, level):
+    code, out, err = run(capsys, "quiver", "build", "--family", "gammafull", "--cartan", "A3",
+                         "--xi", "1:0,2:-1,3:0", f"--level={level}", "--format", "text")
+    assert (code, out) == (3, "")
+    assert err == "error: level must be >= 1\n"
+
+
+def test_quiver_build_full_grid_rmin_overrides_the_level(capsys):
+    code, out, _ = run(capsys, "quiver", "build", "--family", "gammafull", "--cartan", "A3",
+                       "--xi", "1:0,2:-1,3:0", "--level=-1", "--rmin=-2", "--format", "text")
+    assert code == 0
+    assert out.splitlines()[0] == "vertices: (1,0) (1,-2) (2,-1) (3,0) (3,-2)"
+
+
+def test_quiver_build_full_grid_empty_window_exits_3(capsys):
+    code, out, err = run(capsys, "quiver", "build", "--family", "gammafull", "--cartan", "A3",
+                         "--xi", "1:0,2:-1,3:0", "--rmin", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: the window r >= 1 holds no vertex\n"
+
+
+@pytest.mark.parametrize("family", ["gamma", "qxi", "qcheck", "qxil"])
+def test_quiver_build_rmin_with_another_family_exits_2(capsys, family):
+    code, out, err = run(capsys, "quiver", "build", "--family", family, "--cartan", "A3",
+                         "--xi", "1:0,2:-1,3:0", "--rmin", "-4")
+    assert (code, out) == (2, "")
+    assert err == "error: --rmin applies only to --family gammafull\n"
+
+
 def test_quiver_dot_format(capsys):
     code, out, _ = run(capsys, "quiver", "build", "--family", "gamma", "--cartan", "A3",
                        "--xi", "1:0,2:-1,3:0", "--level", "2", "--format", "dot")
@@ -506,6 +536,11 @@ def test_cli_fuzz_quiver_build(scope, family, level, rmin, fmt):
     elif fmt in (None, "json"):
         quiver = IceQuiver.from_json(out)
         assert quiver.to_json() + "\n" == out
+        assert quiver.vertices
+    elif fmt == "text":
+        assert out.splitlines()[0] != "vertices: "
+    else:
+        assert "[shape=" in out
 
 
 def _mistyped_field(text: str) -> bool:

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 
 import pytest
 
@@ -11,14 +13,15 @@ from clustermod.engine import (
     seed_context,
     separation,
 )
-from clustermod.errors import FrozenVertexError
+from clustermod.errors import FrozenVertexError, InternalInvariantError
 from clustermod.quivers import IceQuiver, Vertex, build_gamma_l, build_qcheck
 from clustermod.reps import RepContext
-from clustermod.symbolic import LaurentPoly, Monomial, TropElem, fvar, xvar, ycoef
+from clustermod.symbolic import LaurentPoly, Monomial, fvar, xvar, ycoef
 from clustermod.verify import s_l_sequence
 
 from oracles import (
     OracleSeed,
+    TropElem,
     oracle_records,
     oracle_seed_count,
     oracle_thin_fpoly,
@@ -59,7 +62,9 @@ def test_coefficient_free_a2_classic():
 
 def test_qcheck_mutation_at_sink(a3_seed):
     ctx = a3_seed.ctx
-    assert [str(y) for y in ctx.y0] == ["f[1]^-1", "f[1] f[2]^-1", "f[2] f[3]^-1"]
+    assert ctx.y0 == ((-1, 0, 0), (1, -1, 0), (0, 1, -1))
+    assert [str(TropElem(ctx.gens, y)) for y in ctx.y0] == ["f[1]^-1", "f[1] f[2]^-1",
+                                                            "f[2] f[3]^-1"]
     s1 = a3_seed.mutate(Vertex(3))
     k = ctx.mut_index[Vertex(3)]
     x2, x3 = xvar(2), xvar(3)
@@ -87,6 +92,32 @@ def test_double_mutation_is_identity(a3_seed):
 def test_mutation_at_frozen_rejected(a3_seed):
     with pytest.raises(FrozenVertexError):
         a3_seed.mutate(Vertex(1, primed=True))
+
+
+# ---- invariant failures name the data that failed -------------------------------------
+
+
+@pytest.mark.parametrize("bad,message", [
+    (poly(({}, 2), ({ycoef(3): 1}, 1)), "F-polynomial constant term != 1 at g = (0, 1, -1): "),
+    (poly(({}, 1), ({ycoef(3): 1}, -1)),
+     "F-polynomial has non-positive coefficient at g = (0, 1, -1): "),
+], ids=["constant-term", "positivity"])
+def test_bad_f_polynomial_names_its_g_vector(monkeypatch, bad, message):
+    seed = Seed.initial(build_qcheck(A3, XI3)).mutate(Vertex(3))
+    monkeypatch.setitem(seed.ctx.fpolys, (0, 1, -1), bad)
+    with pytest.raises(InternalInvariantError, match="^" + re.escape(message + str(bad)) + "$"):
+        make_record(seed, 2)
+
+
+@pytest.mark.parametrize("column,message", [
+    ((1, -1, 0), "c-vector column 0 of seed ((0, 0, 1), (0, 1, 0), (1, 0, 0)) "
+                 "not sign-coherent: (1, -1, 0)"),
+    ((0, 0, 0), "c-vector column 0 of seed ((0, 0, 1), (0, 1, 0), (1, 0, 0)) is zero"),
+], ids=["mixed-signs", "zero"])
+def test_sign_coherence_failure_names_the_seed(a3_seed, column, message):
+    seed = dataclasses.replace(a3_seed, cvecs=(column,) + a3_seed.cvecs[1:])
+    with pytest.raises(InternalInvariantError, match="^" + re.escape(message) + "$"):
+        seed.epsilon(0)
 
 
 # ---- principal tracking -----------------------------------------------------------
@@ -206,7 +237,7 @@ def test_initial_edge_coefficient_split(a3_seed):
     for v in ctx.mutables:
         k = ctx.mut_index[v]
         _, edge = a3_seed.mutate_with_edge(v)
-        yk = ctx.y0[k]
+        yk = TropElem(ctx.gens, ctx.y0[k])
         assert edge.term1.fexp == (yk * (yk + one).inverse()).exps
         assert edge.term2.fexp == (yk + one).inverse().exps
 
@@ -230,7 +261,7 @@ def test_edge_product_identity(a3_graph):
 def test_gamma_seed_coefficients_match_structure():
     grid = build_gamma_l(A3, XI3, 2)
     ctx = seed_context(grid)
-    by_label = {str(v): y for v, y in zip(ctx.mutables, ctx.y0)}
+    by_label = {str(v): TropElem(ctx.gens, y) for v, y in zip(ctx.mutables, ctx.y0)}
     # top rows have trivial coefficients, the row above the frozen one reads it off
     assert by_label["(1,0)"].is_one and by_label["(2,-1)"].is_one and by_label["(3,-2)"].is_one
     assert str(by_label["(1,-2)"]) == "z[1,-4]^-1"
@@ -290,10 +321,10 @@ def test_coefficients_obey_ca4_prop_3_13_along_s_l(name, xi):
         for k, u in enumerate(ctx.mutables):
             want = TropElem.one(ctx.gens)
             for c, y in zip(seed.cvecs[k], ctx.y0):
-                want = want * y ** c
+                want = want * TropElem(ctx.gens, y) ** c
             for i, w in enumerate(ctx.mutables):
                 want = want * TropElem(ctx.gens, seed.gtilde[i][n:]) ** -seed.quiver.entry(w, u)
-            assert seed.coeffs[k] == want == reference.coeffs[k], (v, u)
+            assert seed.coeffs[k] == want.exps == reference.coeffs[k].exps, (v, u)
     assert len(steps) == 2 * cartan.rank
 
 

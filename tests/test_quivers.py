@@ -149,6 +149,12 @@ def test_gamma_full_window_and_rules():
     assert ("(1,-4)", "(2,-5)") not in arrows  # (2,-5) below window floor
 
 
+def test_gamma_full_window_without_a_vertex_raises():
+    assert [str(v) for v in build_gamma_full(A3, XI_A3_ALT, 0).vertices] == ["(1,0)", "(3,0)"]
+    with pytest.raises(DomainError, match="holds no vertex"):
+        build_gamma_full(A3, XI_A3_ALT, 1)
+
+
 def test_gamma_l_level1_and_counts():
     q = build_gamma_l(A2, {1: 0, 2: -1}, 1)
     assert {str(v) for v in q.vertices} == {"(1,0)", "(2,-1)", "(1,-2)", "(2,-3)"}

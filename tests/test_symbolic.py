@@ -10,18 +10,16 @@ from clustermod.errors import (
 from clustermod.symbolic import (
     LaurentPoly,
     Monomial,
-    TropElem,
     div_exact,
     eval_tropical,
     fvar,
     substitute,
-    trop_add,
     xvar,
     ycoef,
     Yvar,
     zvar,
 )
-from oracles import oracle_eval_tropical, oracle_substitute
+from oracles import TropElem, oracle_eval_tropical, oracle_substitute, trop_add
 
 X1, X2 = xvar(1), xvar(2)
 F1, F2 = fvar(1), fvar(2)
@@ -79,7 +77,7 @@ def test_poly_division_inverts_multiplication(a, b):
     assert div_exact(a * b, b) == a
 
 
-# ---- tropical semifield ----------------------------------------------------
+# ---- tropical semifield: the reference arithmetic, and evaluation on exponent tuples ----
 
 GENS = (fvar(1), fvar(2))
 
@@ -114,26 +112,36 @@ def test_trop_laws(a1, a2, b1, b2, c1, c2):
 def test_eval_tropical_examples():
     y = ycoef(1)
     f = poly(({}, 1), ({y: 1}, 1))  # 1 + y
-    val = eval_tropical(f, {y: TropElem((F1,), (-1,))})
-    assert val == TropElem((F1,), (-1,))
+    val = eval_tropical(f, {y: (-1,)})
+    assert val == (-1,)
 
     # two-step F-polynomial evaluated at the companion-quiver coefficients
     y1, y2 = ycoef(1), ycoef(2)
     f12 = poly(({}, 1), ({y2: 1}, 1), ({y1: 1, y2: 1}, 1))
-    assign = {y1: trop(-1, 0), y2: trop(1, -1)}
-    assert eval_tropical(f12, assign) == trop(0, -1)  # = f2^-1, the inverse socle
+    assign = {y1: (-1, 0), y2: (1, -1)}
+    assert eval_tropical(f12, assign) == trop(0, -1).exps  # = f2^-1, the inverse socle
 
 
 def test_eval_tropical_rejects_negative_coefficients():
     y = ycoef(1)
     with pytest.raises(NotSubtractionFreeError):
-        eval_tropical(poly(({}, 1), ({y: 1}, -1)), {y: TropElem((F1,), (0,))})
+        eval_tropical(poly(({}, 1), ({y: 1}, -1)), {y: (0,)})
 
 
 def test_eval_tropical_unassigned_variable():
     y = ycoef(1)
     with pytest.raises(ConfigurationError):
-        eval_tropical(poly(({y: 1}, 1)), {ycoef(2): TropElem((F1,), (0,))})
+        eval_tropical(poly(({y: 1}, 1)), {ycoef(2): (0,)})
+
+
+@pytest.mark.parametrize("f", [
+    poly(({ycoef(1): 1, ycoef(2): 1}, 1)),  # within one term
+    poly(({ycoef(1): 1}, 1), ({ycoef(2): 1}, 1)),  # across terms
+    poly(({}, 1), ({ycoef(2): 1}, 1)),  # the constant term takes the first value's length
+], ids=["one-term", "two-terms", "constant-term"])
+def test_eval_tropical_rejects_values_of_different_lengths(f):
+    with pytest.raises(ConfigurationError, match="^tropical values of different lengths$"):
+        eval_tropical(f, {ycoef(1): (0, 1), ycoef(2): (2,)})
 
 
 @given(polys(positive=True), polys(positive=True))
@@ -142,9 +150,10 @@ def test_eval_tropical_multiplicative(f, g):
     if f.is_zero or g.is_zero:
         return
     gens = (xvar(1), xvar(2), fvar(1))
-    assign = {v: TropElem.generator(gens, v) for v in VARS}
+    assign = {v: TropElem.generator(gens, v).exps for v in VARS}
     lhs = eval_tropical(f * g, assign)
-    assert lhs == eval_tropical(f, assign) * eval_tropical(g, assign)
+    assert lhs == (TropElem(gens, eval_tropical(f, assign))
+                   * TropElem(gens, eval_tropical(g, assign))).exps
 
 
 # ---- substitution -----------------------------------------------------------
@@ -251,15 +260,27 @@ TROPS = st.builds(TropElem, st.just(TROP_GENS), st.tuples(st.integers(-3, 3), st
     TROPS, st.builds(TropElem, st.just((fvar(1),)), st.tuples(st.integers(-3, 3))))))
 @settings(max_examples=80, deadline=None)
 def test_eval_tropical_matches_oracle(f, assign):
-    """Negative coefficients, unassigned variables, the zero polynomial and values
-    over different generator lists raise the same error as the oracle."""
-    assert _outcome(eval_tropical, f, assign) == _outcome(oracle_eval_tropical, f, assign)
+    """Negative coefficients, unassigned variables and the zero polynomial raise the
+    same error as the oracle; values over different generator lists, which here
+    have different lengths, raise the library's length error where the oracle
+    raises its generator-list error."""
+    _assert_same_tropical_value(f, assign)
 
 
 @given(polys(positive=True), st.fixed_dictionaries({v: TROPS for v in VARS}))
 @settings(max_examples=40, deadline=None)
 def test_eval_tropical_matches_oracle_when_defined(f, assign):
-    assert _outcome(eval_tropical, f, assign) == _outcome(oracle_eval_tropical, f, assign)
+    _assert_same_tropical_value(f, assign)
+
+
+def _assert_same_tropical_value(f, assign):
+    got = _outcome(eval_tropical, f, {v: t.exps for v, t in assign.items()})
+    want = _outcome(oracle_eval_tropical, f, assign)
+    if isinstance(want, TropElem):
+        want = want.exps
+    elif want == (ConfigurationError, "tropical elements over different generator lists"):
+        want = (ConfigurationError, "tropical values of different lengths")
+    assert got == want
 
 
 # ---- exact division ----------------------------------------------------------
