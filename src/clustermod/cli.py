@@ -37,7 +37,8 @@ def _add_scope_args(p: argparse.ArgumentParser, level=True):
     p.add_argument("--linear", action="store_true",
                    help="type A sugar for the height function 1-i")
     if level:
-        p.add_argument("--level", type=int, default=2, help="level l >= 1")
+        # no default here: a command that does not read the level rejects a given one
+        p.add_argument("--level", type=int, help="level l >= 1 (default 2)")
 
 
 def _scope(args):
@@ -51,6 +52,15 @@ def _scope(args):
     else:
         raise ConfigurationError("a height function is required: --xi or --linear")
     return cartan, xi
+
+
+def _level(args) -> int:
+    return 2 if args.level is None else args.level
+
+
+def _reject_level(args, where: str) -> None:
+    if args.level is not None:
+        raise ConfigurationError(f"--level does not apply {where}")
 
 
 def _nonnegative_int(text: str) -> int:
@@ -153,22 +163,27 @@ def _cmd_quiver(args) -> int:
         fam = args.family
         if args.rmin is not None and fam != "gammafull":
             raise ConfigurationError("--rmin applies only to --family gammafull")
+        if fam in ("qxi", "qcheck"):
+            _reject_level(args, f"to --family {fam}")
+        elif args.rmin is not None:
+            _reject_level(args, "with --rmin")
         cartan, xi = _scope(args)
+        level = _level(args)
         if fam == "gamma":
-            quiver = build_gamma_l(cartan, xi, args.level)
+            quiver = build_gamma_l(cartan, xi, level)
         elif fam == "gammafull":
             rmin = args.rmin
             if rmin is None:
-                if args.level < 1:
+                if level < 1:
                     raise DomainError("level must be >= 1")
-                rmin = min(xi.values()) - 2 * args.level
+                rmin = min(xi.values()) - 2 * level
             quiver = build_gamma_full(cartan, xi, rmin)
         elif fam == "qxi":
             quiver = build_qxi(cartan, xi)
         elif fam == "qcheck":
             quiver = build_qcheck(cartan, xi)
         else:
-            quiver = build_qxil(cartan, xi, args.level)
+            quiver = build_qxil(cartan, xi, level)
         _emit(_format_quiver(quiver, args.format), args.out)
         return EXIT_OK
     try:
@@ -181,8 +196,9 @@ def _cmd_quiver(args) -> int:
     quiver = IceQuiver.from_json(text)
     if args.action == "mutate":
         labels = [Vertex.parse(text) for text in args.at]
-        if args.seq:
-            labels.extend(Vertex.parse(m) for m in re.findall(r"\([^)]*\)|-?\d+'?", args.seq))
+        if args.seq is not None:
+            # split at the commas outside parentheses; every piece must be a label
+            labels.extend(Vertex.parse(m) for m in re.split(r",(?![^(]*\))", args.seq))
         for v in labels:
             quiver = quiver.mutate(v)
     _emit(_format_quiver(quiver, args.format), args.out)
@@ -190,11 +206,13 @@ def _cmd_quiver(args) -> int:
 
 
 def _cmd_engine(args) -> int:
+    if args.family == "qcheck":
+        _reject_level(args, "to --family qcheck")
     cartan, xi = _scope(args)
     if args.family == "qcheck":
         quiver = build_qcheck(cartan, xi)
     else:
-        quiver = build_gamma_l(cartan, xi, args.level)
+        quiver = build_gamma_l(cartan, xi, _level(args))
     graph = enumerate_exchange_graph(Seed.initial(quiver), max_seeds=args.max_seeds)
     _emit(graph.report_json(), args.out)
     return EXIT_OK
@@ -226,7 +244,7 @@ def _cmd_psi(args) -> int:
     cartan, xi = _scope(args)
     ctx = RepContext(cartan, xi)
     objs = [CQObject.parse(piece) for piece in args.object.split("+")]
-    print(psi(objs, ctx, args.level))
+    print(psi(objs, ctx, _level(args)))
     return EXIT_OK
 
 
@@ -234,7 +252,7 @@ def _cmd_verify(args) -> int:
     cartan = xi = None
     if args.cartan:
         cartan, xi = _scope(args)
-    reports = run_check(args.check, cartan, xi, l=args.level, walks=args.walks,
+    reports = run_check(args.check, cartan, xi, l=_level(args), walks=args.walks,
                         rng_seed=args.seed)
     if args.format == "json":
         print("[" + ",\n".join(r.to_json() for r in reports) + "]")
@@ -262,7 +280,7 @@ def _cmd_table(args) -> int:
                   f"{' '.join(f'{x:2d}' for x in s)})")
     else:
         for obj in objs:
-            print(f"{str(obj):<{w}}  {psi(obj, ctx, args.level)}")
+            print(f"{str(obj):<{w}}  {psi(obj, ctx, _level(args))}")
     return EXIT_OK
 
 

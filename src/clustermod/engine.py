@@ -319,9 +319,8 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
     for k, c in enumerate(seed.cvecs):
         if sum(map(operator.mul, g, c)) != (k == j):
             raise InternalInvariantError(
-                f"tropical duality G^T C = I fails at position {j}, column {k}: "
-                f"g = {g}, c = {c}"
-            )
+                f"tropical duality G^T C = I fails in seed {seed.key()} at position {j}, "
+                f"column {k}: g = {g}, c = {c}")
 
     record = ctx.records.get(g)
     if record is None:
@@ -346,9 +345,8 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
 
     if record.gtilde != gtilde:
         raise InternalInvariantError(
-            f"extended g-vector recursion disagrees with -trop(F)(y0): "
-            f"{gtilde} vs {record.gtilde}"
-        )
+            f"extended g-vector recursion disagrees with -trop(F)(y0) in seed {seed.key()} "
+            f"at position {j}, g = {g}: {gtilde} vs {record.gtilde}")
     return record
 
 

@@ -5,8 +5,9 @@ projective per vertex.  Socles and Ext^1 dimensions are integer formulas in the
 dimension vectors: a Dynkin quiver is representation-directed, so for
 indecomposables X, Y at most one of Hom(X, Y) and Ext^1(X, Y) is nonzero and the
 Euler form <x, y> gives both (Ringel, LNM 1099).  Explicit indecomposables over Q,
-built by reflection functors along a BFS over (orientation, root) states, and their
-Hom spaces by exact linear algebra serve `rep` and `im_h`.  Hom between
+built by reflection functors along a BFS over (orientation, root) states with one row
+reduction per reflection step, and their Hom spaces by exact linear algebra serve
+`rep` and `im_h`.  Hom between
 indecomposables is at most one-dimensional, so `im_h` reads the image of the
 morphism off one reduced row echelon form per vertex of its Hom vector.  Matrix
 entries are ints; a Fraction appears only after a pivot division that is not exact.
@@ -24,11 +25,6 @@ from .quivers import IceQuiver, build_qxi
 
 # int entries, with a Fraction only after an inexact pivot division
 Matrix = tuple[tuple[int | Fraction, ...], ...]
-
-
-def _flip(arrows, k):
-    """Reverse every arrow incident to k."""
-    return tuple(sorted((t, s) if k in (s, t) else (s, t) for s, t in arrows))
 
 
 def _mat(rows) -> Matrix:
@@ -100,14 +96,6 @@ def _null_space(m: Matrix, nrows: int, ncols: int) -> list[tuple]:
             x[pc] = -row[fc]
         basis.append(tuple(x))
     return basis
-
-
-def _column_basis(m: Matrix, nrows: int, ncols: int) -> list[tuple]:
-    """Independent columns of m, as length-nrows vectors."""
-    if nrows == 0 or ncols == 0:
-        return []
-    _, pivots = _rref([list(row) for row in m], ncols)
-    return [tuple(m[r][c] for r in range(nrows)) for c in pivots]
 
 
 @dataclass(frozen=True)
@@ -262,8 +250,7 @@ class RepContext:
         chain = self._reflection_chain(dims)
         rep = self.simple(chain[-1][1], chain[-1][0])
         for arrows_t, k in reversed(chain[:-1]):
-            # rep currently lives over the flipped orientation, where k is a source
-            rep = self._reflect_minus(rep, k, _flip(arrows_t, k))
+            rep = self._reflect_minus(rep, k, arrows_t)
         if rep.dims != dims:
             raise InternalInvariantError(f"reflection build produced {rep.dims}, wanted {dims}")
         end_dim, _ = self.hom(rep, rep)
@@ -339,49 +326,33 @@ class RepContext:
         return tuple(1 if w == v else 0 for w in self.cartan.vertices)
 
     def _reflect_minus(self, rep: QuiverRep, k: int, arrows) -> QuiverRep:
-        """Inverse reflection functor at a source k of rep's quiver `arrows`.
+        """Inverse reflection functor at k into the sorted orientation `arrows`, where k
+        is a sink; rep lives on `arrows` with every arrow at k reversed.
 
-        Produces a representation of the quiver with all arrows at k reversed.
+        The new space at k is the cokernel of psi: M_k -> (+) M_s over the arrows s -> k.
+        One rref of [psi | I] is E [psi | I] with E invertible; its rows past the rank
+        of psi have a zero psi block, so their right block, a block of E, is a
+        surjection onto the cokernel whose kernel is the image of psi.
         """
         dims = rep.dims
-        targets = sorted(t for s, t in arrows if s == k)
-        blocks = {t: rep.matrix(k, t) for t in targets}
-        total = sum(dims[t - 1] for t in targets)
         dk = dims[k - 1]
-        stacked = []
-        for t in targets:
-            for r in range(dims[t - 1]):
-                stacked.append(list(blocks[t][r]))
-        # coker of psi: M_k -> direct sum of targets
-        img = _column_basis(_mat(stacked) if stacked else _zeros(0, dk), total, dk)
-        rank = len(img)
-        new_dk = total - rank
-        # complete the image to a basis of the ambient space with standard vectors: the
-        # pivot columns of [img | I] past the image block are the first ones independent
-        ident = [[int(r == e) for e in range(total)] for r in range(total)]
-        _, pivots = _rref([[v[r] for v in img] + ident[r] for r in range(total)], rank + total)
-        cols = img + [ident[e - rank] for e in pivots[rank:]]
-        p = _mat([[cols[c][r] for c in range(total)] for r in range(total)])
-        p_inv = _invert(p, total, f"the reflection of dimension vector {dims} at vertex {k}")
-        proj = tuple(p_inv[rank + r] for r in range(new_dk))  # new_dk x total
-
-        new_dims = tuple(new_dk if v == k else dims[v - 1] for v in self.cartan.vertices)
-        new_arrows = tuple(sorted((t, s) if s == k else (s, t) for s, t in arrows))
+        stacked = [row for s, t in arrows if t == k for row in rep.matrix(k, s)]
+        total = len(stacked)
+        rows, pivots = _rref(
+            [list(row) + [int(r == e) for e in range(total)] for r, row in enumerate(stacked)],
+            dk + total)
+        rank = sum(1 for c in pivots if c < dk)
+        coker = [row[dk:] for row in rows[rank:]]
         mats = []
-        offset = {}
-        acc = 0
-        for t in targets:
-            offset[t] = acc
-            acc += dims[t - 1]
-        for s, t in new_arrows:
+        offset = 0
+        for s, t in arrows:
             if t == k:
-                dt = dims[s - 1]
-                block = _mat(
-                    [[proj[r][offset[s] + c] for c in range(dt)] for r in range(new_dk)]
-                )
-                mats.append((s, t, block))
+                ds = dims[s - 1]
+                mats.append((s, t, _mat(row[offset:offset + ds] for row in coker)))
+                offset += ds
             else:
                 mats.append((s, t, rep.matrix(s, t)))
+        new_dims = dims[:k - 1] + (len(coker),) + dims[k:]
         return QuiverRep(self.n, new_dims, tuple(mats))
 
     # ---- socle, g-vectors -------------------------------------------------
@@ -660,11 +631,3 @@ def rep_json(rep: QuiverRep) -> str:
         },
         indent=2,
     )
-
-
-def _invert(m: Matrix, n: int, where: str) -> Matrix:
-    rows = [list(m[r]) + [int(c == r) for c in range(n)] for r in range(n)]
-    rref, pivots = _rref(rows, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise InternalInvariantError(f"matrix is singular in {where}")
-    return _mat([row[n:] for row in rref])

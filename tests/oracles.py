@@ -15,11 +15,14 @@ outgoing maps, a Hom space) instead of the Euler-form formulas they check.
 The reference row reduction divides every pivot row in Fractions, where the
 library keeps integer entries integral, and the reference reflection-chain
 search is the plain list-queue BFS that the library's search must reproduce
-state for state.  The reference image of the exchange morphism takes a column
-basis of the Hom vector at each vertex and solves one linear system per arrow,
-where the library reads the arrow maps off one reduced row echelon form per
-vertex.  The reference seed's tropical coefficients are `TropElem`s, which carry
-their generator list and do semiring arithmetic, where the library keeps bare
+state for state.  The reference reflection step takes a column basis of psi,
+completes it with standard vectors and inverts the completed basis, where the
+library reads the cokernel map off one reduced row echelon form of [psi | I].
+The reference image of the exchange morphism takes a column basis of the Hom
+vector at each vertex and solves one linear system per arrow, where the library
+reads the arrow maps off one reduced row echelon form per vertex.  The
+reference seed's tropical coefficients are `TropElem`s, which carry their
+generator list and do semiring arithmetic, where the library keeps bare
 exponent tuples.
 """
 from __future__ import annotations
@@ -39,7 +42,7 @@ from clustermod.errors import (
     NotSubtractionFreeError,
     ShiftCaseUnsupported,
 )
-from clustermod.reps import QuiverRep, _column_basis, _mat, _rref
+from clustermod.reps import QuiverRep, _mat, _rref, _zeros
 from clustermod.symbolic import LaurentPoly, Monomial, VarId, div_exact
 
 
@@ -533,6 +536,75 @@ def oracle_reflection_chain(rc, alpha):
     steps.reverse()
     steps.append((state[0], j))
     return steps
+
+
+# The three-reduction reflection step, kept as it stood before the library read
+# the cokernel map off one reduced row echelon form of [psi | I]: a column basis
+# of psi, its completion by standard vectors, and the inverse of the completed
+# basis.  It takes the orientation in which k is a source.
+
+
+def _column_basis(m, nrows: int, ncols: int) -> list[tuple]:
+    """Independent columns of m, as length-nrows vectors."""
+    if nrows == 0 or ncols == 0:
+        return []
+    _, pivots = _rref([list(row) for row in m], ncols)
+    return [tuple(m[r][c] for r in range(nrows)) for c in pivots]
+
+
+def _invert(m, n: int, where: str):
+    rows = [list(m[r]) + [int(c == r) for c in range(n)] for r in range(n)]
+    rref, pivots = _rref(rows, 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise InternalInvariantError(f"matrix is singular in {where}")
+    return _mat([row[n:] for row in rref])
+
+
+def oracle_reflect_minus(rc, rep: QuiverRep, k: int, arrows) -> QuiverRep:
+    """Inverse reflection functor at a source k of rep's quiver `arrows`.
+
+    Produces a representation of the quiver with all arrows at k reversed.
+    """
+    dims = rep.dims
+    targets = sorted(t for s, t in arrows if s == k)
+    blocks = {t: rep.matrix(k, t) for t in targets}
+    total = sum(dims[t - 1] for t in targets)
+    dk = dims[k - 1]
+    stacked = []
+    for t in targets:
+        for r in range(dims[t - 1]):
+            stacked.append(list(blocks[t][r]))
+    # coker of psi: M_k -> direct sum of targets
+    img = _column_basis(_mat(stacked) if stacked else _zeros(0, dk), total, dk)
+    rank = len(img)
+    new_dk = total - rank
+    # complete the image to a basis of the ambient space with standard vectors: the
+    # pivot columns of [img | I] past the image block are the first ones independent
+    ident = [[int(r == e) for e in range(total)] for r in range(total)]
+    _, pivots = _rref([[v[r] for v in img] + ident[r] for r in range(total)], rank + total)
+    cols = img + [ident[e - rank] for e in pivots[rank:]]
+    p = _mat([[cols[c][r] for c in range(total)] for r in range(total)])
+    p_inv = _invert(p, total, f"the reflection of dimension vector {dims} at vertex {k}")
+    proj = tuple(p_inv[rank + r] for r in range(new_dk))  # new_dk x total
+
+    new_dims = tuple(new_dk if v == k else dims[v - 1] for v in rc.cartan.vertices)
+    new_arrows = tuple(sorted((t, s) if s == k else (s, t) for s, t in arrows))
+    mats = []
+    offset = {}
+    acc = 0
+    for t in targets:
+        offset[t] = acc
+        acc += dims[t - 1]
+    for s, t in new_arrows:
+        if t == k:
+            dt = dims[s - 1]
+            block = _mat(
+                [[proj[r][offset[s] + c] for c in range(dt)] for r in range(new_dk)]
+            )
+            mats.append((s, t, block))
+        else:
+            mats.append((s, t, rep.matrix(s, t)))
+    return QuiverRep(rc.n, new_dims, tuple(mats))
 
 
 # The solve-based image of the exchange morphism, kept as it stood before the

@@ -100,11 +100,24 @@ def test_quiver_build_full_grid_level_below_1_exits_3(capsys, level):
     assert err == "error: level must be >= 1\n"
 
 
-def test_quiver_build_full_grid_rmin_overrides_the_level(capsys):
+def test_quiver_build_full_grid_rmin_sets_the_window(capsys):
     code, out, _ = run(capsys, "quiver", "build", "--family", "gammafull", "--cartan", "A3",
-                       "--xi", "1:0,2:-1,3:0", "--level=-1", "--rmin=-2", "--format", "text")
+                       "--xi", "1:0,2:-1,3:0", "--rmin=-2", "--format", "text")
     assert code == 0
     assert out.splitlines()[0] == "vertices: (1,0) (1,-2) (2,-1) (3,0) (3,-2)"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["quiver", "build", "--family", "qxi"], "--level does not apply to --family qxi"),
+    (["quiver", "build", "--family", "qcheck"], "--level does not apply to --family qcheck"),
+    (["quiver", "build", "--family", "gammafull", "--rmin=-2"],
+     "--level does not apply with --rmin"),
+    (["engine", "enumerate"], "--level does not apply to --family qcheck"),
+], ids=["qxi", "qcheck", "gammafull-rmin", "enumerate-qcheck"])
+def test_level_given_where_it_is_not_read_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--cartan", "A3", "--xi", "1:0,2:-1,3:0", "--level=-1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_quiver_build_full_grid_empty_window_exits_3(capsys):
@@ -414,13 +427,18 @@ CAP_TEXTS = st.one_of(st.integers(-2, 20).map(str), st.text(alphabet="0123456789
 
 @settings(max_examples=30, deadline=None)
 @given(cartan=st.sampled_from(["A2", "A3"]), cap=st.one_of(st.none(), CAP_TEXTS),
-       env=st.one_of(st.none(), CAP_TEXTS))
-@example(cartan="A3", cap=None, env="abc")
-def test_cli_fuzz_engine_enumerate(cartan, cap, env):
+       env=st.one_of(st.none(), CAP_TEXTS), level=st.one_of(st.none(), st.integers(-1, 3)))
+@example(cartan="A3", cap=None, env="abc", level=None)
+@example(cartan="A2", cap=None, env=None, level=2)
+def test_cli_fuzz_engine_enumerate(cartan, cap, env, level):
     argv = ["engine", "enumerate", "--cartan", cartan, "--linear"]
     if cap is not None:
         argv.append(f"--max-seeds={cap}")
+    if level is not None:
+        argv.append(f"--level={level}")  # the default family, qcheck, has no level
     code, out, err = _main_captured(argv, env)
+    if level is not None:
+        assert code == 2
     if code == 0:
         data = json.loads(out)
         assert data["exhaustive"] == (data["seeds"] == {"A2": 5, "A3": 14}[cartan])
@@ -462,11 +480,12 @@ QUIVER_DATA = st.fixed_dictionaries({
                                     st.booleans())},
     ), max_size=5),
 })
+# one vertex label as `--seq` may hold it: (i,r), i or i'
+SEQ_LABEL = r"(\(-?\d+,-?\d+\)|-?\d+'?)"
+MUTABLE_QUIVER = ('{"vertices": [{"label": "1"}, {"label": "2"}, {"label": "2\'", "frozen": true}],'
+                  ' "arrows": [{"from": "1", "to": "2"}, {"from": "2\'", "to": "2", "mult": 2}]}')
 QUIVER_TEXTS = st.one_of(
-    st.sampled_from([
-        '{"vertices": [{"label": "1"}, {"label": "2"}, {"label": "2\'", "frozen": true}],'
-        ' "arrows": [{"from": "1", "to": "2"}, {"from": "2\'", "to": "2", "mult": 2}]}',
-    ]),
+    st.sampled_from([MUTABLE_QUIVER]),
     QUIVER_DATA.map(json.dumps),
     st.text(alphabet='{}[]":,0123 avlbe', max_size=20),
 )
@@ -482,6 +501,8 @@ def quiver_file(tmp_path_factory):
        at=st.lists(LABELS.filter(lambda x: x is not None).map(str), max_size=3),
        seq=st.one_of(st.none(), st.text(alphabet="(),-'0123x", max_size=10)),
        fmt=st.one_of(st.none(), st.sampled_from(["json", "dot", "text", "svg"])))
+@example(text=MUTABLE_QUIVER, action="mutate", at=[], seq="abc", fmt=None)
+@example(text=MUTABLE_QUIVER, action="mutate", at=[], seq="1,x,2", fmt=None)
 @example(text='{"vertices": [{"label": "1"}], "arrows": [{"from": "1", "to": "1",'
               ' "mult": Infinity}]}', action="export", at=[], seq=None, fmt=None)
 @example(text='{"vertices": [{"label": "1"}, {"label": "2"}], "arrows": [{"from": "1", "to": "2",'
@@ -504,6 +525,8 @@ def test_cli_fuzz_quiver_mutate_export(quiver_file, text, action, at, seq, fmt):
         assert sum("error:" in line for line in err.splitlines()) == 1
     if _mistyped_field(text):
         assert code == 2
+    if code == 0 and action == "mutate" and seq is not None:
+        assert re.fullmatch(rf"{SEQ_LABEL}(,{SEQ_LABEL})*", seq), seq
 
 
 # heights near zero: every orientation of each type shifted by a small offset, or a short
@@ -523,6 +546,8 @@ BUILD_HEIGHTS = st.sampled_from(["A2", "A3", "A4", "D4"]).flatmap(lambda name: s
        fmt=st.one_of(st.none(), st.sampled_from(["json", "dot", "text", "svg"])))
 @example(scope=("A3", "1:0,2:-1,3:0"), family="gammafull", level=None, rmin=4, fmt="json")
 @example(scope=("D4", "1:0,2:-1,3:0,4:0"), family="qxil", level=0, rmin=None, fmt=None)
+@example(scope=("A2", "1:0,2:-1"), family="qxi", level=-1, rmin=None, fmt="text")
+@example(scope=("A3", "1:0,2:-1,3:0"), family="gammafull", level=2, rmin=-2, fmt=None)
 def test_cli_fuzz_quiver_build(scope, family, level, rmin, fmt):
     cartan, xi = scope
     argv = ["quiver", "build", "--cartan", cartan, f"--xi={xi}", "--family", family]
@@ -530,6 +555,8 @@ def test_cli_fuzz_quiver_build(scope, family, level, rmin, fmt):
                                                       ("format", fmt)) if value is not None]
     code, out, err = _main_captured(argv)
     assert code in (0, 2, 3), (argv, err)
+    if level is not None and (family in ("qxi", "qcheck") or rmin is not None):
+        assert code == 2, argv  # a level that the build does not read
     if code:
         assert out == ""
         assert sum("error:" in line for line in err.splitlines()) == 1

@@ -120,6 +120,30 @@ def test_sign_coherence_failure_names_the_seed(a3_seed, column, message):
         seed.epsilon(0)
 
 
+def test_broken_duality_names_the_seed_position_and_g_vector():
+    seed = Seed.initial(build_qcheck(A3, XI3)).mutate(Vertex(3))
+    # column 1 loses its last entry, so g_2 . c_1 = 1 where G^T C = I wants 0
+    seed = dataclasses.replace(seed, cvecs=((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+    with pytest.raises(InternalInvariantError) as exc:
+        make_record(seed, 2)
+    assert str(exc.value) == (
+        "tropical duality G^T C = I fails in seed ((0, 1, -1), (0, 1, 0), (1, 0, 0)) at "
+        "position 2, column 1: g = (0, 1, -1), c = (0, 1, 0)")
+
+
+def test_g_tilde_disagreement_names_the_seed_position_and_g_vector(monkeypatch):
+    seed = Seed.initial(build_qcheck(A3, XI3)).mutate(Vertex(3))
+    record = make_record(seed, 2)
+    monkeypatch.setitem(seed.ctx.records, (0, 1, -1),
+                        dataclasses.replace(record, gtilde=(0, 1, -1, 0, 1, 1)))
+    with pytest.raises(InternalInvariantError) as exc:
+        make_record(seed, 2)
+    assert str(exc.value) == (
+        "extended g-vector recursion disagrees with -trop(F)(y0) in seed "
+        "((0, 1, -1), (0, 1, 0), (1, 0, 0)) at position 2, g = (0, 1, -1): "
+        "(0, 1, -1, 0, 0, 1) vs (0, 1, -1, 0, 1, 1)")
+
+
 # ---- principal tracking -----------------------------------------------------------
 
 

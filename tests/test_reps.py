@@ -14,12 +14,15 @@ from clustermod.hlmap import psi
 from clustermod.reps import CQObject, RepContext, positive_roots, rep_json
 
 from oracles import (
+    _flip,
+    _invert,
     _rank,
     oracle_exchange_pairs,
     oracle_ext1_mod,
     oracle_hom_dim_typeA_linear,
     oracle_im_h,
     oracle_positive_roots,
+    oracle_reflect_minus,
     oracle_reflection_chain,
     oracle_rref,
     oracle_socle,
@@ -398,9 +401,9 @@ def test_invert_matches_the_fraction_reference(case):
     want, pivots = _reference_rref(rows, 2 * n)
     if pivots[:n] != list(range(n)):
         with pytest.raises(InternalInvariantError):
-            reps._invert(reps._mat(m), n, "a test matrix")
+            _invert(reps._mat(m), n, "a test matrix")
         return
-    got = reps._invert(reps._mat(m), n, "a test matrix")
+    got = _invert(reps._mat(m), n, "a test matrix")
     assert got == tuple(tuple(row[n:]) for row in want)
     _assert_normal(got)
 
@@ -470,6 +473,20 @@ def test_reflection_chains_match_the_list_queue_bfs():
             assert rc._reflection_chain(root) == oracle_reflection_chain(rc, root), (xi, root)
 
 
+def test_reflection_steps_match_the_three_reduction_oracle():
+    for cartan, xi in CHAIN_SCOPES + [(E6, {1: 0, 2: 1, 3: -1, 4: 0, 5: -1, 6: 0})]:
+        rc = RepContext(cartan, xi)
+        for root in rc.roots:
+            chain = rc._reflection_chain(root)
+            rep = rc.simple(chain[-1][1], chain[-1][0])
+            for arrows_t, k in reversed(chain[:-1]):
+                got = rc._reflect_minus(rep, k, arrows_t)
+                want = oracle_reflect_minus(rc, rep, k, _flip(arrows_t, k))
+                assert rep_json(got) == rep_json(want), (xi, root, arrows_t, k)
+                rep = got
+            assert rep.dims == root
+
+
 IMAGE_SCOPES = [(c, xi) for c in (cartan_type("A5"), cartan_type("D5"), cartan_type("D6"))
                 for xi in orientations(c)]
 
@@ -495,16 +512,36 @@ def test_images_match_the_solve_based_oracle(scope):
 # ---- invariant failures name their context ------------------------------------------------
 
 
-def test_singular_basis_change_names_the_reflection(monkeypatch):
-    column_basis = reps._column_basis
-    # a repeated image column makes the basis change of the reflection singular
-    monkeypatch.setattr(reps, "_column_basis", lambda m, nr, nc: (
-        lambda cols: cols + cols[:1])(column_basis(m, nr, nc)))
+def _zero_maps_at_step(monkeypatch, rc, step):
+    """Make reflection step number `step` (from 0) of a build drop every arrow map."""
+    steps = itertools.count()
+
+    def reflect_minus(rep, k, arrows):
+        out = RepContext._reflect_minus(rc, rep, k, arrows)
+        if next(steps) != step:
+            return out
+        return reps.QuiverRep(rep.nverts, out.dims, tuple(
+            (s, t, reps._zeros(out.dims[t - 1], out.dims[s - 1])) for s, t, _ in out.mats))
+
+    monkeypatch.setattr(rc, "_reflect_minus", reflect_minus)
+
+
+def test_wrong_reflection_dimensions_name_both_vectors(monkeypatch):
     rc = RepContext(D4, XI_D4)
+    # zero maps before the last step leave a larger cokernel at the next one
+    _zero_maps_at_step(monkeypatch, rc, 1)
     with pytest.raises(InternalInvariantError) as exc:
-        rc.rep((1, 1, 1, 1))
-    assert str(exc.value) == ("matrix is singular in the reflection of dimension vector "
-                              "(1, 1, 1, 1) at vertex 2")
+        rc.rep((0, 1, 1, 1))
+    assert str(exc.value) == "reflection build produced (0, 2, 1, 1), wanted (0, 1, 1, 1)"
+
+
+def test_decomposable_reflection_names_the_end_dimension(monkeypatch):
+    rc = RepContext(D4, XI_D4)
+    # zero maps at the last step keep the dimensions and leave a sum of three simples
+    _zero_maps_at_step(monkeypatch, rc, 2)
+    with pytest.raises(InternalInvariantError) as exc:
+        rc.rep((0, 1, 1, 1))
+    assert str(exc.value) == "End space of (0, 1, 1, 1) has dimension 3"
 
 
 def test_inconsistent_image_names_the_hom_pair_and_arrow(monkeypatch):
