@@ -22,7 +22,7 @@ from .quivers import (
     build_qxil,
 )
 from .reps import CQObject, RepContext, rep_json
-from .verify import CHECK_NAMES, run_check
+from .verify import CHECK_NAMES, LEVEL_CHECKS, run_check
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -249,6 +249,8 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.check != "all" and args.check not in LEVEL_CHECKS:
+        _reject_level(args, f"to verify {args.check}")
     cartan = xi = None
     if args.cartan:
         cartan, xi = _scope(args)
@@ -265,6 +267,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.which != "psi-monomials":
+        _reject_level(args, f"to table {args.which}")
     cartan, xi = _scope(args)
     ctx = RepContext(cartan, xi)
     if args.which == "roots":

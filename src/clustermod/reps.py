@@ -4,13 +4,15 @@ Objects of the cluster category are modules (positive roots) plus one shifted
 projective per vertex.  Socles and Ext^1 dimensions are integer formulas in the
 dimension vectors: a Dynkin quiver is representation-directed, so for
 indecomposables X, Y at most one of Hom(X, Y) and Ext^1(X, Y) is nonzero and the
-Euler form <x, y> gives both (Ringel, LNM 1099).  Explicit indecomposables over Q,
-built by reflection functors along a BFS over (orientation, root) states with one row
-reduction per reflection step, and their Hom spaces by exact linear algebra serve
-`rep` and `im_h`.  Hom between
-indecomposables is at most one-dimensional, so `im_h` reads the image of the
-morphism off one reduced row echelon form per vertex of its Hom vector.  Matrix
-entries are ints; a Fraction appears only after a pivot division that is not exact.
+Euler form <x, y> gives both (Ringel, LNM 1099).  The AR translation is derived once,
+as tau^-1 by the inverse Coxeter matrix; tau is its inverse on the indecomposables, and
+the AR quiver is read off one table of tau^-1 columns from the shifted projectives.
+Explicit indecomposables over Q, built by reflection functors along a BFS over
+(orientation, root) states with one row reduction per reflection step, and their Hom
+spaces by exact linear algebra serve `rep` and `im_h`.  Hom between indecomposables is
+at most one-dimensional, so `im_h` reads the image of the morphism off one reduced row
+echelon form per vertex of its Hom vector.  Matrix entries are ints; a Fraction
+appears only after a pivot division that is not exact.
 """
 from __future__ import annotations
 
@@ -186,10 +188,8 @@ class RepContext:
         self.inn = {i: tuple(s for s, t in self.arrows if t == i) for i in cartan.vertices}
         self._rep_cache: dict[tuple[int, ...], QuiverRep] = {}
         self._tau_inv_cache: dict[CQObject, CQObject] = {}
-        self._tau_cache: dict[CQObject, CQObject] = {}
         self._proj = {i: self._reach(i, self.out) for i in cartan.vertices}
         self._inj = {i: self._reach(i, self.inn) for i in cartan.vertices}
-        self._vertex_of_proj = {d: i for i, d in self._proj.items()}
         self._vertex_of_inj = {d: i for i, d in self._inj.items()}
         self._vertex_of_unit = {self._unit(i): i for i in cartan.vertices}
 
@@ -373,54 +373,49 @@ class RepContext:
     # ---- AR translation ----------------------------------------------------
 
     @functools.cached_property
-    def _coxeter(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """-E^-1 E^T and its inverse -E^-T E, where <x, y> = x^T E y.
+    def _coxeter_inv(self) -> tuple[tuple[int, ...], ...]:
+        """Rows of the inverse Coxeter matrix -E^-T E, where <x, y> = x^T E y.
 
-        Row i of E^-1 is dim P_i, because <dim P_i, y> = dim Hom(P_i, Y) = y_i.
+        Row i of E^-1 is dim P_i (<dim P_i, y> = dim Hom(P_i, Y) = y_i), so column c
+        of -E^-T E is the sum of dim P_s over the arrows s -> c, minus dim P_c.
         """
-        n = self.n
-        e = [[int(r == c) for c in range(n)] for r in range(n)]
-        for s, t in self.arrows:
-            e[s - 1][t - 1] -= 1
-        einv = [self._proj[i] for i in self.cartan.vertices]
-
-        def neg_product(a, b):
-            return tuple(
-                tuple(-sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-                for r in range(n)
-            )
-
-        return neg_product(einv, tuple(zip(*e))), neg_product(tuple(zip(*einv)), e)
-
-    def _apply(self, mat, vec) -> tuple[int, ...]:
-        return tuple(sum(mat[r][c] * vec[c] for c in range(self.n)) for r in range(self.n))
+        vs = self.cartan.vertices
+        return tuple(
+            tuple(sum(self._proj[s][r] for s in self.inn[c]) - self._proj[c][r] for c in vs)
+            for r in range(self.n))
 
     def tau_inv(self, obj: CQObject) -> CQObject:
+        """tau^-1: a shift to its projective, an injective to its shift, and every
+        other module by the inverse Coxeter matrix."""
         out = self._tau_inv_cache.get(obj)
         if out is None:
-            out = self._tau_inv_cache[obj] = self._translate(
-                obj, self._proj, self._vertex_of_inj, self._coxeter[1], "tau^-1")
+            self.check_object(obj)
+            if obj.kind == "shift":
+                out = CQObject.module(self._proj[obj.i])
+            elif obj.dims in self._vertex_of_inj:
+                out = CQObject.shifted(self._vertex_of_inj[obj.dims])
+            else:
+                dims = tuple(sum(a * d for a, d in zip(row, obj.dims))
+                             for row in self._coxeter_inv)
+                if dims not in self._root_set:
+                    raise InternalInvariantError(f"tau^-1 of {obj.dims} gave non-root {dims}")
+                out = CQObject.module(dims)
+            self._tau_inv_cache[obj] = out
         return out
+
+    @functools.cached_property
+    def _tau_table(self) -> dict[CQObject, CQObject]:
+        objs = self.indecomposables()
+        table = {self.tau_inv(o): o for o in objs}
+        if len(table) < len(objs):
+            raise InternalInvariantError(
+                f"tau^-1 is not a bijection: {len(table)} images of {len(objs)} objects")
+        return table
 
     def tau(self, obj: CQObject) -> CQObject:
-        out = self._tau_cache.get(obj)
-        if out is None:
-            out = self._tau_cache[obj] = self._translate(
-                obj, self._inj, self._vertex_of_proj, self._coxeter[0], "tau")
-        return out
-
-    def _translate(self, obj, shift_image, shifted_from, coxeter, name) -> CQObject:
-        """tau or tau^-1: shifts go to modules, the end modules of the orbit to shifts,
-        and every other module by the Coxeter matrix."""
-        if obj.kind == "shift":
-            return CQObject.module(shift_image[obj.i])
-        j = shifted_from.get(obj.dims)
-        if j is not None:
-            return CQObject.shifted(j)
-        out = self._apply(coxeter, obj.dims)
-        if out not in self._root_set:
-            raise InternalInvariantError(f"{name} of {obj.dims} gave non-root {out}")
-        return CQObject.module(out)
+        """tau, as the inverse of tau^-1 on the indecomposables."""
+        self.check_object(obj)
+        return self._tau_table[obj]
 
     # ---- Hom / Ext ----------------------------------------------------------
 
@@ -555,50 +550,29 @@ class RepContext:
     # ---- AR quiver knitting --------------------------------------------------
 
     @functools.cached_property
-    def _orbit_fn(self):
-        memo: dict[tuple[int, int], CQObject] = {}
-
-        def obj_at(m: int, i: int) -> CQObject:
-            if (m, i) in memo:
-                return memo[(m, i)]
-            if m == 0:
-                out = CQObject.shifted(i)
-            else:
-                out = self.tau_inv(obj_at(m - 1, i))
-            memo[(m, i)] = out
-            return out
-
-        return obj_at
+    def _columns(self) -> tuple[tuple[CQObject, ...], ...]:
+        """Columns 0 .. total + 1 of the knitting: column m holds tau^-m of the shifted
+        projectives, in vertex order."""
+        cols = [tuple(CQObject.shifted(i) for i in self.cartan.vertices)]
+        for _ in range(len(self.roots) + self.n + 1):
+            cols.append(tuple(self.tau_inv(o) for o in cols[-1]))
+        return tuple(cols)
 
     def ar_objects(self) -> tuple[CQObject, ...]:
         """All indecomposables in knitting order (column by column from the shifts)."""
-        total = len(self.roots) + self.n
-        obj_at = self._orbit_fn
-        seen = []
-        seen_set = set()
-        m = 0
-        while len(seen) < total:
-            for i in self.cartan.vertices:
-                o = obj_at(m, i)
-                if o not in seen_set:
-                    seen_set.add(o)
-                    seen.append(o)
-            m += 1
-            if m > 4 * total:
-                raise InternalInvariantError("AR knitting failed to close")
-        return tuple(seen)
+        objs = tuple(dict.fromkeys(o for col in self._columns for o in col))
+        if len(objs) != len(self.roots) + self.n:
+            raise InternalInvariantError("AR knitting failed to close")
+        return objs
 
     def ar_arrows(self) -> tuple[tuple[CQObject, CQObject], ...]:
-        total = len(self.roots) + self.n
-        obj_at = self._orbit_fn
-        out = []
-        seen = set()
-        for m in range(total + 1):
+        """Per column X and arrow s -> t: X_t -> X_s and X_s -> tau^-1 X_t, in first-seen order."""
+        cols = self._columns
+        out: dict[tuple[CQObject, CQObject], None] = {}
+        for m in range(len(cols) - 1):
             for s, t in self.arrows:
-                for pair in ((obj_at(m, t), obj_at(m, s)), (obj_at(m, s), obj_at(m + 1, t))):
-                    if pair not in seen:
-                        seen.add(pair)
-                        out.append(pair)
+                out[cols[m][t - 1], cols[m][s - 1]] = None
+                out[cols[m][s - 1], cols[m + 1][t - 1]] = None
         return tuple(out)
 
     def ar_meshes(self) -> tuple[tuple[CQObject, tuple[CQObject, ...], CQObject], ...]:

@@ -615,6 +615,8 @@ _CHECKS = {
                                               rng_seed=s.rng_seed),
 }
 CHECK_NAMES = tuple(_CHECKS)
+# the checks that read the level l; `all` runs them too
+LEVEL_CHECKS = frozenset({"psi-kr", "hw-exchange", "tsystem", "sequence"})
 
 
 def run_check(name: str, cartan: CartanData | None = None, xi: dict[int, int] | None = None,

@@ -23,7 +23,8 @@ vector at each vertex and solves one linear system per arrow, where the library
 reads the arrow maps off one reduced row echelon form per vertex.  The
 reference seed's tropical coefficients are `TropElem`s, which carry their
 generator list and do semiring arithmetic, where the library keeps bare
-exponent tuples.
+exponent tuples.  The reference AR translation tau applies the Coxeter matrix
+-E^-1 E^T, where the library reads tau off the inverse of tau^-1.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from clustermod.errors import (
     NotSubtractionFreeError,
     ShiftCaseUnsupported,
 )
-from clustermod.reps import QuiverRep, _mat, _rref, _zeros
+from clustermod.reps import CQObject, QuiverRep, _mat, _rref, _zeros
 from clustermod.symbolic import LaurentPoly, Monomial, VarId, div_exact
 
 
@@ -672,3 +673,37 @@ def oracle_im_h(rc, l_obj, n_obj) -> QuiverRep:
                                 f"Hom({lt.dims}, {n_obj.dims}) at arrow {s}->{t}")
         mats.append((s, t, z))
     return QuiverRep(rc.n, tuple(dims), tuple(mats))
+
+
+# The Coxeter-matrix tau, kept as it stood before the library took tau as the
+# inverse of tau^-1 on the indecomposables.
+
+
+def oracle_tau(rc, obj):
+    """tau: a shift to its injective, a projective to its shift, and every other
+    module by the Coxeter matrix -E^-1 E^T, where <x, y> = x^T E y.
+
+    Row i of E^-1 is dim P_i, because <dim P_i, y> = dim Hom(P_i, Y) = y_i.
+    """
+    n = rc.n
+    e = [[int(r == c) for c in range(n)] for r in range(n)]
+    for s, t in rc.arrows:
+        e[s - 1][t - 1] -= 1
+    einv = [rc.proj_dims(i) for i in rc.cartan.vertices]
+
+    def neg_product(a, b):
+        return tuple(
+            tuple(-sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
+            for r in range(n)
+        )
+
+    coxeter = neg_product(einv, tuple(zip(*e)))
+    if obj.kind == "shift":
+        return CQObject.module(rc.inj_dims(obj.i))
+    j = {rc.proj_dims(i): i for i in rc.cartan.vertices}.get(obj.dims)
+    if j is not None:
+        return CQObject.shifted(j)
+    out = tuple(sum(coxeter[r][c] * obj.dims[c] for c in range(n)) for r in range(n))
+    if out not in rc.roots:
+        raise InternalInvariantError(f"tau of {obj.dims} gave non-root {out}")
+    return CQObject.module(out)

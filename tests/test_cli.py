@@ -113,11 +113,30 @@ def test_quiver_build_full_grid_rmin_sets_the_window(capsys):
     (["quiver", "build", "--family", "gammafull", "--rmin=-2"],
      "--level does not apply with --rmin"),
     (["engine", "enumerate"], "--level does not apply to --family qcheck"),
-], ids=["qxi", "qcheck", "gammafull-rmin", "enumerate-qcheck"])
+    (["table", "roots"], "--level does not apply to table roots"),
+    (["table", "ar-gvectors"], "--level does not apply to table ar-gvectors"),
+], ids=["qxi", "qcheck", "gammafull-rmin", "enumerate-qcheck", "table-roots",
+        "table-ar-gvectors"])
 def test_level_given_where_it_is_not_read_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--cartan", "A3", "--xi", "1:0,2:-1,3:0", "--level=-1")
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+# the checks that read --level; given to any other check, the level is a usage error
+LEVEL_READERS = {"psi-kr", "hw-exchange", "tsystem", "sequence"}
+
+
+@pytest.mark.parametrize("check", ["examples", "goldens", "psi-kr", "trop-socle", "yhat",
+                                   "exchange", "hw-exchange", "tsystem", "sequence",
+                                   "properties"])
+def test_verify_level_is_read_or_rejected(capsys, check):
+    code, out, err = run(capsys, "verify", check, "--cartan", "A2", "--xi", "1:0,2:-1",
+                         "--level=-5")
+    if check in LEVEL_READERS:
+        assert (code, out, err) == (3, "", "error: level must be >= 1\n")
+    else:
+        assert (code, out, err) == (2, "", f"error: --level does not apply to verify {check}\n")
 
 
 def test_quiver_build_full_grid_empty_window_exits_3(capsys):
@@ -457,9 +476,12 @@ XI_EDITS = st.sampled_from(["", "", ",9:4", ",0:0", ",1:0", ",2:-1", ",1:7"])
        level=LEVEL_TEXTS, walks=st.one_of(st.integers(-2, 5).map(str), st.text("0123-x", max_size=3)))
 @example(cartan="A3", check="psi-kr", xi="1:0,2:-1,3:0,9:4", level="2", walks="1")
 @example(cartan="A3", check="tsystem", xi="1:5,1:0,2:-1,3:0", level="2", walks="1")
+@example(cartan="A2", check="yhat", xi="1:0,2:-1", level="2", walks="1")
 def test_cli_fuzz_verify(cartan, check, xi, level, walks):
     code, out, err = _main_captured(["verify", check, "--cartan", cartan, f"--xi={xi}",
                                      f"--level={level}", f"--walks={walks}"])
+    if check == "yhat":
+        assert code == 2  # yhat does not read the level
     if code:
         assert out == ""
         assert sum("error:" in line for line in err.splitlines()) == 1

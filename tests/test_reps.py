@@ -27,6 +27,7 @@ from oracles import (
     oracle_rref,
     oracle_socle,
     oracle_solve_matrix,
+    oracle_tau,
     orientations,
 )
 
@@ -35,6 +36,7 @@ A3 = cartan_type("A3")
 A4 = cartan_type("A4")
 D4 = cartan_type("D4")
 E6 = cartan_type("E6")
+E6_XI = {1: 0, 2: 1, 3: -1, 4: 0, 5: -1, 6: 0}
 
 XI_D4 = {1: 0, 2: -1, 3: 0, 4: 0}
 
@@ -205,6 +207,58 @@ def test_ar_formula_links_tau_and_ext(rc4):
         assert hom_dim == rc4.ext1_mod(n_obj, l_obj)
 
 
+TAU_SCOPES = [(c, xi) for c in map(cartan_type, ("A1", "A2", "A3", "A4", "A5", "D4", "D5"))
+              for xi in orientations(c)]
+TAU_SCOPES.append((E6, E6_XI))
+
+
+def test_tau_matches_the_coxeter_oracle():
+    for cartan, xi in TAU_SCOPES:
+        rc = RepContext(cartan, xi)
+        for obj in rc.indecomposables():
+            assert rc.tau(obj) == oracle_tau(rc, obj), (xi, obj)
+            assert rc.tau(rc.tau_inv(obj)) == obj, (xi, obj)
+            assert rc.tau_inv(rc.tau(obj)) == obj, (xi, obj)
+
+
+def test_tau_inv_that_is_not_a_bijection_is_an_internal_error(monkeypatch):
+    rc = RepContext(A3, linear_height(A3))
+    monkeypatch.setattr(rc, "tau_inv", lambda obj: CQObject.shifted(1))
+    with pytest.raises(InternalInvariantError, match=r"tau\^-1 is not a bijection: 1 images of 9"):
+        rc.tau(CQObject.shifted(1))
+
+
+# SHA-256 of ar_objects, ar_arrows and ar_meshes as text, one digest each, over every
+# orientation of A4 and D4 and one of E6; taken from the knitting that applied the
+# Coxeter matrix for tau and memoised tau^-1 per (column, vertex)
+AR_SCOPES = [(c, xi) for c in (A4, D4) for xi in orientations(c)]
+AR_SCOPES.append((E6, E6_XI))
+AR_DIGESTS = {
+    "ar_objects": "3acd5314bc1acfe79a13ab7deb61e7a434e80313dd2e9af638eafbb0ba505088",
+    "ar_arrows": "9020d29b5ed125f31afff5e9a6815b007f4ab038ea436f73c1dbf9faf41d7302",
+    "ar_meshes": "9ee1815cf961e95686e6310985c010f881dbe73e5f565b298d1e199fb534410c",
+}
+
+
+def _ar_digests() -> dict[str, str]:
+    digests = {name: hashlib.sha256() for name in AR_DIGESTS}
+    for cartan, xi in AR_SCOPES:
+        rc = RepContext(cartan, xi)
+        texts = {
+            "ar_objects": " ".join(map(str, rc.ar_objects())),
+            "ar_arrows": " ".join(f"{x}>{y}" for x, y in rc.ar_arrows()),
+            "ar_meshes": " ".join(f"{tz}>{'+'.join(map(str, middles))}>{z}"
+                                  for tz, middles, z in rc.ar_meshes()),
+        }
+        for name, text in texts.items():
+            digests[name].update(f"{cartan.name} {xi}\n{text}\n".encode())
+    return {name: d.hexdigest() for name, d in digests.items()}
+
+
+def test_ar_knitting_is_pinned():
+    assert _ar_digests() == AR_DIGESTS
+
+
 def test_ar_quiver_knitting(rc3):
     objs = rc3.ar_objects()
     assert len(objs) == 9
@@ -344,6 +398,9 @@ def test_objects_outside_the_category_rejected(rc3, bad):
         psi(bad, rc3, 2)
     with pytest.raises(DomainError):
         psi([good, bad], rc3, 2)
+    for translate in (rc3.tau, rc3.tau_inv):
+        with pytest.raises(DomainError):
+            translate(bad)
 
 
 # ---- exact linear algebra -----------------------------------------------------------------

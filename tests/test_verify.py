@@ -4,6 +4,8 @@ import pytest
 
 from clustermod.cartan import cartan_type, linear_height
 from clustermod.verify import (
+    CHECK_NAMES,
+    LEVEL_CHECKS,
     analyze_edge,
     get_bundle,
     run_check,
@@ -115,6 +117,14 @@ def test_edge_analysis_shift_injective_edges():
                 break
         else:
             raise AssertionError(f"no shift/injective edge for {i}")
+
+
+@pytest.mark.parametrize("name", [n for n in CHECK_NAMES if n not in LEVEL_CHECKS])
+def test_checks_outside_the_level_set_do_not_read_the_level(name):
+    reports = [run_check(name, A2, XI2, l=l, walks=5)[0] for l in (2, 3)]
+    for report in reports:
+        report.seconds = 0.0
+    assert reports[0].to_json() == reports[1].to_json()
 
 
 def test_run_check_dispatch_and_json():
