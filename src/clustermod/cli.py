@@ -22,7 +22,7 @@ from .quivers import (
     build_qxil,
 )
 from .reps import CQObject, RepContext, rep_json
-from .verify import CHECK_NAMES, LEVEL_CHECKS, run_check
+from .verify import CHECK_NAMES, check_reads, run_check
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -33,9 +33,10 @@ EXIT_INTERNAL = 4
 
 def _add_scope_args(p: argparse.ArgumentParser, level=True):
     p.add_argument("--cartan", help="Cartan type, e.g. A3 or D4")
-    p.add_argument("--xi", help="height function as 'i:val' comma list, e.g. '1:0,2:-1,3:0'")
-    p.add_argument("--linear", action="store_true",
-                   help="type A sugar for the height function 1-i")
+    height = p.add_mutually_exclusive_group()
+    height.add_argument("--xi", help="height function as 'i:val' comma list, e.g. '1:0,2:-1,3:0'")
+    height.add_argument("--linear", action="store_true",
+                        help="type A sugar for the height function 1-i")
     if level:
         # no default here: a command that does not read the level rejects a given one
         p.add_argument("--level", type=int, help="level l >= 1 (default 2)")
@@ -135,9 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run verification checks")
     v.add_argument("check", choices=list(CHECK_NAMES) + ["all"])
     _add_scope_args(v)
-    v.add_argument("--walks", type=_nonnegative_int, default=1000)
-    v.add_argument("--seed", type=int, default=20240901,
-                   help="seed for the randomized mutation walks")
+    # no defaults here: a check that does not read these rejects a given one
+    v.add_argument("--walks", type=_nonnegative_int)
+    v.add_argument("--seed", type=int, help="seed for the randomized mutation walks")
     v.add_argument("--format", default="text", choices=["text", "json"])
 
     t = sub.add_parser("table", help="aligned tables of objects and monomials")
@@ -249,13 +250,20 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.check != "all" and args.check not in LEVEL_CHECKS:
-        _reject_level(args, f"to verify {args.check}")
+    # each option, the verify_* parameter it sets, and its given value (None if absent)
+    options = (("--level", "l", args.level), ("--walks", "walks", args.walks),
+               ("--seed", "rng_seed", args.seed), ("--cartan", "cartan", args.cartan),
+               ("--xi", "xi", args.xi), ("--linear", "xi", args.linear or None))
+    reads = check_reads(args.check)
+    for option, param, value in options:
+        if value is not None and param not in reads:
+            raise ConfigurationError(f"{option} does not apply to verify {args.check}")
     cartan = xi = None
     if args.cartan:
         cartan, xi = _scope(args)
-    reports = run_check(args.check, cartan, xi, l=_level(args), walks=args.walks,
-                        rng_seed=args.seed)
+    # the level, walks and seed go on to run_check; an absent one takes the check's default
+    given = {param: value for _, param, value in options[:3] if value is not None}
+    reports = run_check(args.check, cartan, xi, **given)
     if args.format == "json":
         print("[" + ",\n".join(r.to_json() for r in reports) + "]")
     else:

@@ -238,41 +238,16 @@ class IceQuiver:
         return "\n".join(lines)
 
 
-def build_gamma_full(cartan: CartanData, xi: dict[int, int], r_min: int) -> IceQuiver:
-    """Finite window of the infinite grid quiver: vertices (i,p), r_min <= p <= xi(i)."""
-    check_height_function(cartan, xi)
+def _grid_window(cartan: CartanData, xi: dict[int, int], floors: dict[int, int],
+                 frozen: list[Vertex]) -> IceQuiver:
+    """Grid quiver on the vertices (i,p), floors[i] <= p <= xi(i): arrows (i,p) -> (i,p+2)
+    and (i,p) -> (j,p-1) for each neighbour j of i, none between two frozen vertices."""
     vertices = []
     for i in cartan.vertices:
         p = xi[i]
-        while p >= r_min:
+        while p >= floors[i]:
             vertices.append(Vertex(i, p))
             p -= 2
-    if not vertices:
-        raise DomainError(f"the window r >= {r_min} holds no vertex")
-    vset = set(vertices)
-    arrows = []
-    for v in vertices:
-        up = Vertex(v.i, v.r + 2)
-        if up in vset:
-            arrows.append((v, up))
-        for j in cartan.neighbors(v.i):
-            w = Vertex(j, v.r - 1)
-            if w in vset:
-                arrows.append((v, w))
-    return IceQuiver.from_arrows(vertices, (), arrows)
-
-
-def build_gamma_l(cartan: CartanData, xi: dict[int, int], l: int) -> IceQuiver:
-    """The level-l grid quiver: window xi(i)-2l <= p <= xi(i), bottom row frozen."""
-    check_height_function(cartan, xi)
-    if l < 1:
-        raise DomainError("level must be >= 1")
-    vertices = []
-    frozen = []
-    for i in cartan.vertices:
-        for k in range(l + 1):
-            vertices.append(Vertex(i, xi[i] - 2 * k))
-        frozen.append(Vertex(i, xi[i] - 2 * l))
     vset = set(vertices)
     fset = set(frozen)
     arrows = []
@@ -284,7 +259,24 @@ def build_gamma_l(cartan: CartanData, xi: dict[int, int], l: int) -> IceQuiver:
             w = Vertex(j, v.r - 1)
             if w in vset and not (v in fset and w in fset):
                 arrows.append((v, w))
-    return IceQuiver.from_arrows(vertices, frozen, arrows)
+    return IceQuiver.from_arrows(vertices, fset, arrows)
+
+
+def build_gamma_full(cartan: CartanData, xi: dict[int, int], r_min: int) -> IceQuiver:
+    """Finite window of the infinite grid quiver: vertices (i,p), r_min <= p <= xi(i)."""
+    check_height_function(cartan, xi)
+    if r_min > max(xi.values()):
+        raise DomainError(f"the window r >= {r_min} holds no vertex")
+    return _grid_window(cartan, xi, dict.fromkeys(cartan.vertices, r_min), [])
+
+
+def build_gamma_l(cartan: CartanData, xi: dict[int, int], l: int) -> IceQuiver:
+    """The level-l grid quiver: window xi(i)-2l <= p <= xi(i), bottom row frozen."""
+    check_height_function(cartan, xi)
+    if l < 1:
+        raise DomainError("level must be >= 1")
+    floors = {i: xi[i] - 2 * l for i in cartan.vertices}
+    return _grid_window(cartan, xi, floors, [Vertex(i, floors[i]) for i in cartan.vertices])
 
 
 def build_qxi(cartan: CartanData, xi: dict[int, int]) -> IceQuiver:

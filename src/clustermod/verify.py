@@ -8,11 +8,11 @@ aborts the whole report since nothing downstream would be trustworthy.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import random
 import time
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 from .cartan import CartanData, cartan_type, linear_height
 from .engine import (
@@ -47,7 +47,7 @@ class Report:
     scope: dict
     items: int = 0
     failures: list = field(default_factory=list)
-    seconds: float = 0.0
+    seconds: float = 0.0  # the check's run time, set by run_check
 
     @property
     def passed(self) -> bool:
@@ -79,11 +79,6 @@ class Report:
 
 def _scope_str(scope: dict) -> str:
     return ", ".join(f"{k}={v}" for k, v in scope.items())
-
-
-def _timed(report: Report, t0: float) -> Report:
-    report.seconds = time.perf_counter() - t0
-    return report
 
 
 def _xi_key(xi: dict[int, int]) -> tuple:
@@ -216,7 +211,6 @@ def s_l_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> list[Vertex]
 def verify_worked_examples_a3() -> Report:
     """The worked A3 tables at heights 0, -1, -2: every extended g-vector, every
     level-2 psi monomial, and the fully worked highest l-weight computation."""
-    t0 = time.perf_counter()
     cartan = cartan_type("A3")
     xi = linear_height(cartan)
     rep = Report("examples", {"cartan": "A3", "xi": "1:0,2:-1,3:-2", "l": 2})
@@ -252,12 +246,11 @@ def verify_worked_examples_a3() -> Report:
                 for t, d in enumerate(m.dims):
                     rhs[t] += d
             rep.check(lhs == tuple(rhs), f"mesh additivity at {zz}", got=rhs, want=lhs)
-    return _timed(rep, t0)
+    return rep
 
 
 def verify_quiver_goldens() -> Report:
     """Arrow-for-arrow fixtures for the two printed quiver examples."""
-    t0 = time.perf_counter()
     rep = Report("goldens", {"quivers": "grid A3 level 2; coefficient quiver A4 level 2"})
     g2 = build_gamma_l(cartan_type("A3"), {1: 0, 2: -1, 3: 0}, 2)
     got = {(str(s), str(t)) for s, t, _ in g2.arrows()}
@@ -272,12 +265,11 @@ def verify_quiver_goldens() -> Report:
     rep.check(got == QXIL2_A4_ARROWS, "coefficient quiver A4 level 2 arrows",
               extra=sorted(got - QXIL2_A4_ARROWS), missing=sorted(QXIL2_A4_ARROWS - got))
     rep.check(len(q.vertices) == 12, "coefficient quiver vertex count", got=len(q.vertices))
-    return _timed(rep, t0)
+    return rep
 
 
 def verify_psi_kr_images(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
     """KR identification of shifted projectives and injectives, and psi injectivity."""
-    t0 = time.perf_counter()
     rep = Report("psi-kr", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     repctx = RepContext(cartan, xi)
     for i in cartan.vertices:
@@ -292,12 +284,11 @@ def verify_psi_kr_images(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
         mono = psi(obj, repctx, l)
         rep.check(mono not in seen, f"psi injectivity at {obj}", clash=seen.get(mono))
         seen[mono] = obj
-    return _timed(rep, t0)
+    return rep
 
 
 def verify_tropical_socle(cartan: CartanData, xi: dict[int, int]) -> Report:
     """Tropical F-polynomial evaluation equals the inverse socle monomial."""
-    t0 = time.perf_counter()
     rep = Report("trop-socle", {"cartan": cartan.name, "xi": _xi_key(xi)})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
     ctx = graph.ctx
@@ -307,12 +298,11 @@ def verify_tropical_socle(cartan: CartanData, xi: dict[int, int]) -> Report:
         want = tuple(-s for s in repctx.socle(obj))
         rep.check(val == want, f"tropical F value of {obj}",
                   got=Monomial(zip(ctx.gens, val)), want=Monomial(zip(ctx.gens, want)))
-    return _timed(rep, t0)
+    return rep
 
 
 def verify_yhat_identity(cartan: CartanData, xi: dict[int, int]) -> Report:
     """yhat^(dim M) = x^a(M) f^g(M) for every indecomposable module."""
-    t0 = time.perf_counter()
     rep = Report("yhat", {"cartan": cartan.name, "xi": _xi_key(xi)})
     _, _, repctx, graph, _ = get_bundle(cartan, xi)
     ctx = graph.ctx
@@ -332,7 +322,7 @@ def verify_yhat_identity(cartan: CartanData, xi: dict[int, int]) -> Report:
             {fvar(i + 1): g[i] for i in range(n)}
         )
         rep.check(mon == want, f"yhat monomial identity for dim {dims}", got=mon, want=want)
-    return _timed(rep, t0)
+    return rep
 
 
 def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
@@ -343,7 +333,6 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
     that a module computation are recorded as engine-pinned with both exponent
     vectors checked for nonnegativity only.
     """
-    t0 = time.perf_counter()
     rep = Report("exchange", {"cartan": cartan.name, "xi": _xi_key(xi)})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
     pinned = []
@@ -383,12 +372,11 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
                   pinned=pinned)
     rep.scope["edges"] = len(graph.edges)
     rep.scope["engine_pinned"] = len(pinned)
-    return _timed(rep, t0)
+    return rep
 
 
 def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
     """Highest l-weight identity on every exchange pair, at the given level."""
-    t0 = time.perf_counter()
     rep = Report("hw-exchange", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
     for edge in graph.edges:
@@ -402,7 +390,7 @@ def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report
                 u, v = uv_monomials(i, l, xi)
                 rhs = rhs * (u * v) ** e
         rep.check(lhs == rhs, f"hw identity at {ea.x_obj} / {ea.y_obj}", lhs=lhs, rhs=rhs)
-    return _timed(rep, t0)
+    return rep
 
 
 def verify_tsystem(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
@@ -410,7 +398,6 @@ def verify_tsystem(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
     KR recurrence on a window around the relevant heights."""
     if l < 1:
         raise DomainError("level must be >= 1")
-    t0 = time.perf_counter()
     rep = Report("tsystem", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     for i in cartan.vertices:
         lhs = Monomial.one()
@@ -431,7 +418,7 @@ def verify_tsystem(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
                 lhs = kr_monomial(i, k, r + 1) * kr_monomial(i, k, r - 1)
                 rhs = kr_monomial(i, k - 1, r + 1) * kr_monomial(i, k + 1, r - 1)
                 rep.check(lhs == rhs, f"KR recurrence hw at ({i},{k},{r})", lhs=lhs, rhs=rhs)
-    return _timed(rep, t0)
+    return rep
 
 
 def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
@@ -443,7 +430,6 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
     T-system pattern; (c) hw extraction at the top designated row; plus the
     yhat = A^{-1} consistency of the initial grid seed.
     """
-    t0 = time.perf_counter()
     rep = Report("sequence", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     grid = build_gamma_l(cartan, xi, l)
     seed = Seed.initial(grid)
@@ -505,7 +491,7 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
             got = position_hw(seed, j)
             want = kr_monomial(i, l - 1, xi[i] - 2 * l + 2)
             rep.check(got == want, f"final hw at {v}", got=got, want=want)
-    return _timed(rep, t0)
+    return rep
 
 
 SEED_COUNTS = {"A2": 5, "A3": 14, "A4": 42, "D4": 50}
@@ -516,7 +502,6 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
                       rng_seed: int = 20240901) -> Report:
     """Structural property suite over the full companion-quiver exchange graph
     plus a seeded random mutation walk checking the involution."""
-    t0 = time.perf_counter()
     rep = Report("properties", {"cartan": cartan.name, "xi": _xi_key(xi), "walks": walks,
                                 "seed": rng_seed})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
@@ -578,7 +563,7 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
                   f"mutation involution and walk record at step {step}", vertex=v,
                   g=record.gvec)
         seed = forward
-    return _timed(rep, t0)
+    return rep
 
 
 def _prop313_coeff(seed: Seed, k: int) -> tuple[int, ...]:
@@ -599,32 +584,44 @@ def _prop313_coeff(seed: Seed, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # dispatch
 
-# every check in the order `all` runs them; each entry looks its verify_* function
-# up when it is called, so a rebinding of the module attribute takes effect
+# every check in the order `all` runs them, by the name of its verify_* function, looked
+# up when the check runs so that a rebinding of the module attribute takes effect
 _CHECKS = {
-    "examples": lambda s: verify_worked_examples_a3(),
-    "goldens": lambda s: verify_quiver_goldens(),
-    "psi-kr": lambda s: verify_psi_kr_images(s.cartan, s.xi, s.l),
-    "trop-socle": lambda s: verify_tropical_socle(s.cartan, s.xi),
-    "yhat": lambda s: verify_yhat_identity(s.cartan, s.xi),
-    "exchange": lambda s: verify_exchange_exponents(s.cartan, s.xi),
-    "hw-exchange": lambda s: verify_hw_exchange(s.cartan, s.xi, s.l),
-    "tsystem": lambda s: verify_tsystem(s.cartan, s.xi, s.l),
-    "sequence": lambda s: verify_grid_sequence(s.cartan, s.xi, s.l),
-    "properties": lambda s: verify_properties(s.cartan, s.xi, walks=s.walks,
-                                              rng_seed=s.rng_seed),
+    "examples": "verify_worked_examples_a3",
+    "goldens": "verify_quiver_goldens",
+    "psi-kr": "verify_psi_kr_images",
+    "trop-socle": "verify_tropical_socle",
+    "yhat": "verify_yhat_identity",
+    "exchange": "verify_exchange_exponents",
+    "hw-exchange": "verify_hw_exchange",
+    "tsystem": "verify_tsystem",
+    "sequence": "verify_grid_sequence",
+    "properties": "verify_properties",
 }
 CHECK_NAMES = tuple(_CHECKS)
-# the checks that read the level l; `all` runs them too
-LEVEL_CHECKS = frozenset({"psi-kr", "hw-exchange", "tsystem", "sequence"})
+_READS = {name: frozenset(inspect.signature(globals()[fn]).parameters)
+          for name, fn in _CHECKS.items()}
+
+
+def check_reads(name: str) -> frozenset[str]:
+    """The scope arguments a check reads: its verify_* parameters ('all': their union)."""
+    return frozenset().union(*_READS.values()) if name == "all" else _READS[name]
 
 
 def run_check(name: str, cartan: CartanData | None = None, xi: dict[int, int] | None = None,
-              l: int = 2, walks: int = 1000, rng_seed: int = 20240901) -> list[Report]:
-    """Run one named check (or 'all') over the given scope; returns reports."""
-    if name not in ("examples", "goldens") and (cartan is None or xi is None):
-        raise ConfigurationError("this check needs a Cartan type and a height function")
+              l: int = 2, walks: int | None = None, rng_seed: int | None = None) -> list[Report]:
+    """Run one named check (or 'all') on the arguments it reads, or its defaults for
+    those left None; returns the timed reports."""
     if name != "all" and name not in _CHECKS:
         raise ConfigurationError(f"unknown check {name!r}")
-    scope = SimpleNamespace(cartan=cartan, xi=xi, l=l, walks=walks, rng_seed=rng_seed)
-    return [_CHECKS[n](scope) for n in (CHECK_NAMES if name == "all" else (name,))]
+    if "cartan" in check_reads(name) and (cartan is None or xi is None):
+        raise ConfigurationError("this check needs a Cartan type and a height function")
+    given = {"cartan": cartan, "xi": xi, "l": l, "walks": walks, "rng_seed": rng_seed}
+    reports = []
+    for check in CHECK_NAMES if name == "all" else (name,):
+        kwargs = {k: given[k] for k in _READS[check] if given[k] is not None}
+        t0 = time.perf_counter()
+        report = globals()[_CHECKS[check]](**kwargs)
+        report.seconds = time.perf_counter() - t0
+        reports.append(report)
+    return reports

@@ -139,6 +139,47 @@ def test_verify_level_is_read_or_rejected(capsys, check):
         assert (code, out, err) == (2, "", f"error: --level does not apply to verify {check}\n")
 
 
+# the checks that read --cartan/--xi/--linear: all but the two on fixed fixtures
+SCOPE_READERS = {"psi-kr", "trop-socle", "yhat", "exchange", "hw-exchange", "tsystem", "sequence",
+                 "properties", "all"}
+
+
+@pytest.mark.parametrize("check", ["examples", "goldens", "psi-kr", "trop-socle", "yhat",
+                                   "exchange", "hw-exchange", "tsystem", "sequence",
+                                   "properties", "all"])
+@pytest.mark.parametrize("given,readers", [
+    (("--walks", "3"), {"properties", "all"}),
+    (("--seed", "7"), {"properties", "all"}),
+    (("--cartan", "A2", "--xi", "1:0,2:-1"), SCOPE_READERS),
+    (("--linear",), SCOPE_READERS),
+], ids=["walks", "seed", "cartan-xi", "linear"])
+def test_verify_option_is_read_or_rejected(capsys, check, given, readers):
+    argv = ["verify", check, *given]
+    if check in SCOPE_READERS and "--cartan" not in given:
+        argv += ["--cartan", "A2"] + ([] if "--linear" in given else ["--xi", "1:0,2:-1"])
+    code, out, err = run(capsys, *argv)
+    if check in readers:
+        assert (code, err) == (0, "")
+        assert out.startswith("PASS ") and "FAIL" not in out
+    else:
+        assert (code, out, err) == (2, "", f"error: {given[0]} does not apply to verify {check}\n")
+
+
+@pytest.mark.parametrize("command,prog", [
+    (["rep", "list"], "clustermod rep list"),
+    (["engine", "enumerate"], "clustermod engine enumerate"),
+    (["verify", "yhat"], "clustermod verify"),
+], ids=["rep-list", "engine-enumerate", "verify-yhat"])
+def test_xi_and_linear_together_exit_2(capsys, command, prog):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--cartan", "A3", "--linear", "--xi", "1:0,2:1,3:0"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"{prog}: error: argument --xi: not allowed with argument --linear"]
+
+
 def test_quiver_build_full_grid_empty_window_exits_3(capsys):
     code, out, err = run(capsys, "quiver", "build", "--family", "gammafull", "--cartan", "A3",
                          "--xi", "1:0,2:-1,3:0", "--rmin", "1")
@@ -473,15 +514,19 @@ XI_EDITS = st.sampled_from(["", "", ",9:4", ",0:0", ",1:0", ",2:-1", ",1:7"])
 @given(cartan=st.sampled_from(["A2", "A3"]), check=st.sampled_from(["tsystem", "psi-kr", "yhat"]),
        xi=st.one_of(st.sampled_from(["1:0,2:-1", "1:0,2:-1,3:0"]).flatmap(
            lambda base: XI_EDITS.map(base.__add__)), HEIGHT_TEXTS),
-       level=LEVEL_TEXTS, walks=st.one_of(st.integers(-2, 5).map(str), st.text("0123-x", max_size=3)))
-@example(cartan="A3", check="psi-kr", xi="1:0,2:-1,3:0,9:4", level="2", walks="1")
-@example(cartan="A3", check="tsystem", xi="1:5,1:0,2:-1,3:0", level="2", walks="1")
-@example(cartan="A2", check="yhat", xi="1:0,2:-1", level="2", walks="1")
+       level=LEVEL_TEXTS, walks=st.one_of(st.none(), st.integers(-2, 5).map(str),
+                                          st.text("0123-x", max_size=3)))
+@example(cartan="A3", check="psi-kr", xi="1:0,2:-1,3:0,9:4", level="2", walks=None)
+@example(cartan="A3", check="tsystem", xi="1:5,1:0,2:-1,3:0", level="2", walks=None)
+@example(cartan="A2", check="yhat", xi="1:0,2:-1", level="2", walks=None)
+@example(cartan="A2", check="tsystem", xi="1:0,2:-1", level="2", walks="1")
 def test_cli_fuzz_verify(cartan, check, xi, level, walks):
-    code, out, err = _main_captured(["verify", check, "--cartan", cartan, f"--xi={xi}",
-                                     f"--level={level}", f"--walks={walks}"])
-    if check == "yhat":
-        assert code == 2  # yhat does not read the level
+    argv = ["verify", check, "--cartan", cartan, f"--xi={xi}", f"--level={level}"]
+    if walks is not None:
+        argv.append(f"--walks={walks}")
+    code, out, err = _main_captured(argv)
+    if check == "yhat" or walks is not None:
+        assert code == 2  # yhat does not read the level, and none of these checks reads --walks
     if code:
         assert out == ""
         assert sum("error:" in line for line in err.splitlines()) == 1

@@ -3,10 +3,11 @@ import json
 import pytest
 
 from clustermod.cartan import cartan_type, linear_height
+from clustermod.errors import ConfigurationError
 from clustermod.verify import (
     CHECK_NAMES,
-    LEVEL_CHECKS,
     analyze_edge,
+    check_reads,
     get_bundle,
     run_check,
     s_l_sequence,
@@ -119,7 +120,7 @@ def test_edge_analysis_shift_injective_edges():
             raise AssertionError(f"no shift/injective edge for {i}")
 
 
-@pytest.mark.parametrize("name", [n for n in CHECK_NAMES if n not in LEVEL_CHECKS])
+@pytest.mark.parametrize("name", [n for n in CHECK_NAMES if "l" not in check_reads(n)])
 def test_checks_outside_the_level_set_do_not_read_the_level(name):
     reports = [run_check(name, A2, XI2, l=l, walks=5)[0] for l in (2, 3)]
     for report in reports:
@@ -135,3 +136,33 @@ def test_run_check_dispatch_and_json():
     reports = run_check("all", A2, XI2, l=2, walks=30)
     assert all(r.passed for r in reports)
     assert len(reports) == 10
+    assert all(r.seconds > 0 for r in reports)
+
+
+def test_check_reads_states_each_checks_scope():
+    scope = {"cartan", "xi"}
+    assert check_reads("properties") == scope | {"walks", "rng_seed"}
+    for name in ("psi-kr", "hw-exchange", "tsystem", "sequence"):
+        assert check_reads(name) == scope | {"l"}
+    for name in ("trop-socle", "yhat", "exchange"):
+        assert check_reads(name) == scope
+    assert check_reads("examples") == check_reads("goldens") == frozenset()
+    assert check_reads("all") == scope | {"l", "walks", "rng_seed"}
+
+
+@pytest.mark.parametrize("name,scope,message", [
+    ("bogus", (), "unknown check 'bogus'"),
+    ("bogus", (A2, XI2), "unknown check 'bogus'"),
+    ("yhat", (), "this check needs a Cartan type and a height function"),
+    ("all", (A2, None), "this check needs a Cartan type and a height function"),
+])
+def test_run_check_rejects_unknown_names_before_a_missing_scope(name, scope, message):
+    with pytest.raises(ConfigurationError) as exc:
+        run_check(name, *scope)
+    assert str(exc.value) == message
+
+
+def test_fixture_checks_run_without_a_scope():
+    reports = run_check("examples") + run_check("goldens")
+    assert [r.name for r in reports] == ["examples", "goldens"]
+    assert all(r.passed and r.seconds > 0 for r in reports)
