@@ -59,9 +59,26 @@ def _level(args) -> int:
     return 2 if args.level is None else args.level
 
 
-def _reject_level(args, where: str) -> None:
-    if args.level is not None:
-        raise ConfigurationError(f"--level does not apply {where}")
+# the commands whose choice of family or table decides whether --level is read:
+# the argument that holds the choice, how an error names it, and the choices
+# that read the level (gammafull only to place its window floor, so not with --rmin)
+_LEVEL_READERS = {
+    "quiver": ("family", "to --family {}", ("gamma", "gammafull", "qxil")),
+    "engine": ("family", "to --family {}", ("gamma",)),
+    "table": ("which", "to table {}", ("psi-monomials",)),
+}
+
+
+def _reject_unread_level(args) -> None:
+    """A --level given where the chosen family or table does not read it is a usage error."""
+    if args.level is None:
+        return
+    attr, where, readers = _LEVEL_READERS[args.command]
+    choice = getattr(args, attr)
+    if choice not in readers:
+        raise ConfigurationError(f"--level does not apply {where.format(choice)}")
+    if getattr(args, "rmin", None) is not None:
+        raise ConfigurationError("--level does not apply with --rmin")
 
 
 def _nonnegative_int(text: str) -> int:
@@ -164,10 +181,7 @@ def _cmd_quiver(args) -> int:
         fam = args.family
         if args.rmin is not None and fam != "gammafull":
             raise ConfigurationError("--rmin applies only to --family gammafull")
-        if fam in ("qxi", "qcheck"):
-            _reject_level(args, f"to --family {fam}")
-        elif args.rmin is not None:
-            _reject_level(args, "with --rmin")
+        _reject_unread_level(args)
         cartan, xi = _scope(args)
         level = _level(args)
         if fam == "gamma":
@@ -207,8 +221,7 @@ def _cmd_quiver(args) -> int:
 
 
 def _cmd_engine(args) -> int:
-    if args.family == "qcheck":
-        _reject_level(args, "to --family qcheck")
+    _reject_unread_level(args)
     cartan, xi = _scope(args)
     if args.family == "qcheck":
         quiver = build_qcheck(cartan, xi)
@@ -275,8 +288,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.which != "psi-monomials":
-        _reject_level(args, f"to table {args.which}")
+    _reject_unread_level(args)
     cartan, xi = _scope(args)
     ctx = RepContext(cartan, xi)
     if args.which == "roots":

@@ -22,9 +22,15 @@ and the sign-rule g recursion against the c-vector recursion through tropical
 duality G^T C = I (Nakanishi-Zelevinsky 2012); a mismatch raises
 InternalInvariantError.
 
-The exchange-graph BFS mutates each edge once: the reverse step of an edge it
-has found is known to land back on the seed it came from, so it is skipped.
-Sign coherence is checked on every column of every stored seed.
+Mutation is split in two.  The exchange step reads the new extended g-vector
+(sign rule) and the exchange relation off the current seed alone; the
+completion builds the mutated B-tilde, the c-vectors and, for a new g-vector,
+its F-polynomial.  The exchange-graph BFS runs one exchange step per edge: the
+reverse step of an edge it has found is known to land back on the seed it came
+from, so it is skipped.  It tests the key of the mutated seed, which needs only
+the new g-vector, before it builds anything, and completes the mutation only
+for a key that is new and under the seed cap.  Sign coherence is checked on
+every column of every stored seed.
 """
 from __future__ import annotations
 
@@ -236,37 +242,61 @@ class Seed:
     def mutate(self, v: Vertex) -> "Seed":
         return self.mutate_with_edge(v)[0]
 
-    def mutate_with_edge(self, v: Vertex) -> tuple["Seed", ExchangeEdge]:
-        ctx = self.ctx
-        k = ctx.mut_index.get(v)
-        if k is None:
-            raise FrozenVertexError(f"mutation at frozen or unknown vertex {v}")
-        b, col = self.quiver.b, ctx.mut_rows[k]
-        bcol = tuple(b[row][col] for row in ctx.mut_rows)
-        cvecs = _mutate_cvecs(self.cvecs, k, bcol)
+    def _bcol(self, k: int) -> tuple[int, ...]:
+        """Column k of the exchange matrix, restricted to the mutable rows."""
+        b, col = self.quiver.b, self.ctx.mut_rows[k]
+        return tuple([b[row][col] for row in self.ctx.mut_rows])
 
-        n = len(ctx.mutables)
-        eps = self.epsilon(k)
-        acc = [-x for x in self.gtilde[k]]
+    def _sign_rule(self, k: int, bcol: tuple[int, ...], eps: int,
+                   width: int | None = None) -> list[int]:
+        """The sign-rule recursion for g-tilde at position k, before the tropical
+        term of the frozen block: -g_k + sum_i [-eps b_ik]_+ g_i, on the first
+        `width` entries (all by default)."""
+        acc = [-x for x in self.gtilde[k][:width]]
         for i, bi in enumerate(bcol):
             w = -bi if eps > 0 else bi
             if w > 0:
                 acc = [a + w * e for a, e in zip(acc, self.gtilde[i])]
-        yk = ctx.coeff_exps(b, k)
+        return acc
+
+    def mutated_gvec(self, k: int) -> tuple[int, ...]:
+        """The g-vector that mutation at position k brings in; with the other
+        g-vectors it gives the key of the mutated seed."""
+        n = len(self.ctx.mutables)
+        return tuple(self._sign_rule(k, self._bcol(k), self.epsilon(k), n))
+
+    def exchange_step(self, k: int) -> tuple[tuple[int, ...], ExchangeEdge]:
+        """The exchange step at position k, read from this seed alone: the new
+        extended g-vector and the exchange relation
+        x_k x'_k = f1 * prod x_i^{[b_ik]_+} + f2 * prod x_i^{[-b_ik]_+}."""
+        ctx = self.ctx
+        n = len(ctx.mutables)
+        bcol = self._bcol(k)
+        eps = self.epsilon(k)
+        yk = ctx.coeff_exps(self.quiver.b, k)
         f1 = tuple([a if a > 0 else 0 for a in yk])  # y_k / (y_k + 1) in the tropical semifield
         f2 = tuple([-a if a < 0 else 0 for a in yk])  # 1 / (y_k + 1)
+        acc = self._sign_rule(k, bcol, eps)
         acc[n:] = [a + e for a, e in zip(acc[n:], f2 if eps > 0 else f1)]
-        gtilde = self.gtilde[:k] + (tuple(acc),) + self.gtilde[k + 1:]
-        new_g = gtilde[k][:n]
-        if new_g not in ctx.fpolys:
-            ctx.fpolys[new_g] = self._mutated_fpoly(k, bcol)
-        seed = Seed(ctx, self.quiver.mutate(v), cvecs, gtilde)
-
-        # exchange relation x_k x'_k = f1 * prod x_i^{[b_ik]_+} + f2 * prod x_i^{[-b_ik]_+}
+        row = tuple(acc)
         gs = [g[:n] for g in self.gtilde]
         term1 = TermData(f1, tuple([(gs[i], bi) for i, bi in enumerate(bcol) if bi > 0]))
         term2 = TermData(f2, tuple([(gs[i], -bi) for i, bi in enumerate(bcol) if bi < 0]))
-        return seed, ExchangeEdge(v, gs[k], new_g, term1, term2)
+        return row, ExchangeEdge(ctx.mutables[k], gs[k], row[:n], term1, term2)
+
+    def mutate_with_edge(self, v: Vertex) -> tuple["Seed", ExchangeEdge]:
+        """The exchange step at v, completed to the mutated seed: B-tilde, the
+        c-vectors and, for a g-vector not met before, its F-polynomial."""
+        ctx = self.ctx
+        k = ctx.mut_index.get(v)
+        if k is None:
+            raise FrozenVertexError(f"mutation at frozen or unknown vertex {v}")
+        row, edge = self.exchange_step(k)
+        bcol = self._bcol(k)
+        if edge.new_g not in ctx.fpolys:
+            ctx.fpolys[edge.new_g] = self._mutated_fpoly(k, bcol)
+        gtilde = self.gtilde[:k] + (row,) + self.gtilde[k + 1:]
+        return Seed(ctx, self.quiver.mutate(v), _mutate_cvecs(self.cvecs, k, bcol), gtilde), edge
 
     def key(self) -> tuple:
         """Canonical unlabeled-seed key: sorted multiset of g-vectors."""
@@ -401,12 +431,16 @@ class ExchangeGraph:
 def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGraph:
     """Deterministic BFS of the exchange graph, deduplicating unlabeled seeds.
 
-    Each edge is mutated once.  A seed is fixed by its cluster (Gekhtman-Shapiro-
-    Vainshtein 2008), and a cluster minus one variable lies in exactly two
-    clusters (Fomin-Zelevinsky, CA II), so mutating the stored seed at the end
-    of an edge in the direction of the edge's new variable walks back to the
+    Each edge gets one exchange step.  A seed is fixed by its cluster (Gekhtman-
+    Shapiro-Vainshtein 2008), and a cluster minus one variable lies in exactly
+    two clusters (Fomin-Zelevinsky, CA II), so mutating the stored seed at the
+    end of an edge in the direction of the edge's new variable walks back to the
     seed it came from; that direction is marked and skipped when the seed is
-    dequeued.  Sign coherence is checked on every column of every stored seed."""
+    dequeued.  In every other direction the key of the mutated seed is read from
+    the new g-vector alone: a stored key takes only the exchange step, for the
+    edge, and a new key under the cap takes the whole mutation, so that a seed
+    (quiver, c-vectors, F of a new g-vector) is built only when it is stored.
+    Sign coherence is checked on every column of every stored seed."""
     if max_seeds < 1:
         raise ConfigurationError(f"the seed cap must be at least 1, got {max_seeds}")
     ctx = seed0.ctx
@@ -435,15 +469,18 @@ def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGra
         key = queue.popleft()
         seed = seeds[key]
         skip = walked.pop(key)
+        gs = [g[:n] for g in seed.gtilde]
         for k, v in enumerate(ctx.mutables):
             if k in skip:
                 continue
-            new_seed, edge = seed.mutate_with_edge(v)
-            nk = new_seed.key()
-            if nk not in seeds:
-                if len(seeds) >= max_seeds:
-                    exhaustive = False
-                    continue
+            nk = tuple(sorted(gs[:k] + [seed.mutated_gvec(k)] + gs[k + 1:]))
+            if nk in seeds:
+                edge = seed.exchange_step(k)[1]
+            elif len(seeds) >= max_seeds:
+                exhaustive = False
+                continue
+            else:
+                new_seed, edge = seed.mutate_with_edge(v)
                 store(nk, new_seed)
             back = walked.get(nk)
             if back is not None:  # nk is still queued

@@ -562,7 +562,10 @@ class RepContext:
         """All indecomposables in knitting order (column by column from the shifts)."""
         objs = tuple(dict.fromkeys(o for col in self._columns for o in col))
         if len(objs) != len(self.roots) + self.n:
-            raise InternalInvariantError("AR knitting failed to close")
+            xi = ",".join(f"{i}:{h}" for i, h in sorted(self.xi.items()))
+            raise InternalInvariantError(
+                f"AR knitting failed to close for {self.cartan.name} xi={xi}: "
+                f"{len(objs)} objects knitted, {len(self.roots) + self.n} indecomposables")
         return objs
 
     def ar_arrows(self) -> tuple[tuple[CQObject, CQObject], ...]:

@@ -462,7 +462,9 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
                         out = out * position_hw(seed, jj) ** mult
                         break
                 else:
-                    raise InternalInvariantError("exchange factor not found in seed")
+                    raise InternalInvariantError(
+                        f"exchange factor g = {fg} not found in seed {seed.key()} "
+                        f"at step {v}")
             return out
 
         h1, h2 = term_hw(edge.term1), term_hw(edge.term2)

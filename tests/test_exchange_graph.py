@@ -1,15 +1,18 @@
-"""The exchange-graph BFS that mutates each edge once, against the reference BFS
-that mutates every seed in every direction, and against the classical counts."""
+"""The exchange-graph BFS that runs one exchange step per edge and builds only new
+seeds, against the reference BFS that mutates every seed in every direction, and
+against the classical counts."""
 import random
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustermod import engine
 from clustermod.cartan import cartan_type, linear_height
 from clustermod.engine import Seed, enumerate_exchange_graph
-from clustermod.quivers import build_gamma_l, build_qcheck
+from clustermod.quivers import IceQuiver, build_gamma_l, build_qcheck
 
 from oracles import OracleSeed, TropElem, oracle_full_bfs, orientations
 
@@ -22,28 +25,43 @@ def _ids(scopes):
     return [f"{n}-{','.join(map(str, xi.values()))}" for n, xi in scopes]
 
 
+def _count_calls(monkeypatch, owner, name, counts):
+    """Count the calls of owner.name into counts[name]."""
+    real = getattr(owner, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def _assert_same_graph(quiver, max_seeds=10**6):
+    """The engine's graph, the reference graph and the engine's F divisions."""
     # fresh contexts, so the F-polynomial tables fill in each BFS's own order
-    got = enumerate_exchange_graph(Seed.initial(quiver), max_seeds)
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        _count_calls(mp, engine, "div_exact", counts)
+        got = enumerate_exchange_graph(Seed.initial(quiver), max_seeds)
     want = oracle_full_bfs(Seed.initial(quiver), max_seeds)
     assert list(got.seeds.items()) == list(want.seeds.items())
     assert [(e.vertex, e.old_g, e.new_g, e.term1, e.term2) for e in got.edges] == [
         (e.vertex, e.old_g, e.new_g, e.term1, e.term2) for e in want.edges]
     assert list(got.registry.items()) == list(want.registry.items())
-    assert list(got.ctx.fpolys.items()) == list(want.ctx.fpolys.items())
     assert got.exhaustive == want.exhaustive
     assert got.report_json() == want.report_json()
-    return got
+    return got, want, counts["div_exact"]
 
 
-# ---- one mutation per edge against the every-direction reference --------------------
+# ---- one exchange step per edge against the every-direction reference ---------------
 
 EQUIVALENCE_SCOPES = _scopes(("A3", "A4", "D4")) + [("E6", orientations(cartan_type("E6"))[5])]
 
 
 @pytest.mark.parametrize("name,xi", EQUIVALENCE_SCOPES, ids=_ids(EQUIVALENCE_SCOPES))
 def test_bfs_matches_every_direction_reference(name, xi):
-    graph = _assert_same_graph(build_qcheck(cartan_type(name), xi))
+    graph, want, _ = _assert_same_graph(build_qcheck(cartan_type(name), xi))
+    assert list(graph.ctx.fpolys.items()) == list(want.ctx.fpolys.items())
     assert graph.exhaustive
 
 
@@ -52,34 +70,54 @@ def test_capped_grid_bfs_matches_every_direction_reference(name, level, cap):
     cartan = cartan_type(name)
     quiver = build_gamma_l(cartan, linear_height(cartan) if name == "A3"
                            else orientations(cartan)[0], level)
-    graph = _assert_same_graph(quiver, cap)
+    graph, want, divisions = _assert_same_graph(quiver, cap)
+    # no F division for a seed past the cap: one per variable the BFS keeps
+    assert divisions == graph.variable_count - len(graph.ctx.mutables)
+    # the reference also fills in the F of seeds past the cap, the engine only
+    # the F of the variables it registers
+    assert list(graph.ctx.fpolys) == list(graph.registry)
+    assert all(f == want.ctx.fpolys[g] for g, f in graph.ctx.fpolys.items())
     assert not graph.exhaustive and graph.seed_count == cap
 
 
 def test_skipped_directions_walk_back_along_known_edges(monkeypatch):
-    real = Seed.mutate_with_edge
-    calls = []
+    real_step, real_mutate = Seed.exchange_step, Seed.mutate_with_edge
+    steps = []
 
-    def spy(seed, v):
-        out = real(seed, v)
-        calls.append((seed.key(), v, out[0].key()))
+    def spy(seed, k):
+        out = real_step(seed, k)
+        edge = out[1]
+        key = seed.key()
+        nk = tuple(sorted([g for g in key if g != edge.old_g] + [edge.new_g]))
+        steps.append((key, edge.vertex, nk))
         return out
 
-    monkeypatch.setattr(Seed, "mutate_with_edge", spy)
+    counts = Counter()
+    monkeypatch.setattr(Seed, "exchange_step", spy)
+    _count_calls(monkeypatch, Seed, "mutate_with_edge", counts)
+    _count_calls(monkeypatch, IceQuiver, "mutate", counts)
+    _count_calls(monkeypatch, engine, "div_exact", counts)
     for name, xi in _scopes(("A3", "D4")):
-        calls.clear()
-        graph = enumerate_exchange_graph(Seed.initial(build_qcheck(cartan_type(name), xi)))
-        assert len(calls) == len(graph.edges)  # each edge is mutated once
-        joined = {(min(a, b), max(a, b)) for a, _, b in calls}
+        quiver = build_qcheck(cartan_type(name), xi)
+        steps.clear()
+        counts.clear()
+        graph = enumerate_exchange_graph(Seed.initial(quiver))
+        assert graph.exhaustive
+        assert len(steps) == len(graph.edges)  # one exchange step per edge
+        # a seed is built, and an F divided, only when it is new
+        assert counts["mutate_with_edge"] == graph.seed_count - 1
+        assert counts["mutate"] == graph.seed_count - 1
+        assert counts["div_exact"] == graph.variable_count - len(graph.ctx.mutables)
+        joined = {(min(a, b), max(a, b)) for a, _, b in steps}
         assert len(joined) == len(graph.edges)
-        mutated = {(key, v) for key, v, _ in calls}
+        stepped = {(key, v) for key, v, _ in steps}
         skipped = 0
         for key, seed in graph.seeds.items():
             for v in graph.ctx.mutables:
-                if (key, v) in mutated:
+                if (key, v) in stepped:
                     continue
                 skipped += 1
-                nk = real(seed, v)[0].key()
+                nk = real_mutate(seed, v)[0].key()
                 assert nk in graph.seeds, (name, key, v)
                 assert (min(key, nk), max(key, nk)) in joined, (name, key, v)
         assert skipped == len(graph.edges)

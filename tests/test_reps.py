@@ -228,6 +228,15 @@ def test_tau_inv_that_is_not_a_bijection_is_an_internal_error(monkeypatch):
         rc.tau(CQObject.shifted(1))
 
 
+def test_knitting_that_does_not_close_names_the_scope_and_both_counts(monkeypatch):
+    rc = RepContext(D4, {1: 0, 2: -1, 3: 0, 4: 0})
+    monkeypatch.setattr(rc, "tau_inv", lambda obj: obj)
+    with pytest.raises(InternalInvariantError) as err:
+        rc.ar_objects()
+    assert str(err.value) == ("AR knitting failed to close for D4 xi=1:0,2:-1,3:0,4:0: "
+                              "4 objects knitted, 16 indecomposables")
+
+
 # SHA-256 of ar_objects, ar_arrows and ar_meshes as text, one digest each, over every
 # orientation of A4 and D4 and one of E6; taken from the knitting that applied the
 # Coxeter matrix for tau and memoised tau^-1 per (column, vertex)

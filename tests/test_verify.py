@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from clustermod.cartan import cartan_type, linear_height
-from clustermod.errors import ConfigurationError
+from clustermod.engine import Seed, TermData
+from clustermod.errors import ConfigurationError, InternalInvariantError
 from clustermod.verify import (
     CHECK_NAMES,
     analyze_edge,
@@ -75,6 +77,23 @@ def test_grid_sequence_level1_degenerate():
     report = verify_grid_sequence(A3, XI3, 1)
     assert_passes(report)
     assert s_l_sequence(A3, XI3, 1) == []
+
+
+def test_missing_exchange_factor_names_the_seed_step_and_g_vector(monkeypatch):
+    real = Seed.mutate_with_edge
+    bogus = (9, 9, 9, 9, 9, 9)
+    seen = []
+
+    def lost_factor(seed, v):
+        new_seed, edge = real(seed, v)
+        seen.append((seed.key(), v))
+        return new_seed, dataclasses.replace(edge, term1=TermData(edge.term1.fexp, ((bogus, 1),)))
+
+    monkeypatch.setattr(Seed, "mutate_with_edge", lost_factor)
+    with pytest.raises(InternalInvariantError) as err:
+        verify_grid_sequence(A3, XI3, 2)
+    (key, v), = seen
+    assert str(err.value) == f"exchange factor g = {bogus} not found in seed {key} at step {v}"
 
 
 def test_s_l_sequence_order():
