@@ -17,7 +17,6 @@ from .engine import (
 from .hlmap import (
     a_monomial,
     hw_extract,
-    hw_source_from_record,
     kr_monomial,
     psi,
     uv_monomials,

@@ -22,7 +22,7 @@ from .quivers import (
     build_qxil,
 )
 from .reps import CQObject, RepContext, rep_json
-from .verify import CHECK_NAMES, check_reads, run_check
+from .verify import CHECK_NAMES, DEFAULT_LEVEL, check_reads, run_check
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -39,7 +39,7 @@ def _add_scope_args(p: argparse.ArgumentParser, level=True):
                         help="type A sugar for the height function 1-i")
     if level:
         # no default here: a command that does not read the level rejects a given one
-        p.add_argument("--level", type=int, help="level l >= 1 (default 2)")
+        p.add_argument("--level", type=int, help=f"level l >= 1 (default {DEFAULT_LEVEL})")
 
 
 def _scope(args):
@@ -56,7 +56,7 @@ def _scope(args):
 
 
 def _level(args) -> int:
-    return 2 if args.level is None else args.level
+    return DEFAULT_LEVEL if args.level is None else args.level
 
 
 # the commands whose choice of family or table decides whether --level is read:

@@ -1,17 +1,17 @@
 """Monomial dictionary between cluster data and highest l-weight monomials.
 
 Y-monomials are `Monomial`s over `Yvar`.  All spectral parameters are integers on
-the lattice of pairs (i, r); dominant means every exponent is nonnegative.
+the lattice of pairs (i, r); dominant means every exponent is nonnegative.  Hw
+extraction reads each (i, p) label off the seed's own z-variables (`VarId.index`).
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 from .cartan import CartanData
 from .errors import DomainError, NonDominantError
 from .reps import CQObject, RepContext
-from .symbolic import Monomial, Yvar
+from .symbolic import Monomial, VarId, Yvar
 
 
 def _y_monomial(exps: Mapping[tuple[int, int], int]) -> Monomial:
@@ -98,30 +98,15 @@ def psi(objs, repctx: RepContext, l: int) -> Monomial:
     return out
 
 
-@dataclass(frozen=True)
-class HwSource:
-    """What hw extraction needs from an engine record: g-tilde plus label maps."""
-
-    gtilde: tuple[int, ...]
-    mut_labels: tuple[tuple[int, int], ...]
-    gen_labels: tuple[tuple[int, int], ...]
-
-
-def hw_extract(source: HwSource, xi: dict[int, int]) -> Monomial:
-    """Expand z^{g-tilde} into Y-variables in one exponent map; the result must be dominant."""
-    labels = source.mut_labels + source.gen_labels
-    if len(source.gtilde) != len(labels):
-        raise DomainError(f"g-tilde has {len(source.gtilde)} entries for {len(labels)} labels")
-    out = expand_z(zip(labels, source.gtilde), xi)
+def hw_extract(exps: tuple[int, ...], variables: tuple[VarId, ...],
+               xi: dict[int, int]) -> Monomial:
+    """prod z_{i,p}^e over the exponents and the z-variables they belong to, read off
+    each variable's (i, p) label and expanded into Y-variables; the result must be dominant."""
+    if len(exps) != len(variables):
+        raise DomainError(f"g-tilde has {len(exps)} entries for {len(variables)} variables")
+    if any(v.family != "z" for v in variables):
+        raise DomainError("hw extraction requires a grid-labeled seed")
+    out = expand_z(zip((v.index for v in variables), exps), xi)
     if not out.is_dominant:
         raise NonDominantError(f"hw extraction produced non-dominant monomial {out}")
     return out
-
-
-def hw_source_from_record(record, ctx) -> HwSource:
-    """Adapter from an engine ClusterVarRecord + SeedContext over a grid quiver."""
-    if any(v.r is None for v in ctx.mutables) or any(len(g.index) != 2 for g in ctx.gens):
-        raise DomainError("hw extraction requires a grid-labeled seed")
-    mut_labels = tuple((v.i, v.r) for v in ctx.mutables)
-    gen_labels = tuple((g.index[0], g.index[1]) for g in ctx.gens)
-    return HwSource(tuple(record.gtilde), mut_labels, gen_labels)

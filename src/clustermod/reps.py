@@ -82,13 +82,9 @@ def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
     return mat[:r], pivots
 
 
-def _null_space(m: Matrix, nrows: int, ncols: int) -> list[tuple]:
-    """Basis of {x : m x = 0} as length-ncols vectors."""
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [tuple(int(i == j) for i in range(ncols)) for j in range(ncols)]
-    rref, pivots = _rref([list(row) for row in m], ncols)
+def _null_space(rows: list[list], ncols: int) -> list[tuple]:
+    """Basis of {x : rows x = 0} as length-ncols vectors (no rows: the unit vectors)."""
+    rref, pivots = _rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -193,6 +189,11 @@ class RepContext:
         self._vertex_of_inj = {d: i for i, d in self._inj.items()}
         self._vertex_of_unit = {self._unit(i): i for i in cartan.vertices}
 
+    def _where(self) -> str:
+        """'for <type> xi=<heights>': the scope that every InternalInvariantError names."""
+        xi = ",".join(f"{i}:{h}" for i, h in sorted(self.xi.items()))
+        return f"for {self.cartan.name} xi={xi}"
+
     # ---- roots and basic dimension vectors -------------------------------
 
     @functools.cached_property
@@ -252,10 +253,12 @@ class RepContext:
         for arrows_t, k in reversed(chain[:-1]):
             rep = self._reflect_minus(rep, k, arrows_t)
         if rep.dims != dims:
-            raise InternalInvariantError(f"reflection build produced {rep.dims}, wanted {dims}")
+            raise InternalInvariantError(
+                f"reflection build produced {rep.dims}, wanted {dims} {self._where()}")
         end_dim, _ = self.hom(rep, rep)
         if end_dim != 1:
-            raise InternalInvariantError(f"End space of {dims} has dimension {end_dim}")
+            raise InternalInvariantError(
+                f"End space of {dims} has dimension {end_dim} {self._where()}")
         self._rep_cache[dims] = rep
         return rep
 
@@ -310,7 +313,7 @@ class RepContext:
                     prev[nxt] = (state, k)
                     queue.append(nxt)
         if goal is None:
-            raise InternalInvariantError(f"no reflection chain found for {alpha}")
+            raise InternalInvariantError(f"no reflection chain found from {alpha} {self._where()}")
         state, j = goal
         steps = []
         cur = state
@@ -398,7 +401,8 @@ class RepContext:
                 dims = tuple(sum(a * d for a, d in zip(row, obj.dims))
                              for row in self._coxeter_inv)
                 if dims not in self._root_set:
-                    raise InternalInvariantError(f"tau^-1 of {obj.dims} gave non-root {dims}")
+                    raise InternalInvariantError(
+                        f"tau^-1 of {obj.dims} gave non-root {dims} {self._where()}")
                 out = CQObject.module(dims)
             self._tau_inv_cache[obj] = out
         return out
@@ -409,7 +413,8 @@ class RepContext:
         table = {self.tau_inv(o): o for o in objs}
         if len(table) < len(objs):
             raise InternalInvariantError(
-                f"tau^-1 is not a bijection: {len(table)} images of {len(objs)} objects")
+                f"tau^-1 is not a bijection: {len(table)} images of {len(objs)} objects "
+                f"{self._where()}")
         return table
 
     def tau(self, obj: CQObject) -> CQObject:
@@ -441,7 +446,7 @@ class RepContext:
                         row[offs[t] + r * x.dims[t - 1] + u] -= xa[u][c]
                     if any(v != 0 for v in row):
                         rows.append(row)
-        basis_vecs = _null_space(_mat(rows), len(rows), total)
+        basis_vecs = _null_space(rows, total)
         basis = []
         for vec in basis_vecs:
             fam = {}
@@ -509,7 +514,8 @@ class RepContext:
         dim, basis = self.hom(rl, rn)
         if dim != 1:
             raise InternalInvariantError(
-                f"Hom({lt.dims}, {n_obj.dims}) has dimension {dim}, Euler form gives 1")
+                f"Hom({lt.dims}, {n_obj.dims}) has dimension {dim}, Euler form gives 1 "
+                f"{self._where()}")
         h = basis[0]
         reduced = {i: _rref(h[i], rl.dims[i - 1]) for i in self.cartan.vertices}
         mats = []
@@ -529,7 +535,7 @@ class RepContext:
             ):
                 raise InternalInvariantError(
                     f"inconsistent linear system in solve for "
-                    f"Hom({lt.dims}, {n_obj.dims}) at arrow {s}->{t}")
+                    f"Hom({lt.dims}, {n_obj.dims}) at arrow {s}->{t} {self._where()}")
             mats.append((s, t, z))
         dims = tuple(len(reduced[i][1]) for i in self.cartan.vertices)
         return QuiverRep(self.n, dims, tuple(mats))
@@ -562,9 +568,8 @@ class RepContext:
         """All indecomposables in knitting order (column by column from the shifts)."""
         objs = tuple(dict.fromkeys(o for col in self._columns for o in col))
         if len(objs) != len(self.roots) + self.n:
-            xi = ",".join(f"{i}:{h}" for i, h in sorted(self.xi.items()))
             raise InternalInvariantError(
-                f"AR knitting failed to close for {self.cartan.name} xi={xi}: "
+                f"AR knitting failed to close {self._where()}: "
                 f"{len(objs)} objects knitted, {len(self.roots) + self.n} indecomposables")
         return objs
 

@@ -30,7 +30,6 @@ from .errors import (
 from .hlmap import (
     expand_z,
     hw_extract,
-    hw_source_from_record,
     kr_monomial,
     psi,
     uv_monomials,
@@ -137,6 +136,12 @@ def analyze_edge(repctx: RepContext, obj_by_g: dict, edge) -> EdgeAnalysis:
         m_term, mp_term = edge.term1, edge.term2
     elif s2 == gsum and s1 != gsum:
         m_term, mp_term = edge.term2, edge.term1
+    elif s1 == gsum and not edge.term1.factors and not edge.term2.factors:
+        # rank 1: the exchange column is zero, so no g-sum tells the terms apart; M is
+        # the term with the exponents kappa(L, 0, N), else term1, which the checks reject
+        kappa = repctx.kappa(obj_by_g[edge.old_g], (), obj_by_g[edge.new_g])
+        m_term, mp_term = ((edge.term2, edge.term1) if edge.term2.fexp == kappa
+                           else (edge.term1, edge.term2))
     else:
         raise InternalInvariantError(f"cannot identify the middle term: {s1}, {s2}, {gsum}")
     return EdgeAnalysis(
@@ -442,7 +447,7 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
         rep.check(out == want, f"yhat at {v} equals A-inverse", got=out, want=want)
 
     def position_hw(sd, j):
-        return hw_extract(hw_source_from_record(make_record(sd, j), ctx), xi)
+        return hw_extract(make_record(sd, j).gtilde, ctx.xvars + ctx.gens, xi)
 
     for v in s_l_sequence(cartan, xi, l):
         i, r = v.i, v.r
@@ -455,7 +460,7 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
         rep.check(got == kr_monomial(i, k, r - 2), f"post-mutation KR label at {v}", got=got)
 
         def term_hw(term):
-            out = expand_z(zip((g.index for g in ctx.gens), term.fexp), xi)
+            out = hw_extract(term.fexp, ctx.gens, xi)
             for fg, mult in term.factors:
                 for jj in range(n_mut):
                     if seed.gtilde[jj][:n_mut] == fg:
@@ -601,6 +606,7 @@ _CHECKS = {
     "properties": "verify_properties",
 }
 CHECK_NAMES = tuple(_CHECKS)
+DEFAULT_LEVEL = 2  # the level of a check that reads one and is given none
 _READS = {name: frozenset(inspect.signature(globals()[fn]).parameters)
           for name, fn in _CHECKS.items()}
 
@@ -611,7 +617,8 @@ def check_reads(name: str) -> frozenset[str]:
 
 
 def run_check(name: str, cartan: CartanData | None = None, xi: dict[int, int] | None = None,
-              l: int = 2, walks: int | None = None, rng_seed: int | None = None) -> list[Report]:
+              l: int = DEFAULT_LEVEL, walks: int | None = None,
+              rng_seed: int | None = None) -> list[Report]:
     """Run one named check (or 'all') on the arguments it reads, or its defaults for
     those left None; returns the timed reports."""
     if name != "all" and name not in _CHECKS:

@@ -18,6 +18,7 @@ from clustermod.cartan import cartan_type
 from clustermod.cli import main
 from clustermod.errors import InternalInvariantError
 from clustermod.quivers import IceQuiver
+from clustermod.verify import CHECK_NAMES, check_reads
 from oracles import orientations
 
 
@@ -300,6 +301,21 @@ def test_verify_pass_exit_codes(capsys):
     assert out.startswith("PASS")
     code, out, _ = run(capsys, "verify", "tsystem", "--cartan", "A2", "--xi", "1:0,2:-1")
     assert code == 0
+
+
+# on A1 the exchange column is zero: neither exchange term has a factor, and the two
+# g-sums agree
+@pytest.mark.parametrize("xi,level", [("1:0", "2"), ("1:5", "3")])
+def test_verify_every_check_passes_on_a1(capsys, xi, level):
+    for check in (*CHECK_NAMES, "all"):
+        argv = ["verify", check]
+        if "cartan" in check_reads(check):
+            argv += ["--cartan", "A1", "--xi", xi]
+        if "l" in check_reads(check):
+            argv += ["--level", level]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), check
+        assert out.startswith("PASS ") and "FAIL" not in out, check
 
 
 def test_verify_unknown_check_exits_2(capsys):

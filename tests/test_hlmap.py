@@ -6,11 +6,9 @@ from clustermod.cartan import cartan_type, linear_height
 from clustermod.engine import Seed, make_record
 from clustermod.errors import DomainError, NonDominantError
 from clustermod.hlmap import (
-    HwSource,
     a_monomial,
     expand_z,
     hw_extract,
-    hw_source_from_record,
     kr_monomial,
     psi,
     uv_monomials,
@@ -19,7 +17,7 @@ from clustermod.hlmap import (
 )
 from clustermod.quivers import build_gamma_l
 from clustermod.reps import CQObject, RepContext
-from clustermod.symbolic import Monomial, Yvar
+from clustermod.symbolic import Monomial, Yvar, zvar
 
 A3 = cartan_type("A3")
 XI3 = linear_height(A3)
@@ -185,17 +183,18 @@ def test_psi_level1_hl_monomials(rc3):
 
 def test_non_dominant_raises():
     with pytest.raises(NonDominantError):
-        hw_extract(HwSource((-1,), ((1, 0),), ()), {1: 0})
+        hw_extract((-1,), (zvar(1, 0),), {1: 0})
 
 
 @pytest.mark.parametrize("source", [
-    HwSource((1, 1), ((1, 0),), ()),  # an entry with no label
-    HwSource((1,), ((1, 0), (2, 0)), ()),  # a label with no entry
-    HwSource((1, 0), ((1, 0),), ((2, 0), (2, -2))),
+    ((1, 1), (zvar(1, 0),)),  # an entry with no variable
+    ((1,), (zvar(1, 0), zvar(2, 0))),  # a variable with no entry
+    ((1, 0), (zvar(1, 0), zvar(2, 0), zvar(2, -2))),
 ])
 def test_hw_extract_rejects_a_gtilde_of_the_wrong_length(source):
+    exps, variables = source
     with pytest.raises(DomainError, match="g-tilde has"):
-        hw_extract(source, {1: 0, 2: 0})
+        hw_extract(exps, variables, {1: 0, 2: 0})
 
 
 # ---- hw extraction ----------------------------------------------------------------------
@@ -207,20 +206,20 @@ def test_hw_extract_initial_variables_are_kr():
         ctx = seed.ctx
         for j, v in enumerate(ctx.mutables):
             rec = make_record(seed, j)
-            hw = hw_extract(hw_source_from_record(rec, ctx), xi)
+            hw = hw_extract(rec.gtilde, ctx.xvars + ctx.gens, xi)
             k = (xi[v.i] - v.r) // 2
             assert hw == kr_monomial(v.i, k + 1, v.r)
 
 
-def test_hw_source_requires_grid_seed():
+def test_hw_extract_requires_grid_seed():
     from clustermod.quivers import build_qcheck
     from clustermod.cartan import cartan_type, linear_height
 
     ct = cartan_type("A2")
     seed = Seed.initial(build_qcheck(ct, linear_height(ct)))
     rec = make_record(seed, 0)
-    with pytest.raises(DomainError):
-        hw_source_from_record(rec, seed.ctx)
+    with pytest.raises(DomainError, match="grid-labeled"):
+        hw_extract(rec.gtilde, seed.ctx.xvars + seed.ctx.gens, linear_height(ct))
 
 
 def test_hw_extract_trivial_level1():
@@ -229,4 +228,4 @@ def test_hw_extract_trivial_level1():
     ctx = seed.ctx
     for j, v in enumerate(ctx.mutables):
         rec = make_record(seed, j)
-        assert hw_extract(hw_source_from_record(rec, ctx), xi) == z_monomial(v.i, v.r, xi)
+        assert hw_extract(rec.gtilde, ctx.xvars + ctx.gens, xi) == z_monomial(v.i, v.r, xi)

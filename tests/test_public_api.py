@@ -8,7 +8,7 @@ PUBLIC_API = [
     "SeedContext", "VarId", "Vertex", "Yvar", "a_monomial", "build_gamma_full",
     "build_gamma_l", "build_qcheck", "build_qxi", "build_qxil", "cartan", "cartan_type",
     "check_height_function", "div_exact", "engine", "enumerate_exchange_graph", "errors",
-    "eval_tropical", "fvar", "hlmap", "hw_extract", "hw_source_from_record", "kr_monomial",
+    "eval_tropical", "fvar", "hlmap", "hw_extract", "kr_monomial",
     "linear_height", "make_record", "parse_height", "positive_roots", "psi", "quivers",
     "reps", "run_sequence", "seed_context", "separation", "substitute", "symbolic",
     "uv_monomials", "xvar", "ycoef", "yhat_monomial", "z_monomial", "zvar",

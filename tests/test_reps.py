@@ -436,19 +436,21 @@ def _matrices(nrows, ncols):
 
 @st.composite
 def _shaped(draw, max_rows=4, max_cols=5):
-    nrows, ncols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    nrows, ncols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
     return draw(_matrices(nrows, ncols)), nrows, ncols
 
 
 @settings(max_examples=100, deadline=None)
 @given(_shaped())
+@example(([], 0, 3))
+@example(([[], []], 2, 0))
 def test_rref_and_null_space_match_the_fraction_reference(shaped):
-    m, nrows, ncols = shaped
+    m, _, ncols = shaped
     want, want_pivots = _reference_rref(m, ncols)
     got, pivots = reps._rref(m, ncols)
     assert (got, pivots) == (want, want_pivots)
     _assert_normal(got)
-    null = reps._null_space(reps._mat(m), nrows, ncols)
+    null = reps._null_space(m, ncols)
     want_null = []
     for fc in (c for c in range(ncols) if c not in want_pivots):
         x = [Fraction(int(c == fc)) for c in range(ncols)]
@@ -598,7 +600,8 @@ def test_wrong_reflection_dimensions_name_both_vectors(monkeypatch):
     _zero_maps_at_step(monkeypatch, rc, 1)
     with pytest.raises(InternalInvariantError) as exc:
         rc.rep((0, 1, 1, 1))
-    assert str(exc.value) == "reflection build produced (0, 2, 1, 1), wanted (0, 1, 1, 1)"
+    assert str(exc.value) == ("reflection build produced (0, 2, 1, 1), wanted (0, 1, 1, 1) "
+                              "for D4 xi=1:0,2:-1,3:0,4:0")
 
 
 def test_decomposable_reflection_names_the_end_dimension(monkeypatch):
@@ -607,7 +610,8 @@ def test_decomposable_reflection_names_the_end_dimension(monkeypatch):
     _zero_maps_at_step(monkeypatch, rc, 2)
     with pytest.raises(InternalInvariantError) as exc:
         rc.rep((0, 1, 1, 1))
-    assert str(exc.value) == "End space of (0, 1, 1, 1) has dimension 3"
+    assert str(exc.value) == ("End space of (0, 1, 1, 1) has dimension 3 "
+                              "for D4 xi=1:0,2:-1,3:0,4:0")
 
 
 def test_inconsistent_image_names_the_hom_pair_and_arrow(monkeypatch):
@@ -624,7 +628,7 @@ def test_inconsistent_image_names_the_hom_pair_and_arrow(monkeypatch):
     with pytest.raises(InternalInvariantError) as exc:
         rc.im_h(CQObject.shifted(1), mod(1, 1, 0))
     assert str(exc.value) == ("inconsistent linear system in solve for "
-                              "Hom((1, 1, 1), (1, 1, 0)) at arrow 1->2")
+                              "Hom((1, 1, 1), (1, 1, 0)) at arrow 1->2 for A3 xi=1:0,2:-1,3:-2")
 
 
 # ---- scale ----------------------------------------------------------------------------------
