@@ -90,8 +90,11 @@ def _nonnegative_int(text: str) -> int:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {out}: {exc.strerror}") from None
     else:
         print(text)
 

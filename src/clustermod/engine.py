@@ -23,14 +23,16 @@ duality G^T C = I (Nakanishi-Zelevinsky 2012); a mismatch raises
 InternalInvariantError.
 
 Mutation is split in two.  The exchange step reads the new extended g-vector
-(sign rule) and the exchange relation off the current seed alone; the
-completion builds the mutated B-tilde, the c-vectors and, for a new g-vector,
-its F-polynomial.  The exchange-graph BFS runs one exchange step per edge: the
-reverse step of an edge it has found is known to land back on the seed it came
-from, so it is skipped.  It tests the key of the mutated seed, which needs only
-the new g-vector, before it builds anything, and completes the mutation only
-for a key that is new and under the seed cap.  Sign coherence is checked on
-every column of every stored seed.
+(sign rule) and the exchange relation off the current seed alone, and its edge
+keeps the sign of the exchanged c-vector, so that it names its M-term: the term
+the sign rule sums over (ExchangeEdge.m_terms).  The completion builds the
+mutated B-tilde, the c-vectors and, for a new g-vector, its F-polynomial.  The
+exchange-graph BFS runs one exchange step per edge: the reverse step of an edge
+it has found is known to land back on the seed it came from, so it is skipped.
+It tests the key of the mutated seed, which needs only the new g-vector, before
+it builds anything, and completes the mutation only for a key that is new and
+under the seed cap.  Sign coherence is checked on every column of every stored
+seed.
 """
 from __future__ import annotations
 
@@ -175,11 +177,21 @@ class TermData:
 
 @dataclass(frozen=True)
 class ExchangeEdge:
+    """One exchange x x' = term1 + term2, where term1 carries [y_k]_+, and the sign
+    eps of the exchanged c-vector, which picks the term the sign rule sums over."""
+
     vertex: Vertex
     old_g: tuple[int, ...]
     new_g: tuple[int, ...]
     term1: TermData
     term2: TermData
+    eps: int
+
+    @property
+    def m_terms(self) -> tuple[TermData, TermData]:
+        """(M-term, M'-term).  The M-term is the one the sign rule summed over, so
+        g + g' is the sum of its factors' g-vectors; it carries kappa(L, M, N)."""
+        return (self.term2, self.term1) if self.eps > 0 else (self.term1, self.term2)
 
 
 @dataclass(frozen=True)
@@ -282,7 +294,7 @@ class Seed:
         gs = [g[:n] for g in self.gtilde]
         term1 = TermData(f1, tuple([(gs[i], bi) for i, bi in enumerate(bcol) if bi > 0]))
         term2 = TermData(f2, tuple([(gs[i], -bi) for i, bi in enumerate(bcol) if bi < 0]))
-        return row, ExchangeEdge(ctx.mutables[k], gs[k], row[:n], term1, term2)
+        return row, ExchangeEdge(ctx.mutables[k], gs[k], row[:n], term1, term2, eps)
 
     def mutate_with_edge(self, v: Vertex) -> tuple["Seed", ExchangeEdge]:
         """The exchange step at v, completed to the mutated seed: B-tilde, the

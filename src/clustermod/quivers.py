@@ -124,6 +124,9 @@ class IceQuiver:
             mult = arrow[2] if len(arrow) > 2 else 1
             if src not in idx or tgt not in idx:
                 raise ConfigurationError(f"arrow {src}->{tgt} has an endpoint off the vertex list")
+            if src == tgt:
+                raise ConfigurationError(
+                    f"arrow {src}->{tgt} is a loop; cluster quivers have no loops")
             if src in frozen and tgt in frozen:
                 raise ConfigurationError(f"arrow between frozen vertices {src}->{tgt}")
             b[idx[tgt]][idx[src]] += mult

@@ -94,9 +94,8 @@ def _bundle(cartan_name: str, xi_key: tuple):
     obj_by_g = {repctx.g_vector(o): o for o in repctx.indecomposables()}
     if set(obj_by_g) != set(graph.registry):
         raise InternalInvariantError(
-            "g-vector sets of cluster variables and indecomposables differ; "
-            "a sign or orientation convention is broken"
-        )
+            f"g-vector sets of cluster variables and indecomposables differ "
+            f"{repctx._where()}; a sign or orientation convention is broken")
     return cartan, xi, repctx, graph, obj_by_g
 
 
@@ -116,34 +115,14 @@ class EdgeAnalysis:
     mp_fexp: tuple[int, ...]
 
 
-def analyze_edge(repctx: RepContext, obj_by_g: dict, edge) -> EdgeAnalysis:
-    """Identify the M-term of an edge by g-vector additivity and resolve factors."""
-    n = repctx.n
-    gsum = tuple(a + b for a, b in zip(edge.old_g, edge.new_g))
-
-    def g_total(term):
-        v = [0] * n
-        for fg, mult in term.factors:
-            for t in range(n):
-                v[t] += mult * fg[t]
-        return tuple(v)
+def analyze_edge(obj_by_g: dict, edge) -> EdgeAnalysis:
+    """Resolve the objects of an edge and of the factors of its M- and M'-terms,
+    in the order the edge names them (`ExchangeEdge.m_terms`)."""
+    m_term, mp_term = edge.m_terms
 
     def parts(term):
         return tuple(obj_by_g[fg] for fg, mult in term.factors for _ in range(mult))
 
-    s1, s2 = g_total(edge.term1), g_total(edge.term2)
-    if s1 == gsum and s2 != gsum:
-        m_term, mp_term = edge.term1, edge.term2
-    elif s2 == gsum and s1 != gsum:
-        m_term, mp_term = edge.term2, edge.term1
-    elif s1 == gsum and not edge.term1.factors and not edge.term2.factors:
-        # rank 1: the exchange column is zero, so no g-sum tells the terms apart; M is
-        # the term with the exponents kappa(L, 0, N), else term1, which the checks reject
-        kappa = repctx.kappa(obj_by_g[edge.old_g], (), obj_by_g[edge.new_g])
-        m_term, mp_term = ((edge.term2, edge.term1) if edge.term2.fexp == kappa
-                           else (edge.term1, edge.term2))
-    else:
-        raise InternalInvariantError(f"cannot identify the middle term: {s1}, {s2}, {gsum}")
     return EdgeAnalysis(
         x_obj=obj_by_g[edge.old_g],
         y_obj=obj_by_g[edge.new_g],
@@ -343,7 +322,7 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
     pinned = []
     crosschecked = set()
     for edge in graph.edges:
-        ea = analyze_edge(repctx, obj_by_g, edge)
+        ea = analyze_edge(obj_by_g, edge)
         alpha = repctx.kappa(ea.x_obj, ea.m_parts, ea.y_obj)
         rep.check(alpha == ea.m_fexp, f"first-term exponents at {ea.x_obj} / {ea.y_obj}",
                   got=ea.m_fexp, want=alpha)
@@ -385,7 +364,7 @@ def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report
     rep = Report("hw-exchange", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
     for edge in graph.edges:
-        ea = analyze_edge(repctx, obj_by_g, edge)
+        ea = analyze_edge(obj_by_g, edge)
         alpha = repctx.kappa(ea.x_obj, ea.m_parts, ea.y_obj)
         lhs = psi(ea.x_obj, repctx, l) * psi(ea.y_obj, repctx, l)
         rhs = psi(ea.m_parts, repctx, l) if ea.m_parts else Monomial.one()
@@ -472,16 +451,13 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
                         f"at step {v}")
             return out
 
-        h1, h2 = term_hw(edge.term1), term_hw(edge.term2)
+        hm, hmp = map(term_hw, edge.m_terms)
         dominant = kr_monomial(i, k - 1, r) * kr_monomial(i, k + 1, r - 2)
         other = Monomial.one()
         for jn in cartan.neighbors(i):
             other = other * kr_monomial(jn, k, r - 1)
-        rep.check(
-            (h1 == dominant and h2 == other) or (h2 == dominant and h1 == other),
-            f"T-system shape at step {v}",
-            term1=h1, term2=h2, dominant=dominant, other=other,
-        )
+        rep.check(hm == dominant and hmp == other, f"T-system shape at step {v}",
+                  m_term=hm, mp_term=hmp, dominant=dominant, other=other)
         seed = new_seed
 
     labels = [Vertex(i, xi[i] - 2 * l + d) for i in cartan.vertices for d in (4, 2, 0)

@@ -24,7 +24,10 @@ reads the arrow maps off one reduced row echelon form per vertex.  The
 reference seed's tropical coefficients are `TropElem`s, which carry their
 generator list and do semiring arithmetic, where the library keeps bare
 exponent tuples.  The reference AR translation tau applies the Coxeter matrix
--E^-1 E^T, where the library reads tau off the inverse of tau^-1.
+-E^-1 E^T, where the library reads tau off the inverse of tau^-1.  The reference
+M-term of an exchange edge is the term whose factors' g-vectors sum to g + g',
+with kappa(L, 0, N) from the reference socles on rank 1, where the library reads
+it off the sign of the exchanged c-vector.
 """
 from __future__ import annotations
 
@@ -36,7 +39,13 @@ from typing import Mapping
 
 from clustermod import Seed
 from clustermod.cartan import check_height_function
-from clustermod.engine import ClusterVarRecord, ExchangeEdge, ExchangeGraph, make_record
+from clustermod.engine import (
+    ClusterVarRecord,
+    ExchangeEdge,
+    ExchangeGraph,
+    TermData,
+    make_record,
+)
 from clustermod.errors import (
     ConfigurationError,
     InternalInvariantError,
@@ -469,6 +478,28 @@ def oracle_exchange_pairs(rc) -> set[frozenset[str]]:
         if ext == 1:
             out.add(frozenset((str(x), str(y))))
     return out
+
+
+def oracle_m_term(edge: ExchangeEdge, rc, obj_by_g) -> TermData:
+    """The M-term of an exchange edge by g-vector additivity: the term whose factors'
+    g-vectors sum to g + g'.  On rank 1 the exchange column is zero, both sums are
+    empty and equal g + g' = 0, and the M-term is the one whose exponents equal
+    kappa(L, 0, N) = soc L + soc N."""
+    gsum = tuple(a + b for a, b in zip(edge.old_g, edge.new_g))
+
+    def g_total(term):
+        total = [0] * len(gsum)
+        for fg, mult in term.factors:
+            total = [t + mult * e for t, e in zip(total, fg)]
+        return tuple(total)
+
+    hits = [term for term in (edge.term1, edge.term2) if g_total(term) == gsum]
+    if len(hits) == 2 and not edge.term1.factors and not edge.term2.factors:
+        kappa = tuple(a + b for a, b in zip(oracle_socle(rc, obj_by_g[edge.old_g]),
+                                            oracle_socle(rc, obj_by_g[edge.new_g])))
+        hits = [term for term in hits if term.fexp == kappa]
+    assert len(hits) == 1, f"no single M-term on {edge}"
+    return hits[0]
 
 
 def oracle_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:

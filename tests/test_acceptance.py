@@ -96,7 +96,7 @@ def test_c04_worked_exchange_relation():
     L, N = CQObject.module((0, 0, 1)), CQObject.module((1, 1, 0))
     gl, gn = rc.g_vector(L), rc.g_vector(N)
     edge = next(e for e in graph.edges if {e.old_g, e.new_g} == {gl, gn})
-    ea = analyze_edge(rc, obj_by_g, edge)
+    ea = analyze_edge(obj_by_g, edge)
     assert {str(o) for o in ea.m_parts} == {"mod:1,1,1"}
     assert {str(o) for o in ea.mp_parts} == {"mod:1,0,0"}
     assert ea.m_fexp == (0, 1, 0)  # the f2 coefficient

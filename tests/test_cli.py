@@ -382,6 +382,7 @@ def test_verify_tsystem_rejects_levels_below_1(capsys, level):
 
 UNLISTED_VERTEX = json.dumps({"vertices": [{"label": "1"}, {"label": "2"}],
                               "arrows": [{"from": "1", "to": "(9,1)", "mult": 1}]})
+LOOP = json.dumps({"vertices": [{"label": "1"}], "arrows": [{"from": "1", "to": "1"}]})
 
 
 @pytest.mark.parametrize("text,message", [
@@ -389,7 +390,8 @@ UNLISTED_VERTEX = json.dumps({"vertices": [{"label": "1"}, {"label": "2"}],
     ("not json", "error: quiver file is not JSON: Expecting value: line 1 column 1 (char 0)\n"),
     ("[1,2]", "error: malformed quiver JSON: list indices must be integers or slices, not str\n"),
     (UNLISTED_VERTEX, "error: arrow 1->(9,1) has an endpoint off the vertex list\n"),
-], ids=["empty-object", "not-json", "list", "unlisted-vertex"])
+    (LOOP, "error: arrow 1->1 is a loop; cluster quivers have no loops\n"),
+], ids=["empty-object", "not-json", "list", "unlisted-vertex", "loop"])
 def test_quiver_file_that_is_not_quiver_json_exits_2(tmp_path, capsys, text, message):
     qfile = tmp_path / "q.json"
     qfile.write_text(text)
@@ -397,6 +399,17 @@ def test_quiver_file_that_is_not_quiver_json_exits_2(tmp_path, capsys, text, mes
                  ("quiver", "export", "--in", str(qfile))):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("quiver", "build", "--family", "qxi", "--cartan", "A2", "--xi", "1:0,2:-1"),
+    ("engine", "enumerate", "--cartan", "A2", "--xi", "1:0,2:-1"),
+], ids=["quiver-build", "engine-enumerate"])
+def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "nonexistent" / "x.json"
+    for out, reason in ((tmp_path, "Is a directory"), (missing, "No such file or directory")):
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"error: cannot write {out}: {reason}\n")
 
 
 def test_quiver_file_that_is_not_text_exits_2(tmp_path, capsys):

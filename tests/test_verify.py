@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from clustermod import verify
 from clustermod.cartan import cartan_type, linear_height
 from clustermod.engine import Seed, TermData
 from clustermod.errors import ConfigurationError, InternalInvariantError
@@ -25,6 +26,8 @@ from clustermod.verify import (
     verify_tsystem,
 )
 from clustermod.quivers import Vertex
+from clustermod.reps import RepContext
+from oracles import oracle_m_term, orientations
 
 A2 = cartan_type("A2")
 A3 = cartan_type("A3")
@@ -96,6 +99,15 @@ def test_missing_exchange_factor_names_the_seed_step_and_g_vector(monkeypatch):
     assert str(err.value) == f"exchange factor g = {bogus} not found in seed {key} at step {v}"
 
 
+def test_g_vector_set_mismatch_names_the_scope(monkeypatch):
+    monkeypatch.setattr(RepContext, "g_vector", lambda self, obj: (9,) * self.n)
+    with pytest.raises(InternalInvariantError) as err:
+        verify._bundle.__wrapped__("D4", ((1, 0), (2, -1), (3, 0), (4, 0)))  # uncached
+    assert str(err.value) == (
+        "g-vector sets of cluster variables and indecomposables differ for D4 "
+        "xi=1:0,2:-1,3:0,4:0; a sign or orientation convention is broken")
+
+
 def test_s_l_sequence_order():
     # sweeps follow decreasing height, one column at a time, top down
     assert s_l_sequence(A3, XI3, 3) == [
@@ -127,7 +139,7 @@ def test_edge_analysis_shift_injective_edges():
         neg = tuple(-x for x in e_i)
         for edge in graph.edges:
             if {edge.old_g, edge.new_g} == {e_i, neg}:
-                ea = analyze_edge(repctx, obj_by_g, edge)
+                ea = analyze_edge(obj_by_g, edge)
                 assert ea.m_parts == ()
                 assert ea.m_fexp == e_i
                 want = {f"shp:{j}" for j in repctx.out[i]}
@@ -137,6 +149,17 @@ def test_edge_analysis_shift_injective_edges():
                 break
         else:
             raise AssertionError(f"no shift/injective edge for {i}")
+
+
+def test_every_edge_names_the_m_term_of_the_g_sum_oracle():
+    scopes = [("A1", {1: 0}), ("A1", {1: 5})]
+    scopes += [(name, xi) for name in ("A2", "A3", "A4", "D4")
+               for xi in orientations(cartan_type(name))]
+    scopes.append(("E6", {1: 0, 2: -1, 3: -1, 4: 0, 5: -1, 6: 0}))
+    for name, xi in scopes:
+        _, _, repctx, graph, obj_by_g = get_bundle(cartan_type(name), xi)
+        for edge in graph.edges:
+            assert edge.m_terms[0] == oracle_m_term(edge, repctx, obj_by_g), (name, xi, edge)
 
 
 @pytest.mark.parametrize("name", [n for n in CHECK_NAMES if "l" not in check_reads(n)])
