@@ -11,10 +11,10 @@ auxiliary sum takes their componentwise minimum.
 
 Cluster variables are not stored either: the F-polynomial of each one is
 computed once, by the Fomin-Zelevinsky recurrence (Cluster algebras IV,
-Prop. 5.1) with one exact division in the y_j, when mutation first produces
-its g-vector, and is kept in a table of the SeedContext keyed by g.  The
-expansion follows from F and the extended g-vector by the separation formula
-(ibid., Thm 3.7).
+Prop. 5.1) on the two terms of the exchange edge, with one exact division in
+the y_j, when mutation first produces its g-vector, and is kept in a table of
+the SeedContext keyed by g.  The expansion follows from F and the extended
+g-vector by the separation formula (ibid., Thm 3.7).
 
 Records cross-check the integer data against F: constant term 1, positive
 coefficients, the frozen block of the extended g-vector against -trop(F)(y0),
@@ -204,8 +204,8 @@ class Seed:
     gtilde: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def initial(quiver: IceQuiver, ctx: SeedContext | None = None) -> "Seed":
-        ctx = ctx or seed_context(quiver)
+    def initial(quiver: IceQuiver) -> "Seed":
+        ctx = seed_context(quiver)
         n, m = len(ctx.mutables), len(ctx.gens)
         return Seed(
             ctx=ctx,
@@ -236,20 +236,19 @@ class Seed:
             raise InternalInvariantError(f"c-vector column {k} of seed {self.key()} is zero")
         return 1 if hi > 0 else -1
 
-    def _mutated_fpoly(self, k: int, bcol: tuple[int, ...]) -> LaurentPoly:
-        """F'_k = (y^[c_k]+ prod F_i^[b_ik]+ + y^[-c_k]+ prod F_i^[-b_ik]+) / F_k."""
-        ctx = self.ctx
-        n = len(ctx.mutables)
-        fpolys = [ctx.fpolys[g[:n]] for g in self.gtilde]
-        c = self.cvecs[k]
-        pos = LaurentPoly.from_monomial(Monomial({y: e for y, e in zip(ctx.ycoefs, c) if e > 0}))
-        neg = LaurentPoly.from_monomial(Monomial({y: -e for y, e in zip(ctx.ycoefs, c) if e < 0}))
-        for i, bi in enumerate(bcol):
-            if bi > 0:
-                pos = pos * fpolys[i] ** bi
-            elif bi < 0:
-                neg = neg * fpolys[i] ** (-bi)
-        return div_exact(pos + neg, fpolys[k])
+    def _mutated_fpoly(self, k: int, edge: ExchangeEdge) -> LaurentPoly:
+        """F' = (y^[c_k]+ prod F^term1 + y^[-c_k]+ prod F^term2) / F_k: the exchange
+        relation of the edge at position k, with principal coefficients."""
+        fpolys, ys, c = self.ctx.fpolys, self.ctx.ycoefs, self.cvecs[k]
+
+        def side(exps, term):
+            out = LaurentPoly.from_monomial(Monomial({y: e for y, e in zip(ys, exps) if e > 0}))
+            for g, mult in term.factors:
+                out = out * fpolys[g] ** mult
+            return out
+
+        return div_exact(side(c, edge.term1) + side([-e for e in c], edge.term2),
+                         fpolys[edge.old_g])
 
     def mutate(self, v: Vertex) -> "Seed":
         return self.mutate_with_edge(v)[0]
@@ -298,17 +297,17 @@ class Seed:
 
     def mutate_with_edge(self, v: Vertex) -> tuple["Seed", ExchangeEdge]:
         """The exchange step at v, completed to the mutated seed: B-tilde, the
-        c-vectors and, for a g-vector not met before, its F-polynomial."""
+        c-vectors and, for a g-vector not met before, its F-polynomial from the edge."""
         ctx = self.ctx
         k = ctx.mut_index.get(v)
         if k is None:
             raise FrozenVertexError(f"mutation at frozen or unknown vertex {v}")
         row, edge = self.exchange_step(k)
-        bcol = self._bcol(k)
         if edge.new_g not in ctx.fpolys:
-            ctx.fpolys[edge.new_g] = self._mutated_fpoly(k, bcol)
+            ctx.fpolys[edge.new_g] = self._mutated_fpoly(k, edge)
         gtilde = self.gtilde[:k] + (row,) + self.gtilde[k + 1:]
-        return Seed(ctx, self.quiver.mutate(v), _mutate_cvecs(self.cvecs, k, bcol), gtilde), edge
+        cvecs = _mutate_cvecs(self.cvecs, k, self._bcol(k))
+        return Seed(ctx, self.quiver.mutate(v), cvecs, gtilde), edge
 
     def key(self) -> tuple:
         """Canonical unlabeled-seed key: sorted multiset of g-vectors."""

@@ -127,6 +127,8 @@ class IceQuiver:
             if src == tgt:
                 raise ConfigurationError(
                     f"arrow {src}->{tgt} is a loop; cluster quivers have no loops")
+            if mult < 1:
+                raise ConfigurationError(f"arrow {src}->{tgt} has multiplicity {mult}, below 1")
             if src in frozen and tgt in frozen:
                 raise ConfigurationError(f"arrow between frozen vertices {src}->{tgt}")
             b[idx[tgt]][idx[src]] += mult

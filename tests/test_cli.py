@@ -385,13 +385,21 @@ UNLISTED_VERTEX = json.dumps({"vertices": [{"label": "1"}, {"label": "2"}],
 LOOP = json.dumps({"vertices": [{"label": "1"}], "arrows": [{"from": "1", "to": "1"}]})
 
 
+def _one_arrow(mult: int) -> str:
+    # a multiplicity of 0 would read as no arrow and -2 as two arrows 2 -> 1
+    return json.dumps({"vertices": [{"label": "1"}, {"label": "2"}],
+                       "arrows": [{"from": "1", "to": "2", "mult": mult}]})
+
+
 @pytest.mark.parametrize("text,message", [
     ("{}", "error: quiver JSON lacks the key 'vertices'\n"),
     ("not json", "error: quiver file is not JSON: Expecting value: line 1 column 1 (char 0)\n"),
     ("[1,2]", "error: malformed quiver JSON: list indices must be integers or slices, not str\n"),
     (UNLISTED_VERTEX, "error: arrow 1->(9,1) has an endpoint off the vertex list\n"),
     (LOOP, "error: arrow 1->1 is a loop; cluster quivers have no loops\n"),
-], ids=["empty-object", "not-json", "list", "unlisted-vertex", "loop"])
+    (_one_arrow(0), "error: arrow 1->2 has multiplicity 0, below 1\n"),
+    (_one_arrow(-2), "error: arrow 1->2 has multiplicity -2, below 1\n"),
+], ids=["empty-object", "not-json", "list", "unlisted-vertex", "loop", "mult-0", "mult-negative"])
 def test_quiver_file_that_is_not_quiver_json_exits_2(tmp_path, capsys, text, message):
     qfile = tmp_path / "q.json"
     qfile.write_text(text)

@@ -1,5 +1,6 @@
 """Wider-scope regressions beyond the acceptance floor: A5 counts, the second
-star orientation of D4, the E6 pipeline and its full exchange-graph bundle, and
+star orientation of D4, the E6 pipeline and its full exchange-graph bundle, the
+property suite's classical seed and variable counts on A1, A5, D5 and E6, and
 `trop-socle` and `psi-kr` on drawn orientations of A6, D5, D6 and E6.
 
 Set CLUSTERMOD_SLOW_TESTS=1 to also enumerate the E7 exchange graph (a few
@@ -23,6 +24,7 @@ from clustermod.verify import (
     verify_grid_sequence,
     verify_exchange_exponents,
     verify_hw_exchange,
+    verify_properties,
     verify_tsystem,
 )
 
@@ -88,6 +90,21 @@ def test_e6_full_exchange_graph_bundle():
     r = verify_exchange_exponents(ct, XI_E6)
     assert r.passed and r.scope["engine_pinned"] == 0
     assert verify_tropical_socle(ct, XI_E6).passed
+
+
+@pytest.mark.parametrize("name,xi,seeds,variables", [
+    ("A1", {1: 0}, 2, 2),
+    ("A5", {1: 0, 2: -1, 3: 0, 4: 1, 5: 0}, 132, 20),
+    ("D5", {1: 0, 2: -1, 3: 0, 4: -1, 5: -1}, 182, 25),
+    ("E6", XI_E6, 833, 42),
+])
+def test_properties_checks_the_classical_counts_of_every_type(name, xi, seeds, variables):
+    ct = cartan_type(name)
+    r = verify_properties(ct, xi, walks=0)
+    assert r.passed, r.failures[:3]
+    # the two count items, five per variable, two per c-vector column, one per edge
+    n = ct.rank
+    assert r.items == 2 + 5 * variables + 2 * n * seeds + n * seeds // 2
 
 
 DRAWN_SCOPES = st.sampled_from(["A6", "D5", "D6", "E6"]).map(cartan_type).flatmap(

@@ -5,6 +5,7 @@ import pytest
 
 from clustermod import verify
 from clustermod.cartan import cartan_type, linear_height
+from clustermod.cli import main
 from clustermod.engine import Seed, TermData
 from clustermod.errors import ConfigurationError, InternalInvariantError
 from clustermod.verify import (
@@ -59,6 +60,29 @@ def test_exchange_exponent_check(cartan, xi, edges):
     report = verify_exchange_exponents(cartan, xi)
     assert_passes(report)
     assert report.scope["edges"] == edges
+
+
+def test_a_wrong_m_prime_exponent_fails_the_exchange_check(monkeypatch, capsys):
+    # raise each M'-term exponent of one D4 edge by one; the pair shp:4 / mod:0,0,0,1
+    # is also exchanged on edges that stay right, so only its own item can fail
+    real = verify.analyze_edge
+    target = get_bundle(D4, XI_D4)[3].edges[6]
+
+    def wrong_m_prime(obj_by_g, edge):
+        ea = real(obj_by_g, edge)
+        if edge is target:
+            ea = dataclasses.replace(ea, mp_fexp=tuple(e + 1 for e in ea.mp_fexp))
+        return ea
+
+    monkeypatch.setattr(verify, "analyze_edge", wrong_m_prime)
+    report = verify_exchange_exponents(D4, XI_D4)
+    assert [f["detail"] for f in report.failures] == [
+        "second-term exponents at shp:4 / mod:0,0,0,1"]
+    assert report.failures[0]["got"] == "(1, 1, 1, 1)"
+    assert report.failures[0]["want"] == "(0, 0, 0, 0)"
+    assert report.scope["engine_pinned"] == 1
+    assert main(["verify", "exchange", "--cartan", "D4", "--xi", "1:0,2:-1,3:0,4:0"]) == 1
+    assert "engine_pinned=1]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
