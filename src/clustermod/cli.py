@@ -3,6 +3,7 @@ verification reports, and aligned tables."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -261,6 +262,9 @@ def _cmd_psi(args) -> int:
     cartan, xi = _scope(args)
     ctx = RepContext(cartan, xi)
     objs = [CQObject.parse(piece) for piece in args.object.split("+")]
+    for x, y in itertools.combinations(objs, 2):
+        if ext := ctx.ext1_cluster(x, y):
+            raise DomainError(f"{args.object} is not rigid: dim Ext^1({x}, {y}) = {ext}")
     print(psi(objs, ctx, _level(args)))
     return EXIT_OK
 

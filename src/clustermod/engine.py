@@ -22,17 +22,17 @@ and the sign-rule g recursion against the c-vector recursion through tropical
 duality G^T C = I (Nakanishi-Zelevinsky 2012); a mismatch raises
 InternalInvariantError.
 
-Mutation is split in two.  The exchange step reads the new extended g-vector
-(sign rule) and the exchange relation off the current seed alone, and its edge
-keeps the sign of the exchanged c-vector, so that it names its M-term: the term
-the sign rule sums over (ExchangeEdge.m_terms).  The completion builds the
-mutated B-tilde, the c-vectors and, for a new g-vector, its F-polynomial.  The
-exchange-graph BFS runs one exchange step per edge: the reverse step of an edge
-it has found is known to land back on the seed it came from, so it is skipped.
-It tests the key of the mutated seed, which needs only the new g-vector, before
-it builds anything, and completes the mutation only for a key that is new and
-under the seed cap.  Sign coherence is checked on every column of every stored
-seed.
+Mutation is split in two public phases.  Seed.exchange_step reads the new
+extended g-vector (sign rule) and the exchange relation off the current seed
+alone; its edge keeps the sign of the exchanged c-vector, so that it names its
+M-term: the term the sign rule sums over (ExchangeEdge.m_terms).
+Seed.mutate_with_edge completes that edge to the mutated seed: B-tilde, the
+c-vectors, the g-tilde row of the edge and, for a new g-vector, its
+F-polynomial.  The exchange-graph BFS takes one exchange step per edge (the
+reverse step of an edge it has found lands back on the seed it came from, so it
+is skipped), reads the key of the mutated seed off the edge, and completes the
+step only for a key that is new and under the seed cap.  Sign coherence is
+checked on every column of every stored seed.
 """
 from __future__ import annotations
 
@@ -177,15 +177,19 @@ class TermData:
 
 @dataclass(frozen=True)
 class ExchangeEdge:
-    """One exchange x x' = term1 + term2, where term1 carries [y_k]_+, and the sign
-    eps of the exchanged c-vector, which picks the term the sign rule sums over."""
+    """One exchange x x' = term1 + term2 (term1 carries [y_k]_+), the extended g-vector
+    of x', and the sign eps of the exchanged c-vector: it picks the sign-rule term."""
 
     vertex: Vertex
     old_g: tuple[int, ...]
-    new_g: tuple[int, ...]
+    new_gtilde: tuple[int, ...]
     term1: TermData
     term2: TermData
     eps: int
+
+    @property
+    def new_g(self) -> tuple[int, ...]:
+        return self.new_gtilde[:len(self.old_g)]
 
     @property
     def m_terms(self) -> tuple[TermData, TermData]:
@@ -251,63 +255,53 @@ class Seed:
                          fpolys[edge.old_g])
 
     def mutate(self, v: Vertex) -> "Seed":
-        return self.mutate_with_edge(v)[0]
+        return self.mutate_with_edge(self.exchange_step(v))
 
     def _bcol(self, k: int) -> tuple[int, ...]:
         """Column k of the exchange matrix, restricted to the mutable rows."""
         b, col = self.quiver.b, self.ctx.mut_rows[k]
         return tuple([b[row][col] for row in self.ctx.mut_rows])
 
-    def _sign_rule(self, k: int, bcol: tuple[int, ...], eps: int,
-                   width: int | None = None) -> list[int]:
-        """The sign-rule recursion for g-tilde at position k, before the tropical
-        term of the frozen block: -g_k + sum_i [-eps b_ik]_+ g_i, on the first
-        `width` entries (all by default)."""
-        acc = [-x for x in self.gtilde[k][:width]]
-        for i, bi in enumerate(bcol):
-            w = -bi if eps > 0 else bi
-            if w > 0:
-                acc = [a + w * e for a, e in zip(acc, self.gtilde[i])]
-        return acc
-
-    def mutated_gvec(self, k: int) -> tuple[int, ...]:
-        """The g-vector that mutation at position k brings in; with the other
-        g-vectors it gives the key of the mutated seed."""
-        n = len(self.ctx.mutables)
-        return tuple(self._sign_rule(k, self._bcol(k), self.epsilon(k), n))
-
-    def exchange_step(self, k: int) -> tuple[tuple[int, ...], ExchangeEdge]:
-        """The exchange step at position k, read from this seed alone: the new
-        extended g-vector and the exchange relation
+    def exchange_step(self, v: Vertex) -> ExchangeEdge:
+        """The exchange step at v, read from this seed alone: the new extended
+        g-vector by the sign rule -g_k + sum_i [-eps b_ik]_+ g_i plus the tropical
+        term of the frozen block, and the exchange relation
         x_k x'_k = f1 * prod x_i^{[b_ik]_+} + f2 * prod x_i^{[-b_ik]_+}."""
         ctx = self.ctx
+        k = ctx.mut_index.get(v)
+        if k is None:
+            raise FrozenVertexError(f"mutation at frozen or unknown vertex {v}")
         n = len(ctx.mutables)
         bcol = self._bcol(k)
         eps = self.epsilon(k)
         yk = ctx.coeff_exps(self.quiver.b, k)
         f1 = tuple([a if a > 0 else 0 for a in yk])  # y_k / (y_k + 1) in the tropical semifield
         f2 = tuple([-a if a < 0 else 0 for a in yk])  # 1 / (y_k + 1)
-        acc = self._sign_rule(k, bcol, eps)
+        acc = [-x for x in self.gtilde[k]]
+        for i, bi in enumerate(bcol):
+            w = -bi if eps > 0 else bi
+            if w > 0:
+                acc = [a + w * e for a, e in zip(acc, self.gtilde[i])]
         acc[n:] = [a + e for a, e in zip(acc[n:], f2 if eps > 0 else f1)]
-        row = tuple(acc)
         gs = [g[:n] for g in self.gtilde]
         term1 = TermData(f1, tuple([(gs[i], bi) for i, bi in enumerate(bcol) if bi > 0]))
         term2 = TermData(f2, tuple([(gs[i], -bi) for i, bi in enumerate(bcol) if bi < 0]))
-        return row, ExchangeEdge(ctx.mutables[k], gs[k], row[:n], term1, term2, eps)
+        return ExchangeEdge(v, gs[k], tuple(acc), term1, term2, eps)
 
-    def mutate_with_edge(self, v: Vertex) -> tuple["Seed", ExchangeEdge]:
-        """The exchange step at v, completed to the mutated seed: B-tilde, the
-        c-vectors and, for a g-vector not met before, its F-polynomial from the edge."""
+    def mutate_with_edge(self, edge: ExchangeEdge) -> "Seed":
+        """The exchange step `edge` of this seed, completed to the mutated seed:
+        B-tilde, the c-vectors, the new g-tilde row and, for a g-vector not met
+        before, its F-polynomial from the edge."""
         ctx = self.ctx
-        k = ctx.mut_index.get(v)
-        if k is None:
-            raise FrozenVertexError(f"mutation at frozen or unknown vertex {v}")
-        row, edge = self.exchange_step(k)
+        k = ctx.mut_index.get(edge.vertex)
+        if k is None or self.gtilde[k][:len(ctx.mutables)] != edge.old_g:
+            raise ConfigurationError(f"exchange step at {edge.vertex} with g = {edge.old_g} "
+                                     f"was not taken from seed {self.key()}")
         if edge.new_g not in ctx.fpolys:
             ctx.fpolys[edge.new_g] = self._mutated_fpoly(k, edge)
-        gtilde = self.gtilde[:k] + (row,) + self.gtilde[k + 1:]
+        gtilde = self.gtilde[:k] + (edge.new_gtilde,) + self.gtilde[k + 1:]
         cvecs = _mutate_cvecs(self.cvecs, k, self._bcol(k))
-        return Seed(ctx, self.quiver.mutate(v), cvecs, gtilde), edge
+        return Seed(ctx, self.quiver.mutate(edge.vertex), cvecs, gtilde)
 
     def key(self) -> tuple:
         """Canonical unlabeled-seed key: sorted multiset of g-vectors."""
@@ -447,11 +441,12 @@ def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGra
     two clusters (Fomin-Zelevinsky, CA II), so mutating the stored seed at the
     end of an edge in the direction of the edge's new variable walks back to the
     seed it came from; that direction is marked and skipped when the seed is
-    dequeued.  In every other direction the key of the mutated seed is read from
-    the new g-vector alone: a stored key takes only the exchange step, for the
-    edge, and a new key under the cap takes the whole mutation, so that a seed
-    (quiver, c-vectors, F of a new g-vector) is built only when it is stored.
-    Sign coherence is checked on every column of every stored seed."""
+    dequeued, so that every walked direction gives a distinct edge.  In every
+    other direction the exchange step gives the edge and, from its new g-vector,
+    the key of the mutated seed; only a new key under the cap completes the step
+    with `Seed.mutate_with_edge`, so that a seed (quiver, c-vectors, F of a new
+    g-vector) is built only when it is stored.  Sign coherence is checked on
+    every column of every stored seed."""
     if max_seeds < 1:
         raise ConfigurationError(f"the seed cap must be at least 1, got {max_seeds}")
     ctx = seed0.ctx
@@ -475,7 +470,7 @@ def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGra
             seed.epsilon(k)
 
     store(seed0.key(), seed0)
-    edges: dict[tuple, ExchangeEdge] = {}
+    edges: list[ExchangeEdge] = []
     while queue:
         key = queue.popleft()
         seed = seeds[key]
@@ -484,29 +479,26 @@ def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGra
         for k, v in enumerate(ctx.mutables):
             if k in skip:
                 continue
-            nk = tuple(sorted(gs[:k] + [seed.mutated_gvec(k)] + gs[k + 1:]))
-            if nk in seeds:
-                edge = seed.exchange_step(k)[1]
-            elif len(seeds) >= max_seeds:
-                exhaustive = False
-                continue
-            else:
-                new_seed, edge = seed.mutate_with_edge(v)
-                store(nk, new_seed)
+            edge = seed.exchange_step(v)
+            new_g = edge.new_g
+            nk = tuple(sorted(gs[:k] + [new_g] + gs[k + 1:]))
+            if nk not in seeds:
+                if len(seeds) >= max_seeds:
+                    exhaustive = False
+                    continue
+                store(nk, seed.mutate_with_edge(edge))
             back = walked.get(nk)
             if back is not None:  # nk is still queued
-                back.add(next(p for p, g in enumerate(seeds[nk].gtilde) if g[:n] == edge.new_g))
-            ekey = (min(key, nk), max(key, nk))
-            if ekey not in edges:
-                edges[ekey] = edge
-    return ExchangeGraph(ctx, seeds, list(edges.values()), registry, exhaustive)
+                back.add(next(p for p, g in enumerate(seeds[nk].gtilde) if g[:n] == new_g))
+            edges.append(edge)
+    return ExchangeGraph(ctx, seeds, edges, registry, exhaustive)
 
 
 def run_sequence(seed: Seed, vertices: Iterable[Vertex]) -> tuple[Seed, list[ExchangeEdge]]:
     """Apply a mutation sequence, returning the final seed and per-step edges."""
     edges = []
     for v in vertices:
-        seed, edge = seed.mutate_with_edge(v)
-        edges.append(edge)
+        edges.append(seed.exchange_step(v))
+        seed = seed.mutate_with_edge(edges[-1])
     return seed, edges
 

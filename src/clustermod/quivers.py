@@ -169,8 +169,9 @@ class IceQuiver:
 
     def subquiver_on(self, labels) -> "IceQuiver":
         """Label-preserving restriction to the given vertex set."""
-        keep = [v for v in self.vertices if v in set(labels)]
-        missing = set(labels) - set(keep)
+        wanted = set(labels)
+        keep = [v for v in self.vertices if v in wanted]
+        missing = wanted.difference(keep)
         if missing:
             raise ConfigurationError(f"unknown labels {sorted(map(str, missing))}")
         idx = [self.index(v) for v in keep]

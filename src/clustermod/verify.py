@@ -428,9 +428,7 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
         j = ctx.mut_index[v]
         got = position_hw(seed, j)
         rep.check(got == kr_monomial(i, k, r), f"pre-mutation KR label at {v}", got=got)
-        new_seed, edge = seed.mutate_with_edge(v)
-        got = position_hw(new_seed, j)
-        rep.check(got == kr_monomial(i, k, r - 2), f"post-mutation KR label at {v}", got=got)
+        edge = seed.exchange_step(v)
 
         def term_hw(term):
             out = hw_extract(term.fexp, ctx.gens, xi)
@@ -446,13 +444,15 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
             return out
 
         hm, hmp = map(term_hw, edge.m_terms)
+        seed = seed.mutate_with_edge(edge)
+        got = position_hw(seed, j)
+        rep.check(got == kr_monomial(i, k, r - 2), f"post-mutation KR label at {v}", got=got)
         dominant = kr_monomial(i, k - 1, r) * kr_monomial(i, k + 1, r - 2)
         other = Monomial.one()
         for jn in cartan.neighbors(i):
             other = other * kr_monomial(jn, k, r - 1)
         rep.check(hm == dominant and hmp == other, f"T-system shape at step {v}",
                   m_term=hm, mp_term=hmp, dominant=dominant, other=other)
-        seed = new_seed
 
     target = build_qxil(cartan, xi, l)
     sub = seed.quiver.subquiver_on(target.vertices).refreeze(target.frozen)

@@ -335,7 +335,8 @@ def oracle_full_bfs(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGraph:
         key = queue.popleft()
         seed = seeds[key]
         for v in ctx.mutables:
-            new_seed, edge = seed.mutate_with_edge(v)
+            edge = seed.exchange_step(v)
+            new_seed = seed.mutate_with_edge(edge)
             nk = new_seed.key()
             known = nk in seeds
             if not known:

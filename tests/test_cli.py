@@ -40,9 +40,25 @@ def test_psi_shifted_and_sum(capsys):
                        "--object", "shp:1")
     assert code == 0 and out.strip() == "Y[1,-2] Y[1,0]"
     code, out, _ = run(capsys, "psi", "--cartan", "A3", "--linear", "--level", "2",
-                       "--object", "mod:0,1,1+shp:2")
+                       "--object", "mod:0,1,1+shp:1")
     assert code == 0
-    assert out.strip() == "Y[1,-2] Y[1,0] Y[2,-3] Y[2,-1] Y[3,-6] Y[3,-4]"
+    assert out.strip() == "Y[1,-2]^2 Y[1,0]^2 Y[3,-6] Y[3,-4]"
+    code, out, _ = run(capsys, "psi", "--cartan", "A2", "--xi", "1:0,2:-1",
+                       "--object", "mod:1,0+mod:1,1")
+    assert code == 0
+    assert out.strip() == "Y[1,-4] Y[1,-2] Y[2,-5] Y[2,-3]"
+
+
+@pytest.mark.parametrize("cartan,xi,obj,pair", [
+    ("A2", "1:0,2:-1", "shp:1+mod:1,0", "shp:1, mod:1,0"),
+    ("A2", "1:0,2:-1", "mod:1,0+mod:0,1", "mod:1,0, mod:0,1"),
+    ("A3", "1:0,2:-1,3:-2", "mod:0,1,1+shp:2", "mod:0,1,1, shp:2"),
+    ("D4", "1:0,2:-1,3:0,4:0", "mod:1,2,1,1+mod:0,1,0,0+shp:3", "mod:1,2,1,1, mod:0,1,0,0"),
+])
+def test_psi_non_rigid_sum_exits_3(capsys, cartan, xi, obj, pair):
+    code, out, err = run(capsys, "psi", "--cartan", cartan, "--xi", xi, "--object", obj)
+    assert (code, out) == (3, "")
+    assert err == f"error: {obj} is not rigid: dim Ext^1({pair}) = 1\n"
 
 
 def test_psi_non_root_exits_3(capsys):
@@ -707,7 +723,7 @@ PINNED_RUNS = {
     "psi table E6": ["table", "psi-monomials", "--cartan", "E6",
                      "--xi", "1:0,2:1,3:-1,4:0,5:-1,6:0", "--level", "2"],
     "psi sum D4": ["psi", "--cartan", "D4", "--xi", "1:0,2:-1,3:0,4:0", "--level", "3",
-                   "--object", "mod:1,2,1,1+mod:0,1,0,0+shp:3"],
+                   "--object", "mod:1,1,0,0+mod:0,1,0,0+shp:3"],
 }
 # SHA-256 of each run's stdout with the report timings removed: F-polynomials,
 # g-vectors, denominators, Psi monomials and every report item, byte for byte
@@ -721,7 +737,7 @@ PINNED_DIGESTS = {
     "verify sequence A5": "6b6ed5b44fa3c43c54091c92f257b4c1ee536020a131116573784d6e0ffe8677",
     "psi table D4": "5b7a589c297a4ae20f3297778a7de8447debdb84cd352ca6e76f18854a87555d",
     "psi table E6": "1498844bf9bce44c819bd33037bf3fb2ffad1961f0e0076d0cc63ca924b2455f",
-    "psi sum D4": "a86824d68ded92c7e03748e3536c13d392fe5cdc1080c97fee3bedb3c823ac70",
+    "psi sum D4": "cdc18b93a6a2c74f668d4f5eabca086d84b312b368c3f4ce1e5bbd5f89e41ac7",
 }
 
 

@@ -13,7 +13,7 @@ from clustermod.engine import (
     seed_context,
     separation,
 )
-from clustermod.errors import FrozenVertexError, InternalInvariantError
+from clustermod.errors import ConfigurationError, FrozenVertexError, InternalInvariantError
 from clustermod.quivers import IceQuiver, Vertex, build_gamma_l, build_qcheck
 from clustermod.reps import RepContext
 from clustermod.symbolic import LaurentPoly, Monomial, fvar, xvar, ycoef
@@ -92,6 +92,23 @@ def test_double_mutation_is_identity(a3_seed):
 def test_mutation_at_frozen_rejected(a3_seed):
     with pytest.raises(FrozenVertexError):
         a3_seed.mutate(Vertex(1, primed=True))
+
+
+def test_mutate_with_edge_rejects_an_edge_of_another_seed(a3_seed):
+    v = Vertex(2)
+    edge = a3_seed.exchange_step(v)
+    forward = a3_seed.mutate_with_edge(edge)
+    assert forward == a3_seed.mutate(v)
+    # mutated at v, the seed no longer holds the edge's old g-vector there
+    with pytest.raises(ConfigurationError) as err:
+        forward.mutate_with_edge(edge)
+    assert str(err.value) == (f"exchange step at {v} with g = {edge.old_g} was not taken "
+                              f"from seed {forward.key()}")
+    # a vertex of another quiver is not a position of this seed
+    d4 = cartan_type("D4")
+    foreign = Seed.initial(build_qcheck(d4, orientations(d4)[0])).exchange_step(Vertex(4))
+    with pytest.raises(ConfigurationError):
+        a3_seed.mutate_with_edge(foreign)
 
 
 # ---- invariant failures name the data that failed -------------------------------------
@@ -260,7 +277,7 @@ def test_initial_edge_coefficient_split(a3_seed):
     one = TropElem.one(ctx.gens)
     for v in ctx.mutables:
         k = ctx.mut_index[v]
-        _, edge = a3_seed.mutate_with_edge(v)
+        edge = a3_seed.exchange_step(v)
         yk = TropElem(ctx.gens, ctx.y0[k])
         assert edge.term1.fexp == (yk * (yk + one).inverse()).exps
         assert edge.term2.fexp == (yk + one).inverse().exps

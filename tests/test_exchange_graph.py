@@ -82,42 +82,56 @@ def test_capped_grid_bfs_matches_every_direction_reference(name, level, cap):
 
 def test_skipped_directions_walk_back_along_known_edges(monkeypatch):
     real_step, real_mutate = Seed.exchange_step, Seed.mutate_with_edge
-    steps = []
+    steps, completed = [], []
 
-    def spy(seed, k):
-        out = real_step(seed, k)
-        edge = out[1]
+    def spy(seed, v):
+        edge = real_step(seed, v)
         key = seed.key()
         nk = tuple(sorted([g for g in key if g != edge.old_g] + [edge.new_g]))
-        steps.append((key, edge.vertex, nk))
-        return out
+        steps.append((key, v, nk, edge))
+        return edge
+
+    def spy_completion(seed, edge):
+        completed.append(edge)
+        return real_mutate(seed, edge)
 
     counts = Counter()
     monkeypatch.setattr(Seed, "exchange_step", spy)
-    _count_calls(monkeypatch, Seed, "mutate_with_edge", counts)
+    monkeypatch.setattr(Seed, "mutate_with_edge", spy_completion)
     _count_calls(monkeypatch, IceQuiver, "mutate", counts)
     _count_calls(monkeypatch, engine, "div_exact", counts)
     for name, xi in _scopes(("A3", "D4")):
         quiver = build_qcheck(cartan_type(name), xi)
         steps.clear()
+        completed.clear()
         counts.clear()
-        graph = enumerate_exchange_graph(Seed.initial(quiver))
+        seed0 = Seed.initial(quiver)
+        graph = enumerate_exchange_graph(seed0)
         assert graph.exhaustive
-        assert len(steps) == len(graph.edges)  # one exchange step per edge
-        # a seed is built, and an F divided, only when it is new
-        assert counts["mutate_with_edge"] == graph.seed_count - 1
+        # every walked direction, to a new seed or a known one, takes one
+        # exchange step, and each step is an edge of the graph
+        assert len(steps) == len(graph.edges)
+        assert all(edge is e for (*_, edge), e in zip(steps, graph.edges))
+        # a seed is completed, and an F divided, only from a step whose key is new
+        known, fresh = {seed0.key()}, []
+        for _, _, nk, edge in steps:
+            if nk not in known:
+                known.add(nk)
+                fresh.append(edge)
+        assert len(completed) == len(fresh) == graph.seed_count - 1
+        assert all(a is b for a, b in zip(completed, fresh))
         assert counts["mutate"] == graph.seed_count - 1
         assert counts["div_exact"] == graph.variable_count - len(graph.ctx.mutables)
-        joined = {(min(a, b), max(a, b)) for a, _, b in steps}
+        joined = {(min(a, b), max(a, b)) for a, _, b, _ in steps}
         assert len(joined) == len(graph.edges)
-        stepped = {(key, v) for key, v, _ in steps}
+        stepped = {(key, v) for key, v, _, _ in steps}
         skipped = 0
         for key, seed in graph.seeds.items():
             for v in graph.ctx.mutables:
                 if (key, v) in stepped:
                     continue
                 skipped += 1
-                nk = real_mutate(seed, v)[0].key()
+                nk = real_mutate(seed, real_step(seed, v)).key()
                 assert nk in graph.seeds, (name, key, v)
                 assert (min(key, nk), max(key, nk)) in joined, (name, key, v)
         assert skipped == len(graph.edges)
@@ -155,7 +169,8 @@ def test_coefficient_mutation_matches_tropical_arithmetic(quiver):
     for _ in range(25):
         v = rng.choice(seed.ctx.mutables)
         yk = TropElem(seed.ctx.gens, seed.coeffs[seed.ctx.mut_index[v]])
-        seed, edge = seed.mutate_with_edge(v)
+        edge = seed.exchange_step(v)
+        seed = seed.mutate_with_edge(edge)
         ref = ref.mutate(v)
         assert seed.coeffs == tuple(c.exps for c in ref.coeffs)
         assert seed.cvecs == tuple(c.exps for c in ref.pcoeffs)

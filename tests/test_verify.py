@@ -107,16 +107,16 @@ def test_grid_sequence_level1_degenerate():
 
 
 def test_missing_exchange_factor_names_the_seed_step_and_g_vector(monkeypatch):
-    real = Seed.mutate_with_edge
+    real = Seed.exchange_step
     bogus = (9, 9, 9, 9, 9, 9)
     seen = []
 
     def lost_factor(seed, v):
-        new_seed, edge = real(seed, v)
+        edge = real(seed, v)
         seen.append((seed.key(), v))
-        return new_seed, dataclasses.replace(edge, term1=TermData(edge.term1.fexp, ((bogus, 1),)))
+        return dataclasses.replace(edge, term1=TermData(edge.term1.fexp, ((bogus, 1),)))
 
-    monkeypatch.setattr(Seed, "mutate_with_edge", lost_factor)
+    monkeypatch.setattr(Seed, "exchange_step", lost_factor)
     with pytest.raises(InternalInvariantError) as err:
         verify_grid_sequence(A3, XI3, 2)
     (key, v), = seen
