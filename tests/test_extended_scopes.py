@@ -1,11 +1,11 @@
 """Wider-scope regressions beyond the acceptance floor: A5 counts, the second
 star orientation of D4, the E6 pipeline and its full exchange-graph bundle, the
-property suite's classical seed and variable counts on A1, A5 and D5, and
+property suite's classical seed and variable counts on A1, A5, D5 and E6, and
 `trop-socle` and `psi-kr` on drawn orientations of A6, D5, D6 and E6.
 
-Set CLUSTERMOD_SLOW_TESTS=1 to also run the property suite on E6 (several
-seconds), and to enumerate the E7 exchange graph (a few seconds) and the E8 one
-on an orientation whose largest F-polynomials stay small (about half a minute)."""
+Set CLUSTERMOD_SLOW_TESTS=1 to also enumerate the E7 exchange graph (a few
+seconds) and the E8 one on an orientation whose largest F-polynomials stay
+small (about half a minute)."""
 import os
 
 import pytest
@@ -92,30 +92,19 @@ def test_e6_full_exchange_graph_bundle():
     assert verify_tropical_socle(ct, XI_E6).passed
 
 
-def _assert_property_counts(name, xi, seeds, variables):
+@pytest.mark.parametrize("name,xi,seeds,variables", [
+    ("A1", {1: 0}, 2, 2),
+    ("A5", {1: 0, 2: -1, 3: 0, 4: 1, 5: 0}, 132, 20),
+    ("D5", {1: 0, 2: -1, 3: 0, 4: -1, 5: -1}, 182, 25),
+    ("E6", XI_E6, 833, 42),
+])
+def test_properties_checks_the_classical_counts_of_every_type(name, xi, seeds, variables):
     ct = cartan_type(name)
     r = verify_properties(ct, xi, walks=0)
     assert r.passed, r.failures[:3]
     # the two count items, five per variable, two per c-vector column, one per edge
     n = ct.rank
     assert r.items == 2 + 5 * variables + 2 * n * seeds + n * seeds // 2
-
-
-@pytest.mark.parametrize("name,xi,seeds,variables", [
-    ("A1", {1: 0}, 2, 2),
-    ("A5", {1: 0, 2: -1, 3: 0, 4: 1, 5: 0}, 132, 20),
-    ("D5", {1: 0, 2: -1, 3: 0, 4: -1, 5: -1}, 182, 25),
-])
-def test_properties_checks_the_classical_counts_of_every_type(name, xi, seeds, variables):
-    _assert_property_counts(name, xi, seeds, variables)
-
-
-# the edge product identity on the E6 expansions takes several seconds; the E6
-# counts stay in the default run through test_e6_full_exchange_graph_bundle
-@pytest.mark.skipif(not os.environ.get("CLUSTERMOD_SLOW_TESTS"),
-                    reason="set CLUSTERMOD_SLOW_TESTS=1 to run the property suite on E6")
-def test_properties_checks_the_classical_counts_of_e6():
-    _assert_property_counts("E6", XI_E6, 833, 42)
 
 
 DRAWN_SCOPES = st.sampled_from(["A6", "D5", "D6", "E6"]).map(cartan_type).flatmap(
