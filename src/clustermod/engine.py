@@ -22,17 +22,16 @@ and the sign-rule g recursion against the c-vector recursion through tropical
 duality G^T C = I (Nakanishi-Zelevinsky 2012); a mismatch raises
 InternalInvariantError.
 
-Mutation is split in two public phases.  Seed.exchange_step reads the new
-extended g-vector (sign rule) and the exchange relation off the current seed
-alone; its edge keeps the sign of the exchanged c-vector, so that it names its
-M-term: the term the sign rule sums over (ExchangeEdge.m_terms).
-Seed.mutate_with_edge completes that edge to the mutated seed: B-tilde, the
-c-vectors, the g-tilde row of the edge and, for a new g-vector, its
-F-polynomial.  The exchange-graph BFS takes one exchange step per edge (the
-reverse step of an edge it has found lands back on the seed it came from, so it
-is skipped), reads the key of the mutated seed off the edge, and completes the
-step only for a key that is new and under the seed cap.  Sign coherence is
-checked on every column of every stored seed.
+Mutation is split in two public phases.  Seed.exchange_step reads the exchange
+relation x x' = M + M' off the current seed alone, splitting the exchange column
+once: the M-term is the one the sign rule sums over, and the new extended
+g-vector is read off it.  Seed.mutate_with_edge completes that edge to the
+mutated seed: B-tilde, the c-vectors, the g-tilde row of the edge and, for a new
+g-vector, its F-polynomial from the M- and M'-terms.  The exchange-graph BFS
+takes one exchange step per edge (the reverse step of an edge it has found lands
+back on the seed it came from, so it is skipped), reads the key of the mutated
+seed off the edge, and completes the step only for a key that is new and under
+the seed cap.  Sign coherence is checked on every column of every stored seed.
 """
 from __future__ import annotations
 
@@ -40,7 +39,7 @@ import functools
 import json
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ConfigurationError, FrozenVertexError, InternalInvariantError
@@ -177,25 +176,20 @@ class TermData:
 
 @dataclass(frozen=True)
 class ExchangeEdge:
-    """One exchange x x' = term1 + term2 (term1 carries [y_k]_+), the extended g-vector
-    of x', and the sign eps of the exchanged c-vector: it picks the sign-rule term."""
+    """One exchange x x' = M + M' taken from the seed `source`, and the extended
+    g-vector of x'.  The M-term is the one the sign rule sums over, so g + g' is
+    the sum of its factors' g-vectors; it carries kappa(L, M, N)."""
 
     vertex: Vertex
     old_g: tuple[int, ...]
     new_gtilde: tuple[int, ...]
-    term1: TermData
-    term2: TermData
-    eps: int
+    m_term: TermData
+    mp_term: TermData
+    source: "Seed" = field(compare=False, repr=False)
 
     @property
     def new_g(self) -> tuple[int, ...]:
         return self.new_gtilde[:len(self.old_g)]
-
-    @property
-    def m_terms(self) -> tuple[TermData, TermData]:
-        """(M-term, M'-term).  The M-term is the one the sign rule summed over, so
-        g + g' is the sum of its factors' g-vectors; it carries kappa(L, M, N)."""
-        return (self.term2, self.term1) if self.eps > 0 else (self.term1, self.term2)
 
 
 @dataclass(frozen=True)
@@ -241,17 +235,17 @@ class Seed:
         return 1 if hi > 0 else -1
 
     def _mutated_fpoly(self, k: int, edge: ExchangeEdge) -> LaurentPoly:
-        """F' = (y^[c_k]+ prod F^term1 + y^[-c_k]+ prod F^term2) / F_k: the exchange
-        relation of the edge at position k, with principal coefficients."""
-        fpolys, ys, c = self.ctx.fpolys, self.ctx.ycoefs, self.cvecs[k]
+        """F' = (y^{eps c_k} prod F^M' + prod F^M) / F_k, where eps c_k = |c_k| by sign
+        coherence: the exchange relation of the edge at k, with principal coefficients."""
+        fpolys, ys = self.ctx.fpolys, self.ctx.ycoefs
 
         def side(exps, term):
-            out = LaurentPoly.from_monomial(Monomial({y: e for y, e in zip(ys, exps) if e > 0}))
+            out = LaurentPoly.from_monomial(Monomial({y: abs(e) for y, e in zip(ys, exps) if e}))
             for g, mult in term.factors:
                 out = out * fpolys[g] ** mult
             return out
 
-        return div_exact(side(c, edge.term1) + side([-e for e in c], edge.term2),
+        return div_exact(side(self.cvecs[k], edge.mp_term) + side((), edge.m_term),
                          fpolys[edge.old_g])
 
     def mutate(self, v: Vertex) -> "Seed":
@@ -263,40 +257,43 @@ class Seed:
         return tuple([b[row][col] for row in self.ctx.mut_rows])
 
     def exchange_step(self, v: Vertex) -> ExchangeEdge:
-        """The exchange step at v, read from this seed alone: the new extended
-        g-vector by the sign rule -g_k + sum_i [-eps b_ik]_+ g_i plus the tropical
-        term of the frozen block, and the exchange relation
-        x_k x'_k = f1 * prod x_i^{[b_ik]_+} + f2 * prod x_i^{[-b_ik]_+}."""
+        """The exchange step at v, read from this seed alone: x_k x'_k = M + M' with
+        M = f^[-eps y_k]_+ prod x_i^[-eps b_ik]_+ and M' = f^[eps y_k]_+ prod x_i^[eps b_ik]_+,
+        and the new extended g-vector by the sign rule: -g-tilde_k plus the M-term's
+        g-tilde rows and f-exponents."""
         ctx = self.ctx
         k = ctx.mut_index.get(v)
         if k is None:
             raise FrozenVertexError(f"mutation at frozen or unknown vertex {v}")
         n = len(ctx.mutables)
-        bcol = self._bcol(k)
         eps = self.epsilon(k)
-        yk = ctx.coeff_exps(self.quiver.b, k)
-        f1 = tuple([a if a > 0 else 0 for a in yk])  # y_k / (y_k + 1) in the tropical semifield
-        f2 = tuple([-a if a < 0 else 0 for a in yk])  # 1 / (y_k + 1)
-        acc = [-x for x in self.gtilde[k]]
-        for i, bi in enumerate(bcol):
-            w = -bi if eps > 0 else bi
-            if w > 0:
-                acc = [a + w * e for a, e in zip(acc, self.gtilde[i])]
-        acc[n:] = [a + e for a, e in zip(acc[n:], f2 if eps > 0 else f1)]
         gs = [g[:n] for g in self.gtilde]
-        term1 = TermData(f1, tuple([(gs[i], bi) for i, bi in enumerate(bcol) if bi > 0]))
-        term2 = TermData(f2, tuple([(gs[i], -bi) for i, bi in enumerate(bcol) if bi < 0]))
-        return ExchangeEdge(v, gs[k], tuple(acc), term1, term2, eps)
+        acc = [-x for x in self.gtilde[k]]
+        m_factors, mp_factors = [], []
+        for i, bi in enumerate(self._bcol(k)):
+            w = -bi if eps > 0 else bi  # -eps b_ik
+            if w > 0:
+                m_factors.append((gs[i], w))
+                acc = [a + w * e for a, e in zip(acc, self.gtilde[i])]
+            elif w:
+                mp_factors.append((gs[i], -w))
+        yk = ctx.coeff_exps(self.quiver.b, k)
+        pos = tuple([a if a > 0 else 0 for a in yk])  # y_k / (y_k + 1) in the tropical semifield
+        neg = tuple([-a if a < 0 else 0 for a in yk])  # 1 / (y_k + 1)
+        m_fexp, mp_fexp = (neg, pos) if eps > 0 else (pos, neg)
+        acc[n:] = [a + e for a, e in zip(acc[n:], m_fexp)]
+        return ExchangeEdge(v, gs[k], tuple(acc), TermData(m_fexp, tuple(m_factors)),
+                            TermData(mp_fexp, tuple(mp_factors)), self)
 
     def mutate_with_edge(self, edge: ExchangeEdge) -> "Seed":
-        """The exchange step `edge` of this seed, completed to the mutated seed:
-        B-tilde, the c-vectors, the new g-tilde row and, for a g-vector not met
-        before, its F-polynomial from the edge."""
+        """The exchange step `edge`, taken from this seed or an equal one, completed
+        to the mutated seed: B-tilde, the c-vectors, the new g-tilde row and, for a
+        g-vector not met before, its F-polynomial from the edge."""
         ctx = self.ctx
-        k = ctx.mut_index.get(edge.vertex)
-        if k is None or self.gtilde[k][:len(ctx.mutables)] != edge.old_g:
+        if edge.source is not self and edge.source != self:
             raise ConfigurationError(f"exchange step at {edge.vertex} with g = {edge.old_g} "
                                      f"was not taken from seed {self.key()}")
+        k = ctx.mut_index[edge.vertex]
         if edge.new_g not in ctx.fpolys:
             ctx.fpolys[edge.new_g] = self._mutated_fpoly(k, edge)
         gtilde = self.gtilde[:k] + (edge.new_gtilde,) + self.gtilde[k + 1:]

@@ -20,7 +20,7 @@ from .engine import (
     Seed,
     enumerate_exchange_graph,
     make_record,
-    separation,
+    separation,  # not called here; perfbench/selftest.py (REBOUND) needs this import site
 )
 from .errors import (
     ConfigurationError,
@@ -117,9 +117,8 @@ class EdgeAnalysis:
 
 
 def analyze_edge(obj_by_g: dict, edge) -> EdgeAnalysis:
-    """Resolve the objects of an edge and of the factors of its M- and M'-terms,
-    in the order the edge names them (`ExchangeEdge.m_terms`)."""
-    m_term, mp_term = edge.m_terms
+    """Resolve the objects of an edge, x and x', and of the factors of its
+    M-term (`edge.m_term`, the one carrying kappa(L, M, N)) and M'-term."""
 
     def parts(term):
         return tuple(obj_by_g[fg] for fg, mult in term.factors for _ in range(mult))
@@ -127,10 +126,10 @@ def analyze_edge(obj_by_g: dict, edge) -> EdgeAnalysis:
     return EdgeAnalysis(
         x_obj=obj_by_g[edge.old_g],
         y_obj=obj_by_g[edge.new_g],
-        m_parts=parts(m_term),
-        mp_parts=parts(mp_term),
-        m_fexp=m_term.fexp,
-        mp_fexp=mp_term.fexp,
+        m_parts=parts(edge.m_term),
+        mp_parts=parts(edge.mp_term),
+        m_fexp=edge.m_term.fexp,
+        mp_fexp=edge.mp_term.fexp,
     )
 
 
@@ -443,7 +442,7 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
                         f"at step {v}")
             return out
 
-        hm, hmp = map(term_hw, edge.m_terms)
+        hm, hmp = term_hw(edge.m_term), term_hw(edge.mp_term)
         seed = seed.mutate_with_edge(edge)
         got = position_hw(seed, j)
         rep.check(got == kr_monomial(i, k, r - 2), f"post-mutation KR label at {v}", got=got)
@@ -521,7 +520,7 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
     for edge in graph.edges:
         lhs = graph.registry[edge.old_g].expansion * graph.registry[edge.new_g].expansion
         rhs = LaurentPoly.zero()
-        for term in (edge.term1, edge.term2):
+        for term in (edge.m_term, edge.mp_term):
             part = LaurentPoly.from_monomial(Monomial(zip(ctx.gens, term.fexp)))
             for fg, mult in term.factors:
                 part = part * graph.registry[fg].expansion ** mult

@@ -494,8 +494,8 @@ def oracle_m_term(edge: ExchangeEdge, rc, obj_by_g) -> TermData:
             total = [t + mult * e for t, e in zip(total, fg)]
         return tuple(total)
 
-    hits = [term for term in (edge.term1, edge.term2) if g_total(term) == gsum]
-    if len(hits) == 2 and not edge.term1.factors and not edge.term2.factors:
+    hits = [term for term in (edge.m_term, edge.mp_term) if g_total(term) == gsum]
+    if len(hits) == 2 and not edge.m_term.factors and not edge.mp_term.factors:
         kappa = tuple(a + b for a, b in zip(oracle_socle(rc, obj_by_g[edge.old_g]),
                                             oracle_socle(rc, obj_by_g[edge.new_g])))
         hits = [term for term in hits if term.fexp == kappa]

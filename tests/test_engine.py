@@ -109,6 +109,17 @@ def test_mutate_with_edge_rejects_an_edge_of_another_seed(a3_seed):
     foreign = Seed.initial(build_qcheck(d4, orientations(d4)[0])).exchange_step(Vertex(4))
     with pytest.raises(ConfigurationError):
         a3_seed.mutate_with_edge(foreign)
+    # mutated at 1, the seed still holds the edge's old g-vector at 2, in another exchange column
+    other = a3_seed.mutate(Vertex(1))
+    assert other.gtilde[1] == a3_seed.gtilde[1]
+    with pytest.raises(ConfigurationError) as err:
+        other.mutate_with_edge(edge)
+    assert str(err.value) == (f"exchange step at {v} with g = {edge.old_g} was not taken "
+                              f"from seed {other.key()}")
+    # an equal seed that is another object completes the edge
+    twin = Seed.initial(build_qcheck(A3, XI3))
+    assert twin is not a3_seed and twin == a3_seed
+    assert twin.mutate_with_edge(edge) == forward
 
 
 # ---- invariant failures name the data that failed -------------------------------------
@@ -279,8 +290,10 @@ def test_initial_edge_coefficient_split(a3_seed):
         k = ctx.mut_index[v]
         edge = a3_seed.exchange_step(v)
         yk = TropElem(ctx.gens, ctx.y0[k])
-        assert edge.term1.fexp == (yk * (yk + one).inverse()).exps
-        assert edge.term2.fexp == (yk + one).inverse().exps
+        plus, minus = (yk * (yk + one).inverse()).exps, (yk + one).inverse().exps
+        # the M-term carries [-eps y_k]_+, the M'-term [eps y_k]_+
+        m, mp = (minus, plus) if a3_seed.epsilon(k) > 0 else (plus, minus)
+        assert (edge.m_term.fexp, edge.mp_term.fexp) == (m, mp)
 
 
 def test_edge_product_identity(a3_graph):
@@ -288,7 +301,7 @@ def test_edge_product_identity(a3_graph):
     for edge in a3_graph.edges:
         lhs = a3_graph.registry[edge.old_g].expansion * a3_graph.registry[edge.new_g].expansion
         rhs = LaurentPoly.zero()
-        for term in (edge.term1, edge.term2):
+        for term in (edge.m_term, edge.mp_term):
             part = LaurentPoly.from_monomial(TropElem(ctx.gens, term.fexp).as_monomial())
             for fg, mult in term.factors:
                 part = part * a3_graph.registry[fg].expansion ** mult

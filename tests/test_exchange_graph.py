@@ -1,6 +1,7 @@
 """The exchange-graph BFS that runs one exchange step per edge and builds only new
 seeds, against the reference BFS that mutates every seed in every direction, and
 against the classical counts."""
+import operator
 import random
 from collections import Counter
 from math import comb
@@ -45,8 +46,8 @@ def _assert_same_graph(quiver, max_seeds=10**6):
         got = enumerate_exchange_graph(Seed.initial(quiver), max_seeds)
     want = oracle_full_bfs(Seed.initial(quiver), max_seeds)
     assert list(got.seeds.items()) == list(want.seeds.items())
-    assert [(e.vertex, e.old_g, e.new_g, e.term1, e.term2) for e in got.edges] == [
-        (e.vertex, e.old_g, e.new_g, e.term1, e.term2) for e in want.edges]
+    fields = operator.attrgetter("vertex", "old_g", "new_gtilde", "m_term", "mp_term", "source")
+    assert list(map(fields, got.edges)) == list(map(fields, want.edges))
     assert list(got.registry.items()) == list(want.registry.items())
     assert got.exhaustive == want.exhaustive
     assert got.report_json() == want.report_json()
@@ -168,14 +169,18 @@ def test_coefficient_mutation_matches_tropical_arithmetic(quiver):
     one = TropElem.one(seed.ctx.gens)
     for _ in range(25):
         v = rng.choice(seed.ctx.mutables)
-        yk = TropElem(seed.ctx.gens, seed.coeffs[seed.ctx.mut_index[v]])
+        k = seed.ctx.mut_index[v]
+        yk, eps = TropElem(seed.ctx.gens, seed.coeffs[k]), seed.epsilon(k)
         edge = seed.exchange_step(v)
         seed = seed.mutate_with_edge(edge)
         ref = ref.mutate(v)
         assert seed.coeffs == tuple(c.exps for c in ref.coeffs)
         assert seed.cvecs == tuple(c.exps for c in ref.pcoeffs)
         inv = (yk + one).inverse()
-        assert (edge.term1.fexp, edge.term2.fexp) == ((yk * inv).exps, inv.exps)
+        plus, minus = (yk * inv).exps, inv.exps
+        # the M-term carries [-eps y_k]_+, the M'-term [eps y_k]_+
+        m, mp = (minus, plus) if eps > 0 else (plus, minus)
+        assert (edge.m_term.fexp, edge.mp_term.fexp) == (m, mp)
 
 
 # ---- classical counts over orientations ------------------------------------------------

@@ -114,7 +114,7 @@ def test_missing_exchange_factor_names_the_seed_step_and_g_vector(monkeypatch):
     def lost_factor(seed, v):
         edge = real(seed, v)
         seen.append((seed.key(), v))
-        return dataclasses.replace(edge, term1=TermData(edge.term1.fexp, ((bogus, 1),)))
+        return dataclasses.replace(edge, m_term=TermData(edge.m_term.fexp, ((bogus, 1),)))
 
     monkeypatch.setattr(Seed, "exchange_step", lost_factor)
     with pytest.raises(InternalInvariantError) as err:
@@ -183,7 +183,7 @@ def test_every_edge_names_the_m_term_of_the_g_sum_oracle():
     for name, xi in scopes:
         _, _, repctx, graph, obj_by_g = get_bundle(cartan_type(name), xi)
         for edge in graph.edges:
-            assert edge.m_terms[0] == oracle_m_term(edge, repctx, obj_by_g), (name, xi, edge)
+            assert edge.m_term == oracle_m_term(edge, repctx, obj_by_g), (name, xi, edge)
 
 
 @pytest.mark.parametrize("name", [n for n in CHECK_NAMES if "l" not in check_reads(n)])
