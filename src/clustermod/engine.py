@@ -3,11 +3,12 @@
 A seed holds each quantity once: its ice quiver B-tilde, its c-vectors as
 integer columns (the exponents of the principal coefficients in the y_j) and
 its extended g-vectors.  The ambient tropical coefficient y_k is not stored: it
-is read off column k of the frozen rows of B-tilde, one row sum per frozen
+is read off column k of B-tilde in the frozen rows, one sum per frozen
 generator, and the same read-off gives the initial coefficients y0 and the two
-exponent vectors of each exchange relation.  Every tropical value is such an
-exponent tuple over the frozen generators: a product adds tuples and the
-auxiliary sum takes their componentwise minimum.
+exponent vectors of each exchange relation.  Column k is always read as row k
+negated (b_ik = -b_ki by skew-symmetry), so one tuple of the matrix holds it.
+Every tropical value is such an exponent tuple over the frozen generators: a
+product adds tuples and the auxiliary sum takes their componentwise minimum.
 
 Cluster variables are not stored either: the F-polynomial of each one is
 computed once, by the Fomin-Zelevinsky recurrence (Cluster algebras IV,
@@ -23,15 +24,17 @@ duality G^T C = I (Nakanishi-Zelevinsky 2012); a mismatch raises
 InternalInvariantError.
 
 Mutation is split in two public phases.  Seed.exchange_step reads the exchange
-relation x x' = M + M' off the current seed alone, splitting the exchange column
-once: the M-term is the one the sign rule sums over, and the new extended
-g-vector is read off it.  Seed.mutate_with_edge completes that edge to the
-mutated seed: B-tilde, the c-vectors, the g-tilde row of the edge and, for a new
-g-vector, its F-polynomial from the M- and M'-terms.  The exchange-graph BFS
-takes one exchange step per edge (the reverse step of an edge it has found lands
-back on the seed it came from, so it is skipped), reads the key of the mutated
-seed off the edge, and completes the step only for a key that is new and under
-the seed cap.  Sign coherence is checked on every column of every stored seed.
+relation x x' = M + M' off the current seed alone, with one read of row k for
+the sign rule and y_k, splitting the exchange column once: the M-term is the one
+the sign rule sums over, and the new extended g-vector is read off it.
+Seed.mutate_with_edge completes that edge to the mutated seed: B-tilde, the
+c-vectors (from one read of row k, changing only those with b_jk != 0), the
+g-tilde row of the edge and, for a new g-vector, its F-polynomial from the M-
+and M'-terms.  The exchange-graph BFS takes one exchange step per edge (the
+reverse step of an edge it has found lands back on the seed it came from, so it
+is skipped), reads the key of the mutated seed off the edge, and completes the
+step only for a key that is new and under the seed cap.  Sign coherence is
+checked on every column of every stored seed.
 """
 from __future__ import annotations
 
@@ -118,15 +121,24 @@ class SeedContext:
             rows[_gen_for_vertex(v)].append(self.quiver0.index(v))
         return tuple(tuple(r) for r in rows.values())
 
-    def coeff_exps(self, b: tuple[tuple[int, ...], ...], k: int) -> tuple[int, ...]:
-        """Exponents of the ambient coefficient y_k of the matrix b: column k
-        summed over the frozen rows of each generator."""
-        col = self.mut_rows[k]
-        return tuple([sum([b[r][col] for r in rows]) for rows in self.gen_rows])
+    @functools.cached_property
+    def gen_row(self) -> tuple[int, ...] | None:
+        """The frozen row of each generator when each has exactly one, else None."""
+        if all(len(rows) == 1 for rows in self.gen_rows):
+            return tuple(rows[0] for rows in self.gen_rows)
+        return None
+
+    def coeff_exps(self, rowk: tuple[int, ...]) -> tuple[int, ...]:
+        """Exponents of the ambient coefficient y_k, from row k of B-tilde: column k
+        summed over the frozen rows of each generator, read as b_rk = -b_kr."""
+        single = self.gen_row
+        if single is not None:
+            return tuple([-rowk[r] for r in single])
+        return tuple([-sum([rowk[r] for r in rows]) for rows in self.gen_rows])
 
     def coeffs_of(self, b: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
         """Exponents over `gens` of every ambient coefficient of the matrix b."""
-        return tuple(self.coeff_exps(b, k) for k in range(len(self.mutables)))
+        return tuple(self.coeff_exps(b[row]) for row in self.mut_rows)
 
     @functools.cached_property
     def y0(self) -> tuple[tuple[int, ...], ...]:
@@ -251,38 +263,35 @@ class Seed:
     def mutate(self, v: Vertex) -> "Seed":
         return self.mutate_with_edge(self.exchange_step(v))
 
-    def _bcol(self, k: int) -> tuple[int, ...]:
-        """Column k of the exchange matrix, restricted to the mutable rows."""
-        b, col = self.quiver.b, self.ctx.mut_rows[k]
-        return tuple([b[row][col] for row in self.ctx.mut_rows])
-
     def exchange_step(self, v: Vertex) -> ExchangeEdge:
         """The exchange step at v, read from this seed alone: x_k x'_k = M + M' with
         M = f^[-eps y_k]_+ prod x_i^[-eps b_ik]_+ and M' = f^[eps y_k]_+ prod x_i^[eps b_ik]_+,
         and the new extended g-vector by the sign rule: -g-tilde_k plus the M-term's
-        g-tilde rows and f-exponents."""
+        g-tilde rows and f-exponents.  Column k of B-tilde is read once, as row k
+        negated (b_ik = -b_ki)."""
         ctx = self.ctx
         k = ctx.mut_index.get(v)
         if k is None:
             raise FrozenVertexError(f"mutation at frozen or unknown vertex {v}")
         n = len(ctx.mutables)
         eps = self.epsilon(k)
-        gs = [g[:n] for g in self.gtilde]
-        acc = [-x for x in self.gtilde[k]]
+        rowk = self.quiver.b[ctx.mut_rows[k]]
+        gtilde = self.gtilde
+        acc = [-x for x in gtilde[k]]
         m_factors, mp_factors = [], []
-        for i, bi in enumerate(self._bcol(k)):
-            w = -bi if eps > 0 else bi  # -eps b_ik
+        for i, row in enumerate(ctx.mut_rows):
+            w = eps * rowk[row]  # -eps b_ik
             if w > 0:
-                m_factors.append((gs[i], w))
-                acc = [a + w * e for a, e in zip(acc, self.gtilde[i])]
+                m_factors.append((gtilde[i][:n], w))
+                acc = [a + w * e for a, e in zip(acc, gtilde[i])]
             elif w:
-                mp_factors.append((gs[i], -w))
-        yk = ctx.coeff_exps(self.quiver.b, k)
+                mp_factors.append((gtilde[i][:n], -w))
+        yk = ctx.coeff_exps(rowk)
         pos = tuple([a if a > 0 else 0 for a in yk])  # y_k / (y_k + 1) in the tropical semifield
         neg = tuple([-a if a < 0 else 0 for a in yk])  # 1 / (y_k + 1)
         m_fexp, mp_fexp = (neg, pos) if eps > 0 else (pos, neg)
         acc[n:] = [a + e for a, e in zip(acc[n:], m_fexp)]
-        return ExchangeEdge(v, gs[k], tuple(acc), TermData(m_fexp, tuple(m_factors)),
+        return ExchangeEdge(v, gtilde[k][:n], tuple(acc), TermData(m_fexp, tuple(m_factors)),
                             TermData(mp_fexp, tuple(mp_factors)), self)
 
     def mutate_with_edge(self, edge: ExchangeEdge) -> "Seed":
@@ -297,7 +306,8 @@ class Seed:
         if edge.new_g not in ctx.fpolys:
             ctx.fpolys[edge.new_g] = self._mutated_fpoly(k, edge)
         gtilde = self.gtilde[:k] + (edge.new_gtilde,) + self.gtilde[k + 1:]
-        cvecs = _mutate_cvecs(self.cvecs, k, self._bcol(k))
+        rowk = self.quiver.b[ctx.mut_rows[k]]
+        cvecs = _mutate_cvecs(self.cvecs, k, [rowk[row] for row in ctx.mut_rows])
         return Seed(ctx, self.quiver.mutate(edge.vertex), cvecs, gtilde)
 
     def key(self) -> tuple:
@@ -306,23 +316,25 @@ class Seed:
         return tuple(sorted(g[:n] for g in self.gtilde))
 
 
-def _mutate_cvecs(cvecs, k, bcol) -> tuple[tuple[int, ...], ...]:
-    """c-vector mutation at position k: the principal coefficients mutated in
-    their tropical semifield, on exponent vectors.
+def _mutate_cvecs(cvecs, k, brow) -> tuple[tuple[int, ...], ...]:
+    """c-vector mutation at position k, from row k of the exchange matrix
+    (brow[j] = b_kj): the principal coefficients mutated in their tropical
+    semifield, on exponent vectors.
 
     c'_k = -c_k, and c'_j = c_j + b_kj [c_k]_+ for b_kj > 0 or
-    c_j - b_kj min(c_k, 0) for b_kj < 0, where b_kj = -b_jk.
+    c_j - b_kj min(c_k, 0) for b_kj < 0; no other c-vector changes.
     """
     ck = cvecs[k]
     pos = [a if a > 0 else 0 for a in ck]
     neg = [a if a < 0 else 0 for a in ck]
     new = list(cvecs)
     new[k] = tuple([-a for a in ck])
-    for j, bjk in enumerate(bcol):  # b_kk = 0 leaves position k as set above
-        step = pos if bjk < 0 else neg
-        if bjk and any(step):
-            w = abs(bjk)
-            new[j] = tuple([a + w * s for a, s in zip(cvecs[j], step)])
+    for j, bkj in enumerate(brow):  # b_kk = 0 leaves position k as set above
+        if bkj:
+            step = pos if bkj > 0 else neg
+            if any(step):
+                w = abs(bkj)
+                new[j] = tuple([a + w * s for a, s in zip(cvecs[j], step)])
     return tuple(new)
 
 

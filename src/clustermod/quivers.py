@@ -87,8 +87,10 @@ class IceQuiver:
         except KeyError:
             raise ConfigurationError(f"unknown vertex label {v}") from None
 
-    def is_frozen(self, v: Vertex) -> bool:
-        return v in self.frozen
+    @functools.cached_property
+    def _frozen_mask(self) -> tuple[bool, ...]:
+        """Whether each vertex is frozen, by matrix index."""
+        return tuple(v in self.frozen for v in self.vertices)
 
     @property
     def mutable_vertices(self) -> tuple[Vertex, ...]:
@@ -137,34 +139,32 @@ class IceQuiver:
 
     def mutate(self, k: Vertex) -> "IceQuiver":
         """Matrix mutation at a mutable vertex; frozen-frozen entries stay 0."""
-        if self.is_frozen(k):
-            raise FrozenVertexError(f"mutation at frozen vertex {k}")
         kk = self.index(k)
+        mask = self._frozen_mask
+        if mask[kk]:
+            raise FrozenVertexError(f"mutation at frozen vertex {k}")
         rowk = self.b[kk]
-        # besides row and column k, b_pq changes only where b_pk * b_kq != 0, so
-        # only row k and the rows of the neighbours of k are rebuilt
-        nbrs = [q for q, e in enumerate(rowk) if e]
-        fmask = [self.vertices[q] in self.frozen for q in nbrs]
+        # besides row and column k, b_pq changes only where b_pk * b_kq > 0, to
+        # b_pq + |b_pk| b_kq, so only the rows of the neighbours of k are rebuilt,
+        # each across to the neighbours on the other side of k (b_pk = -rowk[p])
+        outs = [q for q, e in enumerate(rowk) if e > 0]
+        ins = [q for q, e in enumerate(rowk) if e < 0]
         new = list(self.b)
-        new[kk] = tuple(-e for e in rowk)
-        for p, fp in zip(nbrs, fmask):
-            row = list(self.b[p])
-            bpk = -rowk[p]
-            row[kk] = rowk[p]
-            for q, fq in zip(nbrs, fmask):
-                bkq = rowk[q]
-                if fp and fq:
-                    row[q] = 0
-                elif bpk > 0 and bkq > 0:
-                    row[q] += bpk * bkq
-                elif bpk < 0 and bkq < 0:
-                    row[q] -= bpk * bkq
-            new[p] = tuple(row)
+        new[kk] = tuple([-e for e in rowk])
+        for ps, qs in ((ins, outs), (outs, ins)):
+            qs_mutable = [q for q in qs if not mask[q]]
+            for p in ps:
+                row = list(self.b[p])
+                row[kk] = rowk[p]
+                w = abs(rowk[p])
+                for q in qs_mutable if mask[p] else qs:
+                    row[q] += w * rowk[q]
+                new[p] = tuple(row)
         # same labels and frozen set, and mutation keeps B skew-symmetric, so the
         # checks of __post_init__ hold by construction and are not rerun
         out = object.__new__(IceQuiver)
         out.__dict__.update(vertices=self.vertices, frozen=self.frozen, b=tuple(new),
-                            _index=self._index)
+                            _index=self._index, _frozen_mask=mask)
         return out
 
     def subquiver_on(self, labels) -> "IceQuiver":

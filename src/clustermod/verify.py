@@ -353,14 +353,18 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
 
 
 def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
-    """Highest l-weight identity on every exchange pair, at the given level."""
+    """Highest l-weight identity on every exchange pair, at the given level.
+
+    psi is computed once per object and once per tuple of M-term objects, in a
+    table that lives for this call only."""
     rep = Report("hw-exchange", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
+    psi_of = functools.lru_cache(maxsize=None)(lambda objs: psi(objs, repctx, l))
     for edge in graph.edges:
         ea = analyze_edge(obj_by_g, edge)
         alpha = repctx.kappa(ea.x_obj, ea.m_parts, ea.y_obj)
-        lhs = psi(ea.x_obj, repctx, l) * psi(ea.y_obj, repctx, l)
-        rhs = psi(ea.m_parts, repctx, l) if ea.m_parts else Monomial.one()
+        lhs = psi_of(ea.x_obj) * psi_of(ea.y_obj)
+        rhs = psi_of(ea.m_parts) if ea.m_parts else Monomial.one()
         for i in cartan.vertices:
             e = alpha[i - 1]
             if e:
@@ -480,7 +484,12 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
                       rng_seed: int = 20240901) -> Report:
     """Structural property suite over the full companion-quiver exchange graph,
     its seed and variable counts against the classical counts of the cluster type,
-    plus a seeded random mutation walk checking the involution."""
+    plus a seeded random mutation walk checking the involution.
+
+    The edge product identity x x' = M + M' is computed once per distinct exchange
+    relation and checked on every edge.  Each walk step checks its forward seed's
+    new record and mutates back; a step at the vertex of the step before it takes
+    that step's back mutation as its forward seed."""
     rep = Report("properties", {"cartan": cartan.name, "xi": _xi_key(xi), "walks": walks,
                                 "seed": rng_seed})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
@@ -516,31 +525,39 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
             rep.check(coeffs[k] == _prop313_coeff(seed, k),
                       f"coefficient read-off at seed {key} column {k}")
 
-    # exchange-relation product identity
+    # exchange-relation product identity, computed once per relation: it reads
+    # nothing of an edge but its two g-vectors and its two terms
+    holds: dict[tuple, bool] = {}
     for edge in graph.edges:
-        lhs = graph.registry[edge.old_g].expansion * graph.registry[edge.new_g].expansion
-        rhs = LaurentPoly.zero()
-        for term in (edge.m_term, edge.mp_term):
-            part = LaurentPoly.from_monomial(Monomial(zip(ctx.gens, term.fexp)))
-            for fg, mult in term.factors:
-                part = part * graph.registry[fg].expansion ** mult
-            rhs = rhs + part
-        rep.check(lhs == rhs, "edge product identity", old=edge.old_g, new=edge.new_g)
+        relation = (edge.old_g, edge.new_g, edge.m_term, edge.mp_term)
+        if relation not in holds:
+            lhs = graph.registry[edge.old_g].expansion * graph.registry[edge.new_g].expansion
+            rhs = LaurentPoly.zero()
+            for term in (edge.m_term, edge.mp_term):
+                part = LaurentPoly.from_monomial(Monomial(zip(ctx.gens, term.fexp)))
+                for fg, mult in term.factors:
+                    part = part * graph.registry[fg].expansion ** mult
+                rhs = rhs + part
+            holds[relation] = lhs == rhs
+        rep.check(holds[relation], "edge product identity", old=edge.old_g, new=edge.new_g)
 
     # the walk runs in a fresh context, so it recomputes every F-polynomial along
     # its own path; each new variable passes the record checks and must match
-    # the exchange-graph record of its g-vector
+    # the exchange-graph record of its g-vector.  A step at the vertex of the
+    # step before it starts from that step's back mutation, which is the seed it
+    # would compute, and still checks its record and its own back mutation.
     rng = random.Random(rng_seed)
     seed = Seed.initial(build_qcheck(cartan, xi))
+    prev = back = None
     for step in range(walks):
         v = ctx.mutables[rng.randrange(n)]
-        forward = seed.mutate(v)
+        forward = back if v == prev else seed.mutate(v)
         record = make_record(forward, seed.ctx.mut_index[v])
         back = forward.mutate(v)
         rep.check(back == seed and record == graph.registry.get(record.gvec),
                   f"mutation involution and walk record at step {step}", vertex=v,
                   g=record.gvec)
-        seed = forward
+        seed, prev = forward, v
     return rep
 
 

@@ -27,10 +27,13 @@ exponent tuples.  The reference AR translation tau applies the Coxeter matrix
 -E^-1 E^T, where the library reads tau off the inverse of tau^-1.  The reference
 M-term of an exchange edge is the term whose factors' g-vectors sum to g + g',
 with kappa(L, 0, N) from the reference socles on rank 1, where the library reads
-it off the sign of the exchanged c-vector.
+it off the sign of the exchanged c-vector.  The reference mutation walk of the
+property check mutates forward and back at every step, where the library takes
+a step at the vertex of the step before it from that step's back mutation.
 """
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +55,7 @@ from clustermod.errors import (
     NotSubtractionFreeError,
     ShiftCaseUnsupported,
 )
+from clustermod.quivers import build_qcheck
 from clustermod.reps import CQObject, QuiverRep, _mat, _rref, _zeros
 from clustermod.symbolic import LaurentPoly, Monomial, VarId, div_exact
 
@@ -739,3 +743,28 @@ def oracle_tau(rc, obj):
     if out not in rc.roots:
         raise InternalInvariantError(f"tau of {obj.dims} gave non-root {out}")
     return CQObject.module(out)
+
+
+# The mutation walk of verify_properties, kept as it stood with two mutations
+# per step: the forward mutation is computed afresh at every step.
+
+
+def oracle_properties_walk(rep, cartan, xi, walks, rng_seed, graph) -> list:
+    """Run the walk into the Report `rep`, with the items and failure entries of
+    verify_properties' walk; returns the vertices walked."""
+    ctx = graph.ctx
+    n = len(ctx.mutables)
+    walked = []
+    rng = random.Random(rng_seed)
+    seed = Seed.initial(build_qcheck(cartan, xi))
+    for step in range(walks):
+        v = ctx.mutables[rng.randrange(n)]
+        forward = seed.mutate(v)
+        record = make_record(forward, seed.ctx.mut_index[v])
+        back = forward.mutate(v)
+        rep.check(back == seed and record == graph.registry.get(record.gvec),
+                  f"mutation involution and walk record at step {step}", vertex=v,
+                  g=record.gvec)
+        seed = forward
+        walked.append(v)
+    return walked

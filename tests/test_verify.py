@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from clustermod import verify
+from clustermod import engine, verify
 from clustermod.cartan import cartan_type, linear_height
 from clustermod.cli import main
 from clustermod.engine import Seed, TermData
@@ -28,7 +28,7 @@ from clustermod.verify import (
 )
 from clustermod.quivers import Vertex
 from clustermod.reps import RepContext
-from oracles import oracle_m_term, orientations
+from oracles import oracle_m_term, oracle_properties_walk, orientations
 
 A2 = cartan_type("A2")
 A3 = cartan_type("A3")
@@ -152,6 +152,51 @@ def test_properties_deterministic():
     j1, j2 = json.loads(r1.to_json()), json.loads(r2.to_json())
     j1.pop("seconds"), j2.pop("seconds")
     assert j1 == j2
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_properties_walk_matches_the_two_mutation_walk(monkeypatch, broken):
+    walks, rng_seed = 60, 1
+    graph = get_bundle(A3, XI3)[3]  # built with the real kernel
+    if broken:
+        # the negated column left a list: the values stay right, so every record
+        # check passes, but a seed holding it no longer equals one holding a tuple
+        real = engine._mutate_cvecs
+
+        def list_column(cvecs, k, brow):
+            out = real(cvecs, k, brow)
+            return out[:k] + (list(out[k]),) + out[k + 1:]
+
+        monkeypatch.setattr(engine, "_mutate_cvecs", list_column)
+    report = verify_properties(A3, XI3, walks=walks, rng_seed=rng_seed)
+    walk_items = report.items - verify_properties(A3, XI3, walks=0).items
+    want = verify.Report("walk", {})
+    walked = oracle_properties_walk(want, A3, XI3, walks, rng_seed, graph)
+    assert any(a == b for a, b in zip(walked, walked[1:]))  # a step reuses a back mutation
+    assert walk_items == want.items == walks
+    assert report.failures == want.failures
+    if broken:
+        assert 0 < len(want.failures) < walks
+
+
+def test_a_wrong_expansion_fails_the_edge_identity_of_every_relation_reading_it(monkeypatch):
+    real = verify.get_bundle
+    cartan, xi, repctx, graph, obj_by_g = real(A3, XI3)
+    g = (0, 1, 0)
+    wrong = dataclasses.replace(graph.registry[g], expansion=graph.registry[g].expansion * 2)
+    wrong_graph = dataclasses.replace(graph, registry={**graph.registry, g: wrong})
+    monkeypatch.setattr(verify, "get_bundle",
+                        lambda c, x: (cartan, xi, repctx, wrong_graph, obj_by_g))
+    report = verify_properties(A3, XI3, walks=0)
+    monkeypatch.setattr(verify, "get_bundle", real)
+    reads = [edge for edge in graph.edges
+             if g in (edge.old_g, edge.new_g)
+             or any(fg == g for term in (edge.m_term, edge.mp_term) for fg, _ in term.factors)]
+    assert 0 < len(reads) < len(graph.edges)
+    assert report.failures == [
+        {"detail": "edge product identity", "old": str(edge.old_g), "new": str(edge.new_g)}
+        for edge in reads]
+    assert report.items == verify_properties(A3, XI3, walks=0).items
 
 
 def test_edge_analysis_shift_injective_edges():
