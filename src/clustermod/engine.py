@@ -28,9 +28,8 @@ relation x x' = M + M' off the current seed alone, with one read of row k for
 the sign rule and y_k, splitting the exchange column once: the M-term is the one
 the sign rule sums over, and the new extended g-vector is read off it.
 Seed.mutate_with_edge completes that edge to the mutated seed: B-tilde, the
-c-vectors (from one read of row k, changing only those with b_jk != 0), the
-g-tilde row of the edge and, for a new g-vector, its F-polynomial from the M-
-and M'-terms.  The exchange-graph BFS takes one exchange step per edge (the
+c-vectors (from one read of row k), the g-tilde row of the edge and, for a new
+g-vector, its F-polynomial from the M- and M'-terms.  The exchange-graph BFS takes one exchange step per edge (the
 reverse step of an edge it has found lands back on the seed it came from, so it
 is skipped), reads the key of the mutated seed off the edge, and completes the
 step only for a key that is new and under the seed cap.  Sign coherence is
@@ -121,19 +120,9 @@ class SeedContext:
             rows[_gen_for_vertex(v)].append(self.quiver0.index(v))
         return tuple(tuple(r) for r in rows.values())
 
-    @functools.cached_property
-    def gen_row(self) -> tuple[int, ...] | None:
-        """The frozen row of each generator when each has exactly one, else None."""
-        if all(len(rows) == 1 for rows in self.gen_rows):
-            return tuple(rows[0] for rows in self.gen_rows)
-        return None
-
     def coeff_exps(self, rowk: tuple[int, ...]) -> tuple[int, ...]:
         """Exponents of the ambient coefficient y_k, from row k of B-tilde: column k
         summed over the frozen rows of each generator, read as b_rk = -b_kr."""
-        single = self.gen_row
-        if single is not None:
-            return tuple([-rowk[r] for r in single])
         return tuple([-sum([rowk[r] for r in rows]) for rows in self.gen_rows])
 
     def coeffs_of(self, b: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -322,7 +311,7 @@ def _mutate_cvecs(cvecs, k, brow) -> tuple[tuple[int, ...], ...]:
     semifield, on exponent vectors.
 
     c'_k = -c_k, and c'_j = c_j + b_kj [c_k]_+ for b_kj > 0 or
-    c_j - b_kj min(c_k, 0) for b_kj < 0; no other c-vector changes.
+    c_j - b_kj min(c_k, 0) for b_kj < 0.
     """
     ck = cvecs[k]
     pos = [a if a > 0 else 0 for a in ck]
