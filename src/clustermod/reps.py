@@ -9,10 +9,11 @@ as tau^-1 by the inverse Coxeter matrix; tau is its inverse on the indecomposabl
 the AR quiver is read off one table of tau^-1 columns from the shifted projectives.
 Explicit indecomposables over Q, built by reflection functors along a BFS over
 (orientation, root) states with one row reduction per reflection step, and their Hom
-spaces by exact linear algebra serve `rep` and `im_h`.  Hom between indecomposables is
-at most one-dimensional, so `im_h` reads the image of the morphism off one reduced row
-echelon form per vertex of its Hom vector.  Matrix entries are ints; a Fraction
-appears only after a pivot division that is not exact.
+spaces, by exact elimination on the sparse Hom equations (only their nonzero entries),
+serve `rep` and `im_h`.  Hom between indecomposables is at most one-dimensional, so
+`im_h` reads the image of the morphism off one reduced row echelon form per vertex of
+its Hom vector.  Matrix entries are ints; a Fraction appears only after a pivot
+division that is not exact.
 """
 from __future__ import annotations
 
@@ -82,18 +83,47 @@ def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
     return mat[:r], pivots
 
 
-def _null_space(rows: list[list], ncols: int) -> list[tuple]:
-    """Basis of {x : rows x = 0} as length-ncols vectors (no rows: the unit vectors)."""
-    rref, pivots = _rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+def _sparse_null_space(rows, ncols: int) -> list[list]:
+    """Basis of {x : rows x = 0} for rows given as dicts {column: nonzero value}.
+
+    Each pivot row is kept 1 at its pivot column and 0 at every other: a new row is
+    reduced by the pivots it meets, divided by its leading entry through `_div`, and
+    its pivot column cleared from the other pivot rows.  The rows (consumed) end as the
+    reduced row echelon form, which is unique, so the basis is the dense one: a vector
+    per free column, in column order, with -row[fc] (by `_exact`) at each pivot column.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        for pc in [c for c in row if c in pivots]:
+            _axpy(row, row[pc], pivots[pc])
+        if row:
+            lead = min(row)
+            pv = row[lead]
+            if pv != 1:
+                row = {c: _div(v, pv) for c, v in row.items()}
+            for prow in pivots.values():
+                if lead in prow:
+                    _axpy(prow, prow[lead], row)
+            pivots[lead] = row
     basis = []
-    for fc in free:
-        x = [0] * ncols
-        x[fc] = 1
-        for row, pc in zip(rref, pivots):
-            x[pc] = -row[fc]
-        basis.append(tuple(x))
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for pc, prow in pivots.items():
+            if fc in prow:
+                vec[pc] = -_exact(prow[fc])
+        basis.append(vec)
     return basis
+
+
+def _axpy(row: dict, f, prow: dict) -> None:
+    """row -= f * prow in place, dropping the entries that cancel."""
+    for c, v in prow.items():
+        x = row.get(c, 0) - f * v
+        if x:
+            row[c] = x
+        else:
+            del row[c]
 
 
 @dataclass(frozen=True)
@@ -425,37 +455,33 @@ class RepContext:
     # ---- Hom / Ext ----------------------------------------------------------
 
     def hom(self, x: QuiverRep, y: QuiverRep):
-        """Morphism space: dimension and a basis of vertex-matrix families."""
-        offs = {}
-        total = 0
-        for i in self.cartan.vertices:
-            offs[i] = total
-            total += y.dims[i - 1] * x.dims[i - 1]
+        """Morphism space: dimension and a basis of vertex-matrix families.
+
+        H_i[r][c] is unknown offs[i - 1] + r * dim X_i + c.  Each equation
+        (Y_a H_s - H_t X_a)[r][c] = 0 of an arrow a: s -> t is a dict of its nonzero
+        entries (none when dim X_s or dim Y_t is 0), solved by `_sparse_null_space`.
+        """
+        offs = [0]  # and offs[-1], the number of unknowns
+        for dx, dy in zip(x.dims, y.dims):
+            offs.append(offs[-1] + dx * dy)
         rows = []
         for s, t in self.arrows:
-            xa = x.matrix(s, t)
-            ya = y.matrix(s, t)
-            for r in range(y.dims[t - 1]):
-                for c in range(x.dims[s - 1]):
-                    row = [0] * total
-                    # (Y_a H_s)[r][c]
-                    for u in range(y.dims[s - 1]):
-                        row[offs[s] + u * x.dims[s - 1] + c] += ya[r][u]
-                    # -(H_t X_a)[r][c]
-                    for u in range(x.dims[t - 1]):
-                        row[offs[t] + r * x.dims[t - 1] + u] -= xa[u][c]
-                    if any(v != 0 for v in row):
-                        rows.append(row)
-        basis_vecs = _null_space(rows, total)
-        basis = []
-        for vec in basis_vecs:
-            fam = {}
-            for i in self.cartan.vertices:
-                di, dx = y.dims[i - 1], x.dims[i - 1]
-                fam[i] = _mat(
-                    [[vec[offs[i] + r * dx + c] for c in range(dx)] for r in range(di)]
-                )
-            basis.append(fam)
+            dxs, dxt = x.dims[s - 1], x.dims[t - 1]
+            if not dxs or not y.dims[t - 1]:
+                continue
+            xa, off_s, off_t = x.matrix(s, t), offs[s - 1], offs[t - 1]
+            for r, yrow in enumerate(y.matrix(s, t)):
+                for c in range(dxs):
+                    # (Y_a H_s)[r][c] - (H_t X_a)[r][c]; the two blocks never overlap
+                    row = {off_s + u * dxs + c: v for u, v in enumerate(yrow) if v}
+                    for u in range(dxt):
+                        if xa[u][c]:
+                            row[off_t + r * dxt + u] = -xa[u][c]
+                    rows.append(row)
+        basis = [
+            {i: tuple([tuple(vec[o + r * dx:o + r * dx + dx]) for r in range(dy)])
+             for i, (dx, dy, o) in enumerate(zip(x.dims, y.dims, offs), 1)}
+            for vec in _sparse_null_space(rows, offs[-1])]
         return len(basis), basis
 
     def euler_form(self, dx, dy) -> int:
@@ -517,27 +543,29 @@ class RepContext:
                 f"Hom({lt.dims}, {n_obj.dims}) has dimension {dim}, Euler form gives 1 "
                 f"{self._where()}")
         h = basis[0]
-        reduced = {i: _rref(h[i], rl.dims[i - 1]) for i in self.cartan.vertices}
+        reduced = {i: _rref(h[i], dl) if h[i] and dl else ([], [])
+                   for i, dl in enumerate(rl.dims, 1)}
         mats = []
         for s, t in self.arrows:
             rows_t, piv_t = reduced[t]
             piv_s = reduced[s][1]
             la = rl.matrix(s, t)
-            z = tuple(
-                tuple(_exact(sum(x * la[k][c] for k, x in enumerate(row))) for c in piv_s)
-                for row in rows_t
-            )
-            ht, hs, na = h[t], h[s], rn.matrix(s, t)
-            if any(
-                sum(hrow[p] * z[q][c] for q, p in enumerate(piv_t))
-                != sum(x * hs[k][pc] for k, x in enumerate(narow))
-                for hrow, narow in zip(ht, na) for c, pc in enumerate(piv_s)
-            ):
-                raise InternalInvariantError(
-                    f"inconsistent linear system in solve for "
-                    f"Hom({lt.dims}, {n_obj.dims}) at arrow {s}->{t} {self._where()}")
+            # z = R_t L_a[:, P_s], over the nonzero entries of each row of R_t
+            z = tuple([tuple([_exact(sum([x * la[k][c] for k, x in nz])) for c in piv_s])
+                       for nz in ([(k, x) for k, x in enumerate(row) if x] for row in rows_t)])
+            # N_a h_s[:, P_s] = h_t[:, P_t] z row by row; with P_s empty, nothing to compare
+            if piv_s:
+                hs = h[s]
+                for hrow, narow in zip(h[t], rn.matrix(s, t)):
+                    hz = [(z[q], x) for q, x in enumerate([hrow[p] for p in piv_t]) if x]
+                    nh = [(hs[k], x) for k, x in enumerate(narow) if x]
+                    if any(sum([x * zq[c] for zq, x in hz]) != sum([x * hk[pc] for hk, x in nh])
+                           for c, pc in enumerate(piv_s)):
+                        raise InternalInvariantError(
+                            f"inconsistent linear system in solve for "
+                            f"Hom({lt.dims}, {n_obj.dims}) at arrow {s}->{t} {self._where()}")
             mats.append((s, t, z))
-        dims = tuple(len(reduced[i][1]) for i in self.cartan.vertices)
+        dims = tuple([len(piv) for _, piv in reduced.values()])
         return QuiverRep(self.n, dims, tuple(mats))
 
     def g_of_dims(self, d) -> tuple[int, ...]:

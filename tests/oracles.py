@@ -15,9 +15,13 @@ outgoing maps, a Hom space) instead of the Euler-form formulas they check.
 The reference row reduction divides every pivot row in Fractions, where the
 library keeps integer entries integral, and the reference reflection-chain
 search is the plain list-queue BFS that the library's search must reproduce
-state for state.  The reference reflection step takes a column basis of psi,
-completes it with standard vectors and inverts the completed basis, where the
-library reads the cokernel map off one reduced row echelon form of [psi | I].
+state for state; a second reference reads every chain off one shared state
+graph, as the least sinks along distances to the simple roots.  The reference
+Hom space builds one dense row per equation and takes the null space of its
+dense reduced row echelon form, where the library eliminates sparse rows.  The
+reference reflection step takes a column basis of psi, completes it with
+standard vectors and inverts the completed basis, where the library reads the
+cokernel map off one reduced row echelon form of [psi | I].
 The reference image of the exchange morphism takes a column basis of the Hom
 vector at each vertex and solves one linear system per arrow, where the library
 reads the arrow maps off one reduced row echelon form per vertex.  The
@@ -464,8 +468,8 @@ def oracle_euler(arrows, x, y) -> int:
 
 
 def oracle_ext1_mod(rc, x, y) -> int:
-    """dim Ext^1(X, Y) = dim Hom(X, Y) - <x, y>, with Hom from Fraction linear algebra."""
-    hom_dim, _ = rc.hom(rc.rep(x.dims), rc.rep(y.dims))
+    """dim Ext^1(X, Y) = dim Hom(X, Y) - <x, y>, with Hom from the dense solve."""
+    hom_dim, _ = oracle_hom(rc, rc.rep(x.dims), rc.rep(y.dims))
     return hom_dim - oracle_euler(rc.arrows, x.dims, y.dims)
 
 
@@ -530,6 +534,60 @@ def oracle_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fract
     return mat[:r], pivots
 
 
+# The dense Hom solve, kept as it stood before the library solved the Hom system
+# with sparse rows: one dense row per equation, and the null space of the dense
+# reduced row echelon form.
+
+
+def oracle_null_space(rows: list[list], ncols: int) -> list[tuple]:
+    """Basis of {x : rows x = 0} as length-ncols vectors (no rows: the unit vectors)."""
+    rref, pivots = _rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        x = [0] * ncols
+        x[fc] = 1
+        for row, pc in zip(rref, pivots):
+            x[pc] = -row[fc]
+        basis.append(tuple(x))
+    return basis
+
+
+def oracle_hom(rc, x: QuiverRep, y: QuiverRep):
+    """Morphism space: dimension and a basis of vertex-matrix families."""
+    offs = {}
+    total = 0
+    for i in rc.cartan.vertices:
+        offs[i] = total
+        total += y.dims[i - 1] * x.dims[i - 1]
+    rows = []
+    for s, t in rc.arrows:
+        xa = x.matrix(s, t)
+        ya = y.matrix(s, t)
+        for r in range(y.dims[t - 1]):
+            for c in range(x.dims[s - 1]):
+                row = [0] * total
+                # (Y_a H_s)[r][c]
+                for u in range(y.dims[s - 1]):
+                    row[offs[s] + u * x.dims[s - 1] + c] += ya[r][u]
+                # -(H_t X_a)[r][c]
+                for u in range(x.dims[t - 1]):
+                    row[offs[t] + r * x.dims[t - 1] + u] -= xa[u][c]
+                if any(v != 0 for v in row):
+                    rows.append(row)
+    basis_vecs = oracle_null_space(rows, total)
+    basis = []
+    for vec in basis_vecs:
+        fam = {}
+        for i in rc.cartan.vertices:
+            di, dx = y.dims[i - 1], x.dims[i - 1]
+            fam[i] = _mat(
+                [[vec[offs[i] + r * dx + c] for c in range(dx)] for r in range(di)]
+            )
+        basis.append(fam)
+    return len(basis), basis
+
+
 def _flip(arrows, k):
     return tuple(sorted((t, s) if k in (s, t) else (s, t) for s, t in arrows))
 
@@ -573,6 +631,62 @@ def oracle_reflection_chain(rc, alpha):
     steps.reverse()
     steps.append((state[0], j))
     return steps
+
+
+def oracle_shortest_chains(rc) -> dict[tuple[int, ...], list]:
+    """Every root's reflection chain, in the form oracle_reflection_chain returns,
+    as the lexicographically least (by sink) shortest path from (base orientation,
+    root) to a simple root.
+
+    One state graph serves every root: its distances to the simple roots come from
+    one BFS along reversed edges, and each chain walks from its root, taking at every
+    state the least sink whose successor is one step closer.
+    """
+    vertices = rc.cartan.vertices
+    units = {tuple(int(w == v) for w in vertices): v for v in vertices}
+    succ: dict = {}  # state -> [(sink, next state)], sinks in vertex order
+    todo = [(rc.arrows, alpha) for alpha in rc.roots]
+    while todo:
+        state = todo.pop()
+        if state in succ:
+            continue
+        arrows, beta = state
+        succ[state] = []
+        if beta in units:
+            continue
+        for k in vertices:
+            if any(s == k for s, _ in arrows):
+                continue
+            s_k = 2 * beta[k - 1] - sum(beta[j - 1] for j in rc.cartan.neighbors(k))
+            gamma = tuple(beta[v - 1] - (s_k if v == k else 0) for v in vertices)
+            if min(gamma) >= 0:
+                nxt = (_flip(arrows, k), gamma)
+                succ[state].append((k, nxt))
+                todo.append(nxt)
+    preds: dict = {state: [] for state in succ}
+    for state, outs in succ.items():
+        for _, nxt in outs:
+            preds[nxt].append(state)
+    dist = {state: 0 for state in succ if state[1] in units}
+    queue = deque(dist)
+    while queue:
+        state = queue.popleft()
+        for prev in preds[state]:
+            if prev not in dist:
+                dist[prev] = dist[state] + 1
+                queue.append(prev)
+    chains = {}
+    for alpha in rc.roots:
+        state = (rc.arrows, alpha)
+        steps = []
+        while dist[state]:
+            k, state_next = min((k, nxt) for k, nxt in succ[state]
+                                if dist.get(nxt) == dist[state] - 1)
+            steps.append((state[0], k))
+            state = state_next
+        steps.append((state[0], units[state[1]]))
+        chains[alpha] = steps
+    return chains
 
 
 # The three-reduction reflection step, kept as it stood before the library read

@@ -3,9 +3,10 @@ star orientation of D4, the E6 pipeline and its full exchange-graph bundle, the
 property suite's classical seed and variable counts on A1, A5, D5 and E6, and
 `trop-socle` and `psi-kr` on drawn orientations of A6, D5, D6 and E6.
 
-Set CLUSTERMOD_SLOW_TESTS=1 to also enumerate the E7 exchange graph (a few
-seconds) and the E8 one on an orientation whose largest F-polynomials stay
-small (about half a minute)."""
+Set CLUSTERMOD_SLOW_TESTS=1 to also enumerate the E7 exchange graph and run the
+`exchange` check on it, through the representation layer at rank 7 (a few
+seconds each), and to enumerate the E8 one on an orientation whose largest
+F-polynomials stay small (about half a minute)."""
 import os
 
 import pytest
@@ -131,6 +132,16 @@ def test_e7_exchange_graph_counts():
     assert graph.seed_count == 4160  # the classical count of E7 clusters
     assert len(graph.edges) == 14560  # 7 * 4160 / 2
     assert graph.variable_count == 70  # 63 positive roots + 7 shifts
+
+
+@pytest.mark.skipif(not os.environ.get("CLUSTERMOD_SLOW_TESTS"),
+                    reason="set CLUSTERMOD_SLOW_TESTS=1 to check the E7 exchange relations")
+def test_e7_exchange_exponents():
+    # every edge's M-term against kappa, and g(im h) through im_h and the Hom solve
+    ct = cartan_type("E7")
+    r = verify_exchange_exponents(ct, {1: 0, 2: -1, 3: -1, 4: 0, 5: -1, 6: 0, 7: -1})
+    assert r.passed, r.failures[:3]
+    assert r.items == 29127
 
 
 @pytest.mark.skipif(not os.environ.get("CLUSTERMOD_SLOW_TESTS"),

@@ -19,12 +19,15 @@ from oracles import (
     _rank,
     oracle_exchange_pairs,
     oracle_ext1_mod,
+    oracle_hom,
     oracle_hom_dim_typeA_linear,
     oracle_im_h,
+    oracle_null_space,
     oracle_positive_roots,
     oracle_reflect_minus,
     oracle_reflection_chain,
     oracle_rref,
+    oracle_shortest_chains,
     oracle_socle,
     oracle_solve_matrix,
     oracle_tau,
@@ -300,6 +303,57 @@ def test_hom_against_interval_oracle(rc_fixture, request):
             assert d == oracle_hom_dim_typeA_linear(a, b)
 
 
+HOM_SCOPES = [(c, xi) for c in (A3, A4, D4) for xi in orientations(c)] + [(E6, E6_XI)]
+
+
+def test_hom_matches_the_dense_oracle_on_every_pair_of_roots():
+    for cartan, xi in HOM_SCOPES:
+        rc = RepContext(cartan, xi)
+        built = [rc.rep(root) for root in rc.roots]
+        for x, y in itertools.product(built, built):
+            got = rc.hom(x, y)
+            assert got == oracle_hom(rc, x, y), (xi, x.dims, y.dims)
+            _assert_normal(row for fam in got[1] for block in fam.values() for row in block)
+
+
+HAND_BUILT = [RepContext(A3, linear_height(A3)), RepContext(D4, XI_D4)]
+
+
+@st.composite
+def _hand_built_pair(draw):
+    """A context and two representations of its quiver: dims 0..2, entries -3..3."""
+    rc = draw(st.sampled_from(HAND_BUILT))
+
+    def rep():
+        dims = tuple(draw(st.integers(0, 2)) for _ in rc.cartan.vertices)
+        mats = tuple((s, t, reps._mat(draw(_matrices(dims[t - 1], dims[s - 1]))))
+                     for s, t in rc.arrows)
+        return reps.QuiverRep(rc.n, dims, mats)
+
+    return rc, rep(), rep()
+
+
+def _by_hand(rc, *dims_and_mats):
+    """(rc, X, Y) from the dims and the arrow matrices (in rc.arrows order) of X and Y."""
+    return rc, *(reps.QuiverRep(rc.n, dims, tuple((*a, m) for a, m in zip(rc.arrows, mats)))
+                 for dims, mats in zip(dims_and_mats[::2], dims_and_mats[1::2]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hand_built_pair())
+# a pivot of 2 over an entry of 1: the basis vector is (1/2, 1, 0)
+@example(_by_hand(HAND_BUILT[0], (1, 1, 0), [((1,),), ()], (1, 1, 0), [((2,),), ()]))
+# zero maps give zero rows, and vertex 3 is zero-dimensional on both sides
+@example(_by_hand(HAND_BUILT[0], (1, 2, 0), [((0,), (0,)), ()], (2, 1, 0), [((0, 0),), ()]))
+@example(_by_hand(HAND_BUILT[1], (0, 2, 1, 1), [((), ()), ((1,), (-3,)), ((2,), (1,))],
+                  (1, 1, 0, 2), [((1,),), ((),), ((0, 1),)]))
+def test_hom_matches_the_dense_oracle_on_hand_built_representations(case):
+    rc, x, y = case
+    got = rc.hom(x, y)
+    assert got == oracle_hom(rc, x, y)
+    _assert_normal(row for fam in got[1] for block in fam.values() for row in block)
+
+
 EXT_SCOPES = [(D4, xi) for xi in orientations(D4)] + [(E6, orientations(E6)[5])]
 
 
@@ -450,15 +504,21 @@ def test_rref_and_null_space_match_the_fraction_reference(shaped):
     got, pivots = reps._rref(m, ncols)
     assert (got, pivots) == (want, want_pivots)
     _assert_normal(got)
-    null = reps._null_space(m, ncols)
     want_null = []
     for fc in (c for c in range(ncols) if c not in want_pivots):
         x = [Fraction(int(c == fc)) for c in range(ncols)]
         for row, pc in zip(want, want_pivots):
             x[pc] = -row[fc]
         want_null.append(tuple(x))
+    null = oracle_null_space(m, ncols)
     assert null == want_null
     _assert_normal(null)
+    # the sparse solver, on the rows as {column: nonzero value}, in both row orders
+    for order in (m, m[::-1]):
+        sparse = reps._sparse_null_space(
+            [{c: v for c, v in enumerate(row) if v} for row in order], ncols)
+        assert [tuple(vec) for vec in sparse] == want_null
+        _assert_normal(sparse)
 
 
 @settings(max_examples=100, deadline=None)
@@ -539,6 +599,14 @@ def test_reflection_chains_match_the_list_queue_bfs():
         rc = RepContext(cartan, xi)
         for root in rc.roots:
             assert rc._reflection_chain(root) == oracle_reflection_chain(rc, root), (xi, root)
+
+
+def test_reflection_chains_are_the_least_shortest_sink_paths():
+    for cartan, xi in CHAIN_SCOPES:
+        rc = RepContext(cartan, xi)
+        chains = oracle_shortest_chains(rc)
+        for root in rc.roots:
+            assert rc._reflection_chain(root) == chains[root], (xi, root)
 
 
 def test_reflection_steps_match_the_three_reduction_oracle():
