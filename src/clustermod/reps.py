@@ -7,13 +7,13 @@ indecomposables X, Y at most one of Hom(X, Y) and Ext^1(X, Y) is nonzero and the
 Euler form <x, y> gives both (Ringel, LNM 1099).  The AR translation is derived once,
 as tau^-1 by the inverse Coxeter matrix; tau is its inverse on the indecomposables, and
 the AR quiver is read off one table of tau^-1 columns from the shifted projectives.
-Explicit indecomposables over Q, built by reflection functors along a BFS over
-(orientation, root) states with one row reduction per reflection step, and their Hom
-spaces, by exact elimination on the sparse Hom equations (only their nonzero entries),
-serve `rep` and `im_h`.  Hom between indecomposables is at most one-dimensional, so
-`im_h` reads the image of the morphism off one reduced row echelon form per vertex of
-its Hom vector.  Matrix entries are ints; a Fraction appears only after a pivot
-division that is not exact.
+Explicit indecomposables over Q are built by reflection functors along a BFS over
+(orientation, root) states.  One exact row reduction, `_rref` on sparse rows (only their
+nonzero entries), does all their linear algebra: the cokernel of each reflection step,
+the Hom spaces, and the image of the morphism in `im_h`.  Hom between indecomposables is
+at most one-dimensional, so `im_h` reads that image off one reduced row echelon form per
+vertex of its Hom vector.  Matrix entries are ints; a Fraction appears only after a
+pivot division that is not exact.
 """
 from __future__ import annotations
 
@@ -49,48 +49,17 @@ def _div(x, pv):
 
 
 def _exact(x):
-    """x with an integral Fraction as an int, as `_rref` leaves its entries."""
+    """x with an integral Fraction as an int, the form of every entry in this module."""
     return x if type(x) is int else _div(x, 1)
 
 
-def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form over Q: its nonzero rows and the pivot columns."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    fractions = False
-    r = 0
-    for c in range(ncols):
-        pr = next((rr for rr in range(r, len(mat)) if mat[rr][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        if pv != 1:
-            mat[r] = [_div(x, pv) for x in mat[r]]
-        prow = mat[r]
-        # while every pivot row is integral, elimination keeps the result integral
-        fractions = fractions or any(type(x) is not int for x in prow)
-        for rr in range(len(mat)):
-            f = mat[rr][c]
-            if rr != r and f != 0:
-                mat[rr] = [a - f * b for a, b in zip(mat[rr], prow)]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    if fractions:
-        return [[_exact(x) for x in row] for row in mat[:r]], pivots
-    return mat[:r], pivots
-
-
-def _sparse_null_space(rows, ncols: int) -> list[list]:
-    """Basis of {x : rows x = 0} for rows given as dicts {column: nonzero value}.
+def _rref(rows) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form over Q of rows given as dicts {column: nonzero value}:
+    its nonzero rows, in the same form, and their pivot columns, both in column order.
 
     Each pivot row is kept 1 at its pivot column and 0 at every other: a new row is
     reduced by the pivots it meets, divided by its leading entry through `_div`, and
-    its pivot column cleared from the other pivot rows.  The rows (consumed) end as the
-    reduced row echelon form, which is unique, so the basis is the dense one: a vector
-    per free column, in column order, with -row[fc] (by `_exact`) at each pivot column.
+    its pivot column cleared from the other pivot rows.  The rows are consumed.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
@@ -105,15 +74,13 @@ def _sparse_null_space(rows, ncols: int) -> list[list]:
                 if lead in prow:
                     _axpy(prow, prow[lead], row)
             pivots[lead] = row
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [0] * ncols
-        vec[fc] = 1
-        for pc, prow in pivots.items():
-            if fc in prow:
-                vec[pc] = -_exact(prow[fc])
-        basis.append(vec)
-    return basis
+    order = sorted(pivots)
+    out = [pivots[c] for c in order]
+    for row in out:
+        for c, x in row.items():
+            if type(x) is not int:
+                row[c] = _exact(x)
+    return out, order
 
 
 def _axpy(row: dict, f, prow: dict) -> None:
@@ -363,19 +330,17 @@ class RepContext:
         is a sink; rep lives on `arrows` with every arrow at k reversed.
 
         The new space at k is the cokernel of psi: M_k -> (+) M_s over the arrows s -> k.
-        One rref of [psi | I] is E [psi | I] with E invertible; its rows past the rank
-        of psi have a zero psi block, so their right block, a block of E, is a
+        The rref of [psi | I] is E [psi | I] with E invertible; its rows with a pivot at
+        or past dim M_k have a zero psi block, so their right block, a block of E, is a
         surjection onto the cokernel whose kernel is the image of psi.
         """
         dims = rep.dims
         dk = dims[k - 1]
         stacked = [row for s, t in arrows if t == k for row in rep.matrix(k, s)]
-        total = len(stacked)
-        rows, pivots = _rref(
-            [list(row) + [int(r == e) for e in range(total)] for r, row in enumerate(stacked)],
-            dk + total)
-        rank = sum(1 for c in pivots if c < dk)
-        coker = [row[dk:] for row in rows[rank:]]
+        cols = range(dk, dk + len(stacked))
+        rows, pivots = _rref([{c: v for c, v in enumerate(row) if v} | {dk + r: 1}
+                              for r, row in enumerate(stacked)])
+        coker = [[row.get(c, 0) for c in cols] for row, pc in zip(rows, pivots) if pc >= dk]
         mats = []
         offset = 0
         for s, t in arrows:
@@ -392,7 +357,7 @@ class RepContext:
 
     def socle(self, obj: CQObject) -> tuple[int, ...]:
         """soc_i = dim Hom(S_i, M) = max(<e_i, dim M>, 0) = max(-g_i, 0); zero on shifts."""
-        return tuple(max(-x, 0) for x in self.g_vector(obj))
+        return self.extended_g(obj)[1]
 
     def g_vector(self, obj: CQObject) -> tuple[int, ...]:
         self.check_object(obj)
@@ -401,7 +366,9 @@ class RepContext:
         return self.g_of_dims(obj.dims)
 
     def extended_g(self, obj: CQObject) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self.g_vector(obj), self.socle(obj)
+        """The g-vector and the socle, read off it as in `socle`."""
+        g = self.g_vector(obj)
+        return g, tuple(max(-x, 0) for x in g)
 
     # ---- AR translation ----------------------------------------------------
 
@@ -459,7 +426,8 @@ class RepContext:
 
         H_i[r][c] is unknown offs[i - 1] + r * dim X_i + c.  Each equation
         (Y_a H_s - H_t X_a)[r][c] = 0 of an arrow a: s -> t is a dict of its nonzero
-        entries (none when dim X_s or dim Y_t is 0), solved by `_sparse_null_space`.
+        entries (none when dim X_s or dim Y_t is 0).  The basis has a vector per free
+        column of their `_rref`, in column order, with -row[fc] at each pivot column.
         """
         offs = [0]  # and offs[-1], the number of unknowns
         for dx, dy in zip(x.dims, y.dims):
@@ -478,10 +446,17 @@ class RepContext:
                         if xa[u][c]:
                             row[off_t + r * dxt + u] = -xa[u][c]
                     rows.append(row)
-        basis = [
-            {i: tuple([tuple(vec[o + r * dx:o + r * dx + dx]) for r in range(dy)])
-             for i, (dx, dy, o) in enumerate(zip(x.dims, y.dims, offs), 1)}
-            for vec in _sparse_null_space(rows, offs[-1])]
+        rows, pivots = _rref(rows)
+        bound = set(pivots)
+        basis = []
+        for fc in (c for c in range(offs[-1]) if c not in bound):
+            vec = [0] * offs[-1]
+            vec[fc] = 1
+            for row, pc in zip(rows, pivots):
+                if fc in row:
+                    vec[pc] = -row[fc]
+            basis.append({i: tuple([tuple(vec[o + r * dx:o + r * dx + dx]) for r in range(dy)])
+                          for i, (dx, dy, o) in enumerate(zip(x.dims, y.dims, offs), 1)})
         return len(basis), basis
 
     def euler_form(self, dx, dy) -> int:
@@ -543,16 +518,16 @@ class RepContext:
                 f"Hom({lt.dims}, {n_obj.dims}) has dimension {dim}, Euler form gives 1 "
                 f"{self._where()}")
         h = basis[0]
-        reduced = {i: _rref(h[i], dl) if h[i] and dl else ([], [])
-                   for i, dl in enumerate(rl.dims, 1)}
+        reduced = {i: _rref([{c: x for c, x in enumerate(row) if x} for row in h[i]])
+                   for i in self.cartan.vertices}
         mats = []
         for s, t in self.arrows:
             rows_t, piv_t = reduced[t]
             piv_s = reduced[s][1]
             la = rl.matrix(s, t)
             # z = R_t L_a[:, P_s], over the nonzero entries of each row of R_t
-            z = tuple([tuple([_exact(sum([x * la[k][c] for k, x in nz])) for c in piv_s])
-                       for nz in ([(k, x) for k, x in enumerate(row) if x] for row in rows_t)])
+            z = tuple([tuple([_exact(sum([x * la[k][c] for k, x in row.items()])) for c in piv_s])
+                       for row in rows_t])
             # N_a h_s[:, P_s] = h_t[:, P_t] z row by row; with P_s empty, nothing to compare
             if piv_s:
                 hs = h[s]

@@ -204,7 +204,7 @@ def verify_worked_examples_a3() -> Report:
         g, s = repctx.extended_g(obj)
         want = A3_GTILDE_TABLE[str(obj)]
         rep.check(g + s == want, f"extended g-vector of {obj}", got=g + s, want=want)
-        engine_gt = graph.registry[repctx.g_vector(obj)].gtilde
+        engine_gt = graph.registry[g].gtilde
         rep.check(engine_gt == want, f"engine g-tilde of {obj}", got=engine_gt, want=want)
         mono = psi(obj, repctx, 2)
         rep.check(str(mono) == A3_PSI_TABLE[str(obj)], f"psi of {obj}", got=mono,

@@ -13,9 +13,10 @@ dimensions come from the classical interval criterion.  Socles and Ext^1
 dimensions are read off explicit representations over Q (a rank of the
 outgoing maps, a Hom space) instead of the Euler-form formulas they check.
 The reference row reduction divides every pivot row in Fractions, where the
-library keeps integer entries integral, and the reference reflection-chain
-search is the plain list-queue BFS that the library's search must reproduce
-state for state; a second reference reads every chain off one shared state
+library keeps integer entries integral; the oracles that reduce rows share a
+dense reduction over whole rows, where the library reduces sparse rows (only
+their nonzero entries).  The reference reflection-chain search is the plain
+list-queue BFS that the library's search must reproduce state for state; a second reference reads every chain off one shared state
 graph, as the least sinks along distances to the simple roots.  The reference
 Hom space builds one dense row per equation and takes the null space of its
 dense reduced row echelon form, where the library eliminates sparse rows.  The
@@ -60,7 +61,7 @@ from clustermod.errors import (
     ShiftCaseUnsupported,
 )
 from clustermod.quivers import build_qcheck
-from clustermod.reps import CQObject, QuiverRep, _mat, _rref, _zeros
+from clustermod.reps import CQObject, QuiverRep, _div, _exact, _mat, _zeros
 from clustermod.symbolic import LaurentPoly, Monomial, VarId, div_exact
 
 
@@ -534,6 +535,41 @@ def oracle_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fract
     return mat[:r], pivots
 
 
+# The dense row reduction, kept as it stood before the library reduced sparse rows
+# only: ints stay ints, and a Fraction appears only after an inexact pivot division.
+# The oracles below that reduce rows call it.
+
+
+def oracle_dense_rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over Q: its nonzero rows and the pivot columns."""
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    fractions = False
+    r = 0
+    for c in range(ncols):
+        pr = next((rr for rr in range(r, len(mat)) if mat[rr][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        if pv != 1:
+            mat[r] = [_div(x, pv) for x in mat[r]]
+        prow = mat[r]
+        # while every pivot row is integral, elimination keeps the result integral
+        fractions = fractions or any(type(x) is not int for x in prow)
+        for rr in range(len(mat)):
+            f = mat[rr][c]
+            if rr != r and f != 0:
+                mat[rr] = [a - f * b for a, b in zip(mat[rr], prow)]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    if fractions:
+        return [[_exact(x) for x in row] for row in mat[:r]], pivots
+    return mat[:r], pivots
+
+
 # The dense Hom solve, kept as it stood before the library solved the Hom system
 # with sparse rows: one dense row per equation, and the null space of the dense
 # reduced row echelon form.
@@ -541,7 +577,7 @@ def oracle_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fract
 
 def oracle_null_space(rows: list[list], ncols: int) -> list[tuple]:
     """Basis of {x : rows x = 0} as length-ncols vectors (no rows: the unit vectors)."""
-    rref, pivots = _rref(rows, ncols)
+    rref, pivots = oracle_dense_rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -699,13 +735,13 @@ def _column_basis(m, nrows: int, ncols: int) -> list[tuple]:
     """Independent columns of m, as length-nrows vectors."""
     if nrows == 0 or ncols == 0:
         return []
-    _, pivots = _rref([list(row) for row in m], ncols)
+    _, pivots = oracle_dense_rref([list(row) for row in m], ncols)
     return [tuple(m[r][c] for r in range(nrows)) for c in pivots]
 
 
 def _invert(m, n: int, where: str):
     rows = [list(m[r]) + [int(c == r) for c in range(n)] for r in range(n)]
-    rref, pivots = _rref(rows, 2 * n)
+    rref, pivots = oracle_dense_rref(rows, 2 * n)
     if pivots[:n] != list(range(n)):
         raise InternalInvariantError(f"matrix is singular in {where}")
     return _mat([row[n:] for row in rref])
@@ -732,7 +768,8 @@ def oracle_reflect_minus(rc, rep: QuiverRep, k: int, arrows) -> QuiverRep:
     # complete the image to a basis of the ambient space with standard vectors: the
     # pivot columns of [img | I] past the image block are the first ones independent
     ident = [[int(r == e) for e in range(total)] for r in range(total)]
-    _, pivots = _rref([[v[r] for v in img] + ident[r] for r in range(total)], rank + total)
+    _, pivots = oracle_dense_rref([[v[r] for v in img] + ident[r] for r in range(total)],
+                                  rank + total)
     cols = img + [ident[e - rank] for e in pivots[rank:]]
     p = _mat([[cols[c][r] for c in range(total)] for r in range(total)])
     p_inv = _invert(p, total, f"the reflection of dimension vector {dims} at vertex {k}")
@@ -772,7 +809,7 @@ def _matmul(a, b, n: int, m: int, p: int):
 def oracle_solve_matrix(a, b, nrows: int, acols: int, bcols: int, where: str):
     """Solve a Z = b column by column; a must have full column rank on span(b)."""
     rows = [list(a[r]) + list(b[r]) for r in range(nrows)]
-    rref, pivots = _rref(rows, acols + bcols)
+    rref, pivots = oracle_dense_rref(rows, acols + bcols)
     z = [[0] * bcols for _ in range(acols)]
     for row, pc in zip(rref, pivots):
         if pc >= acols:

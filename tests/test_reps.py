@@ -494,6 +494,13 @@ def _shaped(draw, max_rows=4, max_cols=5):
     return draw(_matrices(nrows, ncols)), nrows, ncols
 
 
+def _sparse_rref(rows, ncols):
+    """`reps._rref` on the rows as {column: nonzero value}, read back as dense rows."""
+    got, pivots = reps._rref([{c: v for c, v in enumerate(row) if v} for row in rows])
+    assert all(all(row.values()) for row in got), got  # no stored zeros
+    return [[row.get(c, 0) for c in range(ncols)] for row in got], pivots
+
+
 @settings(max_examples=100, deadline=None)
 @given(_shaped())
 @example(([], 0, 3))
@@ -501,9 +508,11 @@ def _shaped(draw, max_rows=4, max_cols=5):
 def test_rref_and_null_space_match_the_fraction_reference(shaped):
     m, _, ncols = shaped
     want, want_pivots = _reference_rref(m, ncols)
-    got, pivots = reps._rref(m, ncols)
-    assert (got, pivots) == (want, want_pivots)
-    _assert_normal(got)
+    # the library's sparse rref, in both row orders
+    for order in (m, m[::-1]):
+        got, pivots = _sparse_rref(order, ncols)
+        assert (got, pivots) == (want, want_pivots)
+        _assert_normal(got)
     want_null = []
     for fc in (c for c in range(ncols) if c not in want_pivots):
         x = [Fraction(int(c == fc)) for c in range(ncols)]
@@ -513,12 +522,6 @@ def test_rref_and_null_space_match_the_fraction_reference(shaped):
     null = oracle_null_space(m, ncols)
     assert null == want_null
     _assert_normal(null)
-    # the sparse solver, on the rows as {column: nonzero value}, in both row orders
-    for order in (m, m[::-1]):
-        sparse = reps._sparse_null_space(
-            [{c: v for c, v in enumerate(row) if v} for row in order], ncols)
-        assert [tuple(vec) for vec in sparse] == want_null
-        _assert_normal(sparse)
 
 
 @settings(max_examples=100, deadline=None)
@@ -555,14 +558,17 @@ def test_solve_matrix_matches_the_fraction_reference(nrows, acols, bcols, data):
 
 
 def test_rref_keeps_a_fraction_only_where_a_pivot_does_not_divide():
-    rows, pivots = reps._rref([[2, 1]], 2)
+    rows, pivots = _sparse_rref([[2, 1]], 2)
     assert (rows, pivots) == ([[1, Fraction(1, 2)]], [0])
     assert type(rows[0][0]) is int and type(rows[0][1]) is Fraction
     # the second pivot clears the half, and the result is integral again
-    rows, pivots = reps._rref([[2, 1, 0], [1, 1, 1]], 3)
-    assert (rows, pivots) == ([[1, 0, -1], [0, 1, 2]], [0, 1])
-    _assert_normal(rows)
-    assert reps._rref([[3, 6, -9]], 3)[0] == [[1, 2, -3]]
+    for order in ([[2, 1, 0], [1, 1, 1]], [[1, 1, 1], [2, 1, 0]]):
+        rows, pivots = _sparse_rref(order, 3)
+        assert (rows, pivots) == ([[1, 0, -1], [0, 1, 2]], [0, 1])
+        _assert_normal(rows)
+    assert _sparse_rref([[3, 6, -9]], 3)[0] == [[1, 2, -3]]
+    # rows whose pivots arrive out of column order come back in pivot-column order
+    assert _sparse_rref([[0, 1], [1, 0]], 2) == ([[1, 0], [0, 1]], [0, 1])
 
 
 # ---- the representation layer, pinned ----------------------------------------------------

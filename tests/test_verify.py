@@ -231,6 +231,31 @@ def test_every_edge_names_the_m_term_of_the_g_sum_oracle():
             assert edge.m_term == oracle_m_term(edge, repctx, obj_by_g), (name, xi, edge)
 
 
+def test_engine_exchange_pairs_are_the_ext1_pairs_with_one_relation_each():
+    """The pairs {old g, new g} of the edges are the dim Ext^1 = 1 pairs of the cluster
+    category, and every edge of a pair carries the same relation (M, M'), with each
+    term's factors sorted by g-vector."""
+    e6_xi = {1: 0, 2: -1, 3: -1, 4: 0, 5: -1, 6: 0}
+    scopes = [(name, xi) for name in ("A1", "A2", "A3", "A4", "A5", "D4")
+              for xi in orientations(cartan_type(name))] + [("E6", e6_xi)]
+    counts = {}
+    for name, xi in scopes:
+        _, _, repctx, graph, obj_by_g = get_bundle(cartan_type(name), xi)
+        relations: dict[frozenset, set] = {}
+        for edge in graph.edges:
+            pair = frozenset((obj_by_g[edge.old_g], obj_by_g[edge.new_g]))
+            relations.setdefault(pair, set()).add(tuple(
+                (term.fexp, tuple(sorted(term.factors))) for term in (edge.m_term, edge.mp_term)))
+        pairs = repctx.exchange_pairs()
+        assert set(relations) == {frozenset(p) for p in pairs}, (name, xi)
+        assert len(pairs) == len(relations), (name, xi)
+        assert all(len(r) == 1 for r in relations.values()), (name, xi)
+        counts[name, tuple(sorted(xi.items()))] = len(graph.edges), len(relations)
+    assert counts["A3", tuple(sorted(XI3.items()))] == (21, 15)
+    assert counts["D4", tuple(sorted(XI_D4.items()))] == (100, 52)
+    assert counts["E6", tuple(sorted(e6_xi.items()))] == (2499, 385)
+
+
 @pytest.mark.parametrize("name", [n for n in CHECK_NAMES if "l" not in check_reads(n)])
 def test_checks_outside_the_level_set_do_not_read_the_level(name):
     reports = [run_check(name, A2, XI2, l=l, walks=5)[0] for l in (2, 3)]
