@@ -133,6 +133,14 @@ def analyze_edge(obj_by_g: dict, edge) -> EdgeAnalysis:
     )
 
 
+def relation(edge) -> tuple:
+    """The key of an edge's exchange relation: its two g-vectors as an unordered pair,
+    and each term's frozen exponents and factors sorted by g-vector.  Every edge of an
+    exchange pair has the same key; an edge with other terms has a key of its own."""
+    return (frozenset((edge.old_g, edge.new_g)),
+            tuple((t.fexp, tuple(sorted(t.factors))) for t in (edge.m_term, edge.mp_term)))
+
+
 # ---------------------------------------------------------------------------
 # fixture data for the worked A3 example (height 0, -1, -2; level 2)
 
@@ -316,27 +324,32 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
     against kappa(L, M', N) + g(im h), h: tau^-1 L -> N, in the first order of the
     pair for which h is a map of modules.  One order always is: an exchange pair
     has dim Ext^1 = 1 in the cluster category (Buan-Marsh-Reineke-Reiten-Todorov
-    2006), and Ext^1(N, L) = D Hom(tau^-1 L, N).  The scope's `engine_pinned`
-    counts the edges whose M'-term fails.
+    2006), and Ext^1(N, L) = D Hom(tau^-1 L, N).  Both targets are computed once
+    per relation key and compared with each edge's own exponents.  The scope's
+    `engine_pinned` counts the edges whose M'-term fails.
     """
     rep = Report("exchange", {"cartan": cartan.name, "xi": _xi_key(xi)})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
     mismatched = 0
     crosschecked = set()
+    targets: dict[tuple, tuple] = {}
     for edge in graph.edges:
         ea = analyze_edge(obj_by_g, edge)
-        alpha = repctx.kappa(ea.x_obj, ea.m_parts, ea.y_obj)
+        key = relation(edge)
+        if key not in targets:
+            beta = None
+            for lobj, nobj in ((ea.x_obj, ea.y_obj), (ea.y_obj, ea.x_obj)):
+                try:
+                    im = repctx.im_h(lobj, nobj)
+                except ShiftCaseUnsupported:
+                    continue
+                beta = tuple(k + g for k, g in zip(repctx.kappa(lobj, ea.mp_parts, nobj),
+                                                   repctx.g_of_dims(im.dims)))
+                break
+            targets[key] = repctx.kappa(ea.x_obj, ea.m_parts, ea.y_obj), beta
+        alpha, beta = targets[key]
         rep.check(alpha == ea.m_fexp, f"first-term exponents at {ea.x_obj} / {ea.y_obj}",
                   got=ea.m_fexp, want=alpha)
-        beta = None
-        for lobj, nobj in ((ea.x_obj, ea.y_obj), (ea.y_obj, ea.x_obj)):
-            try:
-                im = repctx.im_h(lobj, nobj)
-            except ShiftCaseUnsupported:
-                continue
-            beta = tuple(k + g for k, g in zip(repctx.kappa(lobj, ea.mp_parts, nobj),
-                                               repctx.g_of_dims(im.dims)))
-            break
         ok = beta == ea.mp_fexp
         rep.check(ok, f"second-term exponents at {ea.x_obj} / {ea.y_obj}",
                   got=ea.mp_fexp, want=beta)
@@ -355,21 +368,24 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
 def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
     """Highest l-weight identity on every exchange pair, at the given level.
 
-    psi is computed once per object and once per tuple of M-term objects, in a
-    table that lives for this call only."""
+    Both sides are computed once per relation key and checked on every edge."""
     rep = Report("hw-exchange", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
-    psi_of = functools.lru_cache(maxsize=None)(lambda objs: psi(objs, repctx, l))
+    sides: dict[tuple, tuple] = {}
     for edge in graph.edges:
         ea = analyze_edge(obj_by_g, edge)
-        alpha = repctx.kappa(ea.x_obj, ea.m_parts, ea.y_obj)
-        lhs = psi_of(ea.x_obj) * psi_of(ea.y_obj)
-        rhs = psi_of(ea.m_parts) if ea.m_parts else Monomial.one()
-        for i in cartan.vertices:
-            e = alpha[i - 1]
-            if e:
-                u, v = uv_monomials(i, l, xi)
-                rhs = rhs * (u * v) ** e
+        key = relation(edge)
+        if key not in sides:
+            alpha = repctx.kappa(ea.x_obj, ea.m_parts, ea.y_obj)
+            lhs = psi(ea.x_obj, repctx, l) * psi(ea.y_obj, repctx, l)
+            rhs = psi(ea.m_parts, repctx, l) if ea.m_parts else Monomial.one()
+            for i in cartan.vertices:
+                e = alpha[i - 1]
+                if e:
+                    u, v = uv_monomials(i, l, xi)
+                    rhs = rhs * (u * v) ** e
+            sides[key] = lhs, rhs
+        lhs, rhs = sides[key]
         rep.check(lhs == rhs, f"hw identity at {ea.x_obj} / {ea.y_obj}", lhs=lhs, rhs=rhs)
     return rep
 
@@ -486,10 +502,10 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
     its seed and variable counts against the classical counts of the cluster type,
     plus a seeded random mutation walk checking the involution.
 
-    The edge product identity x x' = M + M' is computed once per distinct exchange
-    relation and checked on every edge.  Each walk step checks its forward seed's
-    new record and mutates back; a step at the vertex of the step before it takes
-    that step's back mutation as its forward seed."""
+    The edge product identity x x' = M + M' is computed once per relation key and
+    checked on every edge.  Each walk step checks its forward seed's new record and
+    mutates back; a step at the vertex of the step before it takes that step's back
+    mutation as its forward seed."""
     rep = Report("properties", {"cartan": cartan.name, "xi": _xi_key(xi), "walks": walks,
                                 "seed": rng_seed})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
@@ -525,12 +541,12 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
             rep.check(coeffs[k] == _prop313_coeff(seed, k),
                       f"coefficient read-off at seed {key} column {k}")
 
-    # exchange-relation product identity, computed once per relation: it reads
+    # exchange-relation product identity, computed once per relation key: it reads
     # nothing of an edge but its two g-vectors and its two terms
     holds: dict[tuple, bool] = {}
     for edge in graph.edges:
-        relation = (edge.old_g, edge.new_g, edge.m_term, edge.mp_term)
-        if relation not in holds:
+        key = relation(edge)
+        if key not in holds:
             lhs = graph.registry[edge.old_g].expansion * graph.registry[edge.new_g].expansion
             rhs = LaurentPoly.zero()
             for term in (edge.m_term, edge.mp_term):
@@ -538,8 +554,8 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
                 for fg, mult in term.factors:
                     part = part * graph.registry[fg].expansion ** mult
                 rhs = rhs + part
-            holds[relation] = lhs == rhs
-        rep.check(holds[relation], "edge product identity", old=edge.old_g, new=edge.new_g)
+            holds[key] = lhs == rhs
+        rep.check(holds[key], "edge product identity", old=edge.old_g, new=edge.new_g)
 
     # the walk runs in a fresh context, so it recomputes every F-polynomial along
     # its own path; each new variable passes the record checks and must match

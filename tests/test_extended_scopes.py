@@ -4,8 +4,8 @@ property suite's classical seed and variable counts on A1, A5, D5 and E6, and
 `trop-socle` and `psi-kr` on drawn orientations of A6, D5, D6 and E6.
 
 Set CLUSTERMOD_SLOW_TESTS=1 to also enumerate the E7 exchange graph and run the
-`exchange` check on it, through the representation layer at rank 7 (a few
-seconds each), and to enumerate the E8 one on an orientation whose largest
+`exchange` and `hw-exchange` checks on it, through the representation layer and
+psi at rank 7 (a few seconds each), and to enumerate the E8 one on an orientation whose largest
 F-polynomials stay small (about half a minute)."""
 import os
 
@@ -137,11 +137,16 @@ def test_e7_exchange_graph_counts():
 @pytest.mark.skipif(not os.environ.get("CLUSTERMOD_SLOW_TESTS"),
                     reason="set CLUSTERMOD_SLOW_TESTS=1 to check the E7 exchange relations")
 def test_e7_exchange_exponents():
-    # every edge's M-term against kappa, and g(im h) through im_h and the Hom solve
+    # every edge's M-term against kappa, and g(im h) through im_h and the Hom solve;
+    # then the highest l-weight identity, with psi computed once per relation
     ct = cartan_type("E7")
-    r = verify_exchange_exponents(ct, {1: 0, 2: -1, 3: -1, 4: 0, 5: -1, 6: 0, 7: -1})
+    xi = {1: 0, 2: -1, 3: -1, 4: 0, 5: -1, 6: 0, 7: -1}
+    r = verify_exchange_exponents(ct, xi)
     assert r.passed, r.failures[:3]
     assert r.items == 29127
+    r = verify_hw_exchange(ct, xi, 2)
+    assert r.passed, r.failures[:3]
+    assert r.items == 14560
 
 
 @pytest.mark.skipif(not os.environ.get("CLUSTERMOD_SLOW_TESTS"),

@@ -13,6 +13,7 @@ from clustermod.verify import (
     analyze_edge,
     check_reads,
     get_bundle,
+    relation,
     run_check,
     s_l_sequence,
     verify_worked_examples_a3,
@@ -83,6 +84,72 @@ def test_a_wrong_m_prime_exponent_fails_the_exchange_check(monkeypatch, capsys):
     assert report.scope["engine_pinned"] == 1
     assert main(["verify", "exchange", "--cartan", "D4", "--xi", "1:0,2:-1,3:0,4:0"]) == 1
     assert "engine_pinned=1]" in capsys.readouterr().out
+
+
+def _one_bad_edge(monkeypatch, bad):
+    """Swap the D4 bundle's edges for a copy with one edge rewritten by `bad`: the first
+    edge whose pair sits on an earlier edge and for which `bad` does not return None.
+    Returns the rewritten edge."""
+    graph = get_bundle(D4, XI_D4)[3]
+    edges, seen = list(graph.edges), set()
+    for n, edge in enumerate(edges):
+        pair = frozenset((edge.old_g, edge.new_g))
+        if pair in seen and (rewritten := bad(edge)) is not None:
+            edges[n] = rewritten
+            break
+        seen.add(pair)
+    monkeypatch.setattr(graph, "edges", edges)
+    return edges[n]
+
+
+def _one_more_factor(term_name):
+    """Add 1 to the multiplicity of the term's first factor whose socle is nonzero."""
+    _, _, repctx, _, obj_by_g = get_bundle(D4, XI_D4)
+
+    def bad(edge):
+        term = getattr(edge, term_name)
+        for n, (fg, mult) in enumerate(term.factors):
+            if any(repctx.socle(obj_by_g[fg])):
+                factors = term.factors[:n] + ((fg, mult + 1),) + term.factors[n + 1:]
+                return dataclasses.replace(edge, **{term_name: TermData(term.fexp, factors)})
+        return None
+
+    return bad
+
+
+def _edge_name(edge):
+    obj_by_g = get_bundle(D4, XI_D4)[4]
+    return f"{obj_by_g[edge.old_g]} / {obj_by_g[edge.new_g]}"
+
+
+def test_one_bad_edge_of_a_pair_fails_the_edge_identity(monkeypatch):
+    # every check computes once per relation key, so a key of the pair alone would hand
+    # the bad edge the identity of the earlier edges of its pair
+    items = verify_properties(D4, XI_D4, walks=0).items
+    edge = _one_bad_edge(monkeypatch, lambda e: dataclasses.replace(
+        e, mp_term=TermData(tuple(x + 1 for x in e.mp_term.fexp), e.mp_term.factors)))
+    report = verify_properties(D4, XI_D4, walks=0)
+    assert report.failures == [
+        {"detail": "edge product identity", "old": str(edge.old_g), "new": str(edge.new_g)}]
+    assert report.items == items
+
+
+def test_one_bad_factor_of_a_pair_fails_exchange_and_hw_exchange(monkeypatch):
+    items = verify_exchange_exponents(D4, XI_D4).items, verify_hw_exchange(D4, XI_D4, 2).items
+    with monkeypatch.context() as m:
+        edge = _one_bad_edge(m, _one_more_factor("mp_term"))
+        report = verify_exchange_exponents(D4, XI_D4)
+        assert [f["detail"] for f in report.failures] == [
+            f"second-term exponents at {_edge_name(edge)}"]
+        assert report.items == items[0]
+    # hw-exchange reads the M-term alone, so it is checked on a bad M-term factor
+    edge = _one_bad_edge(monkeypatch, _one_more_factor("m_term"))
+    report = verify_exchange_exponents(D4, XI_D4)
+    assert [f["detail"] for f in report.failures] == [
+        f"first-term exponents at {_edge_name(edge)}"]
+    report = verify_hw_exchange(D4, XI_D4, 2)
+    assert [f["detail"] for f in report.failures] == [f"hw identity at {_edge_name(edge)}"]
+    assert (verify_exchange_exponents(D4, XI_D4).items, report.items) == items
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
@@ -250,6 +317,7 @@ def test_engine_exchange_pairs_are_the_ext1_pairs_with_one_relation_each():
         assert set(relations) == {frozenset(p) for p in pairs}, (name, xi)
         assert len(pairs) == len(relations), (name, xi)
         assert all(len(r) == 1 for r in relations.values()), (name, xi)
+        assert len({relation(edge) for edge in graph.edges}) == len(pairs), (name, xi)
         counts[name, tuple(sorted(xi.items()))] = len(graph.edges), len(relations)
     assert counts["A3", tuple(sorted(XI3.items()))] == (21, 15)
     assert counts["D4", tuple(sorted(XI_D4.items()))] == (100, 52)
