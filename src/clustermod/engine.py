@@ -26,7 +26,9 @@ InternalInvariantError.
 Mutation is split in two public phases.  Seed.exchange_step reads the exchange
 relation x x' = M + M' off the current seed alone, with one read of row k for
 the sign rule and y_k, splitting the exchange column once: the M-term is the one
-the sign rule sums over, and the new extended g-vector is read off it.
+the sign rule sums over, and the new extended g-vector is read off it.  Each
+term lists its factors in increasing g order, so the relation is in canonical
+form: every edge of an exchange pair carries the same one (ExchangeEdge.relation).
 Seed.mutate_with_edge completes that edge to the mutated seed: B-tilde, the
 c-vectors (from one read of row k), the g-tilde row of the edge and, for a new
 g-vector, its F-polynomial from the M- and M'-terms.  The exchange-graph BFS takes one exchange step per edge (the
@@ -169,7 +171,8 @@ def seed_context(quiver: IceQuiver) -> SeedContext:
 @dataclass(frozen=True)
 class TermData:
     """One side of an exchange relation: frozen-generator exponents and the
-    cluster-variable factors given by their g-vectors with multiplicities."""
+    cluster-variable factors given by their g-vectors with multiplicities, in
+    increasing g order."""
 
     fexp: tuple[int, ...]
     factors: tuple[tuple[tuple[int, ...], int], ...]
@@ -191,6 +194,12 @@ class ExchangeEdge:
     @property
     def new_g(self) -> tuple[int, ...]:
         return self.new_gtilde[:len(self.old_g)]
+
+    @property
+    def relation(self) -> tuple:
+        """The exchange relation as a hashable value: the unordered pair {g, g'} and the
+        two terms.  Every edge of an exchange pair gives the same value."""
+        return frozenset((self.old_g, self.new_g)), self.m_term, self.mp_term
 
 
 @dataclass(frozen=True)
@@ -280,8 +289,9 @@ class Seed:
         neg = tuple([-a if a < 0 else 0 for a in yk])  # 1 / (y_k + 1)
         m_fexp, mp_fexp = (neg, pos) if eps > 0 else (pos, neg)
         acc[n:] = [a + e for a, e in zip(acc[n:], m_fexp)]
-        return ExchangeEdge(v, gtilde[k][:n], tuple(acc), TermData(m_fexp, tuple(m_factors)),
-                            TermData(mp_fexp, tuple(mp_factors)), self)
+        return ExchangeEdge(v, gtilde[k][:n], tuple(acc),
+                            TermData(m_fexp, tuple(sorted(m_factors))),
+                            TermData(mp_fexp, tuple(sorted(mp_factors))), self)
 
     def mutate_with_edge(self, edge: ExchangeEdge) -> "Seed":
         """The exchange step `edge`, taken from this seed or an equal one, completed

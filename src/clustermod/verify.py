@@ -104,41 +104,9 @@ def get_bundle(cartan: CartanData, xi: dict[int, int]):
     return _bundle(cartan.name, _xi_key(xi))
 
 
-@dataclass(frozen=True)
-class EdgeAnalysis:
-    """An exchange edge resolved against the representation side."""
-
-    x_obj: CQObject
-    y_obj: CQObject
-    m_parts: tuple[CQObject, ...]
-    mp_parts: tuple[CQObject, ...]
-    m_fexp: tuple[int, ...]
-    mp_fexp: tuple[int, ...]
-
-
-def analyze_edge(obj_by_g: dict, edge) -> EdgeAnalysis:
-    """Resolve the objects of an edge, x and x', and of the factors of its
-    M-term (`edge.m_term`, the one carrying kappa(L, M, N)) and M'-term."""
-
-    def parts(term):
-        return tuple(obj_by_g[fg] for fg, mult in term.factors for _ in range(mult))
-
-    return EdgeAnalysis(
-        x_obj=obj_by_g[edge.old_g],
-        y_obj=obj_by_g[edge.new_g],
-        m_parts=parts(edge.m_term),
-        mp_parts=parts(edge.mp_term),
-        m_fexp=edge.m_term.fexp,
-        mp_fexp=edge.mp_term.fexp,
-    )
-
-
-def relation(edge) -> tuple:
-    """The key of an edge's exchange relation: its two g-vectors as an unordered pair,
-    and each term's frozen exponents and factors sorted by g-vector.  Every edge of an
-    exchange pair has the same key; an edge with other terms has a key of its own."""
-    return (frozenset((edge.old_g, edge.new_g)),
-            tuple((t.fexp, tuple(sorted(t.factors))) for t in (edge.m_term, edge.mp_term)))
+def parts(obj_by_g: dict, term) -> tuple[CQObject, ...]:
+    """The objects of an exchange term's factors, each repeated by its multiplicity."""
+    return tuple(obj_by_g[fg] for fg, mult in term.factors for _ in range(mult))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +293,8 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
     pair for which h is a map of modules.  One order always is: an exchange pair
     has dim Ext^1 = 1 in the cluster category (Buan-Marsh-Reineke-Reiten-Todorov
     2006), and Ext^1(N, L) = D Hom(tau^-1 L, N).  Both targets are computed once
-    per relation key and compared with each edge's own exponents.  The scope's
-    `engine_pinned` counts the edges whose M'-term fails.
+    per relation (`ExchangeEdge.relation`) and compared with each edge's own
+    exponents.  The scope's `engine_pinned` counts the edges whose M'-term fails.
     """
     rep = Report("exchange", {"cartan": cartan.name, "xi": _xi_key(xi)})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
@@ -334,28 +302,27 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
     crosschecked = set()
     targets: dict[tuple, tuple] = {}
     for edge in graph.edges:
-        ea = analyze_edge(obj_by_g, edge)
-        key = relation(edge)
+        x, y = obj_by_g[edge.old_g], obj_by_g[edge.new_g]
+        key = edge.relation
         if key not in targets:
-            beta = None
-            for lobj, nobj in ((ea.x_obj, ea.y_obj), (ea.y_obj, ea.x_obj)):
+            beta, mp_parts = None, parts(obj_by_g, edge.mp_term)
+            for lobj, nobj in ((x, y), (y, x)):
                 try:
                     im = repctx.im_h(lobj, nobj)
                 except ShiftCaseUnsupported:
                     continue
-                beta = tuple(k + g for k, g in zip(repctx.kappa(lobj, ea.mp_parts, nobj),
+                beta = tuple(k + g for k, g in zip(repctx.kappa(lobj, mp_parts, nobj),
                                                    repctx.g_of_dims(im.dims)))
                 break
-            targets[key] = repctx.kappa(ea.x_obj, ea.m_parts, ea.y_obj), beta
+            targets[key] = repctx.kappa(x, parts(obj_by_g, edge.m_term), y), beta
         alpha, beta = targets[key]
-        rep.check(alpha == ea.m_fexp, f"first-term exponents at {ea.x_obj} / {ea.y_obj}",
-                  got=ea.m_fexp, want=alpha)
-        ok = beta == ea.mp_fexp
-        rep.check(ok, f"second-term exponents at {ea.x_obj} / {ea.y_obj}",
-                  got=ea.mp_fexp, want=beta)
+        m_fexp, mp_fexp = edge.m_term.fexp, edge.mp_term.fexp
+        rep.check(alpha == m_fexp, f"first-term exponents at {x} / {y}", got=m_fexp, want=alpha)
+        ok = beta == mp_fexp
+        rep.check(ok, f"second-term exponents at {x} / {y}", got=mp_fexp, want=beta)
         mismatched += not ok
         if ok:
-            crosschecked.add(frozenset((str(ea.x_obj), str(ea.y_obj))))
+            crosschecked.add(frozenset((str(x), str(y))))
     # shifted-projective / injective edges must always be cross-checkable
     for i in cartan.vertices:
         key = frozenset((str(CQObject.shifted(i)), str(CQObject.module(repctx.inj_dims(i)))))
@@ -368,17 +335,19 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
 def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
     """Highest l-weight identity on every exchange pair, at the given level.
 
-    Both sides are computed once per relation key and checked on every edge."""
+    Both sides are computed once per relation (`ExchangeEdge.relation`) and checked
+    on every edge; psi is multiplicative, so psi(L) psi(N) is psi of the sum L + N."""
     rep = Report("hw-exchange", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
     sides: dict[tuple, tuple] = {}
     for edge in graph.edges:
-        ea = analyze_edge(obj_by_g, edge)
-        key = relation(edge)
+        x, y = obj_by_g[edge.old_g], obj_by_g[edge.new_g]
+        key = edge.relation
         if key not in sides:
-            alpha = repctx.kappa(ea.x_obj, ea.m_parts, ea.y_obj)
-            lhs = psi(ea.x_obj, repctx, l) * psi(ea.y_obj, repctx, l)
-            rhs = psi(ea.m_parts, repctx, l) if ea.m_parts else Monomial.one()
+            m_parts = parts(obj_by_g, edge.m_term)
+            alpha = repctx.kappa(x, m_parts, y)
+            lhs = psi((x, y), repctx, l)
+            rhs = psi(m_parts, repctx, l) if m_parts else Monomial.one()
             for i in cartan.vertices:
                 e = alpha[i - 1]
                 if e:
@@ -386,7 +355,7 @@ def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report
                     rhs = rhs * (u * v) ** e
             sides[key] = lhs, rhs
         lhs, rhs = sides[key]
-        rep.check(lhs == rhs, f"hw identity at {ea.x_obj} / {ea.y_obj}", lhs=lhs, rhs=rhs)
+        rep.check(lhs == rhs, f"hw identity at {x} / {y}", lhs=lhs, rhs=rhs)
     return rep
 
 
@@ -502,10 +471,10 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
     its seed and variable counts against the classical counts of the cluster type,
     plus a seeded random mutation walk checking the involution.
 
-    The edge product identity x x' = M + M' is computed once per relation key and
-    checked on every edge.  Each walk step checks its forward seed's new record and
-    mutates back; a step at the vertex of the step before it takes that step's back
-    mutation as its forward seed."""
+    The edge product identity x x' = M + M' is computed once per relation
+    (`ExchangeEdge.relation`) and checked on every edge.  Each walk step checks its
+    forward seed's new record and mutates back; a step at the vertex of the step
+    before it takes that step's back mutation as its forward seed."""
     rep = Report("properties", {"cartan": cartan.name, "xi": _xi_key(xi), "walks": walks,
                                 "seed": rng_seed})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
@@ -541,11 +510,11 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
             rep.check(coeffs[k] == _prop313_coeff(seed, k),
                       f"coefficient read-off at seed {key} column {k}")
 
-    # exchange-relation product identity, computed once per relation key: it reads
+    # exchange-relation product identity, computed once per relation: it reads
     # nothing of an edge but its two g-vectors and its two terms
     holds: dict[tuple, bool] = {}
     for edge in graph.edges:
-        key = relation(edge)
+        key = edge.relation
         if key not in holds:
             lhs = graph.registry[edge.old_g].expansion * graph.registry[edge.new_g].expansion
             rhs = LaurentPoly.zero()

@@ -17,8 +17,8 @@ from clustermod.reps import CQObject, RepContext
 from clustermod.verify import (
     A3_GTILDE_TABLE,
     A3_PSI_TABLE,
-    analyze_edge,
     get_bundle,
+    parts,
     verify_tropical_socle,
     verify_yhat_identity,
     verify_grid_sequence,
@@ -96,13 +96,13 @@ def test_c04_worked_exchange_relation():
     L, N = CQObject.module((0, 0, 1)), CQObject.module((1, 1, 0))
     gl, gn = rc.g_vector(L), rc.g_vector(N)
     edge = next(e for e in graph.edges if {e.old_g, e.new_g} == {gl, gn})
-    ea = analyze_edge(obj_by_g, edge)
-    assert {str(o) for o in ea.m_parts} == {"mod:1,1,1"}
-    assert {str(o) for o in ea.mp_parts} == {"mod:1,0,0"}
-    assert ea.m_fexp == (0, 1, 0)  # the f2 coefficient
-    assert ea.mp_fexp == (0, 0, 1)  # the f3 coefficient
-    assert rc.kappa(L, ea.m_parts, N) == (0, 1, 0)
-    assert rc.kappa(L, ea.mp_parts, N) == (-1, 1, 1)
+    m_parts, mp_parts = parts(obj_by_g, edge.m_term), parts(obj_by_g, edge.mp_term)
+    assert {str(o) for o in m_parts} == {"mod:1,1,1"}
+    assert {str(o) for o in mp_parts} == {"mod:1,0,0"}
+    assert edge.m_term.fexp == (0, 1, 0)  # the f2 coefficient
+    assert edge.mp_term.fexp == (0, 0, 1)  # the f3 coefficient
+    assert rc.kappa(L, m_parts, N) == (0, 1, 0)
+    assert rc.kappa(L, mp_parts, N) == (-1, 1, 1)
     im = rc.im_h(L, N)
     assert im.dims == (0, 1, 0) and rc.g_of_dims(im.dims) == (1, -1, 0)
     c.done()

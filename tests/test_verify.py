@@ -10,10 +10,9 @@ from clustermod.engine import Seed, TermData
 from clustermod.errors import ConfigurationError, InternalInvariantError
 from clustermod.verify import (
     CHECK_NAMES,
-    analyze_edge,
     check_reads,
     get_bundle,
-    relation,
+    parts,
     run_check,
     s_l_sequence,
     verify_worked_examples_a3,
@@ -66,16 +65,12 @@ def test_exchange_exponent_check(cartan, xi, edges):
 def test_a_wrong_m_prime_exponent_fails_the_exchange_check(monkeypatch, capsys):
     # raise each M'-term exponent of one D4 edge by one; the pair shp:4 / mod:0,0,0,1
     # is also exchanged on edges that stay right, so only its own item can fail
-    real = verify.analyze_edge
-    target = get_bundle(D4, XI_D4)[3].edges[6]
-
-    def wrong_m_prime(obj_by_g, edge):
-        ea = real(obj_by_g, edge)
-        if edge is target:
-            ea = dataclasses.replace(ea, mp_fexp=tuple(e + 1 for e in ea.mp_fexp))
-        return ea
-
-    monkeypatch.setattr(verify, "analyze_edge", wrong_m_prime)
+    graph = get_bundle(D4, XI_D4)[3]
+    edges = list(graph.edges)
+    mp = edges[6].mp_term
+    edges[6] = dataclasses.replace(edges[6], mp_term=TermData(tuple(e + 1 for e in mp.fexp),
+                                                              mp.factors))
+    monkeypatch.setattr(graph, "edges", edges)
     report = verify_exchange_exponents(D4, XI_D4)
     assert [f["detail"] for f in report.failures] == [
         "second-term exponents at shp:4 / mod:0,0,0,1"]
@@ -275,13 +270,12 @@ def test_edge_analysis_shift_injective_edges():
         neg = tuple(-x for x in e_i)
         for edge in graph.edges:
             if {edge.old_g, edge.new_g} == {e_i, neg}:
-                ea = analyze_edge(obj_by_g, edge)
-                assert ea.m_parts == ()
-                assert ea.m_fexp == e_i
+                assert parts(obj_by_g, edge.m_term) == ()
+                assert edge.m_term.fexp == e_i
                 want = {f"shp:{j}" for j in repctx.out[i]}
                 want |= {"mod:" + ",".join(map(str, repctx.inj_dims(j))) for j in repctx.inn[i]}
-                assert {str(o) for o in ea.mp_parts} == want
-                assert ea.mp_fexp == (0, 0, 0)
+                assert {str(o) for o in parts(obj_by_g, edge.mp_term)} == want
+                assert edge.mp_term.fexp == (0, 0, 0)
                 break
         else:
             raise AssertionError(f"no shift/injective edge for {i}")
@@ -310,6 +304,9 @@ def test_engine_exchange_pairs_are_the_ext1_pairs_with_one_relation_each():
         _, _, repctx, graph, obj_by_g = get_bundle(cartan_type(name), xi)
         relations: dict[frozenset, set] = {}
         for edge in graph.edges:
+            for term in (edge.m_term, edge.mp_term):
+                gs = [fg for fg, _ in term.factors]
+                assert gs == sorted(gs), (name, xi, edge)
             pair = frozenset((obj_by_g[edge.old_g], obj_by_g[edge.new_g]))
             relations.setdefault(pair, set()).add(tuple(
                 (term.fexp, tuple(sorted(term.factors))) for term in (edge.m_term, edge.mp_term)))
@@ -317,7 +314,7 @@ def test_engine_exchange_pairs_are_the_ext1_pairs_with_one_relation_each():
         assert set(relations) == {frozenset(p) for p in pairs}, (name, xi)
         assert len(pairs) == len(relations), (name, xi)
         assert all(len(r) == 1 for r in relations.values()), (name, xi)
-        assert len({relation(edge) for edge in graph.edges}) == len(pairs), (name, xi)
+        assert len({edge.relation for edge in graph.edges}) == len(pairs), (name, xi)
         counts[name, tuple(sorted(xi.items()))] = len(graph.edges), len(relations)
     assert counts["A3", tuple(sorted(XI3.items()))] == (21, 15)
     assert counts["D4", tuple(sorted(XI_D4.items()))] == (100, 52)
