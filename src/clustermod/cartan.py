@@ -90,6 +90,13 @@ def check_height_function(cartan: CartanData, xi: dict[int, int]) -> dict[int, i
     return xi
 
 
+def check_level(l: int) -> int:
+    """Validate the level l >= 1; returns l."""
+    if l < 1:
+        raise DomainError("level must be >= 1")
+    return l
+
+
 def linear_height(cartan: CartanData) -> dict[int, int]:
     """The sink-to-source path orientation xi(i) = 1 - i (type A sugar)."""
     if cartan.letter != "A":

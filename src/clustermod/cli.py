@@ -9,7 +9,7 @@ import os
 import re
 import sys
 
-from .cartan import cartan_type, linear_height, parse_height
+from .cartan import cartan_type, check_level, linear_height, parse_height
 from .engine import Seed, enumerate_exchange_graph
 from .errors import ClusterModError, ConfigurationError, DomainError, InternalInvariantError
 from .hlmap import psi
@@ -193,9 +193,7 @@ def _cmd_quiver(args) -> int:
         elif fam == "gammafull":
             rmin = args.rmin
             if rmin is None:
-                if level < 1:
-                    raise DomainError("level must be >= 1")
-                rmin = min(xi.values()) - 2 * level
+                rmin = min(xi.values()) - 2 * check_level(level)
             quiver = build_gamma_full(cartan, xi, rmin)
         elif fam == "qxi":
             quiver = build_qxi(cartan, xi)

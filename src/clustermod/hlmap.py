@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .cartan import CartanData
+from .cartan import CartanData, check_level
 from .errors import DomainError, NonDominantError
 from .reps import CQObject, RepContext
 from .symbolic import Monomial, VarId, Yvar
@@ -51,8 +51,7 @@ def kr_monomial(i: int, k: int, r: int) -> Monomial:
 
 def uv_monomials(i: int, l: int, xi: dict[int, int]) -> tuple[Monomial, Monomial]:
     """The frozen-pair monomials u_i(l) = z_{i,xi-2l+2}/z_{i,xi} and v_i(l) = z_{i,xi-2l}."""
-    if l < 1:
-        raise DomainError("level must be >= 1")
+    check_level(l)
     u = z_monomial(i, xi[i] - 2 * l + 2, xi) / z_monomial(i, xi[i], xi)
     v = z_monomial(i, xi[i] - 2 * l, xi)
     return u, v
@@ -82,8 +81,7 @@ def psi(objs, repctx: RepContext, l: int) -> Monomial:
     """
     if isinstance(objs, CQObject):
         objs = (objs,)
-    if l < 1:
-        raise DomainError("level must be >= 1")
+    check_level(l)
     xi = repctx.xi
     pairs = []
     for obj in objs:

@@ -10,7 +10,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .cartan import CartanData, check_height_function
+from .cartan import CartanData, check_height_function, check_level
 from .errors import ConfigurationError, DomainError, FrozenVertexError
 
 
@@ -279,8 +279,7 @@ def build_gamma_full(cartan: CartanData, xi: dict[int, int], r_min: int) -> IceQ
 def build_gamma_l(cartan: CartanData, xi: dict[int, int], l: int) -> IceQuiver:
     """The level-l grid quiver: window xi(i)-2l <= p <= xi(i), bottom row frozen."""
     check_height_function(cartan, xi)
-    if l < 1:
-        raise DomainError("level must be >= 1")
+    check_level(l)
     floors = {i: xi[i] - 2 * l for i in cartan.vertices}
     return _grid_window(cartan, xi, floors, [Vertex(i, floors[i]) for i in cartan.vertices])
 
@@ -324,8 +323,7 @@ def build_qxil(cartan: CartanData, xi: dict[int, int], l: int) -> IceQuiver:
     edge with xi(i) = xi(j)+1: mid(i)->mid(j), mid(j)->top(i), mid(j)->bot(i).
     """
     check_height_function(cartan, xi)
-    if l < 1:
-        raise DomainError("level must be >= 1")
+    check_level(l)
 
     def top(i):
         r = xi[i] - 2 * l + 4

@@ -206,32 +206,26 @@ class Monomial:
 _MONOMIAL_ONE = Monomial()
 
 
-def _cmp_monomials(a: Monomial, b: Monomial) -> int:
-    """Lexicographic order over the canonical variable order; absent exponent = 0.
+def _exponent_tuples(*polys: "LaurentPoly"):
+    """The polys' variables in canonical order, and the map from a monomial over
+    them to its dense exponent tuple.
 
-    Compatible with multiplication, so leading terms multiply; this makes
-    exact division by leading-term reduction valid.
+    Lexicographic order on these tuples is the term order: compatible with
+    multiplication, so leading terms multiply, which makes exact division by
+    leading-term reduction valid.  Two monomials compare alike over any larger
+    variable list, since a variable absent from both is equal in both.
     """
-    ia, ib = a.items, b.items
-    na, nb = len(ia), len(ib)
-    pa = pb = 0
-    while pa < na or pb < nb:
-        if pa < na and (pb >= nb or ia[pa][0].sort_key < ib[pb][0].sort_key):
-            ea, eb = ia[pa][1], 0
-            pa += 1
-        elif pb < nb and (pa >= na or ib[pb][0].sort_key < ia[pa][0].sort_key):
-            ea, eb = 0, ib[pb][1]
-            pb += 1
-        else:
-            ea, eb = ia[pa][1], ib[pb][1]
-            pa += 1
-            pb += 1
-        if ea != eb:
-            return 1 if ea > eb else -1
-    return 0
+    vs = sorted({v for p in polys for m in p._terms for v, _ in m._items})
+    pos = {v: i for i, v in enumerate(vs)}
+    zero = [0] * len(vs)
 
+    def dense(m: Monomial) -> tuple[int, ...]:
+        t = zero.copy()
+        for v, e in m._items:
+            t[pos[v]] = e
+        return tuple(t)
 
-monomial_sort_key = functools.cmp_to_key(_cmp_monomials)
+    return vs, dense
 
 
 class LaurentPoly:
@@ -287,7 +281,8 @@ class LaurentPoly:
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms sorted with the leading (largest) monomial first."""
-        return sorted(self._terms.items(), key=lambda t: monomial_sort_key(t[0]), reverse=True)
+        _, dense = _exponent_tuples(self)
+        return sorted(self._terms.items(), key=lambda t: dense(t[0]), reverse=True)
 
     def monomials(self):
         """Monomials in storage order, without the sort of `terms()`."""
@@ -316,10 +311,6 @@ class LaurentPoly:
         if len(self._terms) != 1:
             raise ConfigurationError("polynomial is not a single term")
         return next(iter(self._terms.items()))
-
-    def leading_term(self) -> tuple[Monomial, int]:
-        m = max(self._terms, key=monomial_sort_key)
-        return m, self._terms[m]
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         d = dict(self._terms)
@@ -475,66 +466,44 @@ def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return LaurentPoly(out)
     if a.is_zero:
         return a
-    box = _quotient_box(a, b)
-    lt_m, lt_c = b.leading_term()
-    q: dict[Monomial, int] = {}
-    r = a
+    vs, dense = _exponent_tuples(a, b)
+    r = {dense(m): c for m, c in a._terms.items()}
+    bt = [(dense(m), c) for m, c in b._terms.items()]
+    lt, lc = max(bt)
+    # Extremal exponents multiply without cancellation over a domain, so every
+    # exponent of an exact quotient lies in [min(a) - min(b), max(a) - max(b)]
+    # per variable; an empty range proves inexactness at once.
+    cols = list(zip(zip(*r), zip(*(t for t, _ in bt))))
+    lo = [min(ea) - min(eb) for ea, eb in cols]
+    hi = [max(ea) - max(eb) for ea, eb in cols]
+    for v, vlo, vhi in zip(vs, lo, hi):
+        if vlo > vhi:
+            raise InexactDivisionError(f"no exact quotient: variable {v} range is empty")
+    q: dict[tuple[int, ...], int] = {}
     steps = 0
-    while not r.is_zero:
+    while r:
         steps += 1
         if steps > _DIV_STEP_CAP:
             raise InexactDivisionError("division did not terminate")
-        rm, rc = r.leading_term()
-        if rc % lt_c:
+        rt = max(r)
+        rc = r[rt]
+        if rc % lc:
             raise InexactDivisionError("leading coefficient does not divide")
-        qm = rm / lt_m
-        for v, e in qm.items:
-            lo, hi = box.get(v, (0, 0))
-            if not lo <= e <= hi:
-                raise InexactDivisionError("quotient exponent out of range")
-        qc = rc // lt_c
-        q[qm] = qc
-        r = r - b * LaurentPoly.from_monomial(qm, qc)
-    return LaurentPoly(q)
-
-
-def _quotient_box(a: LaurentPoly, b: LaurentPoly) -> dict[VarId, tuple[int, int]]:
-    """Per-variable exponent bounds any exact quotient a/b must satisfy.
-
-    Extremal exponents multiply without cancellation over a domain, so
-    min_v(q) = min_v(a) - min_v(b) and max_v(q) = max_v(a) - max_v(b).
-    An empty range proves inexactness immediately.
-    """
-
-    def ranges(p):
-        lo: dict[VarId, int] = {}
-        hi: dict[VarId, int] = {}
-        nterms = 0
-        counts: dict[VarId, int] = {}
-        for m in p._terms:
-            nterms += 1
-            for v, e in m.items:
-                counts[v] = counts.get(v, 0) + 1
-                if v not in lo or e < lo[v]:
-                    lo[v] = e
-                if v not in hi or e > hi[v]:
-                    hi[v] = e
-        for v, c in counts.items():
-            if c < nterms:  # variable absent from some term: exponent 0 occurs
-                lo[v] = min(lo[v], 0)
-                hi[v] = max(hi[v], 0)
-        return {v: (lo[v], hi[v]) for v in lo}
-
-    ra, rb = ranges(a), ranges(b)
-    box = {}
-    for v in set(ra) | set(rb):
-        alo, ahi = ra.get(v, (0, 0))
-        blo, bhi = rb.get(v, (0, 0))
-        lo, hi = alo - blo, ahi - bhi
-        if lo > hi:
-            raise InexactDivisionError(f"no exact quotient: variable {v} range is empty")
-        box[v] = (lo, hi)
-    return box
+        qt = tuple(x - y for x, y in zip(rt, lt))
+        if not all(vlo <= e <= vhi for vlo, e, vhi in zip(lo, qt, hi)):
+            raise InexactDivisionError("quotient exponent out of range")
+        qc = q[qt] = rc // lc
+        for f, c in bt:
+            t = tuple(x + y for x, y in zip(qt, f))
+            c = r.get(t, 0) - qc * c
+            if c:
+                r[t] = c
+            else:
+                del r[t]
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = {Monomial._from_sorted(tuple((v, e) for v, e in zip(vs, t) if e)): c
+                  for t, c in q.items()}
+    return out
 
 
 def eval_tropical(f: LaurentPoly, assign: Mapping[VarId, tuple[int, ...]]) -> tuple[int, ...]:

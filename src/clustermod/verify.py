@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .cartan import CartanData, cartan_type, linear_height
+from .cartan import CartanData, cartan_type, check_level, linear_height
 from .engine import (
     Seed,
     enumerate_exchange_graph,
@@ -24,7 +24,6 @@ from .engine import (
 )
 from .errors import (
     ConfigurationError,
-    DomainError,
     InternalInvariantError,
     ShiftCaseUnsupported,
 )
@@ -322,10 +321,10 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
         rep.check(ok, f"second-term exponents at {x} / {y}", got=mp_fexp, want=beta)
         mismatched += not ok
         if ok:
-            crosschecked.add(frozenset((str(x), str(y))))
+            crosschecked.add(frozenset((x, y)))
     # shifted-projective / injective edges must always be cross-checkable
     for i in cartan.vertices:
-        key = frozenset((str(CQObject.shifted(i)), str(CQObject.module(repctx.inj_dims(i)))))
+        key = frozenset((CQObject.shifted(i), CQObject.module(repctx.inj_dims(i))))
         rep.check(key in crosschecked, f"shift/injective edge at {i} is rep-cross-checked")
     rep.scope["edges"] = len(graph.edges)
     rep.scope["engine_pinned"] = mismatched
@@ -362,8 +361,7 @@ def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report
 def verify_tsystem(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
     """Monomial-level T-system identities: the Dynkin-edge reduction and the
     KR recurrence on a window around the relevant heights."""
-    if l < 1:
-        raise DomainError("level must be >= 1")
+    check_level(l)
     rep = Report("tsystem", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     for i in cartan.vertices:
         lhs = Monomial.one()

@@ -3,15 +3,17 @@
 These deliberately avoid the code paths they check: the reference seed
 carries every cluster variable as two Laurent polynomials (ambient and
 principal coefficients), each mutated by its exchange relation and one exact
-division, instead of an F-polynomial recurrence on integer seed data, and
-reads F off by the polynomial-arithmetic substitution kept below; seed
-counting keys on that seed's expansion strings instead of g-vectors; the
-reference exchange-graph BFS mutates every seed in every direction instead of
-each edge once; thin F-polynomials are sums over submodules; root enumeration
-uses the Tits form on a box instead of reflection closure, and type-A Hom
-dimensions come from the classical interval criterion.  Socles and Ext^1
-dimensions are read off explicit representations over Q (a rank of the
-outgoing maps, a Hom space) instead of the Euler-form formulas they check.
+division (its own leading-term reduction over Monomials with a pairwise
+comparator, where the library reduces dense exponent tuples), instead of an
+F-polynomial recurrence on integer seed data, and reads F off by the
+polynomial-arithmetic substitution kept below; seed counting keys on that
+seed's expansion strings instead of g-vectors; the reference exchange-graph BFS
+mutates every seed in every direction instead of each edge once; thin
+F-polynomials are sums over submodules; root enumeration uses the Tits form on
+a box instead of reflection closure, and type-A Hom dimensions come from the
+classical interval criterion.  Socles and Ext^1 dimensions are read off
+explicit representations over Q (a rank of the outgoing maps, a Hom space)
+instead of the Euler-form formulas they check.
 The reference row reduction divides every pivot row in Fractions, where the
 library keeps integer entries integral; the oracles that reduce rows share a
 dense reduction over whole rows, where the library reduces sparse rows (only
@@ -38,6 +40,7 @@ a step at the vertex of the step before it from that step's back mutation.
 """
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -56,13 +59,14 @@ from clustermod.engine import (
 )
 from clustermod.errors import (
     ConfigurationError,
+    InexactDivisionError,
     InternalInvariantError,
     NotSubtractionFreeError,
     ShiftCaseUnsupported,
 )
 from clustermod.quivers import build_qcheck
 from clustermod.reps import CQObject, QuiverRep, _div, _exact, _mat, _zeros
-from clustermod.symbolic import LaurentPoly, Monomial, VarId, div_exact
+from clustermod.symbolic import LaurentPoly, Monomial, VarId
 
 
 # The tropical semifield as arithmetic on elements that carry their generator
@@ -184,6 +188,128 @@ def oracle_eval_tropical(f: LaurentPoly, assign: Mapping[VarId, TropElem]) -> Tr
     return total
 
 
+# Exact division by leading-term reduction over Monomials, kept as it stood
+# before the library reduced on dense exponent tuples: a pairwise merge
+# comparator for the term order, and per-variable exponent bounds keyed on VarId.
+
+_ORACLE_DIV_STEP_CAP = 1_000_000
+
+
+def oracle_cmp_monomials(a: Monomial, b: Monomial) -> int:
+    """Lexicographic order over the canonical variable order; absent exponent = 0.
+
+    Compatible with multiplication, so leading terms multiply; this makes
+    exact division by leading-term reduction valid.
+    """
+    ia, ib = a.items, b.items
+    na, nb = len(ia), len(ib)
+    pa = pb = 0
+    while pa < na or pb < nb:
+        if pa < na and (pb >= nb or ia[pa][0].sort_key < ib[pb][0].sort_key):
+            ea, eb = ia[pa][1], 0
+            pa += 1
+        elif pb < nb and (pa >= na or ib[pb][0].sort_key < ia[pa][0].sort_key):
+            ea, eb = 0, ib[pb][1]
+            pb += 1
+        else:
+            ea, eb = ia[pa][1], ib[pb][1]
+            pa += 1
+            pb += 1
+        if ea != eb:
+            return 1 if ea > eb else -1
+    return 0
+
+
+oracle_monomial_sort_key = functools.cmp_to_key(oracle_cmp_monomials)
+
+
+def _oracle_leading_term(p: LaurentPoly) -> tuple[Monomial, int]:
+    m = max(p._terms, key=oracle_monomial_sort_key)
+    return m, p._terms[m]
+
+
+def oracle_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Exact quotient q with q*b == a; raises InexactDivisionError otherwise.
+
+    Division by a monomial is always exact in the Laurent ring.  For a general
+    divisor the quotient is found by leading-term reduction, valid because the
+    term order is compatible with multiplication.
+    """
+    if b.is_zero:
+        raise InexactDivisionError("division by zero")
+    if b.is_monomial:
+        m, c = b.monomial_and_coefficient()
+        inv = m.inverse()
+        out: dict[Monomial, int] = {}
+        for mm, cc in a._terms.items():
+            if cc % c:
+                raise InexactDivisionError("coefficient does not divide")
+            out[mm * inv] = cc // c
+        return LaurentPoly(out)
+    if a.is_zero:
+        return a
+    box = _oracle_quotient_box(a, b)
+    lt_m, lt_c = _oracle_leading_term(b)
+    q: dict[Monomial, int] = {}
+    r = a
+    steps = 0
+    while not r.is_zero:
+        steps += 1
+        if steps > _ORACLE_DIV_STEP_CAP:
+            raise InexactDivisionError("division did not terminate")
+        rm, rc = _oracle_leading_term(r)
+        if rc % lt_c:
+            raise InexactDivisionError("leading coefficient does not divide")
+        qm = rm / lt_m
+        for v, e in qm.items:
+            lo, hi = box.get(v, (0, 0))
+            if not lo <= e <= hi:
+                raise InexactDivisionError("quotient exponent out of range")
+        qc = rc // lt_c
+        q[qm] = qc
+        r = r - b * LaurentPoly.from_monomial(qm, qc)
+    return LaurentPoly(q)
+
+
+def _oracle_quotient_box(a: LaurentPoly, b: LaurentPoly) -> dict[VarId, tuple[int, int]]:
+    """Per-variable exponent bounds any exact quotient a/b must satisfy.
+
+    Extremal exponents multiply without cancellation over a domain, so
+    min_v(q) = min_v(a) - min_v(b) and max_v(q) = max_v(a) - max_v(b).
+    An empty range proves inexactness immediately.
+    """
+
+    def ranges(p):
+        lo: dict[VarId, int] = {}
+        hi: dict[VarId, int] = {}
+        nterms = 0
+        counts: dict[VarId, int] = {}
+        for m in p._terms:
+            nterms += 1
+            for v, e in m.items:
+                counts[v] = counts.get(v, 0) + 1
+                if v not in lo or e < lo[v]:
+                    lo[v] = e
+                if v not in hi or e > hi[v]:
+                    hi[v] = e
+        for v, c in counts.items():
+            if c < nterms:  # variable absent from some term: exponent 0 occurs
+                lo[v] = min(lo[v], 0)
+                hi[v] = max(hi[v], 0)
+        return {v: (lo[v], hi[v]) for v in lo}
+
+    ra, rb = ranges(a), ranges(b)
+    box = {}
+    for v in set(ra) | set(rb):
+        alo, ahi = ra.get(v, (0, 0))
+        blo, bhi = rb.get(v, (0, 0))
+        lo, hi = alo - blo, ahi - bhi
+        if lo > hi:
+            raise InexactDivisionError(f"no exact quotient: variable {v} range is empty")
+        box[v] = (lo, hi)
+    return box
+
+
 def _mutate_cluster(cluster, coeffs, gens, k, bcol):
     """Exchange relation at position k over the given tropical coefficients."""
     one_t = TropElem.one(gens)
@@ -197,7 +323,7 @@ def _mutate_cluster(cluster, coeffs, gens, k, bcol):
             neg = neg * cluster[i] ** (-bi)
     num = LaurentPoly.from_monomial(yk.as_monomial()) * pos + neg
     new_cluster = list(cluster)
-    new_cluster[k] = div_exact(num, cluster[k]) * (yk + one_t).inverse().as_monomial()
+    new_cluster[k] = oracle_div_exact(num, cluster[k]) * (yk + one_t).inverse().as_monomial()
     new_coeffs = list(coeffs)
     new_coeffs[k] = yk.inverse()
     for j in range(len(cluster)):

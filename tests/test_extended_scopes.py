@@ -5,8 +5,9 @@ property suite's classical seed and variable counts on A1, A5, D5 and E6, and
 
 Set CLUSTERMOD_SLOW_TESTS=1 to also enumerate the E7 exchange graph and run the
 `exchange` and `hw-exchange` checks on it, through the representation layer and
-psi at rank 7 (a few seconds each), and to enumerate the E8 one on an orientation whose largest
-F-polynomials stay small (about half a minute)."""
+psi at rank 7 (a few seconds each), and to enumerate the E8 one on two orientations: one whose
+largest F-polynomials stay small (a few seconds), and the bipartite one, whose
+denominators are checked against the positive roots (under a minute)."""
 import os
 
 import pytest
@@ -17,7 +18,7 @@ from clustermod.cartan import cartan_type, linear_height
 from clustermod.engine import Seed, enumerate_exchange_graph
 from clustermod.hlmap import kr_monomial, psi
 from clustermod.quivers import build_qcheck
-from clustermod.reps import CQObject, RepContext
+from clustermod.reps import CQObject, RepContext, positive_roots
 from clustermod.verify import (
     run_check,
     verify_tropical_socle,
@@ -160,3 +161,24 @@ def test_e8_exchange_graph_counts():
     assert graph.seed_count == 25080  # the classical count of E8 clusters
     assert len(graph.edges) == 100320  # 8 * 25080 / 2
     assert graph.variable_count == 128  # 120 positive roots + 8 shifts
+
+
+@pytest.mark.skipif(not os.environ.get("CLUSTERMOD_SLOW_TESTS"),
+                    reason="set CLUSTERMOD_SLOW_TESTS=1 to enumerate E8")
+def test_e8_bipartite_exchange_graph_and_denominators():
+    ct = cartan_type("E8")
+    xi = {1: 0, 2: -1, 3: -1, 4: 0, 5: -1, 6: 0, 7: -1, 8: 0}
+    graph = enumerate_exchange_graph(Seed.initial(build_qcheck(ct, xi)))
+    assert graph.exhaustive
+    assert graph.seed_count == 25080
+    assert len(graph.edges) == 100320
+    assert graph.variable_count == 128
+    # the initial x_i has g = e_i and denominator -e_i; every other denominator
+    # is a positive root, each one once
+    units = [tuple(int(j == i) for j in range(ct.rank)) for i in range(ct.rank)]
+    assert [graph.registry[e].denominator for e in units] == [
+        tuple(-c for c in e) for e in units]
+    denominators = sorted(rec.denominator for g, rec in graph.registry.items()
+                          if g not in units)
+    assert len(denominators) == 120
+    assert denominators == sorted(positive_roots(ct))

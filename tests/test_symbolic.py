@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clustermod import symbolic
 from clustermod.errors import (
     ClusterModError,
     ConfigurationError,
@@ -19,7 +20,14 @@ from clustermod.symbolic import (
     Yvar,
     zvar,
 )
-from oracles import TropElem, oracle_eval_tropical, oracle_substitute, trop_add
+from oracles import (
+    TropElem,
+    oracle_div_exact,
+    oracle_eval_tropical,
+    oracle_monomial_sort_key,
+    oracle_substitute,
+    trop_add,
+)
 
 X1, X2 = xvar(1), xvar(2)
 F1, F2 = fvar(1), fvar(2)
@@ -305,6 +313,68 @@ def test_div_exact_rejects_inexact():
         div_exact(poly(({X1: 1}, 1), ({}, 1)), poly(({X2: 1}, 1), ({}, 1)))
     with pytest.raises(InexactDivisionError):
         div_exact(poly(({}, 3)), poly(({}, 2)))
+    with pytest.raises(InexactDivisionError, match=r"variable x\[1\] range is empty"):
+        div_exact(poly(({X1: 1}, 1), ({}, 1)), poly(({X1: 2}, 1), ({}, 1)))
+
+
+def test_div_exact_step_cap(monkeypatch):
+    a = poly(({X1: 2}, 1), ({}, -1))  # (x1 - 1)(x1 + 1): two reduction steps
+    b = poly(({X1: 1}, 1), ({}, 1))
+    monkeypatch.setattr(symbolic, "_DIV_STEP_CAP", 2)
+    assert div_exact(a, b) == poly(({X1: 1}, 1), ({}, -1))
+    monkeypatch.setattr(symbolic, "_DIV_STEP_CAP", 1)
+    with pytest.raises(InexactDivisionError, match="did not terminate"):
+        div_exact(a, b)
+
+
+# ---- exact division and the term order against the Monomial-comparator oracle ----
+
+DIV_VARS = VARS + [ycoef(1)]
+
+
+@st.composite
+def div_polys(draw):
+    """Polynomials over a drawn subset of the variables, so that two of them often
+    have disjoint variable sets; constants and negative exponents among them."""
+    vs = draw(st.lists(st.sampled_from(DIV_VARS), unique=True, max_size=3))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        exps = {v: draw(st.integers(-3, 3)) for v in vs if draw(st.booleans())}
+        terms.append((Monomial(exps), draw(st.integers(-4, 4))))
+    return LaurentPoly(terms)
+
+
+def _assert_same_division(a, b):
+    got, want = _outcome(div_exact, a, b), _outcome(oracle_div_exact, a, b)
+    if isinstance(want, LaurentPoly):  # the same terms, stored in the same order
+        assert got == want
+        assert list(got.monomials()) == list(want.monomials())
+    else:
+        assert want[0] is InexactDivisionError
+        assert isinstance(got, tuple) and got[0] is InexactDivisionError, got
+
+
+@given(div_polys(), div_polys())
+@settings(max_examples=120, deadline=None)
+def test_div_exact_matches_oracle_on_exact_products(a, b):
+    if b.is_zero:
+        return
+    _assert_same_division(a * b, b)
+    assert div_exact(a * b, b) == a
+
+
+@given(div_polys(), div_polys())
+@settings(max_examples=120, deadline=None)
+def test_div_exact_matches_oracle_on_arbitrary_pairs(a, b):
+    """The same quotient, or both raise InexactDivisionError (division by zero too)."""
+    _assert_same_division(a, b)
+
+
+@given(div_polys())
+@settings(max_examples=80, deadline=None)
+def test_terms_follow_the_oracle_term_order(p):
+    want = sorted(p.monomials(), key=oracle_monomial_sort_key, reverse=True)
+    assert [m for m, _ in p.terms()] == want
 
 
 # ---- text format --------------------------------------------------------------
