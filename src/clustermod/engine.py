@@ -31,17 +31,17 @@ term lists its factors in increasing g order, so the relation is in canonical
 form: every edge of an exchange pair carries the same one (ExchangeEdge.relation).
 Seed.mutate_with_edge completes that edge to the mutated seed: B-tilde, the
 c-vectors (from one read of row k), the g-tilde row of the edge and, for a new
-g-vector, its F-polynomial from the M- and M'-terms.  The exchange-graph BFS takes one exchange step per edge (the
-reverse step of an edge it has found lands back on the seed it came from, so it
-is skipped), reads the key of the mutated seed off the edge, and completes the
-step only for a key that is new and under the seed cap.  Sign coherence is
-checked on every column of every stored seed.
+g-vector, its F-polynomial from the M- and M'-terms.  Seed.mutate is the
+composition of the two phases, the only mutation path.  The exchange-graph BFS
+takes one exchange step per edge (the reverse step of an edge it has found lands
+back on the seed it came from, so it is skipped), reads the key of the mutated
+seed off the edge, and completes the step only for a key that is new and under
+the seed cap.  Sign coherence is checked on every column of every stored seed.
 """
 from __future__ import annotations
 
 import functools
 import json
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -122,10 +122,21 @@ class SeedContext:
             rows[_gen_for_vertex(v)].append(self.quiver0.index(v))
         return tuple(tuple(r) for r in rows.values())
 
+    @functools.cached_property
+    def _gen_row_split(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """`gen_rows` as the first row of each generator and the (generator, row)
+        pairs of the rest; most quivers have one frozen row per generator."""
+        return (tuple(rows[0] for rows in self.gen_rows),
+                tuple((g, r) for g, rows in enumerate(self.gen_rows) for r in rows[1:]))
+
     def coeff_exps(self, rowk: tuple[int, ...]) -> tuple[int, ...]:
         """Exponents of the ambient coefficient y_k, from row k of B-tilde: column k
         summed over the frozen rows of each generator, read as b_rk = -b_kr."""
-        return tuple([-sum([rowk[r] for r in rows]) for rows in self.gen_rows])
+        first, rest = self._gen_row_split
+        out = [-rowk[r] for r in first]
+        for g, r in rest:
+            out[g] -= rowk[r]
+        return tuple(out)
 
     def coeffs_of(self, b: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
         """Exponents over `gens` of every ambient coefficient of the matrix b."""
@@ -271,43 +282,60 @@ class Seed:
         k = ctx.mut_index.get(v)
         if k is None:
             raise FrozenVertexError(f"mutation at frozen or unknown vertex {v}")
-        n = len(ctx.mutables)
         eps = self.epsilon(k)
-        rowk = self.quiver.b[ctx.mut_rows[k]]
+        rows = ctx.mut_rows
+        n = len(rows)
+        rowk = self.quiver.b[rows[k]]
         gtilde = self.gtilde
-        acc = [-x for x in gtilde[k]]
+        gk = gtilde[k]
+        acc = None  # sum of the M-term's g-tilde rows with multiplicity
         m_factors, mp_factors = [], []
-        for i, row in enumerate(ctx.mut_rows):
+        for i, row in enumerate(rows):
             w = eps * rowk[row]  # -eps b_ik
             if w > 0:
-                m_factors.append((gtilde[i][:n], w))
-                acc = [a + w * e for a, e in zip(acc, gtilde[i])]
+                gi = gtilde[i]
+                m_factors.append((gi[:n], w))
+                if acc is None:
+                    acc = gi if w == 1 else [w * e for e in gi]
+                else:
+                    acc = [a + w * e for a, e in zip(acc, gi)]
             elif w:
                 mp_factors.append((gtilde[i][:n], -w))
         yk = ctx.coeff_exps(rowk)
         pos = tuple([a if a > 0 else 0 for a in yk])  # y_k / (y_k + 1) in the tropical semifield
         neg = tuple([-a if a < 0 else 0 for a in yk])  # 1 / (y_k + 1)
         m_fexp, mp_fexp = (neg, pos) if eps > 0 else (pos, neg)
-        acc[n:] = [a + e for a, e in zip(acc[n:], m_fexp)]
-        return ExchangeEdge(v, gtilde[k][:n], tuple(acc),
-                            TermData(m_fexp, tuple(sorted(m_factors))),
-                            TermData(mp_fexp, tuple(sorted(mp_factors))), self)
+        fexp = (0,) * n + m_fexp
+        if acc is None:
+            new_gtilde = tuple([f - b for b, f in zip(gk, fexp)])
+        else:
+            new_gtilde = tuple([a - b + f for a, b, f in zip(acc, gk, fexp)])
+        m_factors.sort()
+        mp_factors.sort()
+        return ExchangeEdge(v, gk[:n], new_gtilde, TermData(m_fexp, tuple(m_factors)),
+                            TermData(mp_fexp, tuple(mp_factors)), self)
 
     def mutate_with_edge(self, edge: ExchangeEdge) -> "Seed":
         """The exchange step `edge`, taken from this seed or an equal one, completed
         to the mutated seed: B-tilde, the c-vectors, the new g-tilde row and, for a
         g-vector not met before, its F-polynomial from the edge."""
         ctx = self.ctx
-        if edge.source is not self and edge.source != self:
+        source = edge.source
+        if source is not self and source != self:
             raise ConfigurationError(f"exchange step at {edge.vertex} with g = {edge.old_g} "
                                      f"was not taken from seed {self.key()}")
-        k = ctx.mut_index[edge.vertex]
-        if edge.new_g not in ctx.fpolys:
-            ctx.fpolys[edge.new_g] = self._mutated_fpoly(k, edge)
-        gtilde = self.gtilde[:k] + (edge.new_gtilde,) + self.gtilde[k + 1:]
-        rowk = self.quiver.b[ctx.mut_rows[k]]
-        cvecs = _mutate_cvecs(self.cvecs, k, [rowk[row] for row in ctx.mut_rows])
-        return Seed(ctx, self.quiver.mutate(edge.vertex), cvecs, gtilde)
+        v = edge.vertex
+        k = ctx.mut_index[v]
+        new_g = edge.new_g
+        fpolys = ctx.fpolys
+        if new_g not in fpolys:
+            fpolys[new_g] = self._mutated_fpoly(k, edge)
+        gtilde = list(self.gtilde)
+        gtilde[k] = edge.new_gtilde
+        rows = ctx.mut_rows
+        rowk = self.quiver.b[rows[k]]
+        cvecs = _mutate_cvecs(self.cvecs, k, [rowk[row] for row in rows], self.epsilon(k))
+        return Seed(ctx, self.quiver.mutate(v), cvecs, tuple(gtilde))
 
     def key(self) -> tuple:
         """Canonical unlabeled-seed key: sorted multiset of g-vectors."""
@@ -315,25 +343,23 @@ class Seed:
         return tuple(sorted(g[:n] for g in self.gtilde))
 
 
-def _mutate_cvecs(cvecs, k, brow) -> tuple[tuple[int, ...], ...]:
+def _mutate_cvecs(cvecs, k, brow, eps) -> tuple[tuple[int, ...], ...]:
     """c-vector mutation at position k, from row k of the exchange matrix
     (brow[j] = b_kj): the principal coefficients mutated in their tropical
     semifield, on exponent vectors.
 
     c'_k = -c_k, and c'_j = c_j + b_kj [c_k]_+ for b_kj > 0 or
-    c_j - b_kj min(c_k, 0) for b_kj < 0.
+    c_j - b_kj min(c_k, 0) for b_kj < 0.  c_k is sign-coherent, of sign eps
+    (Seed.epsilon), so one of the two is zero: only the b_kj of sign eps move c_j,
+    by |b_kj| c_k.
     """
     ck = cvecs[k]
-    pos = [a if a > 0 else 0 for a in ck]
-    neg = [a if a < 0 else 0 for a in ck]
     new = list(cvecs)
     new[k] = tuple([-a for a in ck])
     for j, bkj in enumerate(brow):  # b_kk = 0 leaves position k as set above
-        if bkj:
-            step = pos if bkj > 0 else neg
-            if any(step):
-                w = abs(bkj)
-                new[j] = tuple([a + w * s for a, s in zip(cvecs[j], step)])
+        w = eps * bkj
+        if w > 0:
+            new[j] = tuple([a + w * s for a, s in zip(cvecs[j], ck)])
     return tuple(new)
 
 
@@ -359,8 +385,9 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
     n = len(ctx.mutables)
     gtilde = seed.gtilde[j]
     g = gtilde[:n]
+    support = [(i, e) for i, e in enumerate(g) if e]  # g has few nonzero entries
     for k, c in enumerate(seed.cvecs):
-        if sum(map(operator.mul, g, c)) != (k == j):
+        if sum([e * c[i] for i, e in support]) != (k == j):
             raise InternalInvariantError(
                 f"tropical duality G^T C = I fails in seed {seed.key()} at position {j}, "
                 f"column {k}: g = {g}, c = {c}")

@@ -139,7 +139,9 @@ class IceQuiver:
 
     def mutate(self, k: Vertex) -> "IceQuiver":
         """Matrix mutation at a mutable vertex; frozen-frozen entries stay 0."""
-        kk = self.index(k)
+        kk = self._index.get(k)
+        if kk is None:
+            raise ConfigurationError(f"unknown vertex label {k}")
         mask = self._frozen_mask
         if mask[kk]:
             raise FrozenVertexError(f"mutation at frozen vertex {k}")
@@ -147,16 +149,20 @@ class IceQuiver:
         # besides row and column k, b_pq changes only where b_pk * b_kq > 0, to
         # b_pq + |b_pk| b_kq, so only the rows of the neighbours of k are rebuilt,
         # each across to the neighbours on the other side of k (b_pk = -rowk[p])
-        outs = [q for q, e in enumerate(rowk) if e > 0]
-        ins = [q for q, e in enumerate(rowk) if e < 0]
-        new = list(self.b)
+        outs, ins = [], []
+        for q, e in enumerate(rowk):
+            if e:
+                (outs if e > 0 else ins).append(q)
+        b = self.b
+        new = list(b)
         new[kk] = tuple([-e for e in rowk])
         for ps, qs in ((ins, outs), (outs, ins)):
             qs_mutable = [q for q in qs if not mask[q]]
             for p in ps:
-                row = list(self.b[p])
-                row[kk] = rowk[p]
-                w = abs(rowk[p])
+                row = list(b[p])
+                w = row[kk] = rowk[p]
+                if w < 0:
+                    w = -w
                 for q in qs_mutable if mask[p] else qs:
                     row[q] += w * rowk[q]
                 new[p] = tuple(row)

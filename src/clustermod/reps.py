@@ -181,6 +181,7 @@ class RepContext:
         self.inn = {i: tuple(s for s, t in self.arrows if t == i) for i in cartan.vertices}
         self._rep_cache: dict[tuple[int, ...], QuiverRep] = {}
         self._tau_inv_cache: dict[CQObject, CQObject] = {}
+        self._extended_g_cache: dict[CQObject, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._proj = {i: self._reach(i, self.out) for i in cartan.vertices}
         self._inj = {i: self._reach(i, self.inn) for i in cartan.vertices}
         self._vertex_of_inj = {d: i for i, d in self._inj.items()}
@@ -366,9 +367,13 @@ class RepContext:
         return self.g_of_dims(obj.dims)
 
     def extended_g(self, obj: CQObject) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The g-vector and the socle, read off it as in `socle`."""
-        g = self.g_vector(obj)
-        return g, tuple(max(-x, 0) for x in g)
+        """The g-vector and the socle, read off it as in `socle`; once per object,
+        after `g_vector` has checked it."""
+        out = self._extended_g_cache.get(obj)
+        if out is None:
+            g = self.g_vector(obj)
+            out = self._extended_g_cache[obj] = g, tuple(max(-x, 0) for x in g)
+        return out
 
     # ---- AR translation ----------------------------------------------------
 

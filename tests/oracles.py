@@ -37,6 +37,10 @@ with kappa(L, 0, N) from the reference socles on rank 1, where the library reads
 it off the sign of the exchanged c-vector.  The reference mutation walk of the
 property check mutates forward and back at every step, where the library takes
 a step at the vertex of the step before it from that step's back mutation.
+The reference exchange step, seed mutation and matrix mutation are the
+library's own as they stood when its results were built by the generated
+frozen-dataclass __init__, from a full c-vector split and a negated copy of
+g-tilde_k; the reference seed mutates its quiver with that copy.
 """
 from __future__ import annotations
 
@@ -54,17 +58,19 @@ from clustermod.engine import (
     ClusterVarRecord,
     ExchangeEdge,
     ExchangeGraph,
+    SeedContext,
     TermData,
     make_record,
 )
 from clustermod.errors import (
     ConfigurationError,
+    FrozenVertexError,
     InexactDivisionError,
     InternalInvariantError,
     NotSubtractionFreeError,
     ShiftCaseUnsupported,
 )
-from clustermod.quivers import build_qcheck
+from clustermod.quivers import IceQuiver, Vertex, build_qcheck
 from clustermod.reps import CQObject, QuiverRep, _div, _exact, _mat, _zeros
 from clustermod.symbolic import LaurentPoly, Monomial, VarId
 
@@ -310,6 +316,122 @@ def _oracle_quotient_box(a: LaurentPoly, b: LaurentPoly) -> dict[VarId, tuple[in
     return box
 
 
+# The exchange step, the seed mutation that completes it, the c-vector mutation,
+# the matrix mutation and the read-off of y_k, kept verbatim in their plainer form
+# from before the exchange step was made leaner (methods turned into functions of
+# `self`, calls renamed to these copies).  The library's copies are checked
+# against these step by step; OracleSeed mutates its quiver with them.
+
+
+def oracle_exchange_step(self: Seed, v: Vertex) -> ExchangeEdge:
+    """The exchange step at v, read from this seed alone: x_k x'_k = M + M' with
+    M = f^[-eps y_k]_+ prod x_i^[-eps b_ik]_+ and M' = f^[eps y_k]_+ prod x_i^[eps b_ik]_+,
+    and the new extended g-vector by the sign rule: -g-tilde_k plus the M-term's
+    g-tilde rows and f-exponents.  Column k of B-tilde is read once, as row k
+    negated (b_ik = -b_ki)."""
+    ctx = self.ctx
+    k = ctx.mut_index.get(v)
+    if k is None:
+        raise FrozenVertexError(f"mutation at frozen or unknown vertex {v}")
+    n = len(ctx.mutables)
+    eps = self.epsilon(k)
+    rowk = self.quiver.b[ctx.mut_rows[k]]
+    gtilde = self.gtilde
+    acc = [-x for x in gtilde[k]]
+    m_factors, mp_factors = [], []
+    for i, row in enumerate(ctx.mut_rows):
+        w = eps * rowk[row]  # -eps b_ik
+        if w > 0:
+            m_factors.append((gtilde[i][:n], w))
+            acc = [a + w * e for a, e in zip(acc, gtilde[i])]
+        elif w:
+            mp_factors.append((gtilde[i][:n], -w))
+    yk = oracle_coeff_exps(ctx, rowk)
+    pos = tuple([a if a > 0 else 0 for a in yk])  # y_k / (y_k + 1) in the tropical semifield
+    neg = tuple([-a if a < 0 else 0 for a in yk])  # 1 / (y_k + 1)
+    m_fexp, mp_fexp = (neg, pos) if eps > 0 else (pos, neg)
+    acc[n:] = [a + e for a, e in zip(acc[n:], m_fexp)]
+    return ExchangeEdge(v, gtilde[k][:n], tuple(acc),
+                        TermData(m_fexp, tuple(sorted(m_factors))),
+                        TermData(mp_fexp, tuple(sorted(mp_factors))), self)
+
+
+def oracle_coeff_exps(self: SeedContext, rowk: tuple[int, ...]) -> tuple[int, ...]:
+    """Exponents of the ambient coefficient y_k, from row k of B-tilde: column k
+    summed over the frozen rows of each generator, read as b_rk = -b_kr."""
+    return tuple([-sum([rowk[r] for r in rows]) for rows in self.gen_rows])
+
+
+def oracle_mutate_with_edge(self: Seed, edge: ExchangeEdge) -> Seed:
+    """The exchange step `edge`, taken from this seed or an equal one, completed
+    to the mutated seed: B-tilde, the c-vectors, the new g-tilde row and, for a
+    g-vector not met before, its F-polynomial from the edge."""
+    ctx = self.ctx
+    if edge.source is not self and edge.source != self:
+        raise ConfigurationError(f"exchange step at {edge.vertex} with g = {edge.old_g} "
+                                 f"was not taken from seed {self.key()}")
+    k = ctx.mut_index[edge.vertex]
+    if edge.new_g not in ctx.fpolys:
+        ctx.fpolys[edge.new_g] = self._mutated_fpoly(k, edge)
+    gtilde = self.gtilde[:k] + (edge.new_gtilde,) + self.gtilde[k + 1:]
+    rowk = self.quiver.b[ctx.mut_rows[k]]
+    cvecs = oracle_mutate_cvecs(self.cvecs, k, [rowk[row] for row in ctx.mut_rows])
+    return Seed(ctx, oracle_quiver_mutate(self.quiver, edge.vertex), cvecs, gtilde)
+
+
+def oracle_mutate_cvecs(cvecs, k, brow) -> tuple[tuple[int, ...], ...]:
+    """c-vector mutation at position k, from row k of the exchange matrix
+    (brow[j] = b_kj): the principal coefficients mutated in their tropical
+    semifield, on exponent vectors.
+
+    c'_k = -c_k, and c'_j = c_j + b_kj [c_k]_+ for b_kj > 0 or
+    c_j - b_kj min(c_k, 0) for b_kj < 0.
+    """
+    ck = cvecs[k]
+    pos = [a if a > 0 else 0 for a in ck]
+    neg = [a if a < 0 else 0 for a in ck]
+    new = list(cvecs)
+    new[k] = tuple([-a for a in ck])
+    for j, bkj in enumerate(brow):  # b_kk = 0 leaves position k as set above
+        if bkj:
+            step = pos if bkj > 0 else neg
+            if any(step):
+                w = abs(bkj)
+                new[j] = tuple([a + w * s for a, s in zip(cvecs[j], step)])
+    return tuple(new)
+
+
+def oracle_quiver_mutate(self: IceQuiver, k: Vertex) -> IceQuiver:
+    """Matrix mutation at a mutable vertex; frozen-frozen entries stay 0."""
+    kk = self.index(k)
+    mask = self._frozen_mask
+    if mask[kk]:
+        raise FrozenVertexError(f"mutation at frozen vertex {k}")
+    rowk = self.b[kk]
+    # besides row and column k, b_pq changes only where b_pk * b_kq > 0, to
+    # b_pq + |b_pk| b_kq, so only the rows of the neighbours of k are rebuilt,
+    # each across to the neighbours on the other side of k (b_pk = -rowk[p])
+    outs = [q for q, e in enumerate(rowk) if e > 0]
+    ins = [q for q, e in enumerate(rowk) if e < 0]
+    new = list(self.b)
+    new[kk] = tuple([-e for e in rowk])
+    for ps, qs in ((ins, outs), (outs, ins)):
+        qs_mutable = [q for q in qs if not mask[q]]
+        for p in ps:
+            row = list(self.b[p])
+            row[kk] = rowk[p]
+            w = abs(rowk[p])
+            for q in qs_mutable if mask[p] else qs:
+                row[q] += w * rowk[q]
+            new[p] = tuple(row)
+    # same labels and frozen set, and mutation keeps B skew-symmetric, so the
+    # checks of __post_init__ hold by construction and are not rerun
+    out = object.__new__(IceQuiver)
+    out.__dict__.update(vertices=self.vertices, frozen=self.frozen, b=tuple(new),
+                        _index=self._index, _frozen_mask=mask)
+    return out
+
+
 def _mutate_cluster(cluster, coeffs, gens, k, bcol):
     """Exchange relation at position k over the given tropical coefficients."""
     one_t = TropElem.one(gens)
@@ -370,7 +492,8 @@ class OracleSeed:
         bcol = tuple(self.quiver.entry(u, v) for u in ctx.mutables)
         cluster, coeffs = _mutate_cluster(self.cluster, self.coeffs, ctx.gens, k, bcol)
         pcluster, pcoeffs = _mutate_cluster(self.pcluster, self.pcoeffs, ctx.ycoefs, k, bcol)
-        return OracleSeed(ctx, self.quiver.mutate(v), cluster, coeffs, pcluster, pcoeffs)
+        return OracleSeed(ctx, oracle_quiver_mutate(self.quiver, v), cluster, coeffs,
+                          pcluster, pcoeffs)
 
     def key(self) -> tuple[str, ...]:
         return tuple(sorted(str(p) for p in self.cluster))

@@ -137,15 +137,25 @@ def test_bad_f_polynomial_names_its_g_vector(monkeypatch, bad, message):
         make_record(seed, 2)
 
 
-@pytest.mark.parametrize("column,message", [
+SIGN_FAILURES = pytest.mark.parametrize("column,message", [
     ((1, -1, 0), "c-vector column 0 of seed ((0, 0, 1), (0, 1, 0), (1, 0, 0)) "
                  "not sign-coherent: (1, -1, 0)"),
     ((0, 0, 0), "c-vector column 0 of seed ((0, 0, 1), (0, 1, 0), (1, 0, 0)) is zero"),
 ], ids=["mixed-signs", "zero"])
+
+
+@SIGN_FAILURES
 def test_sign_coherence_failure_names_the_seed(a3_seed, column, message):
     seed = dataclasses.replace(a3_seed, cvecs=(column,) + a3_seed.cvecs[1:])
     with pytest.raises(InternalInvariantError, match="^" + re.escape(message) + "$"):
         seed.epsilon(0)
+
+
+@SIGN_FAILURES
+def test_exchange_step_raises_the_sign_coherence_failure(a3_seed, column, message):
+    seed = dataclasses.replace(a3_seed, cvecs=(column,) + a3_seed.cvecs[1:])
+    with pytest.raises(InternalInvariantError, match="^" + re.escape(message) + "$"):
+        seed.exchange_step(seed.ctx.mutables[0])
 
 
 def test_broken_duality_names_the_seed_position_and_g_vector():

@@ -225,8 +225,8 @@ def test_properties_walk_matches_the_two_mutation_walk(monkeypatch, broken):
         # check passes, but a seed holding it no longer equals one holding a tuple
         real = engine._mutate_cvecs
 
-        def list_column(cvecs, k, brow):
-            out = real(cvecs, k, brow)
+        def list_column(cvecs, k, brow, eps):
+            out = real(cvecs, k, brow, eps)
             return out[:k] + (list(out[k]),) + out[k + 1:]
 
         monkeypatch.setattr(engine, "_mutate_cvecs", list_column)
