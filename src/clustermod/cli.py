@@ -335,9 +335,6 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except InternalInvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

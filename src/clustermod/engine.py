@@ -156,10 +156,9 @@ class SeedContext:
         return Monomial([*zip(self.gens, self.y0[j]), *zip(self.xvars, self.b0_cols[j])])
 
     @functools.cached_property
-    def yhat(self) -> dict[VarId, LaurentPoly]:
+    def yhat(self) -> dict[VarId, Monomial]:
         """The substitution y_j -> yhat_j of the separation formula."""
-        return {y: LaurentPoly.from_monomial(self.yhat_monomial(j))
-                for j, y in enumerate(self.ycoefs)}
+        return {y: self.yhat_monomial(j) for j, y in enumerate(self.ycoefs)}
 
     @functools.cached_property
     def x_index(self) -> dict[VarId, int]:
@@ -423,8 +422,8 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
 def separation(gtilde: tuple[int, ...], fpoly: LaurentPoly, ctx: SeedContext) -> LaurentPoly:
     """Ambient expansion x^g f^bottom * F(yhat) of the variable with this extended
     g-vector and F; the bottom block is -trop(F)(y0), so f^bottom = 1 / F|_P(y).
-    The yhat images are one-term polynomials, built once per context, so the
-    substitution maps each term of F to one monomial."""
+    The yhat images are monomials, built once per context, so the substitution
+    maps each term of F to one monomial."""
     lead = Monomial([(v, e) for v, e in zip(ctx.xvars + ctx.gens, gtilde) if e])
     return substitute(fpoly, ctx.yhat) * lead
 

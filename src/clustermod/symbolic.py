@@ -401,46 +401,31 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-def substitute(p: LaurentPoly, assign: Mapping[VarId, LaurentPoly]) -> LaurentPoly:
-    """Ring-homomorphic image of p; unassigned variables map to themselves.
+def substitute(p: LaurentPoly, assign: Mapping[VarId, Monomial]) -> LaurentPoly:
+    """Image of p under the monomial change of variables v -> assign[v];
+    unassigned variables map to themselves.
 
-    A variable occurring with a negative exponent must be assigned a monomial
-    (invertible) value.  A term whose assigned images are all monomials maps
-    straight to one exponent dict; any other term is multiplied out.  Each
-    image term is added into one result dict, so the cost is linear in the
-    size of the term images.
+    Each term maps to one monomial through one exponent dict, and the images
+    are added into one result dict, so the cost is linear in the size of p.
     """
+    if not all(isinstance(img, Monomial) for img in assign.values()):
+        raise ConfigurationError("substitution images must be monomials")
     out: dict[Monomial, int] = {}
     for m, c in p._terms.items():
         exps: dict[VarId, int] = {}
-        coef = c
         for v, e in m.items:
             img = assign.get(v)
             if img is None:
                 exps[v] = exps.get(v, 0) + e
-            elif len(img._terms) == 1:
-                (im, ic), = img._terms.items()
-                if e < 0 and ic not in (1, -1):
-                    raise ConfigurationError("negative power of a non-unit")
-                coef *= ic ** abs(e)
-                for w, f in im._items:
+            else:
+                for w, f in img._items:
                     exps[w] = exps.get(w, 0) + e * f
-            else:
-                acc = LaurentPoly.constant(c)
-                for w, f in m.items:
-                    img = assign.get(w)
-                    acc = acc * (Monomial.of(w, f) if img is None else img ** f)
-                image = acc._terms.items()
-                break
+        mm = Monomial._from_sorted(tuple(sorted([t for t in exps.items() if t[1]], key=_item_key)))
+        c += out.get(mm, 0)
+        if c:
+            out[mm] = c
         else:
-            image = ((Monomial._from_sorted(tuple(sorted(
-                [t for t in exps.items() if t[1]], key=_item_key))), coef),)
-        for mm, cc in image:
-            cc += out.get(mm, 0)
-            if cc:
-                out[mm] = cc
-            else:
-                del out[mm]
+            del out[mm]
     q = LaurentPoly.__new__(LaurentPoly)
     q._terms = out
     return q

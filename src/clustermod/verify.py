@@ -334,19 +334,23 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
 def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
     """Highest l-weight identity on every exchange pair, at the given level.
 
-    Both sides are computed once per relation (`ExchangeEdge.relation`) and checked
-    on every edge; psi is multiplicative, so psi(L) psi(N) is psi of the sum L + N."""
+    psi is multiplicative, so it is computed once per object: the left side is
+    psi(L) psi(N), the right side psi of the M-term's factors, with multiplicity,
+    times prod (u_i v_i)^{alpha_i}.  Both sides are computed once per relation
+    (`ExchangeEdge.relation`) and checked on every edge."""
     rep = Report("hw-exchange", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
+    hw = {g: psi(obj, repctx, l) for g, obj in obj_by_g.items()}
     sides: dict[tuple, tuple] = {}
     for edge in graph.edges:
         x, y = obj_by_g[edge.old_g], obj_by_g[edge.new_g]
         key = edge.relation
         if key not in sides:
-            m_parts = parts(obj_by_g, edge.m_term)
-            alpha = repctx.kappa(x, m_parts, y)
-            lhs = psi((x, y), repctx, l)
-            rhs = psi(m_parts, repctx, l) if m_parts else Monomial.one()
+            alpha = repctx.kappa(x, parts(obj_by_g, edge.m_term), y)
+            lhs = hw[edge.old_g] * hw[edge.new_g]
+            rhs = Monomial.one()
+            for fg, mult in edge.m_term.factors:
+                rhs = rhs * hw[fg] ** mult
             for i in cartan.vertices:
                 e = alpha[i - 1]
                 if e:
