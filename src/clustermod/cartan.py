@@ -35,15 +35,6 @@ class CartanData:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._adj[i]
 
-    def entry(self, i: int, j: int) -> int:
-        if i == j:
-            return 2
-        return -1 if j in self._adj[i] else 0
-
-    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
-        n = self.rank
-        return tuple(tuple(self.entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
-
 
 def _edges_for(letter: str, n: int) -> tuple[tuple[int, int], ...]:
     if letter == "A":

@@ -238,11 +238,6 @@ class Seed:
         frozen rows of B-tilde."""
         return self.ctx.coeffs_of(self.quiver.b)
 
-    @property
-    def cluster(self) -> tuple[LaurentPoly, ...]:
-        """Ambient expansions of the cluster variables, by the separation formula."""
-        return tuple(make_record(self, j).expansion for j in range(len(self.ctx.mutables)))
-
     def epsilon(self, k: int) -> int:
         """Common sign of the k-th c-vector column (well defined by sign coherence)."""
         col = self.cvecs[k]
@@ -474,11 +469,12 @@ def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGra
     Shapiro-Vainshtein 2008), and a cluster minus one variable lies in exactly
     two clusters (Fomin-Zelevinsky, CA II), so mutating the stored seed at the
     end of an edge in the direction of the edge's new variable walks back to the
-    seed it came from; that direction is marked and skipped when the seed is
-    dequeued, so that every walked direction gives a distinct edge.  In every
-    other direction the exchange step gives the edge and, from its new g-vector,
-    the key of the mutated seed; only a new key under the cap completes the step
-    with `Seed.mutate_with_edge`, so that a seed (quiver, c-vectors, F of a new
+    seed it came from; that direction is marked by the new g-vector (the
+    g-vectors of a seed are distinct) and skipped when the seed is dequeued, so
+    that every walked direction gives a distinct edge.  In every other direction
+    the exchange step gives the edge and, from its new g-vector, the key of the
+    mutated seed; only a new key under the cap completes the step with
+    `Seed.mutate_with_edge`, so that a seed (quiver, c-vectors, F of a new
     g-vector) is built only when it is stored.  Sign coherence is checked on
     every column of every stored seed."""
     if max_seeds < 1:
@@ -488,8 +484,8 @@ def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGra
     seeds: dict[tuple, Seed] = {}
     registry: dict[tuple[int, ...], ClusterVarRecord] = {}
     queue: deque[tuple] = deque()
-    # directions of each queued seed that walk back along an edge already found
-    walked: dict[tuple, set[int]] = {}
+    # g-vectors of each queued seed whose directions walk back along an edge already found
+    walked: dict[tuple, set[tuple[int, ...]]] = {}
     exhaustive = True
 
     def store(key: tuple, seed: Seed):
@@ -511,7 +507,7 @@ def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGra
         skip = walked.pop(key)
         gs = [g[:n] for g in seed.gtilde]
         for k, v in enumerate(ctx.mutables):
-            if k in skip:
+            if gs[k] in skip:
                 continue
             edge = seed.exchange_step(v)
             new_g = edge.new_g
@@ -523,7 +519,7 @@ def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGra
                 store(nk, seed.mutate_with_edge(edge))
             back = walked.get(nk)
             if back is not None:  # nk is still queued
-                back.add(next(p for p, g in enumerate(seeds[nk].gtilde) if g[:n] == new_g))
+                back.add(new_g)
             edges.append(edge)
     return ExchangeGraph(ctx, seeds, edges, registry, exhaustive)
 

@@ -97,7 +97,6 @@ def _axpy(row: dict, f, prow: dict) -> None:
 class QuiverRep:
     """Representation of a Dynkin quiver: dims by vertex (1-based), one matrix per arrow."""
 
-    nverts: int
     dims: tuple[int, ...]
     mats: tuple[tuple[int, int, Matrix], ...]  # (src, tgt, matrix of shape dims[tgt] x dims[src])
 
@@ -220,9 +219,6 @@ class RepContext:
                     stack.append(w)
         return tuple(1 if j in reach else 0 for j in self.cartan.vertices)
 
-    def proj_dims(self, i: int) -> tuple[int, ...]:
-        return self._proj[i]
-
     def inj_dims(self, i: int) -> tuple[int, ...]:
         return self._inj[i]
 
@@ -233,11 +229,10 @@ class RepContext:
 
     # ---- explicit representations ----------------------------------------
 
-    def simple(self, j: int, arrows=None) -> QuiverRep:
-        arrows = self.arrows if arrows is None else arrows
+    def simple(self, j: int, arrows) -> QuiverRep:
         dims = tuple(1 if v == j else 0 for v in self.cartan.vertices)
         mats = tuple((s, t, _zeros(dims[t - 1], dims[s - 1])) for s, t in arrows)
-        return QuiverRep(self.n, dims, mats)
+        return QuiverRep(dims, mats)
 
     def rep(self, dims) -> QuiverRep:
         """The indecomposable with the given dimension vector (a positive root)."""
@@ -352,7 +347,7 @@ class RepContext:
             else:
                 mats.append((s, t, rep.matrix(s, t)))
         new_dims = dims[:k - 1] + (len(coker),) + dims[k:]
-        return QuiverRep(self.n, new_dims, tuple(mats))
+        return QuiverRep(new_dims, tuple(mats))
 
     # ---- socle, g-vectors -------------------------------------------------
 
@@ -546,7 +541,7 @@ class RepContext:
                             f"Hom({lt.dims}, {n_obj.dims}) at arrow {s}->{t} {self._where()}")
             mats.append((s, t, z))
         dims = tuple([len(piv) for _, piv in reduced.values()])
-        return QuiverRep(self.n, dims, tuple(mats))
+        return QuiverRep(dims, tuple(mats))
 
     def g_of_dims(self, d) -> tuple[int, ...]:
         return tuple(

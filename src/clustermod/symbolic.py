@@ -131,9 +131,6 @@ class Monomial:
                 return e
         return 0
 
-    def variables(self) -> tuple[VarId, ...]:
-        return tuple(v for v, _ in self._items)
-
     @property
     def is_one(self) -> bool:
         return not self._items
@@ -256,10 +253,6 @@ class LaurentPoly:
         return LaurentPoly({Monomial.one(): 1})
 
     @staticmethod
-    def constant(c: int) -> "LaurentPoly":
-        return LaurentPoly({Monomial.one(): c}) if c else LaurentPoly()
-
-    @staticmethod
     def var(v: VarId, e: int = 1) -> "LaurentPoly":
         return LaurentPoly({Monomial.of(v, e): 1})
 
@@ -300,12 +293,6 @@ class LaurentPoly:
 
     def constant_term(self) -> int:
         return self._terms.get(Monomial.one(), 0)
-
-    def variables(self) -> set[VarId]:
-        out: set[VarId] = set()
-        for m in self._terms:
-            out.update(m.variables())
-        return out
 
     def monomial_and_coefficient(self) -> tuple[Monomial, int]:
         if len(self._terms) != 1:
@@ -360,10 +347,7 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            m, c = self.monomial_and_coefficient()
-            if c not in (1, -1):
-                raise ConfigurationError("negative power of a non-unit")
-            return LaurentPoly.from_monomial(m ** n, c if n % 2 else 1)
+            raise ConfigurationError("negative power of a polynomial")
         result = LaurentPoly.one()
         base = self
         while n:

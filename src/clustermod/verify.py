@@ -272,8 +272,7 @@ def verify_yhat_identity(cartan: CartanData, xi: dict[int, int]) -> Report:
             if d:
                 mon = mon * ctx.yhat_monomial(j) ** d
         a = tuple(
-            sum(dims[s - 1] for s, t in repctx.arrows if t == i)
-            - sum(dims[t - 1] for s, t in repctx.arrows if s == i)
+            sum(dims[s - 1] for s in repctx.inn[i]) - sum(dims[t - 1] for t in repctx.out[i])
             for i in cartan.vertices
         )
         g = repctx.g_of_dims(dims)

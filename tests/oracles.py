@@ -148,15 +148,12 @@ def trop_add(a: TropElem, b: TropElem) -> TropElem:
 # exponent dicts and exponent lists.
 
 
-def oracle_substitute(p: LaurentPoly, assign: Mapping[VarId, LaurentPoly]) -> LaurentPoly:
-    """Ring-homomorphic image of p; unassigned variables map to themselves.
-
-    A variable occurring with a negative exponent must be assigned a monomial
-    (invertible) value.
-    """
+def oracle_substitute(p: LaurentPoly, assign: Mapping[VarId, Monomial]) -> LaurentPoly:
+    """Ring-homomorphic image of p under monomial images; unassigned variables map
+    to themselves."""
     out = LaurentPoly.zero()
     for m, c in p._terms.items():
-        acc = LaurentPoly.constant(c)
+        acc = LaurentPoly.from_monomial(Monomial.one(), c)
         for v, e in m.items:
             img = assign.get(v)
             if img is None:
@@ -502,7 +499,7 @@ class OracleSeed:
         """F by specialising the principal expansion at x = 1, g by its degree."""
         ctx = self.ctx
         pexp = self.pcluster[j]
-        fpoly = oracle_substitute(pexp, {v: LaurentPoly.one() for v in ctx.xvars})
+        fpoly = oracle_substitute(pexp, {v: Monomial.one() for v in ctx.xvars})
         expansion = self.cluster[j]
         denom = None
         for mon, _ in expansion.terms():
@@ -1041,7 +1038,7 @@ def oracle_reflect_minus(rc, rep: QuiverRep, k: int, arrows) -> QuiverRep:
             mats.append((s, t, block))
         else:
             mats.append((s, t, rep.matrix(s, t)))
-    return QuiverRep(rc.n, new_dims, tuple(mats))
+    return QuiverRep(new_dims, tuple(mats))
 
 
 # The solve-based image of the exchange morphism, kept as it stood before the
@@ -1108,7 +1105,7 @@ def oracle_im_h(rc, l_obj, n_obj) -> QuiverRep:
         z = oracle_solve_matrix(bmat, moved, rn.dims[t - 1], len(bt), len(bs),
                                 f"Hom({lt.dims}, {n_obj.dims}) at arrow {s}->{t}")
         mats.append((s, t, z))
-    return QuiverRep(rc.n, tuple(dims), tuple(mats))
+    return QuiverRep(tuple(dims), tuple(mats))
 
 
 # The Coxeter-matrix tau, kept as it stood before the library took tau as the
@@ -1119,13 +1116,25 @@ def oracle_tau(rc, obj):
     """tau: a shift to its injective, a projective to its shift, and every other
     module by the Coxeter matrix -E^-1 E^T, where <x, y> = x^T E y.
 
-    Row i of E^-1 is dim P_i, because <dim P_i, y> = dim Hom(P_i, Y) = y_i.
+    Row i of E^-1 is dim P_i, because <dim P_i, y> = dim Hom(P_i, Y) = y_i.  P_i
+    has the vertices reachable from i along the arrows, I_i those that reach i.
     """
     n = rc.n
     e = [[int(r == c) for c in range(n)] for r in range(n)]
     for s, t in rc.arrows:
         e[s - 1][t - 1] -= 1
-    einv = [rc.proj_dims(i) for i in rc.cartan.vertices]
+
+    def reach(i, arrows):
+        seen, stack = {i}, [i]
+        while stack:
+            u = stack.pop()
+            for s, t in arrows:
+                if s == u and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return tuple(int(j in seen) for j in rc.cartan.vertices)
+
+    einv = [reach(i, rc.arrows) for i in rc.cartan.vertices]
 
     def neg_product(a, b):
         return tuple(
@@ -1135,8 +1144,8 @@ def oracle_tau(rc, obj):
 
     coxeter = neg_product(einv, tuple(zip(*e)))
     if obj.kind == "shift":
-        return CQObject.module(rc.inj_dims(obj.i))
-    j = {rc.proj_dims(i): i for i in rc.cartan.vertices}.get(obj.dims)
+        return CQObject.module(reach(obj.i, [(t, s) for s, t in rc.arrows]))
+    j = {p: i for i, p in enumerate(einv, 1)}.get(obj.dims)
     if j is not None:
         return CQObject.shifted(j)
     out = tuple(sum(coxeter[r][c] * obj.dims[c] for c in range(n)) for r in range(n))

@@ -189,7 +189,9 @@ def test_tau_inv_examples(rc3):
     assert rc3.tau_inv(mod(0, 0, 1)) == mod(0, 1, 0)
     for i in (1, 2, 3):
         assert rc3.tau_inv(mod(*rc3.inj_dims(i))) == CQObject.shifted(i)
-        assert rc3.tau_inv(CQObject.shifted(i)) == mod(*rc3.proj_dims(i))
+    # the projectives of 1 -> 2 -> 3
+    projectives = [mod(1, 1, 1), mod(0, 1, 1), mod(0, 0, 1)]
+    assert [rc3.tau_inv(CQObject.shifted(i)) for i in (1, 2, 3)] == projectives
 
 
 def test_tau_round_trip_everywhere(rc3):
@@ -328,14 +330,14 @@ def _hand_built_pair(draw):
         dims = tuple(draw(st.integers(0, 2)) for _ in rc.cartan.vertices)
         mats = tuple((s, t, reps._mat(draw(_matrices(dims[t - 1], dims[s - 1]))))
                      for s, t in rc.arrows)
-        return reps.QuiverRep(rc.n, dims, mats)
+        return reps.QuiverRep(dims, mats)
 
     return rc, rep(), rep()
 
 
 def _by_hand(rc, *dims_and_mats):
     """(rc, X, Y) from the dims and the arrow matrices (in rc.arrows order) of X and Y."""
-    return rc, *(reps.QuiverRep(rc.n, dims, tuple((*a, m) for a, m in zip(rc.arrows, mats)))
+    return rc, *(reps.QuiverRep(dims, tuple((*a, m) for a, m in zip(rc.arrows, mats)))
                  for dims, mats in zip(dims_and_mats[::2], dims_and_mats[1::2]))
 
 
@@ -654,7 +656,7 @@ def test_images_match_the_solve_based_oracle(scope):
 def _reversed_at(rep, v):
     """The representation in the reversed basis at vertex v: the rows of the maps into v
     and the columns of the maps out of v reversed."""
-    return reps.QuiverRep(rep.nverts, rep.dims, tuple(
+    return reps.QuiverRep(rep.dims, tuple(
         (s, t, tuple(row[::-1] if s == v else row for row in (m[::-1] if t == v else m)))
         for s, t, m in rep.mats))
 
@@ -684,7 +686,7 @@ def _zero_maps_at_step(monkeypatch, rc, step):
         out = RepContext._reflect_minus(rc, rep, k, arrows)
         if next(steps) != step:
             return out
-        return reps.QuiverRep(rep.nverts, out.dims, tuple(
+        return reps.QuiverRep(out.dims, tuple(
             (s, t, reps._zeros(out.dims[t - 1], out.dims[s - 1])) for s, t, _ in out.mats))
 
     monkeypatch.setattr(rc, "_reflect_minus", reflect_minus)

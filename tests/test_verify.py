@@ -8,6 +8,7 @@ from clustermod.cartan import cartan_type, linear_height
 from clustermod.cli import main
 from clustermod.engine import Seed, TermData
 from clustermod.errors import ConfigurationError, InternalInvariantError
+from clustermod.hlmap import psi
 from clustermod.verify import (
     CHECK_NAMES,
     check_reads,
@@ -145,6 +146,33 @@ def test_one_bad_factor_of_a_pair_fails_exchange_and_hw_exchange(monkeypatch):
     report = verify_hw_exchange(D4, XI_D4, 2)
     assert [f["detail"] for f in report.failures] == [f"hw identity at {_edge_name(edge)}"]
     assert (verify_exchange_exponents(D4, XI_D4).items, report.items) == items
+
+
+def test_hw_exchange_raises_each_m_term_factor_to_its_multiplicity(monkeypatch):
+    # one more copy of a shifted projective in one edge's M-term: its socle is zero, so
+    # kappa stays put, and its psi is not 1, so only the factor's power can see the copy
+    real = verify.get_bundle
+    cartan, xi, repctx, graph, obj_by_g = real(D4, XI_D4)
+
+    def shift_factor(edge):
+        return next((n for n, (fg, _) in enumerate(edge.m_term.factors)
+                     if not obj_by_g[fg].is_module), None)
+
+    edges = list(graph.edges)
+    found = [n for n, edge in enumerate(edges) if shift_factor(edge) is not None]
+    assert len(found) == 7
+    edge = edges[found[0]]
+    n = shift_factor(edge)
+    fg, mult = edge.m_term.factors[n]
+    assert not any(repctx.socle(obj_by_g[fg])) and not psi(obj_by_g[fg], repctx, 2).is_one
+    factors = edge.m_term.factors[:n] + ((fg, mult + 1),) + edge.m_term.factors[n + 1:]
+    edges[found[0]] = dataclasses.replace(edge, m_term=TermData(edge.m_term.fexp, factors))
+    bad_graph = dataclasses.replace(graph, edges=edges)
+    monkeypatch.setattr(verify, "get_bundle",
+                        lambda c, x: (cartan, xi, repctx, bad_graph, obj_by_g))
+    report = verify_hw_exchange(D4, XI_D4, 2)
+    assert [f["detail"] for f in report.failures] == [f"hw identity at {_edge_name(edge)}"]
+    assert report.items == len(edges)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
