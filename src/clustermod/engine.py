@@ -173,7 +173,7 @@ def seed_context(quiver: IceQuiver) -> SeedContext:
         mutables=mutables,
         frozens=frozens,
         xvars=tuple(_var_for_vertex(v) for v in mutables),
-        gens=tuple(sorted({_gen_for_vertex(v) for v in frozens}, key=lambda g: g.sort_key)),
+        gens=tuple(sorted({_gen_for_vertex(v) for v in frozens})),
         ycoefs=tuple(_ycoef_for_vertex(v) for v in mutables),
     )
 

@@ -9,18 +9,31 @@ import functools
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cartan import CartanData, check_height_function, check_level
 from .errors import ConfigurationError, DomainError, FrozenVertexError
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """Quiver vertex label: grid pair (i, r), plain index i, or frozen companion i'."""
+class Vertex(NamedTuple):
+    """Quiver vertex label: grid pair (i, r), plain index i, or frozen companion i'.
+
+    A named tuple, so it hashes in C, with the values of hash((i, r, primed)).
+    It equals only another Vertex: as a plain tuple Vertex(1, 0) would equal
+    (1, 0, 0), since False == 0.
+    """
 
     i: int
     r: int | None = None
     primed: bool = False
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Vertex and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return type(other) is not Vertex or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
     @property
     def sort_key(self) -> tuple:

@@ -21,6 +21,7 @@ import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cartan import CartanData, check_height_function
 from .errors import DomainError, InternalInvariantError, ShiftCaseUnsupported
@@ -107,13 +108,23 @@ class QuiverRep:
         raise DomainError(f"no arrow {src}->{tgt}")
 
 
-@dataclass(frozen=True)
-class CQObject:
-    """Indecomposable of the cluster category: a module or a shifted projective."""
+class CQObject(NamedTuple):
+    """Indecomposable of the cluster category: a module or a shifted projective.
+
+    A named tuple that hashes in C and equals only another CQObject, as `Vertex` does.
+    """
 
     kind: str  # "mod" | "shift"
     dims: tuple[int, ...] = ()
     i: int = 0
+
+    def __eq__(self, other) -> bool:
+        return type(other) is CQObject and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return type(other) is not CQObject or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
     @staticmethod
     def module(dims) -> "CQObject":

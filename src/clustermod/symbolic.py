@@ -21,32 +21,27 @@ _FAMILY_ORDER = {name: k for k, name in enumerate(_FAMILIES)}
 _DIV_STEP_CAP = 1_000_000  # guards non-termination when an "exact" division is not
 
 
-class VarId:
+class VarId(tuple):
     """A formal variable: family in {x, f, Y, z, y}, integer index tuple.
 
-    Immutable by convention; hash, sort key and text are precomputed since these
-    sit on the hot path of every polynomial operation and every printed monomial.
+    The tuple itself is (family order, index), so CPython hashes, compares and
+    sorts variables in C: by family, then by index.  A variable therefore equals
+    the plain tuple of the same two values.  Family, index and text sit in the
+    instance dict (a tuple subclass has no slots), precomputed for printing.
     """
 
-    __slots__ = ("family", "index", "sort_key", "_hash", "_text")
-
-    def __init__(self, family: str, index: tuple[int, ...]):
+    def __new__(cls, family: str, index: tuple[int, ...]):
         if family not in _FAMILY_ORDER:
             raise ConfigurationError(f"unknown variable family {family!r}")
+        index = tuple(index)
+        self = super().__new__(cls, (_FAMILY_ORDER[family], index))
         self.family = family
-        self.index = tuple(index)
-        self.sort_key = (_FAMILY_ORDER[family], self.index)
-        self._hash = hash(self.sort_key)
-        self._text = "%s[%s]" % (family, ",".join(str(c) for c in self.index))
+        self.index = index
+        self._text = "%s[%s]" % (family, ",".join(str(c) for c in index))
+        return self
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VarId) and self.sort_key == other.sort_key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "VarId") -> bool:
-        return self.sort_key < other.sort_key
+    def __getnewargs__(self):
+        return self.family, self.index
 
     def __str__(self) -> str:
         return self._text
@@ -81,10 +76,6 @@ def ycoef(*index: int) -> VarId:
     return _var("y", tuple(index))
 
 
-def _item_key(item: tuple[VarId, int]) -> tuple:
-    return item[0].sort_key
-
-
 class Monomial:
     """Exponent map VarId -> nonzero integer; the multiplicative carrier of all formulas."""
 
@@ -102,7 +93,7 @@ class Monomial:
                 merged[v] = e
             elif v in merged:
                 del merged[v]
-        self._items = tuple(sorted(merged.items(), key=_item_key))
+        self._items = tuple(sorted(merged.items()))
         self._hash = None
 
     @staticmethod
@@ -151,10 +142,10 @@ class Monomial:
         out = []
         while ia < na and ib < nb:
             va, vb = a[ia][0], b[ib][0]
-            if va.sort_key < vb.sort_key:
+            if va < vb:
                 out.append(a[ia])
                 ia += 1
-            elif vb.sort_key < va.sort_key:
+            elif vb < va:
                 out.append(b[ib])
                 ib += 1
             else:
@@ -404,7 +395,7 @@ def substitute(p: LaurentPoly, assign: Mapping[VarId, Monomial]) -> LaurentPoly:
             else:
                 for w, f in img._items:
                     exps[w] = exps.get(w, 0) + e * f
-        mm = Monomial._from_sorted(tuple(sorted([t for t in exps.items() if t[1]], key=_item_key)))
+        mm = Monomial._from_sorted(tuple(sorted([t for t in exps.items() if t[1]])))
         c += out.get(mm, 0)
         if c:
             out[mm] = c

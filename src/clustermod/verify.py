@@ -13,6 +13,7 @@ import json
 import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .cartan import CartanData, cartan_type, check_level, linear_height
@@ -52,9 +53,15 @@ class Report:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, ok: bool, detail: str, **data):
+    def check(self, ok: bool, detail: str | Callable[[], str], **data):
+        """Count one item; a failed item records its label and data as text.
+
+        `detail` may be a zero-argument callable that returns the label, so that
+        a per-item label is formatted only when the item fails."""
         self.items += 1
         if not ok:
+            if callable(detail):
+                detail = detail()
             self.failures.append({"detail": detail, **{k: str(v) for k, v in data.items()}})
 
     def to_json(self) -> str:
@@ -315,9 +322,10 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
             targets[key] = repctx.kappa(x, parts(obj_by_g, edge.m_term), y), beta
         alpha, beta = targets[key]
         m_fexp, mp_fexp = edge.m_term.fexp, edge.mp_term.fexp
-        rep.check(alpha == m_fexp, f"first-term exponents at {x} / {y}", got=m_fexp, want=alpha)
+        rep.check(alpha == m_fexp, lambda: f"first-term exponents at {x} / {y}",
+                  got=m_fexp, want=alpha)
         ok = beta == mp_fexp
-        rep.check(ok, f"second-term exponents at {x} / {y}", got=mp_fexp, want=beta)
+        rep.check(ok, lambda: f"second-term exponents at {x} / {y}", got=mp_fexp, want=beta)
         mismatched += not ok
         if ok:
             crosschecked.add(frozenset((x, y)))
@@ -357,7 +365,7 @@ def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report
                     rhs = rhs * (u * v) ** e
             sides[key] = lhs, rhs
         lhs, rhs = sides[key]
-        rep.check(lhs == rhs, f"hw identity at {x} / {y}", lhs=lhs, rhs=rhs)
+        rep.check(lhs == rhs, lambda: f"hw identity at {x} / {y}", lhs=lhs, rhs=rhs)
     return rep
 
 
@@ -366,24 +374,25 @@ def verify_tsystem(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
     KR recurrence on a window around the relevant heights."""
     check_level(l)
     rep = Report("tsystem", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
+    kr = functools.cache(kr_monomial)  # each (i, k, r) is met up to four times
     for i in cartan.vertices:
         lhs = Monomial.one()
         for j in cartan.neighbors(i):
             if xi[i] == xi[j] + 1:
                 # Dynkin arrow i -> j contributes the shifted-projective image at j
-                lhs = lhs * kr_monomial(j, l, xi[j] - 2 * l + 2)
+                lhs = lhs * kr(j, l, xi[j] - 2 * l + 2)
             else:
                 # Dynkin arrow j -> i contributes the injective image at j
-                lhs = lhs * kr_monomial(j, l, xi[j] - 2 * l)
+                lhs = lhs * kr(j, l, xi[j] - 2 * l)
         rhs = Monomial.one()
         for j in cartan.neighbors(i):
-            rhs = rhs * kr_monomial(j, l, xi[i] - 2 * l + 1)
+            rhs = rhs * kr(j, l, xi[i] - 2 * l + 1)
         rep.check(lhs == rhs, f"edge-product reduction at {i}", lhs=lhs, rhs=rhs)
     for i in cartan.vertices:
         for k in range(1, l + 2):
             for r in range(xi[i] - 2 * l - 1, xi[i] + 2):
-                lhs = kr_monomial(i, k, r + 1) * kr_monomial(i, k, r - 1)
-                rhs = kr_monomial(i, k - 1, r + 1) * kr_monomial(i, k + 1, r - 1)
+                lhs = kr(i, k, r + 1) * kr(i, k, r - 1)
+                rhs = kr(i, k - 1, r + 1) * kr(i, k + 1, r - 1)
                 rep.check(lhs == rhs, f"KR recurrence hw at ({i},{k},{r})", lhs=lhs, rhs=rhs)
     return rep
 

@@ -198,6 +198,11 @@ def oracle_eval_tropical(f: LaurentPoly, assign: Mapping[VarId, TropElem]) -> Tr
 _ORACLE_DIV_STEP_CAP = 1_000_000
 
 
+def _oracle_var_key(v: VarId) -> tuple:
+    """The canonical variable order: by family x, f, Y, z, y, then by index."""
+    return "xfYzy".index(v.family), v.index
+
+
 def oracle_cmp_monomials(a: Monomial, b: Monomial) -> int:
     """Lexicographic order over the canonical variable order; absent exponent = 0.
 
@@ -208,10 +213,10 @@ def oracle_cmp_monomials(a: Monomial, b: Monomial) -> int:
     na, nb = len(ia), len(ib)
     pa = pb = 0
     while pa < na or pb < nb:
-        if pa < na and (pb >= nb or ia[pa][0].sort_key < ib[pb][0].sort_key):
+        if pa < na and (pb >= nb or _oracle_var_key(ia[pa][0]) < _oracle_var_key(ib[pb][0])):
             ea, eb = ia[pa][1], 0
             pa += 1
-        elif pb < nb and (pa >= na or ib[pb][0].sort_key < ia[pa][0].sort_key):
+        elif pb < nb and (pa >= na or _oracle_var_key(ib[pb][0]) < _oracle_var_key(ia[pa][0])):
             ea, eb = 0, ib[pb][1]
             pb += 1
         else:

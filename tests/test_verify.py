@@ -28,7 +28,7 @@ from clustermod.verify import (
     verify_tsystem,
 )
 from clustermod.quivers import Vertex
-from clustermod.reps import RepContext
+from clustermod.reps import CQObject, RepContext
 from oracles import oracle_m_term, oracle_properties_walk, orientations
 
 A2 = cartan_type("A2")
@@ -80,6 +80,22 @@ def test_a_wrong_m_prime_exponent_fails_the_exchange_check(monkeypatch, capsys):
     assert report.scope["engine_pinned"] == 1
     assert main(["verify", "exchange", "--cartan", "D4", "--xi", "1:0,2:-1,3:0,4:0"]) == 1
     assert "engine_pinned=1]" in capsys.readouterr().out
+
+
+def test_passing_edge_checks_format_no_item_labels(monkeypatch):
+    # a passing item drops its label, so exchange and hw-exchange build none
+    get_bundle(D4, XI_D4)
+    shown = []
+    text = CQObject.__str__
+
+    def counting_str(obj):
+        shown.append(obj)
+        return text(obj)
+
+    monkeypatch.setattr(CQObject, "__str__", counting_str)
+    assert_passes(verify_exchange_exponents(D4, XI_D4))
+    assert_passes(verify_hw_exchange(D4, XI_D4, 2))
+    assert shown == []
 
 
 def _one_bad_edge(monkeypatch, bad):
