@@ -60,26 +60,26 @@ def _level(args) -> int:
     return DEFAULT_LEVEL if args.level is None else args.level
 
 
-# the commands whose choice of family or table decides whether --level is read:
-# the argument that holds the choice, how an error names it, and the choices
-# that read the level (gammafull only to place its window floor, so not with --rmin)
-_LEVEL_READERS = {
-    "quiver": ("family", "to --family {}", ("gamma", "gammafull", "qxil")),
-    "engine": ("family", "to --family {}", ("gamma",)),
-    "table": ("which", "to table {}", ("psi-monomials",)),
-}
+# each option that a command may not read: its flag, its argparse name, and the
+# verify_* parameter it sets
+_OPTIONS = (("--level", "level", "l"), ("--walks", "walks", "walks"),
+            ("--seed", "seed", "rng_seed"), ("--cartan", "cartan", "cartan"),
+            ("--xi", "xi", "xi"), ("--linear", "linear", "xi"))
 
 
-def _reject_unread_level(args) -> None:
-    """A --level given where the chosen family or table does not read it is a usage error."""
-    if args.level is None:
-        return
-    attr, where, readers = _LEVEL_READERS[args.command]
-    choice = getattr(args, attr)
-    if choice not in readers:
-        raise ConfigurationError(f"--level does not apply {where.format(choice)}")
-    if getattr(args, "rmin", None) is not None:
-        raise ConfigurationError("--level does not apply with --rmin")
+def _reject_unread(args, reads, where: str) -> None:
+    """An option given where the chosen family, table or check does not read its
+    parameter (none of `reads`) is a usage error.  An absent option is None, or
+    False for --linear: a given 0 counts as given."""
+    for option, name, param in _OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and value is not False and param not in reads:
+            raise ConfigurationError(f"{option} does not apply {where}")
+
+
+def _scope_reads(reads_level: bool) -> tuple[str, ...]:
+    """The parameters a quiver family or table reads: the scope, and the level if it does."""
+    return ("cartan", "xi", "l") if reads_level else ("cartan", "xi")
 
 
 def _nonnegative_int(text: str) -> int:
@@ -185,7 +185,11 @@ def _cmd_quiver(args) -> int:
         fam = args.family
         if args.rmin is not None and fam != "gammafull":
             raise ConfigurationError("--rmin applies only to --family gammafull")
-        _reject_unread_level(args)
+        # gammafull reads the level only to place its window floor, so not with --rmin
+        _reject_unread(args, _scope_reads(fam in ("gamma", "gammafull", "qxil")),
+                       f"to --family {fam}")
+        if args.rmin is not None and args.level is not None:
+            raise ConfigurationError("--level does not apply with --rmin")
         cartan, xi = _scope(args)
         level = _level(args)
         if fam == "gamma":
@@ -223,7 +227,7 @@ def _cmd_quiver(args) -> int:
 
 
 def _cmd_engine(args) -> int:
-    _reject_unread_level(args)
+    _reject_unread(args, _scope_reads(args.family == "gamma"), f"to --family {args.family}")
     cartan, xi = _scope(args)
     if args.family == "qcheck":
         quiver = build_qcheck(cartan, xi)
@@ -268,20 +272,13 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # each option, the verify_* parameter it sets, and its given value (None if absent)
-    options = (("--level", "l", args.level), ("--walks", "walks", args.walks),
-               ("--seed", "rng_seed", args.seed), ("--cartan", "cartan", args.cartan),
-               ("--xi", "xi", args.xi), ("--linear", "xi", args.linear or None))
-    reads = check_reads(args.check)
-    for option, param, value in options:
-        if value is not None and param not in reads:
-            raise ConfigurationError(f"{option} does not apply to verify {args.check}")
+    _reject_unread(args, check_reads(args.check), f"to verify {args.check}")
     cartan = xi = None
     if args.cartan:
         cartan, xi = _scope(args)
-    # the level, walks and seed go on to run_check; an absent one takes the check's default
-    given = {param: value for _, param, value in options[:3] if value is not None}
-    reports = run_check(args.check, cartan, xi, **given)
+    # an absent walk count or seed (None) takes the check's default
+    reports = run_check(args.check, cartan, xi, l=_level(args), walks=args.walks,
+                        rng_seed=args.seed)
     if args.format == "json":
         print("[" + ",\n".join(r.to_json() for r in reports) + "]")
     else:
@@ -293,7 +290,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    _reject_unread_level(args)
+    _reject_unread(args, _scope_reads(args.which == "psi-monomials"), f"to table {args.which}")
     cartan, xi = _scope(args)
     ctx = RepContext(cartan, xi)
     if args.which == "roots":

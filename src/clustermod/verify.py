@@ -13,7 +13,6 @@ import json
 import math
 import random
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .cartan import CartanData, cartan_type, check_level, linear_height
@@ -53,16 +52,13 @@ class Report:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, ok: bool, detail: str | Callable[[], str], **data):
-        """Count one item; a failed item records its label and data as text.
-
-        `detail` may be a zero-argument callable that returns the label, so that
-        a per-item label is formatted only when the item fails."""
+    def check(self, ok: bool, label: str, *args, **data):
+        """Count one item; a failed item records `label.format(*args)` and its data as
+        text, so an item's text is built only when it fails."""
         self.items += 1
         if not ok:
-            if callable(detail):
-                detail = detail()
-            self.failures.append({"detail": detail, **{k: str(v) for k, v in data.items()}})
+            self.failures.append({"detail": label.format(*args),
+                                  **{k: str(v) for k, v in data.items()}})
 
     def to_json(self) -> str:
         return json.dumps(
@@ -185,11 +181,11 @@ def verify_worked_examples_a3() -> Report:
     for obj in repctx.indecomposables():
         g, s = repctx.extended_g(obj)
         want = A3_GTILDE_TABLE[str(obj)]
-        rep.check(g + s == want, f"extended g-vector of {obj}", got=g + s, want=want)
+        rep.check(g + s == want, "extended g-vector of {}", obj, got=g + s, want=want)
         engine_gt = graph.registry[g].gtilde
-        rep.check(engine_gt == want, f"engine g-tilde of {obj}", got=engine_gt, want=want)
+        rep.check(engine_gt == want, "engine g-tilde of {}", obj, got=engine_gt, want=want)
         mono = psi(obj, repctx, 2)
-        rep.check(str(mono) == A3_PSI_TABLE[str(obj)], f"psi of {obj}", got=mono,
+        rep.check(str(mono) == A3_PSI_TABLE[str(obj)], "psi of {}", obj, got=mono,
                   want=A3_PSI_TABLE[str(obj)])
 
     example = psi(CQObject.module((0, 1, 1)), repctx, 2)
@@ -211,7 +207,7 @@ def verify_worked_examples_a3() -> Report:
             for m in middles:
                 for t, d in enumerate(m.dims):
                     rhs[t] += d
-            rep.check(lhs == tuple(rhs), f"mesh additivity at {zz}", got=rhs, want=lhs)
+            rep.check(lhs == tuple(rhs), "mesh additivity at {}", zz, got=rhs, want=lhs)
     return rep
 
 
@@ -241,14 +237,14 @@ def verify_psi_kr_images(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
     for i in cartan.vertices:
         got = psi(CQObject.shifted(i), repctx, l)
         want = kr_monomial(i, l, xi[i] - 2 * l + 2)
-        rep.check(got == want, f"psi of shifted projective {i}", got=got, want=want)
+        rep.check(got == want, "psi of shifted projective {}", i, got=got, want=want)
         got = psi(CQObject.module(repctx.inj_dims(i)), repctx, l)
         want = kr_monomial(i, l, xi[i] - 2 * l)
-        rep.check(got == want, f"psi of injective {i}", got=got, want=want)
+        rep.check(got == want, "psi of injective {}", i, got=got, want=want)
     seen: dict[Monomial, CQObject] = {}
     for obj in repctx.indecomposables():
         mono = psi(obj, repctx, l)
-        rep.check(mono not in seen, f"psi injectivity at {obj}", clash=seen.get(mono))
+        rep.check(mono not in seen, "psi injectivity at {}", obj, clash=seen.get(mono))
         seen[mono] = obj
     return rep
 
@@ -262,7 +258,7 @@ def verify_tropical_socle(cartan: CartanData, xi: dict[int, int]) -> Report:
         obj = obj_by_g[g]
         val = eval_tropical(record.fpoly, ctx.y0_assign)
         want = tuple(-s for s in repctx.socle(obj))
-        rep.check(val == want, f"tropical F value of {obj}",
+        rep.check(val == want, "tropical F value of {}", obj,
                   got=Monomial(zip(ctx.gens, val)), want=Monomial(zip(ctx.gens, want)))
     return rep
 
@@ -286,7 +282,7 @@ def verify_yhat_identity(cartan: CartanData, xi: dict[int, int]) -> Report:
         want = Monomial({ctx.xvars[i]: a[i] for i in range(n)}) * Monomial(
             {fvar(i + 1): g[i] for i in range(n)}
         )
-        rep.check(mon == want, f"yhat monomial identity for dim {dims}", got=mon, want=want)
+        rep.check(mon == want, "yhat monomial identity for dim {}", dims, got=mon, want=want)
     return rep
 
 
@@ -322,17 +318,17 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
             targets[key] = repctx.kappa(x, parts(obj_by_g, edge.m_term), y), beta
         alpha, beta = targets[key]
         m_fexp, mp_fexp = edge.m_term.fexp, edge.mp_term.fexp
-        rep.check(alpha == m_fexp, lambda: f"first-term exponents at {x} / {y}",
-                  got=m_fexp, want=alpha)
+        rep.check(alpha == m_fexp, "first-term exponents at {} / {}", x, y, got=m_fexp,
+                  want=alpha)
         ok = beta == mp_fexp
-        rep.check(ok, lambda: f"second-term exponents at {x} / {y}", got=mp_fexp, want=beta)
+        rep.check(ok, "second-term exponents at {} / {}", x, y, got=mp_fexp, want=beta)
         mismatched += not ok
         if ok:
             crosschecked.add(frozenset((x, y)))
     # shifted-projective / injective edges must always be cross-checkable
     for i in cartan.vertices:
         key = frozenset((CQObject.shifted(i), CQObject.module(repctx.inj_dims(i))))
-        rep.check(key in crosschecked, f"shift/injective edge at {i} is rep-cross-checked")
+        rep.check(key in crosschecked, "shift/injective edge at {} is rep-cross-checked", i)
     rep.scope["edges"] = len(graph.edges)
     rep.scope["engine_pinned"] = mismatched
     return rep
@@ -343,11 +339,15 @@ def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report
 
     psi is multiplicative, so it is computed once per object: the left side is
     psi(L) psi(N), the right side psi of the M-term's factors, with multiplicity,
-    times prod (u_i v_i)^{alpha_i}.  Both sides are computed once per relation
-    (`ExchangeEdge.relation`) and checked on every edge."""
+    times prod (u_i v_i)^{alpha_i}, with u_i v_i computed once per vertex.  Both sides
+    are computed once per relation (`ExchangeEdge.relation`) and checked on every edge."""
     rep = Report("hw-exchange", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
     hw = {g: psi(obj, repctx, l) for g, obj in obj_by_g.items()}
+    uv = {}  # u_i(l) v_i(l) of each vertex: it reads nothing of the relation
+    for i in cartan.vertices:
+        u, v = uv_monomials(i, l, xi)
+        uv[i] = u * v
     sides: dict[tuple, tuple] = {}
     for edge in graph.edges:
         x, y = obj_by_g[edge.old_g], obj_by_g[edge.new_g]
@@ -361,11 +361,10 @@ def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report
             for i in cartan.vertices:
                 e = alpha[i - 1]
                 if e:
-                    u, v = uv_monomials(i, l, xi)
-                    rhs = rhs * (u * v) ** e
+                    rhs = rhs * uv[i] ** e
             sides[key] = lhs, rhs
         lhs, rhs = sides[key]
-        rep.check(lhs == rhs, lambda: f"hw identity at {x} / {y}", lhs=lhs, rhs=rhs)
+        rep.check(lhs == rhs, "hw identity at {} / {}", x, y, lhs=lhs, rhs=rhs)
     return rep
 
 
@@ -387,13 +386,13 @@ def verify_tsystem(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
         rhs = Monomial.one()
         for j in cartan.neighbors(i):
             rhs = rhs * kr(j, l, xi[i] - 2 * l + 1)
-        rep.check(lhs == rhs, f"edge-product reduction at {i}", lhs=lhs, rhs=rhs)
+        rep.check(lhs == rhs, "edge-product reduction at {}", i, lhs=lhs, rhs=rhs)
     for i in cartan.vertices:
         for k in range(1, l + 2):
             for r in range(xi[i] - 2 * l - 1, xi[i] + 2):
                 lhs = kr(i, k, r + 1) * kr(i, k, r - 1)
                 rhs = kr(i, k - 1, r + 1) * kr(i, k + 1, r - 1)
-                rep.check(lhs == rhs, f"KR recurrence hw at ({i},{k},{r})", lhs=lhs, rhs=rhs)
+                rep.check(lhs == rhs, "KR recurrence hw at ({},{},{})", i, k, r, lhs=lhs, rhs=rhs)
     return rep
 
 
@@ -415,7 +414,7 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
     for j, v in enumerate(ctx.mutables):
         out = expand_z(((var.index, e) for var, e in ctx.yhat_monomial(j).items), xi)
         want = yhat_monomial(v.i, v.r, cartan)
-        rep.check(out == want, f"yhat at {v} equals A-inverse", got=out, want=want)
+        rep.check(out == want, "yhat at {} equals A-inverse", v, got=out, want=want)
 
     def position_hw(sd, j):
         return hw_extract(make_record(sd, j).gtilde, ctx.xvars + ctx.gens, xi)
@@ -425,7 +424,7 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
         k = (xi[i] - r) // 2 + 1
         j = ctx.mut_index[v]
         got = position_hw(seed, j)
-        rep.check(got == kr_monomial(i, k, r), f"pre-mutation KR label at {v}", got=got)
+        rep.check(got == kr_monomial(i, k, r), "pre-mutation KR label at {}", v, got=got)
         edge = seed.exchange_step(v)
 
         def term_hw(term):
@@ -444,12 +443,12 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
         hm, hmp = term_hw(edge.m_term), term_hw(edge.mp_term)
         seed = seed.mutate_with_edge(edge)
         got = position_hw(seed, j)
-        rep.check(got == kr_monomial(i, k, r - 2), f"post-mutation KR label at {v}", got=got)
+        rep.check(got == kr_monomial(i, k, r - 2), "post-mutation KR label at {}", v, got=got)
         dominant = kr_monomial(i, k - 1, r) * kr_monomial(i, k + 1, r - 2)
         other = Monomial.one()
         for jn in cartan.neighbors(i):
             other = other * kr_monomial(jn, k, r - 1)
-        rep.check(hm == dominant and hmp == other, f"T-system shape at step {v}",
+        rep.check(hm == dominant and hmp == other, "T-system shape at step {}", v,
                   m_term=hm, mp_term=hmp, dominant=dominant, other=other)
 
     target = build_qxil(cartan, xi, l)
@@ -463,7 +462,7 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
             j = ctx.mut_index[v]
             got = position_hw(seed, j)
             want = kr_monomial(i, l - 1, xi[i] - 2 * l + 2)
-            rep.check(got == want, f"final hw at {v}", got=got, want=want)
+            rep.check(got == want, "final hw at {}", v, got=got, want=want)
     return rep
 
 
@@ -497,16 +496,17 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
               got=graph.variable_count, want=variables)
 
     for g, record in sorted(graph.registry.items()):
-        rep.check(record.fpoly.constant_term() == 1, f"F constant term at {g}")
-        rep.check(all(c > 0 for c in record.fpoly.coefficients()), f"F positivity at {g}")
+        rep.check(record.fpoly.constant_term() == 1, "F constant term at {}", g)
+        rep.check(all(c > 0 for c in record.fpoly.coefficients()), "F positivity at {}", g)
         rep.check(all(c > 0 for c in record.expansion.coefficients()),
-                  f"expansion positivity at {g}")
+                  "expansion positivity at {}", g)
         obj = obj_by_g[g]
         dims = obj.dims if obj.is_module else tuple(-int(t == obj.i) for t in cartan.vertices)
-        rep.check(record.denominator == dims, f"denominator vector is the dimension vector at {g}",
+        rep.check(record.denominator == dims,
+                  "denominator vector is the dimension vector at {}", g,
                   engine=record.denominator, rep=dims)
         gg, ss = repctx.extended_g(obj)
-        rep.check(record.gtilde == gg + ss, f"engine/representation g-tilde agreement at {g}",
+        rep.check(record.gtilde == gg + ss, "engine/representation g-tilde agreement at {}", g,
                   engine=record.gtilde, rep=gg + ss)
 
     for key in sorted(graph.seeds):
@@ -515,10 +515,10 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
         for k in range(n):
             col = seed.cvecs[k]
             rep.check(all(e >= 0 for e in col) or all(e <= 0 for e in col),
-                      f"sign coherence at seed {key} column {k}", col=col)
+                      "sign coherence at seed {} column {}", key, k, col=col)
             # the frozen-row read-off against c-vectors, B and the g-tilde bottoms
             rep.check(coeffs[k] == _prop313_coeff(seed, k),
-                      f"coefficient read-off at seed {key} column {k}")
+                      "coefficient read-off at seed {} column {}", key, k)
 
     # exchange-relation product identity, computed once per relation: it reads
     # nothing of an edge but its two g-vectors and its two terms
@@ -550,7 +550,7 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
         record = make_record(forward, seed.ctx.mut_index[v])
         back = forward.mutate(v)
         rep.check(back == seed and record == graph.registry.get(record.gvec),
-                  f"mutation involution and walk record at step {step}", vertex=v,
+                  "mutation involution and walk record at step {}", step, vertex=v,
                   g=record.gvec)
         seed, prev = forward, v
     return rep

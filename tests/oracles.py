@@ -1177,7 +1177,7 @@ def oracle_properties_walk(rep, cartan, xi, walks, rng_seed, graph) -> list:
         record = make_record(forward, seed.ctx.mut_index[v])
         back = forward.mutate(v)
         rep.check(back == seed and record == graph.registry.get(record.gvec),
-                  f"mutation involution and walk record at step {step}", vertex=v,
+                  "mutation involution and walk record at step {}", step, vertex=v,
                   g=record.gvec)
         seed = forward
         walked.append(v)

@@ -182,6 +182,33 @@ def test_verify_option_is_read_or_rejected(capsys, check, given, readers):
         assert (code, out, err) == (2, "", f"error: {given[0]} does not apply to verify {check}\n")
 
 
+# a zero is a given value: an option is given unless it is absent, never by truthiness
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "examples", "--walks", "0"], "--walks does not apply to verify examples"),
+    (["verify", "goldens", "--seed", "0"], "--seed does not apply to verify goldens"),
+    (["verify", "examples", "--level", "0"], "--level does not apply to verify examples"),
+    (["verify", "yhat", "--cartan", "A2", "--xi", "1:0,2:-1", "--walks", "0"],
+     "--walks does not apply to verify yhat"),
+    (["verify", "tsystem", "--cartan", "A2", "--xi", "1:0,2:-1", "--seed", "0"],
+     "--seed does not apply to verify tsystem"),
+    (["verify", "exchange", "--cartan", "A2", "--xi", "1:0,2:-1", "--level", "0"],
+     "--level does not apply to verify exchange"),
+    (["quiver", "build", "--family", "qxi", "--cartan", "A3", "--xi", "1:0,2:-1,3:0",
+      "--level", "0"], "--level does not apply to --family qxi"),
+    (["quiver", "build", "--family", "gammafull", "--cartan", "A3", "--xi", "1:0,2:-1,3:0",
+      "--rmin", "0", "--level", "0"], "--level does not apply with --rmin"),
+    (["engine", "enumerate", "--cartan", "A3", "--xi", "1:0,2:-1,3:0", "--level", "0"],
+     "--level does not apply to --family qcheck"),
+    (["table", "roots", "--cartan", "A3", "--xi", "1:0,2:-1,3:0", "--level", "0"],
+     "--level does not apply to table roots"),
+], ids=["verify-walks", "verify-seed", "verify-level", "yhat-walks", "tsystem-seed",
+        "exchange-level", "qxi-level", "gammafull-rmin-level", "enumerate-level",
+        "table-roots-level"])
+def test_zero_given_where_it_is_not_read_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command,prog", [
     (["rep", "list"], "clustermod rep list"),
     (["engine", "enumerate"], "clustermod engine enumerate"),

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
+import inspect
 import json
+import string
 
 import pytest
 
@@ -96,6 +99,124 @@ def test_passing_edge_checks_format_no_item_labels(monkeypatch):
     assert_passes(verify_exchange_exponents(D4, XI_D4))
     assert_passes(verify_hw_exchange(D4, XI_D4, 2))
     assert shown == []
+
+
+def test_report_check_formats_its_label_only_when_the_item_fails():
+    class Unformattable:
+        def __format__(self, spec):
+            raise AssertionError("a passing item formatted its label")
+
+    report = verify.Report("t", {})
+    report.check(True, "x {}", Unformattable())
+    assert (report.items, report.failures) == (1, [])
+    report.check(False, "x {} {}", 1, (2, 3), got=4)
+    assert report.items == 2
+    assert report.failures == [{"detail": "x 1 (2, 3)", "got": "4"}]
+
+
+def test_every_check_label_is_a_plain_template():
+    # a label is a literal whose only fields are bare '{}', one per positional argument,
+    # so no check builds an item's text before the item fails
+    tree = ast.parse(inspect.getsource(verify))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "check"]
+    assert len(calls) > 30
+    for call in calls:
+        where = f"verify.py line {call.lineno}"
+        assert len(call.args) >= 2, where
+        label = call.args[1]
+        assert isinstance(label, ast.Constant) and isinstance(label.value, str), where
+        fields = list(string.Formatter().parse(label.value))
+        assert all(spec in (None, "") and conv is None and name in (None, "")
+                   for _, name, spec, conv in fields), where
+        assert "{" not in "".join(text for text, *_ in fields), where  # no '{{' escape
+        assert "}" not in "".join(text for text, *_ in fields), where
+        args = call.args[2:]
+        assert not any(isinstance(a, ast.Starred) for a in args), where
+        assert len(args) == sum(name is not None for _, name, _, _ in fields), where
+
+
+def test_a_wrong_kr_monomial_fails_psi_kr_with_its_vertex(monkeypatch):
+    real = verify.kr_monomial
+    monkeypatch.setattr(verify, "kr_monomial",
+                        lambda i, k, r: real(i, k, r + 2) if i == 3 else real(i, k, r))
+    report = verify_psi_kr_images(D4, XI_D4, 2)
+    assert report.failures == [
+        {"detail": "psi of shifted projective 3", "got": "Y[3,-2] Y[3,0]",
+         "want": "Y[3,0] Y[3,2]"},
+        {"detail": "psi of injective 3", "got": "Y[3,-4] Y[3,-2]", "want": "Y[3,-2] Y[3,0]"}]
+
+
+def test_a_wrong_tropical_value_fails_trop_socle_with_its_object(monkeypatch):
+    real, calls = verify.eval_tropical, []
+
+    def first_wrong(fpoly, assign):
+        calls.append(fpoly)
+        value = real(fpoly, assign)
+        return tuple(e + 1 for e in value) if len(calls) == 1 else value
+
+    monkeypatch.setattr(verify, "eval_tropical", first_wrong)
+    report = verify_tropical_socle(D4, XI_D4)
+    assert report.failures == [
+        {"detail": "tropical F value of mod:1,0,0,0", "got": "f[2] f[3] f[4]", "want": "f[1]^-1"}]
+
+
+def test_a_wrong_g_vector_fails_yhat_with_its_dimension_vector(monkeypatch):
+    repctx = get_bundle(D4, XI_D4)[2]
+    real, bad = repctx.g_of_dims, (1, 2, 1, 1)
+    monkeypatch.setattr(repctx, "g_of_dims",
+                        lambda dims: tuple(e + (dims == bad) for e in real(dims)))
+    report = verify_yhat_identity(D4, XI_D4)
+    assert report.failures == [
+        {"detail": "yhat monomial identity for dim (1, 2, 1, 1)",
+         "got": "x[1]^-2 x[2]^3 x[3]^-2 x[4]^-2 f[1] f[2]^-2 f[3] f[4]",
+         "want": "x[1]^-2 x[2]^3 x[3]^-2 x[4]^-2 f[1]^2 f[2]^-1 f[3]^2 f[4]^2"}]
+
+
+def test_a_wrong_kr_monomial_fails_tsystem_with_its_triple(monkeypatch):
+    real = verify.kr_monomial
+    monkeypatch.setattr(verify, "kr_monomial", lambda i, k, r: real(
+        i, k + 1, r) if (i, k, r) == (3, 2, -5) else real(i, k, r))
+    report = verify_tsystem(D4, XI_D4, 2)
+    assert report.failures == [
+        {"detail": "KR recurrence hw at (3,1,-4)", "lhs": "Y[3,-5] Y[3,-3]",
+         "rhs": "Y[3,-5] Y[3,-3] Y[3,-1]"},
+        {"detail": "KR recurrence hw at (3,2,-4)", "lhs": "Y[3,-5] Y[3,-3]^2 Y[3,-1]^2",
+         "rhs": "Y[3,-5] Y[3,-3]^2 Y[3,-1]"}]
+
+
+def test_a_wrong_yhat_monomial_fails_sequence_with_its_vertex(monkeypatch):
+    real = verify.yhat_monomial
+    monkeypatch.setattr(verify, "yhat_monomial", lambda i, r, cartan: real(
+        i, r - 2, cartan) if (i, r) == (2, -3) else real(i, r, cartan))
+    report = verify_grid_sequence(D4, XI_D4, 2)
+    assert report.failures == [
+        {"detail": "yhat at (2,-3) equals A-inverse",
+         "got": "Y[1,-4] Y[2,-5]^-1 Y[2,-3]^-1 Y[3,-4] Y[4,-4]",
+         "want": "Y[1,-6] Y[2,-7]^-1 Y[2,-5]^-1 Y[3,-6] Y[4,-6]"}]
+
+
+def test_a_wrong_denominator_fails_properties_with_its_g_vector(monkeypatch):
+    graph = get_bundle(D4, XI_D4)[3]
+    g = (1, 0, 0, 0)
+    record = graph.registry[g]
+    wrong = dataclasses.replace(record, denominator=tuple(d + 1 for d in record.denominator))
+    monkeypatch.setattr(graph, "registry", {**graph.registry, g: wrong})
+    report = verify_properties(D4, XI_D4, walks=0)
+    assert report.failures == [
+        {"detail": "denominator vector is the dimension vector at (1, 0, 0, 0)",
+         "engine": "(0, 1, 1, 1)", "rep": "(-1, 0, 0, 0)"}]
+
+
+def test_a_wrong_coefficient_fails_properties_with_its_seed_and_column(monkeypatch):
+    graph = get_bundle(D4, XI_D4)[3]
+    first, real = graph.seeds[min(graph.seeds)], verify._prop313_coeff
+    monkeypatch.setattr(verify, "_prop313_coeff",
+                        lambda seed, k: () if seed is first and k == 1 else real(seed, k))
+    report = verify_properties(D4, XI_D4, walks=0)
+    assert report.failures == [
+        {"detail": "coefficient read-off at seed "
+                   "((-1, 0, 0, 0), (0, -1, 0, 0), (0, -1, 0, 1), (0, -1, 1, 0)) column 1"}]
 
 
 def _one_bad_edge(monkeypatch, bad):
