@@ -11,11 +11,11 @@ Every tropical value is such an exponent tuple over the frozen generators: a
 product adds tuples and the auxiliary sum takes their componentwise minimum.
 
 Cluster variables are not stored either: the F-polynomial of each one is
-computed once, by the Fomin-Zelevinsky recurrence (Cluster algebras IV,
-Prop. 5.1) on the two terms of the exchange edge, with one exact division in
-the y_j, when mutation first produces its g-vector, and is kept in a table of
-the SeedContext keyed by g.  The expansion follows from F and the extended
-g-vector by the separation formula (ibid., Thm 3.7).
+computed once, when its record is built, by the Fomin-Zelevinsky recurrence
+(Cluster algebras IV, Prop. 5.1) on the exchange relation at its own position,
+with one exact division by the F of the pair's other variable; the records table
+of the SeedContext, keyed by g, alone holds F.  The expansion follows from F and
+the extended g-vector by the separation formula (ibid., Thm 3.7).
 
 Records cross-check the integer data against F: constant term 1, positive
 coefficients, the frozen block of the extended g-vector against -trop(F)(y0),
@@ -30,13 +30,13 @@ the sign rule sums over, and the new extended g-vector is read off it.  Each
 term lists its factors in increasing g order, so the relation is in canonical
 form: every edge of an exchange pair carries the same one (ExchangeEdge.relation).
 Seed.mutate_with_edge completes that edge to the mutated seed: B-tilde, the
-c-vectors (from one read of row k), the g-tilde row of the edge and, for a new
-g-vector, its F-polynomial from the M- and M'-terms.  Seed.mutate is the
-composition of the two phases, the only mutation path.  The exchange-graph BFS
-takes one exchange step per edge (the reverse step of an edge it has found lands
-back on the seed it came from, so it is skipped), reads the key of the mutated
-seed off the edge, and completes the step only for a key that is new and under
-the seed cap.  Sign coherence is checked on every column of every stored seed.
+c-vectors (from one read of row k) and the g-tilde row of the edge, and writes
+nothing.  Seed.mutate is the composition of the two phases, the only mutation
+path.  The exchange-graph BFS takes one exchange step per edge (the reverse step
+of an edge it has found lands back on the seed it came from, so it is skipped),
+reads the key of the mutated seed off the edge, and completes the step only for
+a key that is new and under the seed cap.  Sign coherence is checked on every
+column of every stored seed, and the records are built after the walk.
 """
 from __future__ import annotations
 
@@ -78,7 +78,7 @@ def _ycoef_for_vertex(v: Vertex) -> VarId:
 @dataclass(frozen=True)
 class SeedContext:
     """Fixed data of an initial seed (variable alphabet and ambient semifield), plus
-    the per-g tables that every seed mutated from it shares."""
+    the records that every seed mutated from it shares, filled by `make_record`."""
 
     quiver0: IceQuiver
     mutables: tuple[Vertex, ...]
@@ -90,12 +90,6 @@ class SeedContext:
     @functools.cached_property
     def mut_index(self) -> dict[Vertex, int]:
         return {v: k for k, v in enumerate(self.mutables)}
-
-    @functools.cached_property
-    def fpolys(self) -> dict[tuple[int, ...], LaurentPoly]:
-        """F-polynomial of every cluster variable met so far, keyed by g-vector."""
-        n = len(self.mutables)
-        return {tuple(int(t == j) for t in range(n)): LaurentPoly.one() for j in range(n)}
 
     @functools.cached_property
     def records(self) -> dict[tuple[int, ...], "ClusterVarRecord"]:
@@ -249,20 +243,6 @@ class Seed:
             raise InternalInvariantError(f"c-vector column {k} of seed {self.key()} is zero")
         return 1 if hi > 0 else -1
 
-    def _mutated_fpoly(self, k: int, edge: ExchangeEdge) -> LaurentPoly:
-        """F' = (y^{eps c_k} prod F^M' + prod F^M) / F_k, where eps c_k = |c_k| by sign
-        coherence: the exchange relation of the edge at k, with principal coefficients."""
-        fpolys, ys = self.ctx.fpolys, self.ctx.ycoefs
-
-        def side(exps, term):
-            out = LaurentPoly.from_monomial(Monomial({y: abs(e) for y, e in zip(ys, exps) if e}))
-            for g, mult in term.factors:
-                out = out * fpolys[g] ** mult
-            return out
-
-        return div_exact(side(self.cvecs[k], edge.mp_term) + side((), edge.m_term),
-                         fpolys[edge.old_g])
-
     def mutate(self, v: Vertex) -> "Seed":
         return self.mutate_with_edge(self.exchange_step(v))
 
@@ -311,8 +291,7 @@ class Seed:
 
     def mutate_with_edge(self, edge: ExchangeEdge) -> "Seed":
         """The exchange step `edge`, taken from this seed or an equal one, completed
-        to the mutated seed: B-tilde, the c-vectors, the new g-tilde row and, for a
-        g-vector not met before, its F-polynomial from the edge."""
+        to the mutated seed: B-tilde, the c-vectors and the new g-tilde row."""
         ctx = self.ctx
         source = edge.source
         if source is not self and source != self:
@@ -320,16 +299,11 @@ class Seed:
                                      f"was not taken from seed {self.key()}")
         v = edge.vertex
         k = ctx.mut_index[v]
-        new_g = edge.new_g
-        fpolys = ctx.fpolys
-        if new_g not in fpolys:
-            fpolys[new_g] = self._mutated_fpoly(k, edge)
-        gtilde = list(self.gtilde)
-        gtilde[k] = edge.new_gtilde
+        gtilde = self.gtilde[:k] + (edge.new_gtilde,) + self.gtilde[k + 1:]
         rows = ctx.mut_rows
         rowk = self.quiver.b[rows[k]]
         cvecs = _mutate_cvecs(self.cvecs, k, [rowk[row] for row in rows], self.epsilon(k))
-        return Seed(ctx, self.quiver.mutate(v), cvecs, tuple(gtilde))
+        return Seed(ctx, self.quiver.mutate(v), cvecs, gtilde)
 
     def key(self) -> tuple:
         """Canonical unlabeled-seed key: sorted multiset of g-vectors."""
@@ -368,13 +342,41 @@ class ClusterVarRecord:
     denominator: tuple[int, ...]
 
 
+def _initial(g: tuple[int, ...]) -> bool:
+    return sum(g) == 1 and g.count(0) == len(g) - 1  # a unit vector: x_i, with F = 1
+
+
+def _exchange_fpoly(seed: Seed, j: int) -> LaurentPoly:
+    """F at position j by the exchange relation there, with principal coefficients:
+    (y^{|c_j|} prod F^M' + prod F^M) / F', F' the F of the other variable of the pair.
+    Both ends of the pair give it: they carry one relation, and |c'_j| = |c_j|."""
+    ctx, ys = seed.ctx, seed.ctx.ycoefs
+
+    def known(g):
+        record = ctx.records.get(g)
+        if record is None and not _initial(g):
+            raise InternalInvariantError(f"F-polynomial at position {j} of seed {seed.key()} "
+                                         f"needs the record of g = {g}, which is not built yet")
+        return LaurentPoly.one() if record is None else record.fpoly
+
+    def side(exps, term):
+        out = LaurentPoly.from_monomial(Monomial({y: abs(e) for y, e in zip(ys, exps) if e}))
+        for g, mult in term.factors:
+            out = out * known(g) ** mult
+        return out
+
+    edge = seed.exchange_step(ctx.mutables[j])
+    return div_exact(side(seed.cvecs[j], edge.mp_term) + side((), edge.m_term),
+                     known(edge.new_g))
+
+
 def make_record(seed: Seed, j: int) -> ClusterVarRecord:
     """The record for position j, after cross-checking the seed's integer data
     against the F-polynomial; built once per g-vector and shared by the context.
 
-    Building it is linear in the size of F: one tropical evaluation, one
-    substitution for the expansion and one pass over the expansion's
-    monomials for the denominator vector."""
+    A new F comes from the exchange relation at j, whose other variables need their
+    records first.  The rest is linear in the size of F: one tropical evaluation,
+    one substitution for the expansion and one pass for the denominator vector."""
     ctx = seed.ctx
     n = len(ctx.mutables)
     gtilde = seed.gtilde[j]
@@ -388,7 +390,7 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
 
     record = ctx.records.get(g)
     if record is None:
-        fpoly = ctx.fpolys[g]
+        fpoly = LaurentPoly.one() if _initial(g) else _exchange_fpoly(seed, j)
         if fpoly.constant_term() != 1:
             raise InternalInvariantError(f"F-polynomial constant term != 1 at g = {g}: {fpoly}")
         if any(c <= 0 for c in fpoly.coefficients()):
@@ -474,15 +476,14 @@ def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGra
     that every walked direction gives a distinct edge.  In every other direction
     the exchange step gives the edge and, from its new g-vector, the key of the
     mutated seed; only a new key under the cap completes the step with
-    `Seed.mutate_with_edge`, so that a seed (quiver, c-vectors, F of a new
-    g-vector) is built only when it is stored.  Sign coherence is checked on
-    every column of every stored seed."""
-    if max_seeds < 1:
-        raise ConfigurationError(f"the seed cap must be at least 1, got {max_seeds}")
+    `Seed.mutate_with_edge`, so a seed is built only when stored.  Sign coherence is
+    checked on every column of every stored seed; after the walk, the records are
+    built in storage order, each from the relation its seed was mutated along."""
+    if not isinstance(max_seeds, int) or max_seeds < 1:
+        raise ConfigurationError(f"the seed cap must be an int >= 1, got {max_seeds!r}")
     ctx = seed0.ctx
     n = len(ctx.mutables)
     seeds: dict[tuple, Seed] = {}
-    registry: dict[tuple[int, ...], ClusterVarRecord] = {}
     queue: deque[tuple] = deque()
     # g-vectors of each queued seed whose directions walk back along an edge already found
     walked: dict[tuple, set[tuple[int, ...]]] = {}
@@ -492,10 +493,6 @@ def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGra
         seeds[key] = seed
         queue.append(key)
         walked[key] = set()
-        for j in range(n):
-            g = seed.gtilde[j][:n]
-            if g not in registry:
-                registry[g] = make_record(seed, j)
         for k in range(n):
             seed.epsilon(k)
 
@@ -521,14 +518,20 @@ def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGra
             if back is not None:  # nk is still queued
                 back.add(new_g)
             edges.append(edge)
+    registry: dict[tuple[int, ...], ClusterVarRecord] = {}
+    for seed in seeds.values():
+        for j, gtilde in enumerate(seed.gtilde):
+            if gtilde[:n] not in registry:
+                registry[gtilde[:n]] = make_record(seed, j)
     return ExchangeGraph(ctx, seeds, edges, registry, exhaustive)
 
 
 def run_sequence(seed: Seed, vertices: Iterable[Vertex]) -> tuple[Seed, list[ExchangeEdge]]:
-    """Apply a mutation sequence, returning the final seed and per-step edges."""
+    """Apply a mutation sequence, building the record of each step's new variable,
+    and return the final seed and per-step edges."""
     edges = []
     for v in vertices:
         edges.append(seed.exchange_step(v))
         seed = seed.mutate_with_edge(edges[-1])
+        make_record(seed, seed.ctx.mut_index[v])
     return seed, edges
-

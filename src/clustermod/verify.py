@@ -484,6 +484,8 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
     (`ExchangeEdge.relation`) and checked on every edge.  Each walk step checks its
     forward seed's new record and mutates back; a step at the vertex of the step
     before it takes that step's back mutation as its forward seed."""
+    if not isinstance(walks, int) or walks < 0:
+        raise ConfigurationError(f"the walk count must be an int >= 0, got {walks!r}")
     rep = Report("properties", {"cartan": cartan.name, "xi": _xi_key(xi), "walks": walks,
                                 "seed": rng_seed})
     _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)

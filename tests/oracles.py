@@ -366,15 +366,12 @@ def oracle_coeff_exps(self: SeedContext, rowk: tuple[int, ...]) -> tuple[int, ..
 
 def oracle_mutate_with_edge(self: Seed, edge: ExchangeEdge) -> Seed:
     """The exchange step `edge`, taken from this seed or an equal one, completed
-    to the mutated seed: B-tilde, the c-vectors, the new g-tilde row and, for a
-    g-vector not met before, its F-polynomial from the edge."""
+    to the mutated seed: B-tilde, the c-vectors and the new g-tilde row."""
     ctx = self.ctx
     if edge.source is not self and edge.source != self:
         raise ConfigurationError(f"exchange step at {edge.vertex} with g = {edge.old_g} "
                                  f"was not taken from seed {self.key()}")
     k = ctx.mut_index[edge.vertex]
-    if edge.new_g not in ctx.fpolys:
-        ctx.fpolys[edge.new_g] = self._mutated_fpoly(k, edge)
     gtilde = self.gtilde[:k] + (edge.new_gtilde,) + self.gtilde[k + 1:]
     rowk = self.quiver.b[ctx.mut_rows[k]]
     cvecs = oracle_mutate_cvecs(self.cvecs, k, [rowk[row] for row in ctx.mut_rows])

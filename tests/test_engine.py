@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from clustermod import engine
 from clustermod.cartan import cartan_type, linear_height
 from clustermod.engine import (
     Seed,
@@ -122,7 +123,35 @@ def test_mutate_with_edge_rejects_an_edge_of_another_seed(a3_seed):
     assert twin.mutate_with_edge(edge) == forward
 
 
+@pytest.mark.parametrize("quiver", [build_qcheck(A3, XI3), build_gamma_l(A3, XI3, 2)],
+                         ids=["A3-qcheck", "A3-gamma-2"])
+def test_mutation_writes_nothing_to_the_context(quiver):
+    rng = random.Random(5)
+    seed = Seed.initial(quiver)
+    ctx = seed.ctx
+    seed.exchange_step(ctx.mutables[0])  # fills the lazy tables that mutation reads
+
+    def tables():
+        return {name: dict(value) for name, value in vars(ctx).items() if isinstance(value, dict)}
+
+    before = tables()
+    for _ in range(20):
+        seed = seed.mutate_with_edge(seed.exchange_step(rng.choice(ctx.mutables)))
+    assert tables() == before
+
+
 # ---- invariant failures name the data that failed -------------------------------------
+
+
+def test_a_record_needed_before_it_is_built_names_the_seed_position_and_g_vector():
+    seed = Seed.initial(build_qcheck(A3, XI3))
+    for v in (Vertex(1), Vertex(2)):  # the exchange at 2 after 1 has the new x_1 as a factor
+        seed = seed.mutate_with_edge(seed.exchange_step(v))
+    with pytest.raises(InternalInvariantError) as exc:
+        make_record(seed, 1)
+    assert str(exc.value) == (
+        "F-polynomial at position 1 of seed ((-1, 0, 0), (0, -1, 0), (0, 0, 1)) needs the "
+        "record of g = (-1, 0, 0), which is not built yet")
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -132,7 +161,7 @@ def test_mutate_with_edge_rejects_an_edge_of_another_seed(a3_seed):
 ], ids=["constant-term", "positivity"])
 def test_bad_f_polynomial_names_its_g_vector(monkeypatch, bad, message):
     seed = Seed.initial(build_qcheck(A3, XI3)).mutate(Vertex(3))
-    monkeypatch.setitem(seed.ctx.fpolys, (0, 1, -1), bad)
+    monkeypatch.setattr(engine, "div_exact", lambda num, den: bad)
     with pytest.raises(InternalInvariantError, match="^" + re.escape(message + str(bad)) + "$"):
         make_record(seed, 2)
 
@@ -265,6 +294,13 @@ def test_seed_cap_flags_partial():
     graph = enumerate_exchange_graph(s0, max_seeds=4)
     assert not graph.exhaustive
     assert graph.seed_count == 4
+
+
+@pytest.mark.parametrize("cap", [0, 2.5, "3"])
+def test_seed_cap_must_be_an_int_from_one(a3_seed, cap):
+    with pytest.raises(ConfigurationError) as exc:
+        enumerate_exchange_graph(a3_seed, max_seeds=cap)
+    assert str(exc.value) == f"the seed cap must be an int >= 1, got {cap!r}"
 
 
 def test_enumeration_is_deterministic(a3_seed):

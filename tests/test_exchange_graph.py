@@ -37,9 +37,14 @@ def _count_calls(monkeypatch, owner, name, counts):
     monkeypatch.setattr(owner, name, counted)
 
 
+def _fpolys(ctx):
+    """(g, F) of every record of the context, in the order they were built."""
+    return [(g, record.fpoly) for g, record in ctx.records.items()]
+
+
 def _assert_same_graph(quiver, max_seeds=10**6):
     """The engine's graph, the reference graph and the engine's F divisions."""
-    # fresh contexts, so the F-polynomial tables fill in each BFS's own order
+    # fresh contexts, so the record tables fill in each BFS's own order
     counts = Counter()
     with pytest.MonkeyPatch.context() as mp:
         _count_calls(mp, engine, "div_exact", counts)
@@ -62,7 +67,7 @@ EQUIVALENCE_SCOPES = _scopes(("A3", "A4", "D4")) + [("E6", orientations(cartan_t
 @pytest.mark.parametrize("name,xi", EQUIVALENCE_SCOPES, ids=_ids(EQUIVALENCE_SCOPES))
 def test_bfs_matches_every_direction_reference(name, xi):
     graph, want, _ = _assert_same_graph(build_qcheck(cartan_type(name), xi))
-    assert list(graph.ctx.fpolys.items()) == list(want.ctx.fpolys.items())
+    assert _fpolys(graph.ctx) == _fpolys(want.ctx)
     assert graph.exhaustive
 
 
@@ -74,10 +79,10 @@ def test_capped_grid_bfs_matches_every_direction_reference(name, level, cap):
     graph, want, divisions = _assert_same_graph(quiver, cap)
     # no F division for a seed past the cap: one per variable the BFS keeps
     assert divisions == graph.variable_count - len(graph.ctx.mutables)
-    # the reference also fills in the F of seeds past the cap, the engine only
-    # the F of the variables it registers
-    assert list(graph.ctx.fpolys) == list(graph.registry)
-    assert all(f == want.ctx.fpolys[g] for g, f in graph.ctx.fpolys.items())
+    # neither BFS builds the F of a seed past the cap: each holds one record per
+    # variable it registers
+    assert list(graph.ctx.records) == list(graph.registry)
+    assert _fpolys(graph.ctx) == _fpolys(want.ctx)
     assert not graph.exhaustive and graph.seed_count == cap
 
 
@@ -109,6 +114,9 @@ def test_skipped_directions_walk_back_along_known_edges(monkeypatch):
         seed0 = Seed.initial(quiver)
         graph = enumerate_exchange_graph(seed0)
         assert graph.exhaustive
+        # after the walk, the record of each new variable takes one exchange step
+        assert len(steps) == len(graph.edges) + graph.variable_count - len(graph.ctx.mutables)
+        del steps[len(graph.edges):]
         # every walked direction, to a new seed or a known one, takes one
         # exchange step, and each step is an edge of the graph
         assert len(steps) == len(graph.edges)

@@ -208,6 +208,13 @@ def test_a_wrong_denominator_fails_properties_with_its_g_vector(monkeypatch):
          "engine": "(0, 1, 1, 1)", "rep": "(-1, 0, 0, 0)"}]
 
 
+@pytest.mark.parametrize("walks", [-3, 2.5, "3"])
+def test_properties_walk_count_must_be_an_int_from_zero(walks):
+    with pytest.raises(ConfigurationError) as exc:
+        run_check("properties", D4, XI_D4, walks=walks)
+    assert str(exc.value) == f"the walk count must be an int >= 0, got {walks!r}"
+
+
 def test_a_wrong_coefficient_fails_properties_with_its_seed_and_column(monkeypatch):
     graph = get_bundle(D4, XI_D4)[3]
     first, real = graph.seeds[min(graph.seeds)], verify._prop313_coeff
