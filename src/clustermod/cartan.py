@@ -5,7 +5,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,9 @@ def check_height_function(cartan: CartanData, xi: dict[int, int]) -> dict[int, i
 
 
 def check_level(l: int) -> int:
-    """Validate the level l >= 1; returns l."""
+    """Validate the level, an int l >= 1 (a bool is not an int); returns l."""
+    if type(l) is not int:
+        raise ConfigurationError(f"the level must be an int, got {l!r}")
     if l < 1:
         raise DomainError("level must be >= 1")
     return l

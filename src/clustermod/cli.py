@@ -276,8 +276,8 @@ def _cmd_verify(args) -> int:
     cartan = xi = None
     if args.cartan:
         cartan, xi = _scope(args)
-    # an absent walk count or seed (None) takes the check's default
-    reports = run_check(args.check, cartan, xi, l=_level(args), walks=args.walks,
+    # an absent level, walk count or seed (None) takes the check's default
+    reports = run_check(args.check, cartan, xi, l=args.level, walks=args.walks,
                         rng_seed=args.seed)
     if args.format == "json":
         print("[" + ",\n".join(r.to_json() for r in reports) + "]")

@@ -478,11 +478,18 @@ def enumerate_exchange_graph(seed0: Seed, max_seeds: int = 10**6) -> ExchangeGra
     mutated seed; only a new key under the cap completes the step with
     `Seed.mutate_with_edge`, so a seed is built only when stored.  Sign coherence is
     checked on every column of every stored seed; after the walk, the records are
-    built in storage order, each from the relation its seed was mutated along."""
-    if not isinstance(max_seeds, int) or max_seeds < 1:
+    built in storage order, each from the relation its seed was mutated along.  That
+    relation reads only recorded variables when every variable of the start seed is
+    initial or recorded, as in `Seed.initial` and a seed that `run_sequence` returned."""
+    if type(max_seeds) is not int or max_seeds < 1:  # a bool is not an int
         raise ConfigurationError(f"the seed cap must be an int >= 1, got {max_seeds!r}")
     ctx = seed0.ctx
     n = len(ctx.mutables)
+    for g in seed0.key():
+        if not _initial(g) and g not in ctx.records:
+            raise ConfigurationError(
+                f"the start seed's variable g = {g} has no record: start from "
+                f"Seed.initial or from a seed that run_sequence returned")
     seeds: dict[tuple, Seed] = {}
     queue: deque[tuple] = deque()
     # g-vectors of each queued seed whose directions walk back along an edge already found

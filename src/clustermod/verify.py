@@ -14,12 +14,15 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cartan import CartanData, cartan_type, check_level, linear_height
 from .engine import (
+    ExchangeGraph,
     Seed,
     enumerate_exchange_graph,
     make_record,
+    seed_context,
     separation,  # not called here; perfbench/selftest.py (REBOUND) needs this import site
 )
 from .errors import (
@@ -87,8 +90,16 @@ def _xi_key(xi: dict[int, int]) -> tuple:
     return tuple(sorted(xi.items()))
 
 
+class Bundle(NamedTuple):
+    """The data of one (type, height) that the checks on the exchange graph share."""
+
+    repctx: RepContext
+    graph: ExchangeGraph  # the companion-quiver BFS
+    obj_by_g: dict  # each indecomposable by its g-vector, the engine's registry keys
+
+
 @functools.lru_cache(maxsize=None)
-def _bundle(cartan_name: str, xi_key: tuple):
+def _bundle(cartan_name: str, xi_key: tuple) -> Bundle:
     """Shared per-(type, height) data: rep context, companion-quiver BFS, matching."""
     cartan = cartan_type(cartan_name)
     xi = dict(xi_key)
@@ -99,10 +110,10 @@ def _bundle(cartan_name: str, xi_key: tuple):
         raise InternalInvariantError(
             f"g-vector sets of cluster variables and indecomposables differ "
             f"{repctx._where()}; a sign or orientation convention is broken")
-    return cartan, xi, repctx, graph, obj_by_g
+    return Bundle(repctx, graph, obj_by_g)
 
 
-def get_bundle(cartan: CartanData, xi: dict[int, int]):
+def get_bundle(cartan: CartanData, xi: dict[int, int]) -> Bundle:
     return _bundle(cartan.name, _xi_key(xi))
 
 
@@ -169,6 +180,8 @@ def s_l_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> list[Vertex]
 # ---------------------------------------------------------------------------
 # checks
 
+DEFAULT_LEVEL = 2  # the level of a check that reads one and is given none
+
 
 def verify_worked_examples_a3() -> Report:
     """The worked A3 tables at heights 0, -1, -2: every extended g-vector, every
@@ -176,7 +189,7 @@ def verify_worked_examples_a3() -> Report:
     cartan = cartan_type("A3")
     xi = linear_height(cartan)
     rep = Report("examples", {"cartan": "A3", "xi": "1:0,2:-1,3:-2", "l": 2})
-    _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
+    repctx, graph, _ = get_bundle(cartan, xi)
 
     for obj in repctx.indecomposables():
         g, s = repctx.extended_g(obj)
@@ -230,7 +243,8 @@ def verify_quiver_goldens() -> Report:
     return rep
 
 
-def verify_psi_kr_images(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
+def verify_psi_kr_images(cartan: CartanData, xi: dict[int, int],
+                         l: int = DEFAULT_LEVEL) -> Report:
     """KR identification of shifted projectives and injectives, and psi injectivity."""
     rep = Report("psi-kr", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
     repctx = RepContext(cartan, xi)
@@ -252,7 +266,7 @@ def verify_psi_kr_images(cartan: CartanData, xi: dict[int, int], l: int) -> Repo
 def verify_tropical_socle(cartan: CartanData, xi: dict[int, int]) -> Report:
     """Tropical F-polynomial evaluation equals the inverse socle monomial."""
     rep = Report("trop-socle", {"cartan": cartan.name, "xi": _xi_key(xi)})
-    _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
+    repctx, graph, obj_by_g = get_bundle(cartan, xi)
     ctx = graph.ctx
     for g, record in sorted(graph.registry.items()):
         obj = obj_by_g[g]
@@ -264,10 +278,11 @@ def verify_tropical_socle(cartan: CartanData, xi: dict[int, int]) -> Report:
 
 
 def verify_yhat_identity(cartan: CartanData, xi: dict[int, int]) -> Report:
-    """yhat^(dim M) = x^a(M) f^g(M) for every indecomposable module."""
+    """yhat^(dim M) = x^a(M) f^g(M) for every indecomposable module.  The yhat
+    monomials are those of the initial seed, so no exchange graph is read."""
     rep = Report("yhat", {"cartan": cartan.name, "xi": _xi_key(xi)})
-    _, _, repctx, graph, _ = get_bundle(cartan, xi)
-    ctx = graph.ctx
+    repctx = RepContext(cartan, xi)
+    ctx = seed_context(build_qcheck(cartan, xi))
     n = repctx.n
     for dims in repctx.roots:
         mon = Monomial()
@@ -298,7 +313,7 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
     exponents.  The scope's `engine_pinned` counts the edges whose M'-term fails.
     """
     rep = Report("exchange", {"cartan": cartan.name, "xi": _xi_key(xi)})
-    _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
+    repctx, graph, obj_by_g = get_bundle(cartan, xi)
     mismatched = 0
     crosschecked = set()
     targets: dict[tuple, tuple] = {}
@@ -334,15 +349,17 @@ def verify_exchange_exponents(cartan: CartanData, xi: dict[int, int]) -> Report:
     return rep
 
 
-def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
+def verify_hw_exchange(cartan: CartanData, xi: dict[int, int],
+                       l: int = DEFAULT_LEVEL) -> Report:
     """Highest l-weight identity on every exchange pair, at the given level.
 
     psi is multiplicative, so it is computed once per object: the left side is
     psi(L) psi(N), the right side psi of the M-term's factors, with multiplicity,
     times prod (u_i v_i)^{alpha_i}, with u_i v_i computed once per vertex.  Both sides
     are computed once per relation (`ExchangeEdge.relation`) and checked on every edge."""
+    check_level(l)  # before the bundle, which may take long to build
     rep = Report("hw-exchange", {"cartan": cartan.name, "xi": _xi_key(xi), "l": l})
-    _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
+    repctx, graph, obj_by_g = get_bundle(cartan, xi)
     hw = {g: psi(obj, repctx, l) for g, obj in obj_by_g.items()}
     uv = {}  # u_i(l) v_i(l) of each vertex: it reads nothing of the relation
     for i in cartan.vertices:
@@ -368,7 +385,7 @@ def verify_hw_exchange(cartan: CartanData, xi: dict[int, int], l: int) -> Report
     return rep
 
 
-def verify_tsystem(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
+def verify_tsystem(cartan: CartanData, xi: dict[int, int], l: int = DEFAULT_LEVEL) -> Report:
     """Monomial-level T-system identities: the Dynkin-edge reduction and the
     KR recurrence on a window around the relevant heights."""
     check_level(l)
@@ -396,7 +413,8 @@ def verify_tsystem(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
     return rep
 
 
-def verify_grid_sequence(cartan: CartanData, xi: dict[int, int], l: int) -> Report:
+def verify_grid_sequence(cartan: CartanData, xi: dict[int, int],
+                         l: int = DEFAULT_LEVEL) -> Report:
     """Mutation-sequence pipeline on the grid quiver.
 
     Checks: (a) the final quiver restricted to the 3n designated labels equals
@@ -484,11 +502,11 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
     (`ExchangeEdge.relation`) and checked on every edge.  Each walk step checks its
     forward seed's new record and mutates back; a step at the vertex of the step
     before it takes that step's back mutation as its forward seed."""
-    if not isinstance(walks, int) or walks < 0:
+    if type(walks) is not int or walks < 0:  # a bool is not an int
         raise ConfigurationError(f"the walk count must be an int >= 0, got {walks!r}")
     rep = Report("properties", {"cartan": cartan.name, "xi": _xi_key(xi), "walks": walks,
                                 "seed": rng_seed})
-    _, _, repctx, graph, obj_by_g = get_bundle(cartan, xi)
+    repctx, graph, obj_by_g = get_bundle(cartan, xi)
     ctx = graph.ctx
     n = len(ctx.mutables)
 
@@ -591,7 +609,6 @@ _CHECKS = {
     "properties": "verify_properties",
 }
 CHECK_NAMES = tuple(_CHECKS)
-DEFAULT_LEVEL = 2  # the level of a check that reads one and is given none
 _READS = {name: frozenset(inspect.signature(globals()[fn]).parameters)
           for name, fn in _CHECKS.items()}
 
@@ -602,7 +619,7 @@ def check_reads(name: str) -> frozenset[str]:
 
 
 def run_check(name: str, cartan: CartanData | None = None, xi: dict[int, int] | None = None,
-              l: int = DEFAULT_LEVEL, walks: int | None = None,
+              l: int | None = None, walks: int | None = None,
               rng_seed: int | None = None) -> list[Report]:
     """Run one named check (or 'all') on the arguments it reads, or its defaults for
     those left None; returns the timed reports."""

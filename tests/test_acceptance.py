@@ -66,7 +66,7 @@ class Criterion:
 def test_c01_extended_g_vector_table():
     c = Criterion(1, "extended g-vector table reproduction", 1.0)
     rc = RepContext(A3, XI["A3"])
-    _, _, _, graph, _ = get_bundle(A3, XI["A3"])
+    graph = get_bundle(A3, XI["A3"]).graph
     for obj in rc.indecomposables():
         g, s = rc.extended_g(obj)
         assert g + s == A3_GTILDE_TABLE[str(obj)]
@@ -92,7 +92,7 @@ def test_c03_quiver_goldens():
 
 def test_c04_worked_exchange_relation():
     c = Criterion(4, "worked exchange relation with socle exponents", 1.0)
-    _, _, rc, graph, obj_by_g = get_bundle(A3, XI["A3"])
+    rc, graph, obj_by_g = get_bundle(A3, XI["A3"])
     L, N = CQObject.module((0, 0, 1)), CQObject.module((1, 1, 0))
     gl, gn = rc.g_vector(L), rc.g_vector(N)
     edge = next(e for e in graph.edges if {e.old_g, e.new_g} == {gl, gn})

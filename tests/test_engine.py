@@ -296,11 +296,35 @@ def test_seed_cap_flags_partial():
     assert graph.seed_count == 4
 
 
-@pytest.mark.parametrize("cap", [0, 2.5, "3"])
+@pytest.mark.parametrize("cap", [0, 2.5, "3", True])
 def test_seed_cap_must_be_an_int_from_one(a3_seed, cap):
     with pytest.raises(ConfigurationError) as exc:
         enumerate_exchange_graph(a3_seed, max_seeds=cap)
     assert str(exc.value) == f"the seed cap must be an int >= 1, got {cap!r}"
+
+
+def test_a_start_seed_without_records_is_rejected_before_any_exchange_step(monkeypatch):
+    # two plain mutations leave two variables that no record holds
+    seed = Seed.initial(build_qcheck(A3, XI3)).mutate(Vertex(1)).mutate(Vertex(2))
+
+    def no_step(self, v):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(Seed, "exchange_step", no_step)
+    with pytest.raises(ConfigurationError) as exc:
+        enumerate_exchange_graph(seed)
+    assert str(exc.value) == (
+        "the start seed's variable g = (-1, 0, 0) has no record: start from Seed.initial "
+        "or from a seed that run_sequence returned")
+
+
+def test_a_start_seed_from_run_sequence_walks_the_whole_graph(a3_graph):
+    seed, _ = run_sequence(Seed.initial(build_qcheck(A3, XI3)), [Vertex(1), Vertex(2)])
+    graph = enumerate_exchange_graph(seed)
+    assert graph.exhaustive and graph.seed_count == 14
+    assert set(graph.seeds) == set(a3_graph.seeds)
+    assert {g: r.fpoly for g, r in graph.registry.items()} == {
+        g: r.fpoly for g, r in a3_graph.registry.items()}
 
 
 def test_enumeration_is_deterministic(a3_seed):

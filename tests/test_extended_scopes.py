@@ -85,7 +85,7 @@ def test_e6_full_exchange_graph_bundle():
     from clustermod.verify import get_bundle
 
     ct = cartan_type("E6")
-    _, _, _, graph, _ = get_bundle(ct, XI_E6)
+    graph = get_bundle(ct, XI_E6).graph
     assert graph.seed_count == 833  # the classical count of E6 clusters
     assert graph.variable_count == 42
     assert len(graph.edges) == 2499

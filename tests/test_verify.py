@@ -10,7 +10,7 @@ from clustermod import engine, verify
 from clustermod.cartan import cartan_type, linear_height
 from clustermod.cli import main
 from clustermod.engine import Seed, TermData
-from clustermod.errors import ConfigurationError, InternalInvariantError
+from clustermod.errors import ConfigurationError, DomainError, InternalInvariantError
 from clustermod.hlmap import psi
 from clustermod.verify import (
     CHECK_NAMES,
@@ -69,7 +69,7 @@ def test_exchange_exponent_check(cartan, xi, edges):
 def test_a_wrong_m_prime_exponent_fails_the_exchange_check(monkeypatch, capsys):
     # raise each M'-term exponent of one D4 edge by one; the pair shp:4 / mod:0,0,0,1
     # is also exchanged on edges that stay right, so only its own item can fail
-    graph = get_bundle(D4, XI_D4)[3]
+    graph = get_bundle(D4, XI_D4).graph
     edges = list(graph.edges)
     mp = edges[6].mp_term
     edges[6] = dataclasses.replace(edges[6], mp_term=TermData(tuple(e + 1 for e in mp.fexp),
@@ -162,15 +162,60 @@ def test_a_wrong_tropical_value_fails_trop_socle_with_its_object(monkeypatch):
 
 
 def test_a_wrong_g_vector_fails_yhat_with_its_dimension_vector(monkeypatch):
-    repctx = get_bundle(D4, XI_D4)[2]
-    real, bad = repctx.g_of_dims, (1, 2, 1, 1)
-    monkeypatch.setattr(repctx, "g_of_dims",
-                        lambda dims: tuple(e + (dims == bad) for e in real(dims)))
+    real, bad = RepContext.g_of_dims, (1, 2, 1, 1)
+    monkeypatch.setattr(RepContext, "g_of_dims",
+                        lambda self, dims: tuple(e + (dims == bad) for e in real(self, dims)))
     report = verify_yhat_identity(D4, XI_D4)
     assert report.failures == [
         {"detail": "yhat monomial identity for dim (1, 2, 1, 1)",
          "got": "x[1]^-2 x[2]^3 x[3]^-2 x[4]^-2 f[1] f[2]^-2 f[3] f[4]",
          "want": "x[1]^-2 x[2]^3 x[3]^-2 x[4]^-2 f[1]^2 f[2]^-1 f[3]^2 f[4]^2"}]
+
+
+@pytest.mark.parametrize("name,xi,roots", [
+    ("D4", XI_D4, 12), ("E6", {1: 0, 2: -1, 3: -1, 4: 0, 5: -1, 6: 0}, 36)])
+def test_yhat_reads_no_exchange_graph(monkeypatch, name, xi, roots):
+    # the yhat monomials are the initial seed's: no walk, no F and no bundle, not even
+    # a cached one
+    def no_engine(*args):
+        raise AssertionError("yhat read the exchange graph")
+
+    for module, attr in ((verify, "_bundle"), (verify, "enumerate_exchange_graph"),
+                         (engine, "div_exact")):
+        monkeypatch.setattr(module, attr, no_engine)
+    report = verify_yhat_identity(cartan_type(name), xi)
+    assert_passes(report)
+    assert report.items == roots
+
+
+LEVEL_CHECKS = ("psi-kr", "hw-exchange", "tsystem", "sequence")
+
+
+@pytest.mark.parametrize("name", LEVEL_CHECKS)
+def test_an_absent_level_is_the_checks_own_default(name):
+    reports = [run_check(name, A3, XI3, l=l)[0] for l in (None, 2)]
+    for report in reports:
+        report.seconds = 0.0
+    assert reports[0].to_json() == reports[1].to_json()
+    assert reports[0].scope["l"] == verify.DEFAULT_LEVEL == 2
+
+
+@pytest.mark.parametrize("name", LEVEL_CHECKS)
+@pytest.mark.parametrize("l", [2.5, "2", True])
+def test_a_level_that_is_not_an_int_is_a_configuration_error(monkeypatch, name, l):
+    # rejected before an exchange graph is built, not only when psi reads it
+    monkeypatch.setattr(verify, "_bundle", lambda *args: pytest.fail("a bundle was built"))
+    with pytest.raises(ConfigurationError) as exc:
+        run_check(name, A3, XI3, l=l)
+    assert str(exc.value) == f"the level must be an int, got {l!r}"
+
+
+@pytest.mark.parametrize("name", LEVEL_CHECKS)
+def test_a_level_below_one_is_a_domain_error(monkeypatch, name):
+    monkeypatch.setattr(verify, "_bundle", lambda *args: pytest.fail("a bundle was built"))
+    with pytest.raises(DomainError) as exc:
+        run_check(name, A3, XI3, l=0)
+    assert str(exc.value) == "level must be >= 1"
 
 
 def test_a_wrong_kr_monomial_fails_tsystem_with_its_triple(monkeypatch):
@@ -197,7 +242,7 @@ def test_a_wrong_yhat_monomial_fails_sequence_with_its_vertex(monkeypatch):
 
 
 def test_a_wrong_denominator_fails_properties_with_its_g_vector(monkeypatch):
-    graph = get_bundle(D4, XI_D4)[3]
+    graph = get_bundle(D4, XI_D4).graph
     g = (1, 0, 0, 0)
     record = graph.registry[g]
     wrong = dataclasses.replace(record, denominator=tuple(d + 1 for d in record.denominator))
@@ -208,7 +253,7 @@ def test_a_wrong_denominator_fails_properties_with_its_g_vector(monkeypatch):
          "engine": "(0, 1, 1, 1)", "rep": "(-1, 0, 0, 0)"}]
 
 
-@pytest.mark.parametrize("walks", [-3, 2.5, "3"])
+@pytest.mark.parametrize("walks", [-3, 2.5, "3", True])
 def test_properties_walk_count_must_be_an_int_from_zero(walks):
     with pytest.raises(ConfigurationError) as exc:
         run_check("properties", D4, XI_D4, walks=walks)
@@ -216,7 +261,7 @@ def test_properties_walk_count_must_be_an_int_from_zero(walks):
 
 
 def test_a_wrong_coefficient_fails_properties_with_its_seed_and_column(monkeypatch):
-    graph = get_bundle(D4, XI_D4)[3]
+    graph = get_bundle(D4, XI_D4).graph
     first, real = graph.seeds[min(graph.seeds)], verify._prop313_coeff
     monkeypatch.setattr(verify, "_prop313_coeff",
                         lambda seed, k: () if seed is first and k == 1 else real(seed, k))
@@ -230,7 +275,7 @@ def _one_bad_edge(monkeypatch, bad):
     """Swap the D4 bundle's edges for a copy with one edge rewritten by `bad`: the first
     edge whose pair sits on an earlier edge and for which `bad` does not return None.
     Returns the rewritten edge."""
-    graph = get_bundle(D4, XI_D4)[3]
+    graph = get_bundle(D4, XI_D4).graph
     edges, seen = list(graph.edges), set()
     for n, edge in enumerate(edges):
         pair = frozenset((edge.old_g, edge.new_g))
@@ -244,7 +289,7 @@ def _one_bad_edge(monkeypatch, bad):
 
 def _one_more_factor(term_name):
     """Add 1 to the multiplicity of the term's first factor whose socle is nonzero."""
-    _, _, repctx, _, obj_by_g = get_bundle(D4, XI_D4)
+    repctx, _, obj_by_g = get_bundle(D4, XI_D4)
 
     def bad(edge):
         term = getattr(edge, term_name)
@@ -258,7 +303,7 @@ def _one_more_factor(term_name):
 
 
 def _edge_name(edge):
-    obj_by_g = get_bundle(D4, XI_D4)[4]
+    obj_by_g = get_bundle(D4, XI_D4).obj_by_g
     return f"{obj_by_g[edge.old_g]} / {obj_by_g[edge.new_g]}"
 
 
@@ -295,8 +340,8 @@ def test_one_bad_factor_of_a_pair_fails_exchange_and_hw_exchange(monkeypatch):
 def test_hw_exchange_raises_each_m_term_factor_to_its_multiplicity(monkeypatch):
     # one more copy of a shifted projective in one edge's M-term: its socle is zero, so
     # kappa stays put, and its psi is not 1, so only the factor's power can see the copy
-    real = verify.get_bundle
-    cartan, xi, repctx, graph, obj_by_g = real(D4, XI_D4)
+    bundle = get_bundle(D4, XI_D4)
+    repctx, graph, obj_by_g = bundle
 
     def shift_factor(edge):
         return next((n for n, (fg, _) in enumerate(edge.m_term.factors)
@@ -312,8 +357,7 @@ def test_hw_exchange_raises_each_m_term_factor_to_its_multiplicity(monkeypatch):
     factors = edge.m_term.factors[:n] + ((fg, mult + 1),) + edge.m_term.factors[n + 1:]
     edges[found[0]] = dataclasses.replace(edge, m_term=TermData(edge.m_term.fexp, factors))
     bad_graph = dataclasses.replace(graph, edges=edges)
-    monkeypatch.setattr(verify, "get_bundle",
-                        lambda c, x: (cartan, xi, repctx, bad_graph, obj_by_g))
+    monkeypatch.setattr(verify, "get_bundle", lambda c, x: bundle._replace(graph=bad_graph))
     report = verify_hw_exchange(D4, XI_D4, 2)
     assert [f["detail"] for f in report.failures] == [f"hw identity at {_edge_name(edge)}"]
     assert report.items == len(edges)
@@ -391,7 +435,7 @@ def test_properties_deterministic():
 @pytest.mark.parametrize("broken", [False, True])
 def test_properties_walk_matches_the_two_mutation_walk(monkeypatch, broken):
     walks, rng_seed = 60, 1
-    graph = get_bundle(A3, XI3)[3]  # built with the real kernel
+    graph = get_bundle(A3, XI3).graph  # built with the real kernel
     if broken:
         # the negated column left a list: the values stay right, so every record
         # check passes, but a seed holding it no longer equals one holding a tuple
@@ -415,12 +459,12 @@ def test_properties_walk_matches_the_two_mutation_walk(monkeypatch, broken):
 
 def test_a_wrong_expansion_fails_the_edge_identity_of_every_relation_reading_it(monkeypatch):
     real = verify.get_bundle
-    cartan, xi, repctx, graph, obj_by_g = real(A3, XI3)
+    bundle = real(A3, XI3)
+    graph = bundle.graph
     g = (0, 1, 0)
     wrong = dataclasses.replace(graph.registry[g], expansion=graph.registry[g].expansion * 2)
     wrong_graph = dataclasses.replace(graph, registry={**graph.registry, g: wrong})
-    monkeypatch.setattr(verify, "get_bundle",
-                        lambda c, x: (cartan, xi, repctx, wrong_graph, obj_by_g))
+    monkeypatch.setattr(verify, "get_bundle", lambda c, x: bundle._replace(graph=wrong_graph))
     report = verify_properties(A3, XI3, walks=0)
     monkeypatch.setattr(verify, "get_bundle", real)
     reads = [edge for edge in graph.edges
@@ -434,7 +478,7 @@ def test_a_wrong_expansion_fails_the_edge_identity_of_every_relation_reading_it(
 
 
 def test_edge_analysis_shift_injective_edges():
-    _, _, repctx, graph, obj_by_g = get_bundle(A3, XI3)
+    repctx, graph, obj_by_g = get_bundle(A3, XI3)
     # the shifted-projective / injective exchange has an empty middle and the
     # opposite middle collects the neighbor shifts and injectives
     for i in (1, 2, 3):
@@ -459,7 +503,7 @@ def test_every_edge_names_the_m_term_of_the_g_sum_oracle():
                for xi in orientations(cartan_type(name))]
     scopes.append(("E6", {1: 0, 2: -1, 3: -1, 4: 0, 5: -1, 6: 0}))
     for name, xi in scopes:
-        _, _, repctx, graph, obj_by_g = get_bundle(cartan_type(name), xi)
+        repctx, graph, obj_by_g = get_bundle(cartan_type(name), xi)
         for edge in graph.edges:
             assert edge.m_term == oracle_m_term(edge, repctx, obj_by_g), (name, xi, edge)
 
@@ -473,7 +517,7 @@ def test_engine_exchange_pairs_are_the_ext1_pairs_with_one_relation_each():
               for xi in orientations(cartan_type(name))] + [("E6", e6_xi)]
     counts = {}
     for name, xi in scopes:
-        _, _, repctx, graph, obj_by_g = get_bundle(cartan_type(name), xi)
+        repctx, graph, obj_by_g = get_bundle(cartan_type(name), xi)
         relations: dict[frozenset, set] = {}
         for edge in graph.edges:
             for term in (edge.m_term, edge.mp_term):
