@@ -14,8 +14,8 @@ Cluster variables are not stored either: the F-polynomial of each one is
 computed once, when its record is built, by the Fomin-Zelevinsky recurrence
 (Cluster algebras IV, Prop. 5.1) on the exchange relation at its own position,
 with one exact division by the F of the pair's other variable; the records table
-of the SeedContext, keyed by g, alone holds F.  The expansion follows from F and
-the extended g-vector by the separation formula (ibid., Thm 3.7).
+of the SeedContext, keyed by g, alone holds F.  No record keeps the expansion:
+`separation` builds it from F and g-tilde by the separation formula (ibid., Thm 3.7).
 
 Records cross-check the integer data against F: constant term 1, positive
 coefficients, the frozen block of the extended g-vector against -trop(F)(y0),
@@ -333,12 +333,12 @@ def _mutate_cvecs(cvecs, k, brow, eps) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class ClusterVarRecord:
-    """Per-variable principal data: expansion, F-polynomial, (extended) g-vector."""
+    """Per-variable principal data: (extended) g-vector, F-polynomial, denominator
+    vector.  g-tilde and F fix the expansion: it is `separation(gtilde, fpoly, ctx)`."""
 
     gvec: tuple[int, ...]
     gtilde: tuple[int, ...]
     fpoly: LaurentPoly
-    expansion: LaurentPoly
     denominator: tuple[int, ...]
 
 
@@ -375,10 +375,13 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
     against the F-polynomial; built once per g-vector and shared by the context.
 
     A new F comes from the exchange relation at j, whose other variables need their
-    records first.  The rest is linear in the size of F: one tropical evaluation,
-    one substitution for the expansion and one pass for the denominator vector."""
+    records first.  The rest is linear in the size of F: one tropical evaluation and
+    one substitution for the expansion, read for the denominator vector and dropped."""
     ctx = seed.ctx
     n = len(ctx.mutables)
+    if type(j) is not int or not 0 <= j < n:  # a bool is not an int
+        raise ConfigurationError(f"position {j!r} is not a mutable position of a seed "
+                                 f"with {n} mutable vertices")
     gtilde = seed.gtilde[j]
     g = gtilde[:n]
     support = [(i, e) for i, e in enumerate(g) if e]  # g has few nonzero entries
@@ -397,17 +400,16 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
             raise InternalInvariantError(
                 f"F-polynomial has non-positive coefficient at g = {g}: {fpoly}")
         full = g + tuple(-e for e in eval_tropical(fpoly, ctx.y0_assign))
-        expansion = separation(full, fpoly, ctx)
         # denominator d_i = max over monomials of -(exponent of x_i), absent = 0
         xpos, denom = ctx.x_index, None
-        for mon in expansion.monomials():
+        for mon in separation(full, fpoly, ctx).monomials():
             vec = [0] * n
             for v, e in mon.items:
                 i = xpos.get(v)
                 if i is not None:
                     vec[i] = -e
             denom = vec if denom is None else list(map(max, denom, vec))
-        ctx.records[g] = record = ClusterVarRecord(g, full, fpoly, expansion, tuple(denom))
+        ctx.records[g] = record = ClusterVarRecord(g, full, fpoly, tuple(denom))
 
     if record.gtilde != gtilde:
         raise InternalInvariantError(

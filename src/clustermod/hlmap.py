@@ -6,6 +6,7 @@ extraction reads each (i, p) label off the seed's own z-variables (`VarId.index`
 """
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Mapping
 
 from .cartan import CartanData, check_level
@@ -73,14 +74,18 @@ def yhat_monomial(i: int, r: int, cartan: CartanData) -> Monomial:
 def psi(objs, repctx: RepContext, l: int) -> Monomial:
     """Highest l-weight monomial of the cluster module attached to a rigid object.
 
-    Accepts a single CQObject or an iterable (a direct sum); multiplicative over
+    Accepts a single CQObject or an iterable (a direct sum), which must be rigid:
+    a pair of summands with dim Ext^1 != 0 is a DomainError.  Multiplicative over
     summands: prod_i z_{i,xi-2l+2}^{g_i} (u_i v_i)^{s_i} over every summand, with
     u_i v_i = z_{i,xi-2l+2} z_{i,xi}^-1 z_{i,xi-2l}, summed into one exponent map.
     The result must be dominant; anything else signals a convention error
     somewhere upstream.
     """
-    if isinstance(objs, CQObject):
-        objs = (objs,)
+    objs = (objs,) if isinstance(objs, CQObject) else tuple(objs)
+    for x, y in itertools.combinations(objs, 2):
+        if ext := repctx.ext1_cluster(x, y):
+            raise DomainError(f"{'+'.join(map(str, objs))} is not rigid: "
+                              f"dim Ext^1({x}, {y}) = {ext}")
     check_level(l)
     xi = repctx.xi
     pairs = []

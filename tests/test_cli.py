@@ -16,8 +16,9 @@ import clustermod
 from clustermod import cli
 from clustermod.cartan import cartan_type
 from clustermod.cli import main
+from clustermod.engine import Seed, enumerate_exchange_graph
 from clustermod.errors import InternalInvariantError
-from clustermod.quivers import IceQuiver
+from clustermod.quivers import IceQuiver, build_gamma_l
 from clustermod.verify import CHECK_NAMES, check_reads
 from oracles import orientations
 
@@ -303,6 +304,50 @@ def test_seed_cap_env_that_is_not_an_int(capsys, monkeypatch):
 def test_height_function_off_the_diagram_exits_3(capsys, xi, message):
     code, out, err = run(capsys, "psi", "--cartan", "A3", "--xi", xi, "--object", "shp:1")
     assert (code, out, err) == (3, "", message)
+
+
+@pytest.mark.parametrize("name,message", [
+    ("A0", "A_n needs n >= 1"),
+    ("D3", "D_n needs n >= 4"),
+    ("E9", "E_n needs n in {6,7,8}"),
+    ("X3", "cannot parse Cartan type 'X3'"),
+])
+def test_cartan_type_off_the_ade_list_exits_3(capsys, name, message):
+    code, out, err = run(capsys, "rep", "list", "--cartan", name, "--xi", "1:0")
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_linear_outside_type_a_exits_3(capsys):
+    code, out, err = run(capsys, "rep", "list", "--cartan", "D4", "--linear")
+    assert (code, out, err) == (3, "", "error: --linear is only defined for type A\n")
+
+
+def test_height_function_with_an_empty_entry_is_accepted(capsys):
+    want = run(capsys, "rep", "list", "--cartan", "A3", "--xi", "1:0,2:-1,3:-2")
+    assert want[0] == 0 and want[1]
+    assert run(capsys, "rep", "list", "--cartan", "A3", "--xi", "1:0,,2:-1,3:-2") == want
+
+
+def test_engine_enumerate_without_cartan_exits_2(capsys):
+    code, out, err = run(capsys, "engine", "enumerate", "--linear")
+    assert (code, out, err) == (2, "", "error: --cartan is required\n")
+
+
+def test_engine_enumerate_grid_family(capsys):
+    a3 = cartan_type("A3")
+    graph = enumerate_exchange_graph(Seed.initial(build_gamma_l(a3, {1: 0, 2: -1, 3: -2}, 3)),
+                                     max_seeds=200)
+    assert graph.seed_count == 200 and not graph.exhaustive
+    code, out, err = run(capsys, "engine", "enumerate", "--cartan", "A3", "--linear",
+                         "--family", "gamma", "--level", "3", "--max-seeds", "200")
+    assert (code, out, err) == (0, graph.report_json() + "\n", "")
+
+
+def test_quiver_mutate_file_with_a_repeated_label_exits_2(tmp_path, capsys):
+    qfile = tmp_path / "q.json"
+    qfile.write_text(json.dumps({"vertices": [{"label": "1"}, {"label": "1"}], "arrows": []}))
+    code, out, err = run(capsys, "quiver", "mutate", "--in", str(qfile), "--at", "1")
+    assert (code, out, err) == (2, "", "error: duplicate vertex labels\n")
 
 
 def test_rep_show_json_matrices(capsys):

@@ -58,7 +58,9 @@ def test_coefficient_free_a2_classic():
     s = Seed.initial(q)
     s1 = s.mutate(Vertex(1))
     x1, x2 = xvar(1), xvar(2)
-    assert make_record(s1, 0).expansion == poly(({x1: -1, x2: 1}, 1), ({x1: -1}, 1))  # (x2+1)/x1
+    rec = make_record(s1, 0)
+    assert separation(rec.gtilde, rec.fpoly, s.ctx) == poly(({x1: -1, x2: 1}, 1),
+                                                          ({x1: -1}, 1))  # (x2+1)/x1
 
 
 def test_qcheck_mutation_at_sink(a3_seed):
@@ -70,11 +72,12 @@ def test_qcheck_mutation_at_sink(a3_seed):
     k = ctx.mut_index[Vertex(3)]
     x2, x3 = xvar(2), xvar(3)
     want = poly(({x2: 1, x3: -1, fvar(3): 1}, 1), ({x3: -1, fvar(2): 1}, 1))
-    assert make_record(s1, k).expansion == want  # (f2 + f3 x2)/x3
+    rec = make_record(s1, k)
+    assert separation(rec.gtilde, rec.fpoly, ctx) == want  # (f2 + f3 x2)/x3
 
 
-def _same_as_oracle(rec, want):
-    return (rec.gvec, rec.fpoly, rec.expansion, rec.denominator) == (
+def _same_as_oracle(rec, want, ctx):
+    return (rec.gvec, rec.fpoly, separation(rec.gtilde, rec.fpoly, ctx), rec.denominator) == (
         want.gvec, want.fpoly, want.expansion, want.denominator)
 
 
@@ -83,16 +86,27 @@ def test_double_mutation_is_identity(a3_seed):
     for v in a3_seed.ctx.mutables:
         k = a3_seed.ctx.mut_index[v]
         forward = a3_seed.mutate(v)
-        assert _same_as_oracle(make_record(forward, k), reference.mutate(v).record(k))
+        assert _same_as_oracle(make_record(forward, k), reference.mutate(v).record(k),
+                               a3_seed.ctx)
         back = forward.mutate(v)
         assert back == a3_seed
         for j in range(len(a3_seed.ctx.mutables)):
-            assert _same_as_oracle(make_record(back, j), reference.record(j))
+            assert _same_as_oracle(make_record(back, j), reference.record(j), a3_seed.ctx)
 
 
 def test_mutation_at_frozen_rejected(a3_seed):
     with pytest.raises(FrozenVertexError):
         a3_seed.mutate(Vertex(1, primed=True))
+
+
+@pytest.mark.parametrize("j", [-1, 3, True, 1.0, "0"])
+def test_make_record_rejects_a_position_that_is_not_mutable(j):
+    # the caller's fault, not an engine bug: a usage error, and no record is written
+    seed = Seed.initial(build_qcheck(A3, XI3)).mutate(Vertex(1))
+    before = dict(seed.ctx.records)
+    with pytest.raises(ConfigurationError, match="not a mutable position"):
+        make_record(seed, j)
+    assert seed.ctx.records == before
 
 
 def test_mutate_with_edge_rejects_an_edge_of_another_seed(a3_seed):
@@ -255,7 +269,7 @@ def test_separation_leading_monomial(a3_graph):
     ctx = a3_graph.ctx
     rec = a3_graph.registry[(0, 0, -1)]
     lead = Monomial({xvar(3): -1, fvar(3): 1})
-    assert rec.expansion.coefficient(lead) == 1
+    assert separation(rec.gtilde, rec.fpoly, ctx).coefficient(lead) == 1
     assert rec.gtilde == (0, 0, -1, 0, 0, 1)
 
 
@@ -346,7 +360,7 @@ def test_sign_coherence_everywhere(a3_graph):
 
 def test_laurent_positivity_everywhere(a3_graph):
     for rec in a3_graph.registry.values():
-        assert all(c > 0 for _, c in rec.expansion.terms())
+        assert all(c > 0 for _, c in separation(rec.gtilde, rec.fpoly, a3_graph.ctx).terms())
         assert rec.fpoly.constant_term() == 1
 
 
@@ -368,13 +382,14 @@ def test_initial_edge_coefficient_split(a3_seed):
 
 def test_edge_product_identity(a3_graph):
     ctx = a3_graph.ctx
+    expansion = {g: separation(rec.gtilde, rec.fpoly, ctx) for g, rec in a3_graph.registry.items()}
     for edge in a3_graph.edges:
-        lhs = a3_graph.registry[edge.old_g].expansion * a3_graph.registry[edge.new_g].expansion
+        lhs = expansion[edge.old_g] * expansion[edge.new_g]
         rhs = LaurentPoly.zero()
         for term in (edge.m_term, edge.mp_term):
             part = LaurentPoly.from_monomial(TropElem(ctx.gens, term.fexp).as_monomial())
             for fg, mult in term.factors:
-                part = part * a3_graph.registry[fg].expansion ** mult
+                part = part * expansion[fg] ** mult
             rhs = rhs + part
         assert lhs == rhs
 
@@ -402,7 +417,7 @@ def test_run_sequence_and_involution_walk():
         k = seed.ctx.mut_index[v]
         nxt = seed.mutate(v)
         reference = reference.mutate(v)
-        assert _same_as_oracle(make_record(nxt, k), reference.record(k))
+        assert _same_as_oracle(make_record(nxt, k), reference.record(k), seed.ctx)
         assert nxt.mutate(v) == seed
         seed = nxt
     back, edges = run_sequence(seed, [])
@@ -472,7 +487,7 @@ def test_records_match_two_laurent_oracle(name, xi):
     assert set(graph.registry) == set(want)
     for g, rec in graph.registry.items():
         assert rec.fpoly == want[g].fpoly, g
-        assert rec.expansion == want[g].expansion, g
+        assert separation(rec.gtilde, rec.fpoly, graph.ctx) == want[g].expansion, g
         assert rec.denominator == want[g].denominator, g
 
     # thin modules: F is the sum of y^S over the submodule supports S

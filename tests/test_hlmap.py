@@ -150,8 +150,21 @@ def test_psi_projective_and_injective_kr(rc3):
 
 def test_psi_multiplicative_over_sums(rc3):
     a = CQObject.module((0, 1, 1))
-    b = CQObject.shifted(2)
+    b = CQObject.shifted(1)
+    assert rc3.ext1_cluster(a, b) == 0
     assert psi([a, b], rc3, 2) == psi(a, rc3, 2) * psi(b, rc3, 2)
+
+
+@pytest.mark.parametrize("level", [2, 0])
+def test_psi_rejects_a_sum_that_is_not_rigid_before_its_level(rc3, level):
+    # the check the command line makes, ahead of the level check as there
+    for objs, pair in (([CQObject.module((0, 1, 1)), CQObject.shifted(2)], "mod:0,1,1, shp:2"),
+                       ([CQObject.shifted(1), CQObject.module((1, 0, 0))], "shp:1, mod:1,0,0")):
+        with pytest.raises(DomainError) as exc:
+            psi(objs, rc3, level)
+        assert str(exc.value) == f"{objs[0]}+{objs[1]} is not rigid: dim Ext^1({pair}) = 1"
+        with pytest.raises(DomainError, match="not rigid"):
+            psi(iter(objs), rc3, level)
 
 
 @pytest.mark.parametrize("cartan,xi,l", [

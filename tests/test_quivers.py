@@ -278,6 +278,23 @@ def test_dot_output_shapes():
     assert '"(1,-2)" -> "(1,0)";' in dot
 
 
+@pytest.mark.parametrize("vertices,frozen,b,message", [
+    ((Vertex(1), Vertex(1)), frozenset(), ((0, 0), (0, 0)), "duplicate vertex labels"),
+    ((Vertex(1),), frozenset({Vertex(2)}), ((0,),), "frozen set contains unknown labels"),
+    ((Vertex(1), Vertex(2)), frozenset(), ((0, 1),), "matrix shape does not match vertex count"),
+    ((Vertex(1), Vertex(2)), frozenset(), ((0, 1), (1, 0)), "matrix is not skew-symmetric"),
+], ids=["duplicate", "unknown-frozen", "shape", "not-skew"])
+def test_ice_quiver_rejects_malformed_data(vertices, frozen, b, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        IceQuiver(vertices, frozen, b)
+
+
+def test_index_of_an_unknown_label_is_rejected():
+    q = build_qcheck(A3, XI_A3_LIN)
+    with pytest.raises(ConfigurationError, match=r"^unknown vertex label \(1,0\)$"):
+        q.index(Vertex(1, 0))
+
+
 def test_from_arrows_rejects_frozen_frozen():
     with pytest.raises(ConfigurationError):
         IceQuiver.from_arrows([Vertex(1), Vertex(2)], [Vertex(1), Vertex(2)],

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from clustermod.errors import ConfigurationError
 from clustermod.quivers import Vertex
 from clustermod.reps import CQObject
 from clustermod.symbolic import VarId, Yvar, fvar, xvar, ycoef, zvar
@@ -73,6 +74,11 @@ def test_text_is_unchanged():
     assert [str(o) for o in OBJECTS] == ["shp:1", "shp:4", "mod:0,1,1", "mod:1,0,0,0"]
     assert repr(CQObject.module((0, 1))) == "CQObject(kind='mod', dims=(0, 1), i=0)"
     assert repr(CQObject.shifted(2)) == "CQObject(kind='shift', dims=(), i=2)"
+
+
+def test_unknown_variable_family_is_rejected():
+    with pytest.raises(ConfigurationError, match="^unknown variable family 'q'$"):
+        VarId("q", ())
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,

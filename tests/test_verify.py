@@ -457,16 +457,34 @@ def test_properties_walk_matches_the_two_mutation_walk(monkeypatch, broken):
         assert 0 < len(want.failures) < walks
 
 
+def test_properties_builds_each_expansion_once(monkeypatch):
+    # records keep no expansion: properties builds each variable's once, by separation
+    graph = get_bundle(D4, XI_D4).graph
+    real_separation, calls = verify.separation, []
+
+    def counted(gtilde, fpoly, ctx):
+        calls.append(gtilde)
+        return real_separation(gtilde, fpoly, ctx)
+
+    monkeypatch.setattr(verify, "separation", counted)
+    report = verify_properties(D4, XI_D4, walks=0)
+    assert report.passed
+    assert sorted(calls) == sorted(rec.gtilde for rec in graph.registry.values())
+    assert len(calls) == graph.variable_count == 16
+
+
 def test_a_wrong_expansion_fails_the_edge_identity_of_every_relation_reading_it(monkeypatch):
-    real = verify.get_bundle
-    bundle = real(A3, XI3)
-    graph = bundle.graph
+    graph = verify.get_bundle(A3, XI3).graph
     g = (0, 1, 0)
-    wrong = dataclasses.replace(graph.registry[g], expansion=graph.registry[g].expansion * 2)
-    wrong_graph = dataclasses.replace(graph, registry={**graph.registry, g: wrong})
-    monkeypatch.setattr(verify, "get_bundle", lambda c, x: bundle._replace(graph=wrong_graph))
+    real_separation = verify.separation
+
+    def wrong_separation(gtilde, fpoly, ctx):  # the expansion of g doubled
+        out = real_separation(gtilde, fpoly, ctx)
+        return out * 2 if gtilde == graph.registry[g].gtilde else out
+
+    monkeypatch.setattr(verify, "separation", wrong_separation)
     report = verify_properties(A3, XI3, walks=0)
-    monkeypatch.setattr(verify, "get_bundle", real)
+    monkeypatch.setattr(verify, "separation", real_separation)
     reads = [edge for edge in graph.edges
              if g in (edge.old_g, edge.new_g)
              or any(fg == g for term in (edge.m_term, edge.mp_term) for fg, _ in term.factors)]
