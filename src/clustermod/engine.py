@@ -3,10 +3,11 @@
 A seed holds each quantity once: its ice quiver B-tilde, its c-vectors as
 integer columns (the exponents of the principal coefficients in the y_j) and
 its extended g-vectors.  The ambient tropical coefficient y_k is not stored: it
-is read off column k of B-tilde in the frozen rows, one sum per frozen
-generator, and the same read-off gives the initial coefficients y0 and the two
-exponent vectors of each exchange relation.  Column k is always read as row k
-negated (b_ik = -b_ki by skew-symmetry), so one tuple of the matrix holds it.
+is read off column k of B-tilde in the frozen rows, one entry per frozen vertex
+(each names its own generator), and the same read-off gives the initial
+coefficients y0 and the two exponent vectors of each exchange relation.  Column
+k is always read as row k negated (b_ik = -b_ki by skew-symmetry), so one tuple
+of the matrix holds it.
 Every tropical value is such an exponent tuple over the frozen generators: a
 product adds tuples and the auxiliary sum takes their componentwise minimum.
 
@@ -67,7 +68,7 @@ def _var_for_vertex(v: Vertex) -> VarId:
 
 
 def _gen_for_vertex(v: Vertex) -> VarId:
-    # frozen companions i' share the generator f_i with their mutable partner
+    # a frozen companion i' is named after its mutable partner i: f_i
     return fvar(v.i) if v.r is None else zvar(v.i, v.r)
 
 
@@ -82,9 +83,9 @@ class SeedContext:
 
     quiver0: IceQuiver
     mutables: tuple[Vertex, ...]
-    frozens: tuple[Vertex, ...]
     xvars: tuple[VarId, ...]
     gens: tuple[VarId, ...]
+    gen_rows: tuple[int, ...]  # matrix index of the frozen vertex of each generator
     ycoefs: tuple[VarId, ...]
 
     @functools.cached_property
@@ -108,29 +109,10 @@ class SeedContext:
             tuple(self.quiver0.entry(u, v) for u in self.mutables) for v in self.mutables
         )
 
-    @functools.cached_property
-    def gen_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Matrix indices of the frozen vertices of each generator, in `gens` order."""
-        rows = {g: [] for g in self.gens}
-        for v in self.frozens:
-            rows[_gen_for_vertex(v)].append(self.quiver0.index(v))
-        return tuple(tuple(r) for r in rows.values())
-
-    @functools.cached_property
-    def _gen_row_split(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """`gen_rows` as the first row of each generator and the (generator, row)
-        pairs of the rest; most quivers have one frozen row per generator."""
-        return (tuple(rows[0] for rows in self.gen_rows),
-                tuple((g, r) for g, rows in enumerate(self.gen_rows) for r in rows[1:]))
-
     def coeff_exps(self, rowk: tuple[int, ...]) -> tuple[int, ...]:
         """Exponents of the ambient coefficient y_k, from row k of B-tilde: column k
-        summed over the frozen rows of each generator, read as b_rk = -b_kr."""
-        first, rest = self._gen_row_split
-        out = [-rowk[r] for r in first]
-        for g, r in rest:
-            out[g] -= rowk[r]
-        return tuple(out)
+        in the frozen row of each generator, read as b_rk = -b_kr."""
+        return tuple([-rowk[r] for r in self.gen_rows])
 
     def coeffs_of(self, b: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
         """Exponents over `gens` of every ambient coefficient of the matrix b."""
@@ -160,14 +142,23 @@ class SeedContext:
 
 
 def seed_context(quiver: IceQuiver) -> SeedContext:
+    """The context of `quiver` as an initial seed.  Each vertex names its own variable,
+    x_v when mutable and f_v when frozen, so labels i and i' that would name one
+    variable twice raise ConfigurationError.  The generators sort by name."""
     mutables = quiver.mutable_vertices
-    frozens = quiver.frozen_vertices
+    xvars = tuple(_var_for_vertex(v) for v in mutables)
+    frozen = sorted(((_gen_for_vertex(v), v) for v in quiver.frozen_vertices),
+                    key=lambda pair: pair[0])
+    named: dict[VarId, Vertex] = {}
+    for var, v in [*zip(xvars, mutables), *frozen]:
+        if named.setdefault(var, v) != v:
+            raise ConfigurationError(f"vertices {named[var]} and {v} both name the variable {var}")
     return SeedContext(
         quiver0=quiver,
         mutables=mutables,
-        frozens=frozens,
-        xvars=tuple(_var_for_vertex(v) for v in mutables),
-        gens=tuple(sorted({_gen_for_vertex(v) for v in frozens})),
+        xvars=xvars,
+        gens=tuple(var for var, _ in frozen),
+        gen_rows=tuple(quiver.index(v) for _, v in frozen),
         ycoefs=tuple(_ycoef_for_vertex(v) for v in mutables),
     )
 

@@ -22,6 +22,7 @@ from .engine import (
     Seed,
     enumerate_exchange_graph,
     make_record,
+    run_sequence,
     seed_context,
     separation,
 )
@@ -415,7 +416,7 @@ def verify_tsystem(cartan: CartanData, xi: dict[int, int], l: int = DEFAULT_LEVE
 
 def verify_grid_sequence(cartan: CartanData, xi: dict[int, int],
                          l: int = DEFAULT_LEVEL) -> Report:
-    """Mutation-sequence pipeline on the grid quiver.
+    """Mutation-sequence pipeline on the grid quiver, applied by `run_sequence`.
 
     Checks: (a) the final quiver restricted to the 3n designated labels equals
     the coefficient-quiver constructor (after erasing frozen-frozen arrows, which
@@ -437,30 +438,24 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int],
     def position_hw(sd, j):
         return hw_extract(make_record(sd, j).gtilde, ctx.xvars + ctx.gens, xi)
 
-    for v in s_l_sequence(cartan, xi, l):
+    seed, edges = run_sequence(seed, s_l_sequence(cartan, xi, l))
+    for edge in edges:
+        v, source = edge.vertex, edge.source
         i, r = v.i, v.r
         k = (xi[i] - r) // 2 + 1
         j = ctx.mut_index[v]
-        got = position_hw(seed, j)
+        got = position_hw(source, j)
         rep.check(got == kr_monomial(i, k, r), "pre-mutation KR label at {}", v, got=got)
-        edge = seed.exchange_step(v)
+        position = {g[:n_mut]: jj for jj, g in enumerate(source.gtilde)}
 
         def term_hw(term):
             out = hw_extract(term.fexp, ctx.gens, xi)
             for fg, mult in term.factors:
-                for jj in range(n_mut):
-                    if seed.gtilde[jj][:n_mut] == fg:
-                        out = out * position_hw(seed, jj) ** mult
-                        break
-                else:
-                    raise InternalInvariantError(
-                        f"exchange factor g = {fg} not found in seed {seed.key()} "
-                        f"at step {v}")
+                out = out * position_hw(source, position[fg]) ** mult
             return out
 
         hm, hmp = term_hw(edge.m_term), term_hw(edge.mp_term)
-        seed = seed.mutate_with_edge(edge)
-        got = position_hw(seed, j)
+        got = hw_extract(edge.new_gtilde, ctx.xvars + ctx.gens, xi)
         rep.check(got == kr_monomial(i, k, r - 2), "post-mutation KR label at {}", v, got=got)
         dominant = kr_monomial(i, k - 1, r) * kr_monomial(i, k + 1, r - 2)
         other = Monomial.one()

@@ -30,11 +30,14 @@ vector at each vertex and solves one linear system per arrow, where the library
 reads the arrow maps off one reduced row echelon form per vertex.  The
 reference seed's tropical coefficients are `TropElem`s, which carry their
 generator list and do semiring arithmetic, where the library keeps bare
-exponent tuples.  The reference AR translation tau applies the Coxeter matrix
--E^-1 E^T, where the library reads tau off the inverse of tau^-1.  The reference
-M-term of an exchange edge is the term whose factors' g-vectors sum to g + g',
-with kappa(L, 0, N) from the reference socles on rank 1, where the library reads
-it off the sign of the exchanged c-vector.  The reference mutation walk of the
+exponent tuples; each of them, the initial ones too, sums the frozen rows that
+carry a generator's name, where the library reads the one row of each generator
+off `SeedContext.gen_rows`.  The reference AR translation tau applies the
+Coxeter matrix -E^-1 E^T, where the library reads tau off the inverse of
+tau^-1.  The reference M-term of an exchange edge is the term whose factors'
+g-vectors sum to g + g', with kappa(L, 0, N) from the reference socles on rank
+1, where the library reads it off the sign of the exchanged c-vector.  The
+reference mutation walk of the
 property check mutates forward and back at every step, where the library takes
 a step at the vertex of the step before it from that step's back mutation.
 The reference exchange step, seed mutation and matrix mutation are the
@@ -72,7 +75,7 @@ from clustermod.errors import (
 )
 from clustermod.quivers import IceQuiver, Vertex, build_qcheck
 from clustermod.reps import CQObject, QuiverRep, _div, _exact, _mat, _zeros
-from clustermod.symbolic import LaurentPoly, Monomial, VarId
+from clustermod.symbolic import LaurentPoly, Monomial, VarId, fvar, zvar
 
 
 # The tropical semifield as arithmetic on elements that carry their generator
@@ -360,8 +363,15 @@ def oracle_exchange_step(self: Seed, v: Vertex) -> ExchangeEdge:
 
 def oracle_coeff_exps(self: SeedContext, rowk: tuple[int, ...]) -> tuple[int, ...]:
     """Exponents of the ambient coefficient y_k, from row k of B-tilde: column k
-    summed over the frozen rows of each generator, read as b_rk = -b_kr."""
-    return tuple([-sum([rowk[r] for r in rows]) for rows in self.gen_rows])
+    summed, for each generator, over the frozen vertices of the initial quiver that
+    carry its name (f_i for i and i', z_{i,r} for (i, r)), read as b_rk = -b_kr."""
+    quiver = self.quiver0
+
+    def name(v: Vertex) -> VarId:
+        return fvar(v.i) if v.r is None else zvar(v.i, v.r)
+
+    return tuple([-sum([rowk[quiver.index(v)] for v in quiver.frozen_vertices if name(v) == g])
+                  for g in self.gens])
 
 
 def oracle_mutate_with_edge(self: Seed, edge: ExchangeEdge) -> Seed:
@@ -482,7 +492,10 @@ class OracleSeed:
         ctx = seed0.ctx
         xs = tuple(LaurentPoly.var(v) for v in ctx.xvars)
         ys = tuple(TropElem.generator(ctx.ycoefs, y) for y in ctx.ycoefs)
-        y0 = tuple(TropElem(ctx.gens, y) for y in ctx.y0)
+        # the initial coefficients by the reference read-off, not the engine's ctx.y0
+        b0 = ctx.quiver0.b
+        y0 = tuple(TropElem(ctx.gens, oracle_coeff_exps(ctx, b0[ctx.quiver0.index(v)]))
+                   for v in ctx.mutables)
         return OracleSeed(ctx, ctx.quiver0, xs, y0, xs, ys)
 
     def mutate(self, v) -> "OracleSeed":

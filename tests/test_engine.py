@@ -15,7 +15,15 @@ from clustermod.engine import (
     separation,
 )
 from clustermod.errors import ConfigurationError, FrozenVertexError, InternalInvariantError
-from clustermod.quivers import IceQuiver, Vertex, build_gamma_l, build_qcheck
+from clustermod.quivers import (
+    IceQuiver,
+    Vertex,
+    build_gamma_full,
+    build_gamma_l,
+    build_qcheck,
+    build_qxi,
+    build_qxil,
+)
 from clustermod.reps import RepContext
 from clustermod.symbolic import LaurentPoly, Monomial, fvar, xvar, ycoef
 from clustermod.verify import s_l_sequence
@@ -499,3 +507,54 @@ def test_records_match_two_laurent_oracle(name, xi):
             assert rec.fpoly == oracle_thin_fpoly(obj.dims, repctx.arrows, seed0.ctx.ycoefs), obj
             thin += 1
     assert thin >= cartan.rank
+
+
+# ---- seeds of the coefficient quiver Q_{xi,l} and every constructor's context -----------
+
+
+QXIL_SCOPES = ([("A3", xi, l) for xi in orientations(A3) for l in (1, 2)]
+               + [("D4", orientations(cartan_type("D4"))[0], 2)])
+
+
+@pytest.mark.parametrize("name,xi,l", QXIL_SCOPES,
+                         ids=[f"{n}-{','.join(map(str, xi.values()))}-l{l}"
+                              for n, xi, l in QXIL_SCOPES])
+def test_qxil_records_match_two_laurent_oracle(name, xi, l):
+    # two frozen rows per column, and the generators do not follow the vertex order
+    seed0 = Seed.initial(build_qxil(cartan_type(name), xi, l))
+    graph = enumerate_exchange_graph(seed0)
+    want = oracle_records(seed0)
+    assert set(graph.registry) == set(want)
+    for g, rec in graph.registry.items():
+        assert _same_as_oracle(rec, want[g], graph.ctx), g
+
+
+def test_qxil_generators_sort_by_name():
+    # the top and bottom frozen vertices of a column enter every coefficient alike,
+    # so records cannot tell a swap of their rows; only this pin can
+    ctx = seed_context(build_qxil(A3, XI3, 2))
+    assert [str(v) for v in ctx.quiver0.frozen_vertices] == [
+        "(1,0)", "(1,-4)", "(2,-1)", "(2,-5)", "(3,-2)", "(3,-6)"]
+    assert " ".join(map(str, ctx.gens)) == "z[1,-4] z[1,0] z[2,-5] z[2,-1] z[3,-6] z[3,-2]"
+    assert ctx.gen_rows == (2, 0, 5, 3, 8, 6)
+    assert ctx.y0 == ((-1, -1, 0, 0, 0, 0), (1, 1, -1, -1, 0, 0), (0, 0, 1, 1, -1, -1))
+
+
+def test_every_constructor_gives_each_vertex_its_own_variable():
+    # coeff_exps reads one frozen row per generator
+    count = 0
+    for name in ("A3", "D4"):
+        cartan = cartan_type(name)
+        for xi in orientations(cartan):
+            quivers = [build_qcheck(cartan, xi), build_qxi(cartan, xi),
+                       build_gamma_full(cartan, xi, min(xi.values()) - 4)]
+            quivers += [build(cartan, xi, l) for build in (build_gamma_l, build_qxil)
+                        for l in (1, 2, 3)]
+            for quiver in quivers:
+                ctx = seed_context(quiver)
+                names = ctx.xvars + ctx.gens
+                assert len(names) == len(quiver.vertices) == len(set(names)), quiver
+                assert len(ctx.gen_rows) == len(ctx.gens), quiver
+                assert sorted(ctx.gen_rows) == sorted(map(quiver.index, quiver.frozen_vertices))
+                count += 1
+    assert count == 12 * 9

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from clustermod.cartan import cartan_type
-from clustermod.engine import Seed, enumerate_exchange_graph
+from clustermod.engine import Seed
+from clustermod.errors import ConfigurationError
 from clustermod.quivers import IceQuiver, Vertex, build_gamma_l, build_qcheck
 
 from oracles import oracle_exchange_step, oracle_mutate_with_edge, orientations
@@ -17,11 +18,18 @@ WALK_STEPS, GRID_WALK_STEPS = 40, 20
 
 
 def _shared_generator_a2() -> IceQuiver:
-    """A2 with frozen vertices 3 and 3', which share the generator f_3: arrows
-    1 -> 2, 3 -> 1, 1 -> 3' and 2 -> 3', so y_1 sums two frozen rows to f_3^0."""
+    """A2 with frozen vertices 3 and 3', which would both be named f_3: arrows
+    1 -> 2, 3 -> 1, 1 -> 3' and 2 -> 3'."""
     v1, v2, v3, v3p = Vertex(1), Vertex(2), Vertex(3), Vertex(3, primed=True)
     return IceQuiver.from_arrows([v1, v2, v3, v3p], [v3, v3p],
                                  [(v1, v2), (v3, v1), (v1, v3p), (v2, v3p)])
+
+
+def _frozen_plain_a2() -> IceQuiver:
+    """A2 with the plain frozen vertex 3, which no quiver constructor builds: arrows
+    1 -> 2, 3 -> 1 and 2 -> 3."""
+    v1, v2, v3 = Vertex(1), Vertex(2), Vertex(3)
+    return IceQuiver.from_arrows([v1, v2, v3], [v3], [(v1, v2), (v3, v1), (v2, v3)])
 
 
 def _scopes():
@@ -35,7 +43,7 @@ def _scopes():
         for t in (0, -1):
             out.append((f"gamma2-{name}-{t}", build_gamma_l(cartan, orientations(cartan)[t], 2),
                         GRID_WALK_STEPS))
-    out.append(("shared-generator-A2", _shared_generator_a2(), WALK_STEPS))
+    out.append(("frozen-plain-A2", _frozen_plain_a2(), WALK_STEPS))
     return out
 
 
@@ -66,8 +74,11 @@ def test_mutation_matches_the_reference_along_random_walks(quiver, steps):
         assert _fields(seed) == _fields(want)
 
 
-def test_shared_generator_sums_its_frozen_rows():
-    seed = Seed.initial(_shared_generator_a2())
-    assert len(seed.ctx.gens) == 1 and len(seed.ctx.gen_rows[0]) == 2
-    assert seed.coeffs == ((0,), (1,))
-    assert enumerate_exchange_graph(seed).seed_count == 5
+def test_labels_that_would_name_one_variable_twice_are_rejected():
+    with pytest.raises(ConfigurationError) as err:
+        Seed.initial(_shared_generator_a2())
+    assert str(err.value) == "vertices 3 and 3' both name the variable f[3]"
+    v1, v1p = Vertex(1), Vertex(1, primed=True)
+    with pytest.raises(ConfigurationError) as err:
+        Seed.initial(IceQuiver.from_arrows([v1, v1p], [], [(v1, v1p)]))
+    assert str(err.value) == "vertices 1 and 1' both name the variable x[1]"
