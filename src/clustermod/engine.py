@@ -16,7 +16,10 @@ computed once, when its record is built, by the Fomin-Zelevinsky recurrence
 (Cluster algebras IV, Prop. 5.1) on the exchange relation at its own position,
 with one exact division by the F of the pair's other variable; the records table
 of the SeedContext, keyed by g, alone holds F.  No record keeps the expansion:
-`separation` builds it from F and g-tilde by the separation formula (ibid., Thm 3.7).
+`separation` builds it from F and g-tilde by the separation formula (ibid., Thm 3.7),
+and only on demand.  The denominator vector is read off the support of F by the
+same formula, d_i = max over e in supp F of -(g_i + (B0 e)_i), so a record never
+builds the expansion.
 
 Records cross-check the integer data against F: constant term 1, positive
 coefficients, the frozen block of the extended g-vector against -trop(F)(y0),
@@ -366,8 +369,9 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
     against the F-polynomial; built once per g-vector and shared by the context.
 
     A new F comes from the exchange relation at j, whose other variables need their
-    records first.  The rest is linear in the size of F: one tropical evaluation and
-    one substitution for the expansion, read for the denominator vector and dropped."""
+    records first.  The rest is linear in the size of F: one tropical evaluation for
+    the frozen block of g-tilde, and one substitution F(yhat), whose x-exponents give
+    the denominator vector off the support of F; the expansion is never built."""
     ctx = seed.ctx
     n = len(ctx.mutables)
     if type(j) is not int or not 0 <= j < n:  # a bool is not an int
@@ -391,16 +395,21 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
             raise InternalInvariantError(
                 f"F-polynomial has non-positive coefficient at g = {g}: {fpoly}")
         full = g + tuple(-e for e in eval_tropical(fpoly, ctx.y0_assign))
-        # denominator d_i = max over monomials of -(exponent of x_i), absent = 0
-        xpos, denom = ctx.x_index, None
-        for mon in separation(full, fpoly, ctx).monomials():
-            vec = [0] * n
+        # d_i = max over e in supp F of -(g_i + (B0 e)_i), and (B0 e)_i is the exponent
+        # of x_i in yhat^e: the least one over the terms that have x_i, or 0 if one lacks it
+        image = substitute(fpoly, ctx.yhat)
+        xpos, least, count = ctx.x_index, [0] * n, [0] * n
+        for mon in image.monomials():
             for v, e in mon.items:
-                i = xpos.get(v)
+                i = xpos.get(v)  # None for a frozen generator
                 if i is not None:
-                    vec[i] = -e
-            denom = vec if denom is None else list(map(max, denom, vec))
-        ctx.records[g] = record = ClusterVarRecord(g, full, fpoly, tuple(denom))
+                    if not count[i] or e < least[i]:
+                        least[i] = e
+                    count[i] += 1
+        terms = len(image)
+        denom = tuple([-gi - (lo if c == terms else min(lo, 0))
+                       for gi, lo, c in zip(g, least, count)])
+        ctx.records[g] = record = ClusterVarRecord(g, full, fpoly, denom)
 
     if record.gtilde != gtilde:
         raise InternalInvariantError(

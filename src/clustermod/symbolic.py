@@ -474,31 +474,49 @@ def eval_tropical(f: LaurentPoly, assign: Mapping[VarId, tuple[int, ...]]) -> tu
     minimum.  Coefficients are discarded; any negative coefficient is rejected
     since the tropical evaluation of a general expression is not defined
     term-by-term.  The values met must all have one length.
+
+    Each value is read once, on first use, as its length and its (index, nonzero
+    entry) pairs, so a term costs the nonzero entries of its variables.  The
+    minimum is kept as a dense list, with the set of its positive entries: a term
+    with no entry at such an index lowers it to 0.
     """
     if f.is_zero:
         raise ConfigurationError("cannot tropically evaluate the zero polynomial")
-    low = None
+    sparse: dict[VarId, tuple[int, list[tuple[int, int]]]] = {}
+    low = positive = None
     for m, c in f._terms.items():
         if c < 0:
             raise NotSubtractionFreeError("polynomial has a negative coefficient")
-        vec = None
+        width, vec = None, {}
         for v, e in m.items:
-            try:
-                t = assign[v]
-            except KeyError:
-                raise ConfigurationError(f"no tropical value assigned to {v}") from None
-            if vec is None:
-                vec = [e * a for a in t]
-            elif len(t) != len(vec):
+            val = sparse.get(v)
+            if val is None:
+                try:
+                    t = assign[v]
+                except KeyError:
+                    raise ConfigurationError(f"no tropical value assigned to {v}") from None
+                val = sparse[v] = len(t), [(i, a) for i, a in enumerate(t) if a]
+            if width is None:
+                width = val[0]
+            elif val[0] != width:
                 raise ConfigurationError("tropical values of different lengths")
-            else:
-                vec = [a + e * b for a, b in zip(vec, t)]
-        if vec is None:
-            vec = [0] * len(next(iter(assign.values()))) if assign else []
+            for i, a in val[1]:
+                vec[i] = vec.get(i, 0) + e * a
+        if width is None:
+            width = len(next(iter(assign.values()))) if assign else 0
         if low is None:
-            low = vec
-        elif len(vec) != len(low):
+            low = [0] * width
+            for i, a in vec.items():
+                low[i] = a
+            positive = {i for i, a in vec.items() if a > 0}
+        elif width != len(low):
             raise ConfigurationError("tropical values of different lengths")
         else:
-            low = list(map(min, low, vec))
+            for i, a in vec.items():
+                if a < low[i]:
+                    low[i] = a
+            if positive:
+                for i in [i for i in positive if low[i] <= 0 or i not in vec]:
+                    low[i] = min(low[i], 0)
+                    positive.discard(i)
     return tuple(low)

@@ -44,6 +44,9 @@ The reference exchange step, seed mutation and matrix mutation are the
 library's own as they stood when its results were built by the generated
 frozen-dataclass __init__, from a full c-vector split and a negated copy of
 g-tilde_k; the reference seed mutates its quiver with that copy.
+The reference dense tropical evaluation is the library's own as it stood when it
+took one list operation per generator for every variable of every term, where the
+library reads each value once as its nonzero entries.
 """
 from __future__ import annotations
 
@@ -192,6 +195,42 @@ def oracle_eval_tropical(f: LaurentPoly, assign: Mapping[VarId, TropElem]) -> Tr
         total = val if total is None else total + val
     assert total is not None
     return total
+
+
+# The dense tropical evaluation on exponent tuples, kept as it stood before the
+# library read each value once as its nonzero entries: every variable of every
+# term costs one list operation per generator.
+
+
+def oracle_dense_eval_tropical(f: LaurentPoly,
+                               assign: Mapping[VarId, tuple[int, ...]]) -> tuple[int, ...]:
+    if f.is_zero:
+        raise ConfigurationError("cannot tropically evaluate the zero polynomial")
+    low = None
+    for m, c in f._terms.items():
+        if c < 0:
+            raise NotSubtractionFreeError("polynomial has a negative coefficient")
+        vec = None
+        for v, e in m.items:
+            try:
+                t = assign[v]
+            except KeyError:
+                raise ConfigurationError(f"no tropical value assigned to {v}") from None
+            if vec is None:
+                vec = [e * a for a in t]
+            elif len(t) != len(vec):
+                raise ConfigurationError("tropical values of different lengths")
+            else:
+                vec = [a + e * b for a, b in zip(vec, t)]
+        if vec is None:
+            vec = [0] * len(next(iter(assign.values()))) if assign else []
+        if low is None:
+            low = vec
+        elif len(vec) != len(low):
+            raise ConfigurationError("tropical values of different lengths")
+        else:
+            low = list(map(min, low, vec))
+    return tuple(low)
 
 
 # Exact division by leading-term reduction over Monomials, kept as it stood

@@ -796,6 +796,10 @@ PINNED_RUNS = {
                      "--xi", "1:0,2:1,3:-1,4:0,5:-1,6:0", "--level", "2"],
     "psi sum D4": ["psi", "--cartan", "D4", "--xi", "1:0,2:-1,3:0,4:0", "--level", "3",
                    "--object", "mod:1,1,0,0+mod:0,1,0,0+shp:3"],
+    "enumerate gamma A3": ["engine", "enumerate", "--cartan", "A3", "--linear", "--family", "gamma",
+                           "--level", "3", "--max-seeds", "200"],
+    "enumerate gamma D4": ["engine", "enumerate", "--cartan", "D4", "--xi", "1:0,2:-1,3:-2,4:0",
+                           "--family", "gamma", "--level", "2", "--max-seeds", "300"],
 }
 # SHA-256 of each run's stdout with the report timings removed: F-polynomials,
 # g-vectors, denominators, Psi monomials and every report item, byte for byte
@@ -810,6 +814,8 @@ PINNED_DIGESTS = {
     "psi table D4": "5b7a589c297a4ae20f3297778a7de8447debdb84cd352ca6e76f18854a87555d",
     "psi table E6": "1498844bf9bce44c819bd33037bf3fb2ffad1961f0e0076d0cc63ca924b2455f",
     "psi sum D4": "cdc18b93a6a2c74f668d4f5eabca086d84b312b368c3f4ce1e5bbd5f89e41ac7",
+    "enumerate gamma A3": "40c3504afea07be5a1366bac7ae8262592fbb9a75a1854df32bd5a1c1f7b85e8",
+    "enumerate gamma D4": "780b2ccc6bc5f860dd68d5d46886707e31d407de3c0ae158d0fc24bc0a2a37a0",
 }
 
 

@@ -1,12 +1,14 @@
 import dataclasses
+import hashlib
 import random
 import re
 
 import pytest
 
 from clustermod import engine
-from clustermod.cartan import cartan_type, linear_height
+from clustermod.cartan import cartan_type, linear_height, parse_height
 from clustermod.engine import (
+    ExchangeGraph,
     Seed,
     enumerate_exchange_graph,
     make_record,
@@ -286,6 +288,61 @@ def test_denominator_vectors(a3_graph):
     assert a3_graph.registry[(0, 0, -1)].denominator == (1, 1, 1)
     assert a3_graph.registry[(0, 1, -1)].denominator == (0, 0, 1)
     assert a3_graph.registry[(1, 0, 0)].denominator == (-1, 0, 0)
+
+
+# SHA-256 of report_json() as the records stood when they read the denominator off the
+# full expansion that `separation` built: every orientation of A3 and D4 and one of E6
+RECORD_DIGESTS = {
+    "A3 1:0,2:-1,3:-2": "315e4df4d267a5c759c0627777203f3988b7057fdfbc1b85f90abb9075ec3d00",
+    "A3 1:0,2:-1,3:0": "feeb34851dc1d29dfc8f690402bc57bef5440bb2eb2a1b3a668f69ad116178da",
+    "A3 1:0,2:1,3:0": "17234bcf1afd7442288262dad45de2a19e1b5c7739226d88fbd9b30543f1e4f5",
+    "A3 1:0,2:1,3:2": "7ab4de9399f74d043f3268eb5c5f12eadba1de11d38a8ee0fcaa6c8212b29f09",
+    "D4 1:0,2:-1,3:-2,4:-2": "3595a574b85eda1068aee37e787668127c6b032fdc57892fa08436b67ad2c238",
+    "D4 1:0,2:-1,3:-2,4:0": "1184cff5e5ce292d8d4075c2bdec41690c31555c08fa89b97a69a86fb24e89d3",
+    "D4 1:0,2:-1,3:0,4:-2": "27c9e3df57e20420e7fb99453e0a7704cab14754a6afb01f04f8c5976073a716",
+    "D4 1:0,2:-1,3:0,4:0": "0381d2038ddeb2aa64d7f7d3c3f7b5c0999ea810bbd620a0c19f40a2da8826d5",
+    "D4 1:0,2:1,3:0,4:0": "8c17a46b4a45a5d290a0e89d639fa80498f743e97ec3a87a7e1099138c1d2e26",
+    "D4 1:0,2:1,3:0,4:2": "73f1ef290fa65d58b6c4270c7d3b6c30b08653406565b159bd904e03e07f372d",
+    "D4 1:0,2:1,3:2,4:0": "9941c9d78545b616fab286cc805809da74c89fb2a2fa11f26bd0fcd5191e9180",
+    "D4 1:0,2:1,3:2,4:2": "05dc8e4eac158c98a0fd098184ce97fa9aa9450f2637e2d15b3e4b37900b1eca",
+    "E6 1:0,2:-1,3:-1,4:0,5:-1,6:0": "08fc32de0f23bbe0ba7029912578584c6f5be3ba9e91aae95e9d9d97dfd321e8",
+}
+
+
+def _scope(key: str):
+    name, xi = key.split()
+    return cartan_type(name), parse_height(cartan_type(name), xi)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _no_expansion(*args):
+    raise AssertionError("a record built the expansion")
+
+
+def test_record_digests_cover_every_a3_and_d4_orientation():
+    for name in ("A3", "D4"):
+        scopes = [_scope(key)[1] for key in RECORD_DIGESTS if key.startswith(name)]
+        assert scopes == orientations(cartan_type(name))
+
+
+@pytest.mark.parametrize("key", RECORD_DIGESTS)
+def test_records_build_no_expansion(monkeypatch, key):
+    monkeypatch.setattr(engine, "separation", _no_expansion)
+    graph = enumerate_exchange_graph(Seed.initial(build_qcheck(*_scope(key))))
+    assert _sha(graph.report_json()) == RECORD_DIGESTS[key]
+
+
+def test_run_sequence_records_build_no_expansion(monkeypatch):
+    """The records run_sequence builds along s_l on Gamma_2 of A3, in the report format."""
+    monkeypatch.setattr(engine, "separation", _no_expansion)
+    seed = Seed.initial(build_gamma_l(A3, XI3, 2))
+    final, edges = run_sequence(seed, s_l_sequence(A3, XI3, 2))
+    graph = ExchangeGraph(seed.ctx, {final.key(): final}, edges, dict(seed.ctx.records), True)
+    assert _sha(graph.report_json()) == (
+        "f814a1fb4e5ca42af72da85a08ed9a468a01fe5e0accad784052c0ca6dde7f43")
 
 
 # ---- enumeration -------------------------------------------------------------------

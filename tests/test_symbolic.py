@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clustermod import symbolic
 from clustermod.errors import (
@@ -22,6 +22,7 @@ from clustermod.symbolic import (
 )
 from oracles import (
     TropElem,
+    oracle_dense_eval_tropical,
     oracle_div_exact,
     oracle_eval_tropical,
     oracle_monomial_sort_key,
@@ -295,6 +296,49 @@ def _assert_same_tropical_value(f, assign):
     elif want == (ConfigurationError, "tropical elements over different generator lists"):
         want = (ConfigurationError, "tropical values of different lengths")
     assert got == want
+
+
+# ---- tropical evaluation on mostly-zero values, against the dense evaluation ---------
+
+SPARSE_VARS = [ycoef(1), ycoef(2), ycoef(3), ycoef(4)]
+
+
+def sparse_values(width):
+    """A tropical value whose entries are mostly zero, like y0 on Q-check and Gamma_l."""
+    entry = st.sampled_from((0,) * 8 + (-2, -1, 1, 2))
+    return st.tuples(*[entry] * width)
+
+
+@st.composite
+def sparse_polys(draw, lo=1):
+    """Laurent polynomials in the y_j; lo < 1 allows negative coefficients and zero."""
+    terms = []
+    for _ in range(draw(st.integers(0 if lo < 1 else 1, 6))):
+        exps = {v: draw(st.integers(-1, 3)) for v in draw(st.sets(st.sampled_from(SPARSE_VARS)))}
+        terms.append((Monomial(exps), draw(st.integers(lo, 5))))
+    return LaurentPoly(terms)
+
+
+@given(sparse_polys(), st.fixed_dictionaries({v: sparse_values(6) for v in SPARSE_VARS}))
+@settings(max_examples=80, deadline=None)
+def test_eval_tropical_matches_the_dense_evaluation(f, assign):
+    assert eval_tropical(f, assign) == oracle_dense_eval_tropical(f, assign)
+
+
+@given(sparse_polys(lo=-2), st.dictionaries(st.sampled_from(SPARSE_VARS),
+                                            st.one_of(sparse_values(5), sparse_values(6))))
+# a term whose value has the wrong length against an earlier term, then an unassigned
+# variable: every variable of the term is looked up before that length check, so the
+# dense evaluation raises "no tropical value assigned to y[3]"
+@example(poly(({ycoef(1): 1}, 1), ({ycoef(2): 1, ycoef(3): 1}, 1)),
+         {ycoef(1): (0, 1), ycoef(2): (2,)})
+@settings(max_examples=120, deadline=None)
+def test_eval_tropical_raises_as_the_dense_evaluation(f, assign):
+    """The same result, or the same error type and message, raised at the same term:
+    negative coefficients, unassigned variables, values of different lengths, the
+    zero polynomial and the empty monomial."""
+    got = _outcome(eval_tropical, f, assign)
+    assert got == _outcome(oracle_dense_eval_tropical, f, assign)
 
 
 # ---- exact division ----------------------------------------------------------
