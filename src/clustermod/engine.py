@@ -50,7 +50,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import ConfigurationError, FrozenVertexError, InternalInvariantError
+from .errors import (ConfigurationError, FrozenVertexError, InexactDivisionError,
+                     InternalInvariantError)
 from .quivers import IceQuiver, Vertex
 from .symbolic import (
     LaurentPoly,
@@ -360,8 +361,12 @@ def _exchange_fpoly(seed: Seed, j: int) -> LaurentPoly:
         return out
 
     edge = seed.exchange_step(ctx.mutables[j])
-    return div_exact(side(seed.cvecs[j], edge.mp_term) + side((), edge.m_term),
-                     known(edge.new_g))
+    try:
+        return div_exact(side(seed.cvecs[j], edge.mp_term) + side((), edge.m_term),
+                         known(edge.new_g))
+    except InexactDivisionError as exc:
+        raise InexactDivisionError(f"F-polynomial at position {j} of seed {seed.key()}, "
+                                   f"g = {seed.gtilde[j][:len(ys)]}: {exc}") from exc
 
 
 def make_record(seed: Seed, j: int) -> ClusterVarRecord:

@@ -100,10 +100,6 @@ class Monomial:
     def one() -> "Monomial":
         return _MONOMIAL_ONE
 
-    @staticmethod
-    def of(v: VarId, e: int = 1) -> "Monomial":
-        return Monomial(((v, e),))
-
     @classmethod
     def _from_sorted(cls, items: tuple) -> "Monomial":
         """Wrap items sorted by variable, with distinct variables and no zero exponent."""
@@ -115,12 +111,6 @@ class Monomial:
     @property
     def items(self) -> tuple[tuple[VarId, int], ...]:
         return self._items
-
-    def exponent(self, v: VarId) -> int:
-        for w, e in self._items:
-            if w == v:
-                return e
-        return 0
 
     @property
     def is_one(self) -> bool:
@@ -236,16 +226,8 @@ class LaurentPoly:
         self._terms = d
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
     def one() -> "LaurentPoly":
         return LaurentPoly({Monomial.one(): 1})
-
-    @staticmethod
-    def var(v: VarId, e: int = 1) -> "LaurentPoly":
-        return LaurentPoly({Monomial.of(v, e): 1})
 
     @staticmethod
     def from_monomial(m: Monomial, c: int = 1) -> "LaurentPoly":
@@ -254,10 +236,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def is_one(self) -> bool:
-        return self._terms == {Monomial.one(): 1}
 
     @property
     def is_monomial(self) -> bool:
@@ -279,9 +257,6 @@ class LaurentPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, m: Monomial) -> int:
-        return self._terms.get(m, 0)
-
     def constant_term(self) -> int:
         return self._terms.get(Monomial.one(), 0)
 
@@ -301,14 +276,6 @@ class LaurentPoly:
         p = LaurentPoly.__new__(LaurentPoly)
         p._terms = d
         return p
-
-    def __neg__(self) -> "LaurentPoly":
-        p = LaurentPoly.__new__(LaurentPoly)
-        p._terms = {m: -c for m, c in self._terms.items()}
-        return p
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):

@@ -543,7 +543,7 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
         key = edge.relation
         if key not in holds:
             lhs = expansion[edge.old_g] * expansion[edge.new_g]
-            rhs = LaurentPoly.zero()
+            rhs = LaurentPoly()
             for term in (edge.m_term, edge.mp_term):
                 part = LaurentPoly.from_monomial(Monomial(zip(ctx.gens, term.fexp)))
                 for fg, mult in term.factors:

@@ -77,7 +77,7 @@ from clustermod.errors import (
     ShiftCaseUnsupported,
 )
 from clustermod.quivers import IceQuiver, Vertex, build_qcheck
-from clustermod.reps import CQObject, QuiverRep, _div, _exact, _mat, _zeros
+from clustermod.reps import CQObject, QuiverRep, _mat, _zeros
 from clustermod.symbolic import LaurentPoly, Monomial, VarId, fvar, zvar
 
 
@@ -157,13 +157,13 @@ def trop_add(a: TropElem, b: TropElem) -> TropElem:
 def oracle_substitute(p: LaurentPoly, assign: Mapping[VarId, Monomial]) -> LaurentPoly:
     """Ring-homomorphic image of p under monomial images; unassigned variables map
     to themselves."""
-    out = LaurentPoly.zero()
+    out = LaurentPoly()
     for m, c in p._terms.items():
         acc = LaurentPoly.from_monomial(Monomial.one(), c)
         for v, e in m.items:
             img = assign.get(v)
             if img is None:
-                acc = acc * Monomial.of(v, e)
+                acc = acc * Monomial({v: e})
                 continue
             acc = acc * img ** e
         out = out + acc
@@ -317,7 +317,7 @@ def oracle_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 raise InexactDivisionError("quotient exponent out of range")
         qc = rc // lt_c
         q[qm] = qc
-        r = r - b * LaurentPoly.from_monomial(qm, qc)
+        r = r + b * LaurentPoly.from_monomial(qm, -qc)
     return LaurentPoly(q)
 
 
@@ -529,7 +529,7 @@ class OracleSeed:
     @staticmethod
     def initial(seed0: Seed) -> "OracleSeed":
         ctx = seed0.ctx
-        xs = tuple(LaurentPoly.var(v) for v in ctx.xvars)
+        xs = tuple(LaurentPoly.from_monomial(Monomial({v: 1})) for v in ctx.xvars)
         ys = tuple(TropElem.generator(ctx.ycoefs, y) for y in ctx.ycoefs)
         # the initial coefficients by the reference read-off, not the engine's ctx.y0
         b0 = ctx.quiver0.b
@@ -557,7 +557,8 @@ class OracleSeed:
         expansion = self.cluster[j]
         denom = None
         for mon, _ in expansion.terms():
-            vec = [-mon.exponent(x) for x in ctx.xvars]
+            exps = dict(mon.items)
+            vec = [-exps.get(x, 0) for x in ctx.xvars]
             denom = vec if denom is None else [max(a, b) for a, b in zip(denom, vec)]
         return OracleRecord(_homogeneous_degree(pexp, ctx), fpoly, expansion, tuple(denom))
 
@@ -669,14 +670,11 @@ def oracle_thin_fpoly(dims: tuple[int, ...], arrows, ycoefs) -> LaurentPoly:
     """
     supp = [i for i, d in enumerate(dims, start=1) if d]
     inner = [(s, t) for s, t in arrows if s in supp and t in supp]
-    out = LaurentPoly.zero()
+    out = LaurentPoly()
     for size in range(len(supp) + 1):
         for sub in combinations(supp, size):
             if all(t in sub for s, t in inner if s in sub):
-                term = LaurentPoly.one()
-                for i in sub:
-                    term = term * LaurentPoly.var(ycoefs[i - 1])
-                out = out + term
+                out = out + LaurentPoly.from_monomial(Monomial({ycoefs[i - 1]: 1 for i in sub}))
     return out
 
 
@@ -837,7 +835,14 @@ def oracle_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fract
 
 # The dense row reduction, kept as it stood before the library reduced sparse rows
 # only: ints stay ints, and a Fraction appears only after an inexact pivot division.
-# The oracles below that reduce rows call it.
+# The oracles below that reduce rows call it.  It divides through Fraction itself,
+# not through the library's division helpers, so a fault there cannot hide here.
+
+
+def _oracle_fraction(x, pv=1):
+    """x / pv over Q: an int when the quotient is integral, else a Fraction."""
+    q = Fraction(x) / pv
+    return q.numerator if q.denominator == 1 else q
 
 
 def oracle_dense_rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
@@ -853,7 +858,7 @@ def oracle_dense_rref(rows: list[list], ncols: int) -> tuple[list[list], list[in
         mat[r], mat[pr] = mat[pr], mat[r]
         pv = mat[r][c]
         if pv != 1:
-            mat[r] = [_div(x, pv) for x in mat[r]]
+            mat[r] = [_oracle_fraction(x, pv) for x in mat[r]]
         prow = mat[r]
         # while every pivot row is integral, elimination keeps the result integral
         fractions = fractions or any(type(x) is not int for x in prow)
@@ -866,7 +871,7 @@ def oracle_dense_rref(rows: list[list], ncols: int) -> tuple[list[list], list[in
         if r == len(mat):
             break
     if fractions:
-        return [[_exact(x) for x in row] for row in mat[:r]], pivots
+        return [[_oracle_fraction(x) for x in row] for row in mat[:r]], pivots
     return mat[:r], pivots
 
 

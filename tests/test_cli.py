@@ -13,11 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clustermod
-from clustermod import cli
+from clustermod import cli, engine
 from clustermod.cartan import cartan_type
 from clustermod.cli import main
 from clustermod.engine import Seed, enumerate_exchange_graph
-from clustermod.errors import InternalInvariantError
+from clustermod.errors import InexactDivisionError, InternalInvariantError
 from clustermod.quivers import IceQuiver, build_gamma_l
 from clustermod.verify import CHECK_NAMES, check_reads
 from oracles import orientations
@@ -531,6 +531,23 @@ def test_internal_invariant_error_exits_4(monkeypatch, capsys):
     code, out, err = run(capsys, "engine", "enumerate", "--cartan", "A2", "--linear")
     assert (code, out) == (4, "")
     assert err == "error: internal invariant failed: c-vector column 0 is zero\n"
+
+
+def test_a_failing_f_division_names_its_seed_position_and_g(monkeypatch, capsys):
+    real, calls = engine.div_exact, []
+
+    def broken(a, b):
+        calls.append(b)
+        if len(calls) == 3:
+            raise InexactDivisionError("leading coefficient does not divide")
+        return real(a, b)
+
+    monkeypatch.setattr(engine, "div_exact", broken)
+    code, out, err = run(capsys, "engine", "enumerate", "--cartan", "A3", "--linear")
+    assert (code, out, len(calls)) == (4, "", 3)
+    assert err == ("error: internal invariant failed: F-polynomial at position 2 of seed "
+                   "((0, 1, -1), (0, 1, 0), (1, 0, 0)), g = (0, 1, -1): "
+                   "leading coefficient does not divide\n")
 
 
 def test_closed_stdout_ends_quietly():

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from clustermod import engine
+from clustermod import engine, symbolic
 from clustermod.cartan import cartan_type, linear_height, parse_height
 from clustermod.engine import (
     ExchangeGraph,
@@ -16,7 +16,12 @@ from clustermod.engine import (
     seed_context,
     separation,
 )
-from clustermod.errors import ConfigurationError, FrozenVertexError, InternalInvariantError
+from clustermod.errors import (
+    ConfigurationError,
+    FrozenVertexError,
+    InexactDivisionError,
+    InternalInvariantError,
+)
 from clustermod.quivers import (
     IceQuiver,
     Vertex,
@@ -27,7 +32,7 @@ from clustermod.quivers import (
     build_qxil,
 )
 from clustermod.reps import RepContext
-from clustermod.symbolic import LaurentPoly, Monomial, fvar, xvar, ycoef
+from clustermod.symbolic import LaurentPoly, Monomial, div_exact, fvar, xvar, ycoef
 from clustermod.verify import s_l_sequence
 
 from oracles import (
@@ -275,11 +280,29 @@ def test_separation_matches_direct_expansion(a3_seed, a3_graph):
         assert separation(rec.gtilde, rec.fpoly, ctx) == want[g].expansion
 
 
+def test_div_step_cap_counts_the_reduction_steps_of_a_d4_f_division(monkeypatch):
+    """The step cap bounds the leading-term reductions of one division.  The product
+    of the two F-polynomials of a D4 exchange pair, divided by the F at the new end,
+    cancels the remainder down to nothing in exactly 10 steps."""
+    d4 = cartan_type("D4")
+    graph = enumerate_exchange_graph(Seed.initial(build_qcheck(d4, orientations(d4)[0])))
+    fpoly = {g: rec.fpoly for g, rec in graph.registry.items()}
+    old, new = max(((fpoly[e.old_g], fpoly[e.new_g]) for e in graph.edges),
+                   key=lambda pair: len(pair[0]) * len(pair[1]))
+    a = old * new
+    assert (len(old), len(new), len(a)) == (10, 5, 31)  # 50 products merge into 31 terms
+    monkeypatch.setattr(symbolic, "_DIV_STEP_CAP", 10)
+    assert div_exact(a, new) == old
+    monkeypatch.setattr(symbolic, "_DIV_STEP_CAP", 9)
+    with pytest.raises(InexactDivisionError, match="^division did not terminate$"):
+        div_exact(a, new)
+
+
 def test_separation_leading_monomial(a3_graph):
     ctx = a3_graph.ctx
     rec = a3_graph.registry[(0, 0, -1)]
     lead = Monomial({xvar(3): -1, fvar(3): 1})
-    assert separation(rec.gtilde, rec.fpoly, ctx).coefficient(lead) == 1
+    assert dict(separation(rec.gtilde, rec.fpoly, ctx).terms())[lead] == 1
     assert rec.gtilde == (0, 0, -1, 0, 0, 1)
 
 
@@ -450,7 +473,7 @@ def test_edge_product_identity(a3_graph):
     expansion = {g: separation(rec.gtilde, rec.fpoly, ctx) for g, rec in a3_graph.registry.items()}
     for edge in a3_graph.edges:
         lhs = expansion[edge.old_g] * expansion[edge.new_g]
-        rhs = LaurentPoly.zero()
+        rhs = LaurentPoly()
         for term in (edge.m_term, edge.mp_term):
             part = LaurentPoly.from_monomial(TropElem(ctx.gens, term.fexp).as_monomial())
             for fg, mult in term.factors:
