@@ -401,19 +401,15 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
                 f"F-polynomial has non-positive coefficient at g = {g}: {fpoly}")
         full = g + tuple(-e for e in eval_tropical(fpoly, ctx.y0_assign))
         # d_i = max over e in supp F of -(g_i + (B0 e)_i), and (B0 e)_i is the exponent
-        # of x_i in yhat^e: the least one over the terms that have x_i, or 0 if one lacks it
-        image = substitute(fpoly, ctx.yhat)
-        xpos, least, count = ctx.x_index, [0] * n, [0] * n
-        for mon in image.monomials():
+        # of x_i in yhat^e: the least one over the terms, 0 where x_i is absent, as it is
+        # from the image 1 of F's constant term
+        xpos, least = ctx.x_index, [0] * n
+        for mon in substitute(fpoly, ctx.yhat).monomials():
             for v, e in mon.items:
                 i = xpos.get(v)  # None for a frozen generator
-                if i is not None:
-                    if not count[i] or e < least[i]:
-                        least[i] = e
-                    count[i] += 1
-        terms = len(image)
-        denom = tuple([-gi - (lo if c == terms else min(lo, 0))
-                       for gi, lo, c in zip(g, least, count)])
+                if i is not None and e < least[i]:
+                    least[i] = e
+        denom = tuple([-gi - lo for gi, lo in zip(g, least)])
         ctx.records[g] = record = ClusterVarRecord(g, full, fpoly, denom)
 
     if record.gtilde != gtilde:

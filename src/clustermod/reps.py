@@ -7,28 +7,27 @@ indecomposables X, Y at most one of Hom(X, Y) and Ext^1(X, Y) is nonzero and the
 Euler form <x, y> gives both (Ringel, LNM 1099).  The AR translation is derived once,
 as tau^-1 by the inverse Coxeter matrix; tau is its inverse on the indecomposables, and
 the AR quiver is read off one table of tau^-1 columns from the shifted projectives.
-Explicit indecomposables over Q are built by reflection functors along a BFS over
-(orientation, root) states.  One exact row reduction, `_rref` on sparse rows (only their
-nonzero entries), does all their linear algebra: the cokernel of each reflection step,
-the Hom spaces, and the image of the morphism in `im_h`.  Hom between indecomposables is
-at most one-dimensional, so `im_h` reads that image off one reduced row echelon form per
-vertex of its Hom vector.  Matrix entries are ints; a Fraction appears only after a
-pivot division that is not exact.
+Explicit indecomposables are built over the integers by reflection functors along a BFS
+over (orientation, root) states.  One exact row reduction, `_rref` on sparse rows (only
+their nonzero entries), does all their linear algebra: the cokernel of each reflection
+step, the Hom spaces, and the image of the morphism in `im_h`.  Hom between
+indecomposables is at most one-dimensional, so `im_h` reads that image off one reduced
+row echelon form per vertex of its Hom vector.  Every pivot met is 1 or -1, as the
+indecomposables have 0/1 bases (Ringel, "Exceptional modules are tree modules"), so
+every entry is an int; any other pivot is an InternalInvariantError.
 """
 from __future__ import annotations
 
 import functools
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .cartan import CartanData, check_height_function
 from .errors import DomainError, InternalInvariantError, ShiftCaseUnsupported
 from .quivers import IceQuiver, build_qxi
 
-# int entries, with a Fraction only after an inexact pivot division
-Matrix = tuple[tuple[int | Fraction, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def _mat(rows) -> Matrix:
@@ -39,28 +38,15 @@ def _zeros(nrows: int, ncols: int) -> Matrix:
     return tuple((0,) * ncols for _ in range(nrows))
 
 
-def _div(x, pv):
-    """x / pv exactly: an int when the quotient is integral, else a Fraction."""
-    if type(x) is int and type(pv) is int:
-        q, rem = divmod(x, pv)
-        if not rem:
-            return q
-    q = Fraction(x, pv)
-    return q.numerator if q.denominator == 1 else q
-
-
-def _exact(x):
-    """x with an integral Fraction as an int, the form of every entry in this module."""
-    return x if type(x) is int else _div(x, 1)
-
-
-def _rref(rows) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form over Q of rows given as dicts {column: nonzero value}:
-    its nonzero rows, in the same form, and their pivot columns, both in column order.
+def _rref(rows, where) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form over the integers of rows given as dicts {column: nonzero
+    value}: its nonzero rows, in the same form, and their pivot columns, both in column
+    order.
 
     Each pivot row is kept 1 at its pivot column and 0 at every other: a new row is
-    reduced by the pivots it meets, divided by its leading entry through `_div`, and
-    its pivot column cleared from the other pivot rows.  The rows are consumed.
+    reduced by the pivots it meets, negated if it leads with -1, and its pivot column
+    cleared from the other pivot rows.  A leading entry other than 1 or -1 raises
+    InternalInvariantError, naming the scope `where()`.  The rows are consumed.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
@@ -69,19 +55,17 @@ def _rref(rows) -> tuple[list[dict], list[int]]:
         if row:
             lead = min(row)
             pv = row[lead]
-            if pv != 1:
-                row = {c: _div(v, pv) for c, v in row.items()}
+            if pv == -1:
+                row = {c: -v for c, v in row.items()}
+            elif pv != 1:
+                raise InternalInvariantError(
+                    f"row reduction met pivot {pv} at column {lead} {where()}")
             for prow in pivots.values():
                 if lead in prow:
                     _axpy(prow, prow[lead], row)
             pivots[lead] = row
     order = sorted(pivots)
-    out = [pivots[c] for c in order]
-    for row in out:
-        for c, x in row.items():
-            if type(x) is not int:
-                row[c] = _exact(x)
-    return out, order
+    return [pivots[c] for c in order], order
 
 
 def _axpy(row: dict, f, prow: dict) -> None:
@@ -346,7 +330,7 @@ class RepContext:
         stacked = [row for s, t in arrows if t == k for row in rep.matrix(k, s)]
         cols = range(dk, dk + len(stacked))
         rows, pivots = _rref([{c: v for c, v in enumerate(row) if v} | {dk + r: 1}
-                              for r, row in enumerate(stacked)])
+                              for r, row in enumerate(stacked)], self._where)
         coker = [[row.get(c, 0) for c in cols] for row, pc in zip(rows, pivots) if pc >= dk]
         mats = []
         offset = 0
@@ -439,6 +423,8 @@ class RepContext:
         (Y_a H_s - H_t X_a)[r][c] = 0 of an arrow a: s -> t is a dict of its nonzero
         entries (none when dim X_s or dim Y_t is 0).  The basis has a vector per free
         column of their `_rref`, in column order, with -row[fc] at each pivot column.
+        Between indecomposables every pivot is 1 or -1; on representations whose
+        equations meet another pivot, `_rref` raises InternalInvariantError.
         """
         offs = [0]  # and offs[-1], the number of unknowns
         for dx, dy in zip(x.dims, y.dims):
@@ -457,7 +443,7 @@ class RepContext:
                         if xa[u][c]:
                             row[off_t + r * dxt + u] = -xa[u][c]
                     rows.append(row)
-        rows, pivots = _rref(rows)
+        rows, pivots = _rref(rows, self._where)
         bound = set(pivots)
         basis = []
         for fc in (c for c in range(offs[-1]) if c not in bound):
@@ -529,7 +515,7 @@ class RepContext:
                 f"Hom({lt.dims}, {n_obj.dims}) has dimension {dim}, Euler form gives 1 "
                 f"{self._where()}")
         h = basis[0]
-        reduced = {i: _rref([{c: x for c, x in enumerate(row) if x} for row in h[i]])
+        reduced = {i: _rref([{c: x for c, x in enumerate(row) if x} for row in h[i]], self._where)
                    for i in self.cartan.vertices}
         mats = []
         for s, t in self.arrows:
@@ -537,7 +523,7 @@ class RepContext:
             piv_s = reduced[s][1]
             la = rl.matrix(s, t)
             # z = R_t L_a[:, P_s], over the nonzero entries of each row of R_t
-            z = tuple([tuple([_exact(sum([x * la[k][c] for k, x in row.items()])) for c in piv_s])
+            z = tuple([tuple([sum([x * la[k][c] for k, x in row.items()]) for c in piv_s])
                        for row in rows_t])
             # N_a h_s[:, P_s] = h_t[:, P_t] z row by row; with P_s empty, nothing to compare
             if piv_s:
@@ -608,22 +594,13 @@ class RepContext:
 
 
 def rep_json(rep: QuiverRep) -> str:
-    """JSON form of a representation: dimension vector plus one matrix per arrow.
-
-    Entries are rendered as integers when integral, else as 'p/q' strings.
-    """
+    """JSON form of a representation: dimension vector plus one matrix per arrow."""
     import json
-
-    def entry(x):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
     return json.dumps(
         {
             "dims": list(rep.dims),
-            "matrices": [
-                {"from": s, "to": t, "matrix": [[entry(x) for x in row] for row in m]}
-                for s, t, m in rep.mats
-            ],
+            "matrices": [{"from": s, "to": t, "matrix": m} for s, t, m in rep.mats],
         },
         indent=2,
     )

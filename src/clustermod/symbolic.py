@@ -6,6 +6,7 @@ unbounded Python integers.  Everything here is immutable and pure.
 from __future__ import annotations
 
 import functools
+import heapq
 from collections.abc import Iterable, Mapping
 
 from .errors import (
@@ -378,7 +379,9 @@ def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
     Division by a monomial is always exact in the Laurent ring.  For a general
     divisor the quotient is found by leading-term reduction, valid because the
-    term order is compatible with multiplication.
+    term order is compatible with multiplication.  A heap of negated exponent
+    tuples gives each leading term: a tuple is pushed when it enters the
+    remainder, and a popped tuple no longer in it is skipped.
     """
     if b.is_zero:
         raise InexactDivisionError("division by zero")
@@ -407,12 +410,16 @@ def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         if vlo > vhi:
             raise InexactDivisionError(f"no exact quotient: variable {v} range is empty")
     q: dict[tuple[int, ...], int] = {}
+    heap = [tuple([-e for e in t]) for t in r]
+    heapq.heapify(heap)
     steps = 0
     while r:
+        rt = tuple([-e for e in heapq.heappop(heap)])
+        if rt not in r:
+            continue
         steps += 1
         if steps > _DIV_STEP_CAP:
             raise InexactDivisionError("division did not terminate")
-        rt = max(r)
         rc = r[rt]
         if rc % lc:
             raise InexactDivisionError("leading coefficient does not divide")
@@ -424,6 +431,8 @@ def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             t = tuple(x + y for x, y in zip(qt, f))
             c = r.get(t, 0) - qc * c
             if c:
+                if t not in r:
+                    heapq.heappush(heap, tuple([-e for e in t]))
                 r[t] = c
             else:
                 del r[t]

@@ -15,9 +15,11 @@ classical interval criterion.  Socles and Ext^1 dimensions are read off
 explicit representations over Q (a rank of the outgoing maps, a Hom space)
 instead of the Euler-form formulas they check.
 The reference row reduction divides every pivot row in Fractions, where the
-library keeps integer entries integral; the oracles that reduce rows share a
-dense reduction over whole rows, where the library reduces sparse rows (only
-their nonzero entries).  The reference reflection-chain search is the plain
+library reduces over the integers and refuses a pivot other than 1 or -1; the
+pivots it meets are read off the reference reduction of each prefix of its rows.
+The oracles that reduce rows share a dense reduction over whole rows, where the
+library reduces sparse rows (only their nonzero entries).
+The reference reflection-chain search is the plain
 list-queue BFS that the library's search must reproduce state for state; a second reference reads every chain off one shared state
 graph, as the least sinks along distances to the simple roots.  The reference
 Hom space builds one dense row per equation and takes the null space of its
@@ -833,6 +835,23 @@ def oracle_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fract
     return mat[:r], pivots
 
 
+def oracle_pivots_met(rows: list[list[int]], ncols: int) -> list[tuple[int, Fraction]]:
+    """(column, value) of the pivot that each row meets when the rows are reduced one
+    at a time: the leading entry of the row minus, at each pivot column of the rows
+    before it, its entry times that pivot's row of their reference rref.  A row that
+    reduces to zero meets none."""
+    met = []
+    for k, row in enumerate(rows):
+        ref, pivots = oracle_rref([[Fraction(v) for v in r] for r in rows[:k]], ncols)
+        rest = [Fraction(v) for v in row]
+        for prow, pc in zip(ref, pivots):
+            rest = [a - row[pc] * b for a, b in zip(rest, prow)]
+        lead = next((c for c, v in enumerate(rest) if v), None)
+        if lead is not None:
+            met.append((lead, rest[lead]))
+    return met
+
+
 # The dense row reduction, kept as it stood before the library reduced sparse rows
 # only: ints stay ints, and a Fraction appears only after an inexact pivot division.
 # The oracles below that reduce rows call it.  It divides through Fraction itself,
@@ -894,8 +913,9 @@ def oracle_null_space(rows: list[list], ncols: int) -> list[tuple]:
     return basis
 
 
-def oracle_hom(rc, x: QuiverRep, y: QuiverRep):
-    """Morphism space: dimension and a basis of vertex-matrix families."""
+def oracle_hom_equations(rc, x: QuiverRep, y: QuiverRep):
+    """The nonzero dense rows of the Hom equations, per arrow a: s -> t, per row r of
+    Y_t and column c of X_s, and the unknowns' offsets by vertex and their number."""
     offs = {}
     total = 0
     for i in rc.cartan.vertices:
@@ -916,6 +936,12 @@ def oracle_hom(rc, x: QuiverRep, y: QuiverRep):
                     row[offs[t] + r * x.dims[t - 1] + u] -= xa[u][c]
                 if any(v != 0 for v in row):
                     rows.append(row)
+    return rows, offs, total
+
+
+def oracle_hom(rc, x: QuiverRep, y: QuiverRep):
+    """Morphism space: dimension and a basis of vertex-matrix families."""
+    rows, offs, total = oracle_hom_equations(rc, x, y)
     basis_vecs = oracle_null_space(rows, total)
     basis = []
     for vec in basis_vecs:

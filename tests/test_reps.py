@@ -20,9 +20,11 @@ from oracles import (
     oracle_exchange_pairs,
     oracle_ext1_mod,
     oracle_hom,
+    oracle_hom_equations,
     oracle_hom_dim_typeA_linear,
     oracle_im_h,
     oracle_null_space,
+    oracle_pivots_met,
     oracle_positive_roots,
     oracle_reflect_minus,
     oracle_reflection_chain,
@@ -341,19 +343,31 @@ def _by_hand(rc, *dims_and_mats):
                  for dims, mats in zip(dims_and_mats[::2], dims_and_mats[1::2]))
 
 
+# X and Y on A3 with X(1->2) = 1 and Y(1->2) = 2: the one Hom equation 2 h_1 - h_2 = 0
+# has its pivot 2 at column 0, so over Q the basis vector is (1/2, 1)
+PIVOT_TWO = _by_hand(HAND_BUILT[0], (1, 1, 0), [((1,),), ()], (1, 1, 0), [((2,),), ()])
+
+
 @settings(max_examples=100, deadline=None)
 @given(_hand_built_pair())
-# a pivot of 2 over an entry of 1: the basis vector is (1/2, 1, 0)
-@example(_by_hand(HAND_BUILT[0], (1, 1, 0), [((1,),), ()], (1, 1, 0), [((2,),), ()]))
+@example(PIVOT_TWO)
 # zero maps give zero rows, and vertex 3 is zero-dimensional on both sides
 @example(_by_hand(HAND_BUILT[0], (1, 2, 0), [((0,), (0,)), ()], (2, 1, 0), [((0, 0),), ()]))
 @example(_by_hand(HAND_BUILT[1], (0, 2, 1, 1), [((), ()), ((1,), (-3,)), ((2,), (1,))],
                   (1, 1, 0, 2), [((1,),), ((),), ((0, 1),)]))
 def test_hom_matches_the_dense_oracle_on_hand_built_representations(case):
     rc, x, y = case
+    rows, _, total = oracle_hom_equations(rc, x, y)
+    bad = _non_unit_pivot(rows, total)
+    if bad:
+        with pytest.raises(InternalInvariantError) as exc:
+            rc.hom(x, y)
+        assert str(exc.value) == (f"row reduction met pivot {bad[1]} at column {bad[0]} "
+                                  f"{rc._where()}")
+        return
     got = rc.hom(x, y)
     assert got == oracle_hom(rc, x, y)
-    _assert_normal(row for fam in got[1] for block in fam.values() for row in block)
+    _assert_ints(row for fam in got[1] for block in fam.values() for row in block)
 
 
 EXT_SCOPES = [(D4, xi) for xi in orientations(D4)] + [(E6, orientations(E6)[5])]
@@ -482,6 +496,17 @@ def _assert_normal(rows):
             assert type(x) is int or (type(x) is Fraction and x.denominator != 1), rows
 
 
+def _assert_ints(rows):
+    for row in rows:
+        assert all(type(x) is int for x in row), rows
+
+
+def _non_unit_pivot(rows, ncols):
+    """The (column, value) of the first pivot other than 1 or -1 that the rows meet when
+    reduced in order, or None."""
+    return next(((c, v) for c, v in oracle_pivots_met(rows, ncols) if abs(v) != 1), None)
+
+
 ENTRIES = st.integers(-3, 3)
 
 
@@ -498,7 +523,8 @@ def _shaped(draw, max_rows=4, max_cols=5):
 
 def _sparse_rref(rows, ncols):
     """`reps._rref` on the rows as {column: nonzero value}, read back as dense rows."""
-    got, pivots = reps._rref([{c: v for c, v in enumerate(row) if v} for row in rows])
+    got, pivots = reps._rref([{c: v for c, v in enumerate(row) if v} for row in rows],
+                             lambda: "for a test matrix")
     assert all(all(row.values()) for row in got), got  # no stored zeros
     return [[row.get(c, 0) for c in range(ncols)] for row in got], pivots
 
@@ -507,14 +533,23 @@ def _sparse_rref(rows, ncols):
 @given(_shaped())
 @example(([], 0, 3))
 @example(([[], []], 2, 0))
+@example(([[2, 1, 0], [1, 1, 1]], 2, 3))  # pivot 2 in one row order, 1 then -1 in the other
 def test_rref_and_null_space_match_the_fraction_reference(shaped):
     m, _, ncols = shaped
     want, want_pivots = _reference_rref(m, ncols)
-    # the library's sparse rref, in both row orders
+    # the library's sparse rref, in both row orders: the reference where every pivot
+    # met is 1 or -1, else the error naming the first other one
     for order in (m, m[::-1]):
+        bad = _non_unit_pivot(order, ncols)
+        if bad:
+            with pytest.raises(InternalInvariantError) as exc:
+                _sparse_rref(order, ncols)
+            assert str(exc.value) == (f"row reduction met pivot {bad[1]} at column {bad[0]} "
+                                      "for a test matrix")
+            continue
         got, pivots = _sparse_rref(order, ncols)
         assert (got, pivots) == (want, want_pivots)
-        _assert_normal(got)
+        _assert_ints(got)
     want_null = []
     for fc in (c for c in range(ncols) if c not in want_pivots):
         x = [Fraction(int(c == fc)) for c in range(ncols)]
@@ -559,18 +594,23 @@ def test_solve_matrix_matches_the_fraction_reference(nrows, acols, bcols, data):
     _assert_normal(got)
 
 
-def test_rref_keeps_a_fraction_only_where_a_pivot_does_not_divide():
-    rows, pivots = _sparse_rref([[2, 1]], 2)
-    assert (rows, pivots) == ([[1, Fraction(1, 2)]], [0])
-    assert type(rows[0][0]) is int and type(rows[0][1]) is Fraction
-    # the second pivot clears the half, and the result is integral again
-    for order in ([[2, 1, 0], [1, 1, 1]], [[1, 1, 1], [2, 1, 0]]):
-        rows, pivots = _sparse_rref(order, 3)
-        assert (rows, pivots) == ([[1, 0, -1], [0, 1, 2]], [0, 1])
-        _assert_normal(rows)
-    assert _sparse_rref([[3, 6, -9]], 3)[0] == [[1, 2, -3]]
+def test_rref_error_names_the_pivot_and_the_scope():
+    rc, x, y = PIVOT_TWO
+    with pytest.raises(InternalInvariantError) as exc:
+        rc.hom(x, y)
+    assert str(exc.value) == "row reduction met pivot 2 at column 0 for A3 xi=1:0,2:-1,3:-2"
+    # in the other row order the pivots are 1, then -1, which negates its row
+    assert _sparse_rref([[1, 1, 1], [2, 1, 0]], 3) == ([[1, 0, -1], [0, 1, 2]], [0, 1])
+    # a pivot that divides its row is refused too
+    with pytest.raises(InternalInvariantError) as exc:
+        _sparse_rref([[1, 0, 1], [1, 3, 7]], 3)
+    assert str(exc.value) == "row reduction met pivot 3 at column 1 for a test matrix"
     # rows whose pivots arrive out of column order come back in pivot-column order
     assert _sparse_rref([[0, 1], [1, 0]], 2) == ([[1, 0], [0, 1]], [0, 1])
+    # the scope is read only when the error fires
+    scopes = []
+    assert reps._rref([{0: -1, 1: 2}], lambda: scopes.append(1)) == ([{0: 1, 1: -2}], [0])
+    assert not scopes
 
 
 # ---- the representation layer, pinned ----------------------------------------------------
@@ -753,3 +793,24 @@ def test_e8_representations_and_images(xi):
             assert any(dims) and all(0 <= a <= b for a, b in zip(dims, n_obj.dims))
             images += 1
     assert images == 3120  # both orientations, as built with Fraction linear algebra
+
+
+@pytest.mark.skipif(not os.environ.get("CLUSTERMOD_SLOW_TESTS"),
+                    reason="set CLUSTERMOD_SLOW_TESTS=1 to sweep every orientation of E6, E7")
+@pytest.mark.parametrize("cartan", [E6, cartan_type("E7")], ids=["E6", "E7"])
+def test_every_orientation_of_e6_and_e7_reduces_over_the_integers(cartan):
+    # every root and every image of an exchange pair, both ways, on all 32 and 64
+    # orientations; a pivot other than 1 or -1 raises out of rep or im_h
+    for xi in orientations(cartan):
+        rc = RepContext(cartan, xi)
+        for root in rc.roots:
+            rep = rc.rep(root)
+            _assert_ints(row for _, _, m in rep.mats for row in m)
+        for x, y in rc.exchange_pairs():
+            for l_obj, n_obj in ((x, y), (y, x)):
+                try:
+                    image = rc.im_h(l_obj, n_obj)
+                except ShiftCaseUnsupported:
+                    continue
+                assert all(0 <= a <= b for a, b in zip(image.dims, n_obj.dims))
+                _assert_ints(row for _, _, m in image.mats for row in m)
