@@ -186,38 +186,6 @@ class IceQuiver:
                             _index=self._index, _frozen_mask=mask)
         return out
 
-    def subquiver_on(self, labels) -> "IceQuiver":
-        """Label-preserving restriction to the given vertex set."""
-        wanted = set(labels)
-        keep = [v for v in self.vertices if v in wanted]
-        missing = wanted.difference(keep)
-        if missing:
-            raise ConfigurationError(f"unknown labels {sorted(map(str, missing))}")
-        idx = [self.index(v) for v in keep]
-        b = tuple(tuple(self.b[p][q] for q in idx) for p in idx)
-        return IceQuiver(tuple(keep), self.frozen & set(keep), b)
-
-    def refreeze(self, frozen) -> "IceQuiver":
-        """Same arrows, new frozen set; frozen-frozen entries reset to 0."""
-        frozen = frozenset(frozen)
-        n = len(self.vertices)
-        b = [list(row) for row in self.b]
-        for p in range(n):
-            for q in range(n):
-                if self.vertices[p] in frozen and self.vertices[q] in frozen:
-                    b[p][q] = 0
-        return IceQuiver(self.vertices, frozen, tuple(tuple(row) for row in b))
-
-    def equals(self, other: "IceQuiver") -> bool:
-        """Label-exact equality; vertex storage order is irrelevant."""
-        if set(self.vertices) != set(other.vertices) or self.frozen != other.frozen:
-            return False
-        return all(
-            self.entry(u, v) == other.entry(u, v)
-            for u in self.vertices
-            for v in self.vertices
-        )
-
     def to_json(self) -> str:
         data = {
             "vertices": [

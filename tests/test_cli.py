@@ -13,12 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clustermod
-from clustermod import cli, engine
+from clustermod import cli, engine, verify
 from clustermod.cartan import cartan_type
 from clustermod.cli import main
 from clustermod.engine import Seed, enumerate_exchange_graph
 from clustermod.errors import InexactDivisionError, InternalInvariantError
-from clustermod.quivers import IceQuiver, build_gamma_l
+from clustermod.quivers import IceQuiver, Vertex, build_gamma_l
 from clustermod.verify import CHECK_NAMES, check_reads
 from oracles import orientations
 
@@ -381,6 +381,32 @@ def test_tables(capsys):
                        "--xi", "1:0,2:-1,3:0,4:0")
     assert code == 0
     assert len(out.strip().splitlines()) == 12
+
+
+def test_a_coefficient_label_off_the_window_fails_sequence(capsys, monkeypatch):
+    real = verify.build_qxil
+
+    def top_row_up(cartan, xi, l):
+        # the top row (i, xi(i) - 2l + 4) moves to xi(i) - 2l + 6, above the grid window
+        q = real(cartan, xi, l)
+        up = {Vertex(i, xi[i] - 2 * l + 4) for i in cartan.vertices}
+
+        def move(v):
+            return Vertex(v.i, v.r + 2) if v in up else v
+
+        return IceQuiver.from_arrows([move(v) for v in q.vertices], map(move, q.frozen),
+                                     [(move(s), move(t), m) for s, t, m in q.arrows()])
+
+    monkeypatch.setattr(verify, "build_qxil", top_row_up)
+    code, out, err = run(capsys, "verify", "sequence", "--cartan", "A3", "--linear",
+                         "--level", "2")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL sequence") and "1 failures" in lines[0]
+    assert lines[1:] == ["    {'detail': 'final subquiver equals the coefficient quiver', "
+                         "'extra': '[]', 'missing': \"[(('(1,2)', '(1,-2)'), 1), "
+                         "(('(2,-3)', '(1,2)'), 1), (('(2,1)', '(2,-3)'), 1), "
+                         "(('(3,-4)', '(2,1)'), 1), (('(3,0)', '(3,-4)'), 1)]\"}"]
 
 
 def test_verify_pass_exit_codes(capsys):

@@ -27,6 +27,14 @@ def arrow_set(q):
     return {(str(s), str(t)) for s, t, _ in q.arrows()}
 
 
+def arrows_on(q, labels, frozen=frozenset()):
+    """The arrows (source, target, multiplicity) of q between two of labels, but not
+    between two frozen ones."""
+    keep = set(labels)
+    return {(str(s), str(t), m) for s, t, m in q.arrows()
+            if s in keep and t in keep and not (s in frozen and t in frozen)}
+
+
 # ---- height functions --------------------------------------------------------
 
 
@@ -54,13 +62,13 @@ def test_rank2_mutation_is_arrow_reversal():
     q = IceQuiver.from_arrows([Vertex(1), Vertex(2)], (), [(Vertex(1), Vertex(2))])
     m = q.mutate(Vertex(1))
     assert arrow_set(m) == {("2", "1")}
-    assert m.mutate(Vertex(1)).equals(q)
+    assert m.mutate(Vertex(1)) == q
 
 
 def test_mutation_involution_everywhere():
     q = build_qcheck(A3, XI_A3_LIN)
     for v in q.mutable_vertices:
-        assert q.mutate(v).mutate(v).equals(q)
+        assert q.mutate(v).mutate(v) == q
 
 
 def test_mutation_at_frozen_vertex_rejected():
@@ -175,8 +183,8 @@ def test_gamma_l_restriction_consistency():
         big = build_gamma_l(A3, xi, 3)
         labels = [Vertex(i, xi[i] - 2 * k) for i in A3.vertices for k in range(3)]
         small = build_gamma_l(A3, xi, 2)
-        sub = big.subquiver_on(labels).refreeze(small.frozen)
-        assert sub.equals(small)
+        assert set(labels) == set(small.vertices)
+        assert arrows_on(big, labels, small.frozen) == arrows_on(small, labels)
 
 
 # ---- Dynkin and companion quivers -------------------------------------------------
@@ -196,8 +204,8 @@ def test_qcheck_structure():
         ("2", "1'"), ("3", "2'"),
     }
     # principal part equals the Dynkin quiver
-    sub = q.subquiver_on([Vertex(i) for i in A3.vertices])
-    assert sub.equals(build_qxi(A3, XI_A3_LIN))
+    qxi = build_qxi(A3, XI_A3_LIN)
+    assert arrows_on(q, qxi.vertices) == arrows_on(qxi, qxi.vertices)
 
 
 def test_qcheck_principal_part_all_heights():
@@ -205,8 +213,8 @@ def test_qcheck_principal_part_all_heights():
         ct = cartan_type(name)
         for xi in orientations(ct):
             q = build_qcheck(ct, xi)
-            sub = q.subquiver_on([Vertex(i) for i in ct.vertices])
-            assert sub.equals(build_qxi(ct, xi))
+            qxi = build_qxi(ct, xi)
+            assert arrows_on(q, qxi.vertices) == arrows_on(qxi, qxi.vertices)
 
 
 QXIL2_A4_ARROWS = {
@@ -234,7 +242,7 @@ def test_qxil_level1_drops_top_row():
     }
     # with the top row gone only the bottom frozen arrows remain per column
     assert ("(1,-2)", "(1,0)") in arrow_set(q)
-    assert q.equals(build_gamma_l(A3, XI_A3_LIN, 1))
+    assert q == build_gamma_l(A3, XI_A3_LIN, 1)
 
 
 def test_qxil_a3_linear_diagonals():
@@ -258,16 +266,9 @@ def test_no_frozen_frozen_entries():
 
 def test_json_round_trip():
     q = build_gamma_l(A3, XI_A3_ALT, 2)
-    assert IceQuiver.from_json(q.to_json()).equals(q)
+    assert IceQuiver.from_json(q.to_json()) == q
     q2 = build_qcheck(A3, XI_A3_LIN)
-    assert IceQuiver.from_json(q2.to_json()).equals(q2)
-
-
-def test_subquiver_identity_and_errors():
-    q = build_qcheck(A3, XI_A3_LIN)
-    assert q.subquiver_on(q.vertices).equals(q)
-    with pytest.raises(ConfigurationError):
-        q.subquiver_on([Vertex(9)])
+    assert IceQuiver.from_json(q2.to_json()) == q2
 
 
 def test_dot_output_shapes():

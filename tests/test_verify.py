@@ -14,6 +14,7 @@ from clustermod.errors import ConfigurationError, DomainError, InternalInvariant
 from clustermod.hlmap import psi
 from clustermod.verify import (
     CHECK_NAMES,
+    arrows_among,
     check_reads,
     get_bundle,
     parts,
@@ -30,7 +31,7 @@ from clustermod.verify import (
     verify_hw_exchange,
     verify_tsystem,
 )
-from clustermod.quivers import Vertex
+from clustermod.quivers import IceQuiver, Vertex, build_gamma_l, build_qxil
 from clustermod.reps import CQObject, RepContext
 from oracles import oracle_m_term, oracle_properties_walk, orientations
 
@@ -51,6 +52,43 @@ def assert_passes(report):
 def test_examples_and_goldens():
     assert_passes(verify_worked_examples_a3())
     assert_passes(verify_quiver_goldens())
+
+
+def test_a_doubled_arrow_fails_goldens(monkeypatch):
+    real = verify.build_gamma_l
+
+    def doubled(cartan, xi, l):
+        q = real(cartan, xi, l)
+        return IceQuiver.from_arrows(q.vertices, q.frozen, [
+            (s, t, 2 * m if (str(s), str(t)) == ("(2,-3)", "(2,-1)") else m)
+            for s, t, m in q.arrows()])
+
+    monkeypatch.setattr(verify, "build_gamma_l", doubled)
+    report = verify_quiver_goldens()
+    assert report.items == 5
+    assert report.failures == [{"detail": "grid quiver A3 level 2 arrows",
+                                "extra": "[(('(2,-3)', '(2,-1)'), 1)]", "missing": "[]"}]
+
+
+def test_arrows_among_drops_frozen_frozen_arrows_and_absent_labels():
+    # s_l(Gamma_2) of A3 has arrows between two frozen labels of the coefficient quiver
+    seed, _ = engine.run_sequence(Seed.initial(build_gamma_l(A3, XI3, 2)),
+                                  s_l_sequence(A3, XI3, 2))
+    target = build_qxil(A3, XI3, 2)
+    frozen_pairs = {("(1,0)", "(2,-1)"), ("(2,-1)", "(3,-2)")}
+    assert frozen_pairs <= set(arrows_among(seed.quiver, target.vertices, ()))
+    got = arrows_among(seed.quiver, target.vertices, target.frozen)
+    assert not frozen_pairs & set(got)
+    assert got == arrows_among(target, target.vertices, target.frozen)
+    assert arrows_among(seed.quiver, [Vertex(9, 9), Vertex(1, 0)], ()) == {}
+
+
+def test_a_passing_sequence_formats_no_quiver(monkeypatch):
+    def no_json(self):
+        raise AssertionError("a passing item formats nothing")
+
+    monkeypatch.setattr(IceQuiver, "to_json", no_json)
+    assert_passes(verify_grid_sequence(A3, XI3, 2))
 
 
 @pytest.mark.parametrize("cartan,xi", [(A2, XI2), (A3, XI3), (A3, XI3_ALT), (D4, XI_D4)])
