@@ -48,7 +48,7 @@ import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (ConfigurationError, FrozenVertexError, InexactDivisionError,
                      InternalInvariantError)
@@ -167,8 +167,7 @@ def seed_context(quiver: IceQuiver) -> SeedContext:
     )
 
 
-@dataclass(frozen=True)
-class TermData:
+class TermData(NamedTuple):
     """One side of an exchange relation: frozen-generator exponents and the
     cluster-variable factors given by their g-vectors with multiplicities, in
     increasing g order."""
@@ -405,7 +404,7 @@ def make_record(seed: Seed, j: int) -> ClusterVarRecord:
         # from the image 1 of F's constant term
         xpos, least = ctx.x_index, [0] * n
         for mon in substitute(fpoly, ctx.yhat).monomials():
-            for v, e in mon.items:
+            for v, e in mon:
                 i = xpos.get(v)  # None for a frozen generator
                 if i is not None and e < least[i]:
                     least[i] = e

@@ -17,7 +17,7 @@ from .symbolic import Monomial, VarId, Yvar
 
 def _y_monomial(exps: Mapping[tuple[int, int], int]) -> Monomial:
     """prod Y_{i,r}^e over an (i, r) -> e map: sorted once, zero exponents dropped."""
-    return Monomial._from_sorted(tuple((Yvar(i, r), e) for (i, r), e in sorted(exps.items()) if e))
+    return Monomial._from_sorted((Yvar(i, r), e) for (i, r), e in sorted(exps.items()) if e)
 
 
 def expand_z(pairs: Iterable[tuple[tuple[int, int], int]], xi: dict[int, int]) -> Monomial:
@@ -47,7 +47,7 @@ def kr_monomial(i: int, k: int, r: int) -> Monomial:
     """Highest weight of the Kirillov-Reshetikhin module with k factors from Y_{i,r}."""
     if k < 0:
         raise DomainError("KR length must be >= 0")
-    return Monomial._from_sorted(tuple((Yvar(i, r + 2 * j), 1) for j in range(k)))
+    return Monomial._from_sorted((Yvar(i, r + 2 * j), 1) for j in range(k))
 
 
 def uv_monomials(i: int, l: int, xi: dict[int, int]) -> tuple[Monomial, Monomial]:

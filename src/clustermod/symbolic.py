@@ -77,57 +77,56 @@ def ycoef(*index: int) -> VarId:
     return _var("y", tuple(index))
 
 
-class Monomial:
-    """Exponent map VarId -> nonzero integer; the multiplicative carrier of all formulas."""
+def _summed(pairs: Mapping | Iterable[tuple]) -> dict:
+    """The values of equal keys summed, with every zero sum dropped."""
+    d: dict = {}
+    for k, c in (pairs.items() if isinstance(pairs, Mapping) else pairs):
+        c = d.get(k, 0) + c
+        if c:
+            d[k] = c
+        elif k in d:
+            del d[k]
+    return d
 
-    __slots__ = ("_items", "_hash")
 
-    def __init__(self, exps: Mapping[VarId, int] | Iterable[tuple[VarId, int]] = ()):
-        if isinstance(exps, Mapping):
-            pairs = exps.items()
-        else:
-            pairs = exps
-        merged: dict[VarId, int] = {}
-        for v, e in pairs:
-            e = merged.get(v, 0) + e
-            if e:
-                merged[v] = e
-            elif v in merged:
-                del merged[v]
-        self._items = tuple(sorted(merged.items()))
-        self._hash = None
+class Monomial(tuple):
+    """Exponent map VarId -> nonzero integer; the multiplicative carrier of all formulas.
+
+    The tuple itself is the (VarId, exponent) pairs sorted by variable, so monomials
+    hash and compare in C and equal the plain tuple of their pairs; read one by
+    iterating it or with dict(m).  `*` is the product: `+` and repetition are off.
+    """
+
+    __slots__ = ()
+    __add__ = __radd__ = __rmul__ = None
+
+    def __new__(cls, exps: Mapping[VarId, int] | Iterable[tuple[VarId, int]] = ()):
+        return super().__new__(cls, sorted(_summed(exps).items()))
 
     @staticmethod
     def one() -> "Monomial":
         return _MONOMIAL_ONE
 
     @classmethod
-    def _from_sorted(cls, items: tuple) -> "Monomial":
-        """Wrap items sorted by variable, with distinct variables and no zero exponent."""
-        m = cls.__new__(cls)
-        m._items = items
-        m._hash = None
-        return m
-
-    @property
-    def items(self) -> tuple[tuple[VarId, int], ...]:
-        return self._items
+    def _from_sorted(cls, pairs: Iterable[tuple[VarId, int]]) -> "Monomial":
+        """Wrap pairs sorted by variable, with distinct variables and no zero exponent."""
+        return tuple.__new__(cls, pairs)
 
     @property
     def is_one(self) -> bool:
-        return not self._items
+        return not self
 
     @property
     def is_dominant(self) -> bool:
-        return all(e >= 0 for _, e in self._items)
+        return all(e >= 0 for _, e in self)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.is_one:
+        if not self:
             return other
-        if other.is_one:
+        if not other:
             return self
         # merge of two sorted exponent lists
-        a, b = self._items, other._items
+        a, b = self, other
         na, nb = len(a), len(b)
         ia = ib = 0
         out = []
@@ -147,34 +146,24 @@ class Monomial:
                 ib += 1
         out.extend(a[ia:])
         out.extend(b[ib:])
-        return Monomial._from_sorted(tuple(out))
+        return Monomial._from_sorted(out)
 
     def inverse(self) -> "Monomial":
-        return Monomial._from_sorted(tuple((v, -e) for v, e in self._items))
+        return Monomial._from_sorted((v, -e) for v, e in self)
 
     def __pow__(self, n: int) -> "Monomial":
         if n == 0:
             return Monomial.one()
-        return Monomial._from_sorted(tuple((v, n * e) for v, e in self._items))
+        return Monomial._from_sorted((v, n * e) for v, e in self)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         return self * other.inverse()
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self._items == other._items
-
-    def __hash__(self) -> int:
-        # taken on first use: many monomials (Y-monomials in the checks) are only compared
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self._items)
-        return h
-
     def __str__(self) -> str:
-        if not self._items:
+        if not self:
             return "1"
         parts = []
-        for v, e in self._items:
+        for v, e in self:
             parts.append(v._text if e == 1 else f"{v._text}^{e}")
         return " ".join(parts)
 
@@ -194,13 +183,13 @@ def _exponent_tuples(*polys: "LaurentPoly"):
     leading-term reduction valid.  Two monomials compare alike over any larger
     variable list, since a variable absent from both is equal in both.
     """
-    vs = sorted({v for p in polys for m in p._terms for v, _ in m._items})
+    vs = sorted({v for p in polys for m in p._terms for v, _ in m})
     pos = {v: i for i, v in enumerate(vs)}
     zero = [0] * len(vs)
 
     def dense(m: Monomial) -> tuple[int, ...]:
         t = zero.copy()
-        for v, e in m._items:
+        for v, e in m:
             t[pos[v]] = e
         return tuple(t)
 
@@ -213,18 +202,14 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
-        if isinstance(terms, Mapping):
-            pairs = terms.items()
-        else:
-            pairs = terms
-        d: dict[Monomial, int] = {}
-        for m, c in pairs:
-            c = d.get(m, 0) + c
-            if c:
-                d[m] = c
-            elif m in d:
-                del d[m]
-        self._terms = d
+        self._terms = _summed(terms)
+
+    @classmethod
+    def _wrap(cls, terms: dict[Monomial, int]) -> "LaurentPoly":
+        """Wrap a dict the caller has just built, with no zero coefficient."""
+        p = cls.__new__(cls)
+        p._terms = terms
+        return p
 
     @staticmethod
     def one() -> "LaurentPoly":
@@ -274,21 +259,15 @@ class LaurentPoly:
                 d[m] = c
             else:
                 del d[m]
-        p = LaurentPoly.__new__(LaurentPoly)
-        p._terms = d
-        return p
+        return LaurentPoly._wrap(d)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly()
-            p = LaurentPoly.__new__(LaurentPoly)
-            p._terms = {m: c * other for m, c in self._terms.items()}
-            return p
+            return LaurentPoly._wrap({m: c * other for m, c in self._terms.items()})
         if isinstance(other, Monomial):
-            p = LaurentPoly.__new__(LaurentPoly)
-            p._terms = {m * other: c for m, c in self._terms.items()}
-            return p
+            return LaurentPoly._wrap({m * other: c for m, c in self._terms.items()})
         d: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -298,9 +277,7 @@ class LaurentPoly:
                     d[m] = c
                 elif m in d:
                     del d[m]
-        p = LaurentPoly.__new__(LaurentPoly)
-        p._terms = d
-        return p
+        return LaurentPoly._wrap(d)
 
     __rmul__ = __mul__
 
@@ -356,22 +333,20 @@ def substitute(p: LaurentPoly, assign: Mapping[VarId, Monomial]) -> LaurentPoly:
     out: dict[Monomial, int] = {}
     for m, c in p._terms.items():
         exps: dict[VarId, int] = {}
-        for v, e in m.items:
+        for v, e in m:
             img = assign.get(v)
             if img is None:
                 exps[v] = exps.get(v, 0) + e
             else:
-                for w, f in img._items:
+                for w, f in img:
                     exps[w] = exps.get(w, 0) + e * f
-        mm = Monomial._from_sorted(tuple(sorted([t for t in exps.items() if t[1]])))
+        mm = Monomial._from_sorted(sorted([t for t in exps.items() if t[1]]))
         c += out.get(mm, 0)
         if c:
             out[mm] = c
         else:
             del out[mm]
-    q = LaurentPoly.__new__(LaurentPoly)
-    q._terms = out
-    return q
+    return LaurentPoly._wrap(out)
 
 
 def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -436,10 +411,8 @@ def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 r[t] = c
             else:
                 del r[t]
-    out = LaurentPoly.__new__(LaurentPoly)
-    out._terms = {Monomial._from_sorted(tuple((v, e) for v, e in zip(vs, t) if e)): c
-                  for t, c in q.items()}
-    return out
+    return LaurentPoly._wrap({Monomial._from_sorted((v, e) for v, e in zip(vs, t) if e): c
+                              for t, c in q.items()})
 
 
 def eval_tropical(f: LaurentPoly, assign: Mapping[VarId, tuple[int, ...]]) -> tuple[int, ...]:
@@ -464,7 +437,7 @@ def eval_tropical(f: LaurentPoly, assign: Mapping[VarId, tuple[int, ...]]) -> tu
         if c < 0:
             raise NotSubtractionFreeError("polynomial has a negative coefficient")
         width, vec = None, {}
-        for v, e in m.items:
+        for v, e in m:
             val = sparse.get(v)
             if val is None:
                 try:

@@ -172,6 +172,8 @@ QXIL2_A4_ARROWS = {
     ("(3,-4)", "(4,-1)"), ("(3,-4)", "(4,-5)"),
 }
 
+QXIL2_A4_FROZEN = {"(1,0)", "(2,-1)", "(3,-2)", "(4,-1)", "(1,-4)", "(2,-5)", "(3,-6)", "(4,-5)"}
+
 
 def arrows_among(quiver: IceQuiver, labels, frozen) -> Counter:
     """The arrows of `quiver` between two of `labels` but not two `frozen` ones, with
@@ -236,7 +238,7 @@ def verify_worked_examples_a3() -> Report:
 
 
 def verify_quiver_goldens() -> Report:
-    """Arrow-for-arrow fixtures, with multiplicity, for the two printed quiver examples."""
+    """Fixtures for the two printed quivers: arrows with multiplicity, vertex count, frozen set."""
     rep = Report("goldens", {"quivers": "grid A3 level 2; coefficient quiver A4 level 2"})
     g2 = build_gamma_l(cartan_type("A3"), {1: 0, 2: -1, 3: 0}, 2)
     got, want = arrows_among(g2, g2.vertices, g2.frozen), Counter(GAMMA2_A3_ARROWS)
@@ -250,7 +252,10 @@ def verify_quiver_goldens() -> Report:
     got, want = arrows_among(q, q.vertices, q.frozen), Counter(QXIL2_A4_ARROWS)
     rep.check(got == want, "coefficient quiver A4 level 2 arrows",
               extra=sorted((got - want).items()), missing=sorted((want - got).items()))
-    rep.check(len(q.vertices) == 12, "coefficient quiver vertex count", got=len(q.vertices))
+    frozen = {str(v) for v in q.frozen}
+    rep.check(len(q.vertices) == 12 and frozen == QXIL2_A4_FROZEN,
+              "coefficient quiver vertex count and frozen set",
+              got=len(q.vertices), frozen=sorted(frozen))
     return rep
 
 
@@ -442,7 +447,7 @@ def verify_grid_sequence(cartan: CartanData, xi: dict[int, int],
     n_mut = len(ctx.mutables)
 
     for j, v in enumerate(ctx.mutables):
-        out = expand_z(((var.index, e) for var, e in ctx.yhat_monomial(j).items), xi)
+        out = expand_z(((var.index, e) for var, e in ctx.yhat_monomial(j)), xi)
         want = yhat_monomial(v.i, v.r, cartan)
         rep.check(out == want, "yhat at {} equals A-inverse", v, got=out, want=want)
 

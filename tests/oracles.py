@@ -162,7 +162,7 @@ def oracle_substitute(p: LaurentPoly, assign: Mapping[VarId, Monomial]) -> Laure
     out = LaurentPoly()
     for m, c in p._terms.items():
         acc = LaurentPoly.from_monomial(Monomial.one(), c)
-        for v, e in m.items:
+        for v, e in m:
             img = assign.get(v)
             if img is None:
                 acc = acc * Monomial({v: e})
@@ -185,7 +185,7 @@ def oracle_eval_tropical(f: LaurentPoly, assign: Mapping[VarId, TropElem]) -> Tr
         if c < 0:
             raise NotSubtractionFreeError("polynomial has a negative coefficient")
         val: TropElem | None = None
-        for v, e in m.items:
+        for v, e in m:
             try:
                 factor = assign[v] ** e
             except KeyError:
@@ -213,7 +213,7 @@ def oracle_dense_eval_tropical(f: LaurentPoly,
         if c < 0:
             raise NotSubtractionFreeError("polynomial has a negative coefficient")
         vec = None
-        for v, e in m.items:
+        for v, e in m:
             try:
                 t = assign[v]
             except KeyError:
@@ -253,18 +253,17 @@ def oracle_cmp_monomials(a: Monomial, b: Monomial) -> int:
     Compatible with multiplication, so leading terms multiply; this makes
     exact division by leading-term reduction valid.
     """
-    ia, ib = a.items, b.items
-    na, nb = len(ia), len(ib)
+    na, nb = len(a), len(b)
     pa = pb = 0
     while pa < na or pb < nb:
-        if pa < na and (pb >= nb or _oracle_var_key(ia[pa][0]) < _oracle_var_key(ib[pb][0])):
-            ea, eb = ia[pa][1], 0
+        if pa < na and (pb >= nb or _oracle_var_key(a[pa][0]) < _oracle_var_key(b[pb][0])):
+            ea, eb = a[pa][1], 0
             pa += 1
-        elif pb < nb and (pa >= na or _oracle_var_key(ib[pb][0]) < _oracle_var_key(ia[pa][0])):
-            ea, eb = 0, ib[pb][1]
+        elif pb < nb and (pa >= na or _oracle_var_key(b[pb][0]) < _oracle_var_key(a[pa][0])):
+            ea, eb = 0, b[pb][1]
             pb += 1
         else:
-            ea, eb = ia[pa][1], ib[pb][1]
+            ea, eb = a[pa][1], b[pb][1]
             pa += 1
             pb += 1
         if ea != eb:
@@ -313,7 +312,7 @@ def oracle_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         if rc % lt_c:
             raise InexactDivisionError("leading coefficient does not divide")
         qm = rm / lt_m
-        for v, e in qm.items:
+        for v, e in qm:
             lo, hi = box.get(v, (0, 0))
             if not lo <= e <= hi:
                 raise InexactDivisionError("quotient exponent out of range")
@@ -338,7 +337,7 @@ def _oracle_quotient_box(a: LaurentPoly, b: LaurentPoly) -> dict[VarId, tuple[in
         counts: dict[VarId, int] = {}
         for m in p._terms:
             nterms += 1
-            for v, e in m.items:
+            for v, e in m:
                 counts[v] = counts.get(v, 0) + 1
                 if v not in lo or e < lo[v]:
                     lo[v] = e
@@ -559,7 +558,7 @@ class OracleSeed:
         expansion = self.cluster[j]
         denom = None
         for mon, _ in expansion.terms():
-            exps = dict(mon.items)
+            exps = dict(mon)
             vec = [-exps.get(x, 0) for x in ctx.xvars]
             denom = vec if denom is None else [max(a, b) for a, b in zip(denom, vec)]
         return OracleRecord(_homogeneous_degree(pexp, ctx), fpoly, expansion, tuple(denom))
@@ -573,7 +572,7 @@ def _homogeneous_degree(pexp: LaurentPoly, ctx) -> tuple[int, ...]:
     degrees = set()
     for mon, _ in pexp.terms():
         vec = [0] * n
-        for v, e in mon.items:
+        for v, e in mon:
             if v in xidx:
                 vec[xidx[v]] += e
             else:

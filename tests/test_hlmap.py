@@ -109,7 +109,7 @@ def test_a_inverse_lowers_weight_rows():
     for i in (1, 2, 3):
         inv = a_monomial(i, -1, A3).inverse()
         rows = {}
-        for v, e in inv.items:
+        for v, e in inv:
             rows[v.index[0]] = rows.get(v.index[0], 0) + e
         assert rows[i] == -2
         for j in A3.neighbors(i):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from clustermod.cartan import cartan_type
-from clustermod.engine import Seed
+from clustermod.engine import Seed, TermData
 from clustermod.errors import ConfigurationError
 from clustermod.quivers import IceQuiver, Vertex, build_gamma_l, build_qcheck
 
@@ -52,7 +52,7 @@ SCOPES = _scopes()
 
 def _fields(obj) -> list:
     """Every field of `obj` with its value, in order (the compare=False ones too)."""
-    return list(vars(obj).items())
+    return list((obj._asdict() if isinstance(obj, TermData) else vars(obj)).items())
 
 
 @pytest.mark.parametrize("quiver,steps", [s[1:] for s in SCOPES], ids=[s[0] for s in SCOPES])

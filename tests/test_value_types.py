@@ -1,4 +1,5 @@
-"""The value types that key the hot dicts: `VarId`, `Vertex` and `CQObject`.
+"""The value types that key the hot dicts: `VarId`, `Vertex`, `CQObject`, `Monomial`
+and `TermData`.
 
 Their hashes, order, equality, text and copies are pinned here: every set and
 dict iteration order, and so every digest, depends on the hash values.
@@ -9,10 +10,11 @@ import random
 
 import pytest
 
+from clustermod.engine import TermData
 from clustermod.errors import ConfigurationError
 from clustermod.quivers import Vertex
 from clustermod.reps import CQObject
-from clustermod.symbolic import VarId, Yvar, fvar, xvar, ycoef, zvar
+from clustermod.symbolic import Monomial, VarId, Yvar, fvar, xvar, ycoef, zvar
 
 FAMILIES = "xfYzy"  # the canonical family order
 
@@ -21,6 +23,9 @@ VARS = [xvar(1), xvar(2), fvar(3), Yvar(1, -2), Yvar(1, 0), Yvar(2, -5), zvar(1,
 VERTICES = [Vertex(1, 0), Vertex(2, -3), Vertex(3), Vertex(3, primed=True), Vertex(-1, None)]
 OBJECTS = [CQObject.shifted(1), CQObject.shifted(4), CQObject.module((0, 1, 1)),
            CQObject.module((1, 0, 0, 0))]
+MONOMIALS = [Monomial(), Monomial({xvar(1): 2, Yvar(1, 0): -1}),
+             Monomial([(zvar(2, 0), 1), (fvar(3), -3), (ycoef(1), 1)])]
+TERMS = [TermData((), ()), TermData((0, 1, 2), (((1, 0, -1), 1), ((0, 1, 0), 2)))]
 
 
 def test_hashes_are_the_hashes_of_the_field_tuples():
@@ -30,6 +35,10 @@ def test_hashes_are_the_hashes_of_the_field_tuples():
         assert hash(v) == hash((v.i, v.r, v.primed))
     for o in OBJECTS:
         assert hash(o) == hash((o.kind, o.dims, o.i))
+    for m in MONOMIALS:
+        assert hash(m) == hash(tuple(sorted(dict(m).items())))
+    for t in TERMS:
+        assert hash(t) == hash((t.fexp, t.factors))
 
 
 def test_vertex_and_object_equal_only_their_own_class():
@@ -51,6 +60,28 @@ def test_a_variable_equals_its_plain_tuple():
     assert xvar(1) == (0, (1,))
     assert zvar(2, -4) == (3, (2, -4))
     assert xvar(1) != fvar(1)
+
+
+def test_a_monomial_equals_its_plain_tuple_of_sorted_pairs():
+    m = Monomial({Yvar(1, 0): -1, xvar(1): 2})
+    assert m == ((xvar(1), 2), (Yvar(1, 0), -1)) == (((0, (1,)), 2), ((2, (1, 0)), -1))
+    assert dict(m) == {xvar(1): 2, Yvar(1, 0): -1}
+    assert Monomial() == () and Monomial.one() == ()
+    assert Monomial([(xvar(1), 1), (xvar(1), -1)]) == ()
+
+
+def test_monomials_neither_concatenate_nor_repeat():
+    m = MONOMIALS[1]
+    for op in (lambda: m + m, lambda: m + (m[0],), lambda: (m[0],) + m, lambda: 2 * m):
+        with pytest.raises(TypeError):
+            op()
+    assert m * m == Monomial({xvar(1): 4, Yvar(1, 0): -2})
+
+
+def test_a_term_equals_its_plain_tuple():
+    for t in TERMS:
+        assert t == (t.fexp, t.factors)
+    assert TermData((1,), ()) != TermData((), ())
 
 
 def test_variables_sort_by_family_then_index():
@@ -85,7 +116,7 @@ def test_unknown_variable_family_is_rejected():
                                    lambda x: pickle.loads(pickle.dumps(x))],
                          ids=["copy", "deepcopy", "pickle"])
 def test_copies_are_equal_with_the_same_hash_and_text(clone):
-    for x in VARS + VERTICES + OBJECTS:
+    for x in VARS + VERTICES + OBJECTS + MONOMIALS + TERMS:
         y = clone(x)
         assert type(y) is type(x)
         assert y == x and hash(y) == hash(x)

@@ -70,6 +70,21 @@ def test_a_doubled_arrow_fails_goldens(monkeypatch):
                                 "extra": "[(('(2,-3)', '(2,-1)'), 1)]", "missing": "[]"}]
 
 
+def test_an_unfrozen_top_row_fails_goldens(monkeypatch):
+    real = verify.build_qxil
+    top = {Vertex(1, 0), Vertex(2, -1), Vertex(3, -2), Vertex(4, -1)}
+
+    def unfrozen(cartan, xi, l):
+        q = real(cartan, xi, l)
+        return IceQuiver.from_arrows(q.vertices, q.frozen - top, q.arrows())
+
+    monkeypatch.setattr(verify, "build_qxil", unfrozen)
+    report = verify_quiver_goldens()
+    assert report.items == 5
+    assert report.failures == [{"detail": "coefficient quiver vertex count and frozen set",
+                                "got": "12", "frozen": "['(1,-4)', '(2,-5)', '(3,-6)', '(4,-5)']"}]
+
+
 def test_arrows_among_drops_frozen_frozen_arrows_and_absent_labels():
     # s_l(Gamma_2) of A3 has arrows between two frozen labels of the coefficient quiver
     seed, _ = engine.run_sequence(Seed.initial(build_gamma_l(A3, XI3, 2)),
