@@ -20,7 +20,7 @@ class CartanData:
     def name(self) -> str:
         return f"{self.letter}{self.rank}"
 
-    @property
+    @functools.cached_property
     def vertices(self) -> tuple[int, ...]:
         return tuple(range(1, self.rank + 1))
 

@@ -36,11 +36,18 @@ form: every edge of an exchange pair carries the same one (ExchangeEdge.relation
 Seed.mutate_with_edge completes that edge to the mutated seed: B-tilde, the
 c-vectors (from one read of row k) and the g-tilde row of the edge, and writes
 nothing.  Seed.mutate is the composition of the two phases, the only mutation
-path.  The exchange-graph BFS takes one exchange step per edge (the reverse step
-of an edge it has found lands back on the seed it came from, so it is skipped),
-reads the key of the mutated seed off the edge, and completes the step only for
-a key that is new and under the seed cap.  Sign coherence is checked on every
-column of every stored seed, and the records are built after the walk.
+path.  Both phases build their values as IceQuiver.mutate builds a quiver,
+without the generated constructors: the edge and the mutated seed from
+object.__new__ and one __dict__ update, each term from tuple.__new__; eq, hash,
+repr and frozenness are the classes' own.  The update gives each value a dict of
+its own, which takes more memory than the fields that __init__ sets (on CPython
+3.11, 248 bytes for a seed against 112), and builds it faster than setting the
+fields one by one.  The exchange-graph BFS takes one exchange step per edge (the
+reverse step of an edge it has found lands back on the seed it came from, so it
+is skipped), reads the key of the mutated seed off the edge, and completes the
+step only for a key that is new and under the seed cap.  Sign coherence is
+checked on every column of every stored seed, and the records are built after
+the walk.
 """
 from __future__ import annotations
 
@@ -280,8 +287,12 @@ class Seed:
             new_gtilde = tuple([a - b + f for a, b, f in zip(acc, gk, fexp)])
         m_factors.sort()
         mp_factors.sort()
-        return ExchangeEdge(v, gk[:n], new_gtilde, TermData(m_fexp, tuple(m_factors)),
-                            TermData(mp_fexp, tuple(mp_factors)), self)
+        edge = object.__new__(ExchangeEdge)
+        edge.__dict__.update(vertex=v, old_g=gk[:n], new_gtilde=new_gtilde,
+                             m_term=tuple.__new__(TermData, (m_fexp, tuple(m_factors))),
+                             mp_term=tuple.__new__(TermData, (mp_fexp, tuple(mp_factors))),
+                             source=self)
+        return edge
 
     def mutate_with_edge(self, edge: ExchangeEdge) -> "Seed":
         """The exchange step `edge`, taken from this seed or an equal one, completed
@@ -297,7 +308,9 @@ class Seed:
         rows = ctx.mut_rows
         rowk = self.quiver.b[rows[k]]
         cvecs = _mutate_cvecs(self.cvecs, k, [rowk[row] for row in rows], self.epsilon(k))
-        return Seed(ctx, self.quiver.mutate(v), cvecs, gtilde)
+        seed = object.__new__(Seed)
+        seed.__dict__.update(ctx=ctx, quiver=self.quiver.mutate(v), cvecs=cvecs, gtilde=gtilde)
+        return seed
 
     def key(self) -> tuple:
         """Canonical unlabeled-seed key: sorted multiset of g-vectors."""

@@ -121,6 +121,8 @@ class Monomial(tuple):
         return all(e >= 0 for _, e in self)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        if type(other) is not Monomial:  # a LaurentPoly takes over in its __rmul__
+            return NotImplemented
         if not self:
             return other
         if not other:

@@ -512,7 +512,9 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
     `separation` builds each variable's expansion once; the edge product identity
     x x' = M + M' on them is computed once per relation (`ExchangeEdge.relation`)
     and checked on every edge.  Each walk step checks its forward seed's new record and
-    mutates back; a step at the last step's vertex takes its back mutation as forward seed."""
+    mutates back; a step at the last step's vertex takes its back mutation as forward seed.
+    The walk's context is built from the bundle's quiver: its records are fresh, so the
+    walk recomputes every F-polynomial, and its vertices are the bundle's own."""
     if type(walks) is not int or walks < 0:  # a bool is not an int
         raise ConfigurationError(f"the walk count must be an int >= 0, got {walks!r}")
     rep = Report("properties", {"cartan": cartan.name, "xi": _xi_key(xi), "walks": walks,
@@ -573,12 +575,15 @@ def verify_properties(cartan: CartanData, xi: dict[int, int], walks: int = 1000,
     # the exchange-graph record of its g-vector.  A step at the vertex of the
     # step before it starts from that step's back mutation, which is the seed it
     # would compute, and still checks its record and its own back mutation.
+    # The fresh context is built on the bundle's quiver, so its vertices are the
+    # objects of ctx.mutables and every lookup of a walk vertex hits by identity.
     rng = random.Random(rng_seed)
-    seed = Seed.initial(build_qcheck(cartan, xi))
+    seed = Seed.initial(ctx.quiver0)
     prev = back = None
     for step in range(walks):
         v = ctx.mutables[rng.randrange(n)]
-        forward = back if v == prev else seed.mutate(v)
+        # v and prev are both drawn from the one tuple ctx.mutables
+        forward = back if v is prev else seed.mutate(v)
         record = make_record(forward, seed.ctx.mut_index[v])
         back = forward.mutate(v)
         rep.check(back == seed and record == graph.registry.get(record.gvec),
@@ -597,9 +602,12 @@ def _prop313_coeff(seed: Seed, k: int) -> tuple[int, ...]:
     b, col = seed.quiver.b, ctx.mut_rows[k]
     exps = [0] * len(ctx.gens)
     for c, y in zip(seed.cvecs[k], ctx.y0):
-        exps = [a + c * e for a, e in zip(exps, y)]
+        if c:
+            exps = [a + c * e for a, e in zip(exps, y)]
     for row, g in zip(ctx.mut_rows, seed.gtilde):
-        exps = [a - b[row][col] * e for a, e in zip(exps, g[n:])]
+        bik = b[row][col]
+        if bik:
+            exps = [a - bik * e for a, e in zip(exps, g[n:])]
     return tuple(exps)
 
 

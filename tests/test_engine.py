@@ -8,8 +8,10 @@ import pytest
 from clustermod import engine, symbolic
 from clustermod.cartan import cartan_type, linear_height, parse_height
 from clustermod.engine import (
+    ExchangeEdge,
     ExchangeGraph,
     Seed,
+    TermData,
     enumerate_exchange_graph,
     make_record,
     run_sequence,
@@ -167,6 +169,54 @@ def test_mutation_writes_nothing_to_the_context(quiver):
     for _ in range(20):
         seed = seed.mutate_with_edge(seed.exchange_step(rng.choice(ctx.mutables)))
     assert tables() == before
+
+
+def _same_value(built, made):
+    assert type(built) is type(made)
+    assert built == made and not built != made
+    assert hash(built) == hash(made) and repr(built) == repr(made)
+
+
+def _check_built_edge(edge: ExchangeEdge, other_source: Seed):
+    for term in (edge.m_term, edge.mp_term):
+        _same_value(term, TermData(term.fexp, term.factors))
+        with pytest.raises(AttributeError):
+            term.fexp = ()
+    fields = (edge.vertex, edge.old_g, edge.new_gtilde, TermData(*edge.m_term),
+              TermData(*edge.mp_term))
+    _same_value(edge, ExchangeEdge(*fields, edge.source))
+    # the source is out of eq, hash and repr
+    _same_value(edge, ExchangeEdge(*fields, other_source))
+    assert "source" not in repr(edge)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        edge.vertex = edge.vertex
+
+
+def _check_built_seed(seed: Seed):
+    _same_value(seed, Seed(seed.ctx, seed.quiver, seed.cvecs, seed.gtilde))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seed.cvecs = seed.cvecs
+
+
+def test_mutation_builds_the_values_the_constructors_build():
+    # mutation sets the fields of edges, terms and seeds directly; each value must
+    # be the one the generated constructor builds from the same fields
+    d4, xi = cartan_type("D4"), {1: 0, 2: -1, 3: 0, 4: 0}
+    seed0 = Seed.initial(build_qcheck(d4, xi))
+    graph = enumerate_exchange_graph(seed0)
+    assert len(graph.edges) == 100
+    for edge in graph.edges:
+        _check_built_edge(edge, seed0)
+        _check_built_seed(edge.source.mutate_with_edge(edge))
+    for seed in graph.seeds.values():
+        _check_built_seed(seed)
+    rng = random.Random(3)
+    seed = seed0
+    for _ in range(200):
+        edge = seed.exchange_step(rng.choice(seed.ctx.mutables))
+        _check_built_edge(edge, seed0)
+        seed = seed.mutate_with_edge(edge)
+        _check_built_seed(seed)
 
 
 # ---- invariant failures name the data that failed -------------------------------------

@@ -307,3 +307,12 @@ def test_vertex_parse_and_format():
         assert str(Vertex.parse(text)) == text
     with pytest.raises(ConfigurationError):
         Vertex.parse("nope")
+
+
+def test_cartan_vertices_are_built_once_and_stay_out_of_eq_and_hash():
+    d4, other = cartan_type("D4"), cartan_type("D4")
+    assert d4.vertices == (1, 2, 3, 4) and d4.vertices is d4.vertices
+    # read on one value only: eq and hash are over letter, rank and edges
+    assert d4 == other and hash(d4) == hash(other) == hash(("D", 4, d4.edges))
+    assert "vertices" in vars(d4) and "vertices" not in vars(other)
+    assert repr(d4) == repr(other) == f"CartanData(letter='D', rank=4, edges={d4.edges})"

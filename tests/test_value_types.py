@@ -14,7 +14,7 @@ from clustermod.engine import TermData
 from clustermod.errors import ConfigurationError
 from clustermod.quivers import Vertex
 from clustermod.reps import CQObject
-from clustermod.symbolic import Monomial, VarId, Yvar, fvar, xvar, ycoef, zvar
+from clustermod.symbolic import LaurentPoly, Monomial, VarId, Yvar, fvar, xvar, ycoef, zvar
 
 FAMILIES = "xfYzy"  # the canonical family order
 
@@ -76,6 +76,17 @@ def test_monomials_neither_concatenate_nor_repeat():
         with pytest.raises(TypeError):
             op()
     assert m * m == Monomial({xvar(1): 4, Yvar(1, 0): -2})
+
+
+def test_a_monomial_multiplies_only_a_monomial_itself():
+    p = LaurentPoly.from_monomial(MONOMIALS[1]) + LaurentPoly.one()
+    for m in MONOMIALS:
+        with pytest.raises(TypeError):
+            m * 2
+        # the polynomial takes the product over
+        assert m * p == p * m == LaurentPoly.from_monomial(m) * p
+        assert type(m * p) is LaurentPoly
+    assert Monomial.one() * p is not p
 
 
 def test_a_term_equals_its_plain_tuple():

@@ -530,6 +530,23 @@ def test_properties_builds_each_expansion_once(monkeypatch):
     assert len(calls) == graph.variable_count == 16
 
 
+def test_the_properties_walk_finds_its_vertices_by_identity(monkeypatch):
+    # the walk's context is built on the bundle's quiver, so a walk vertex is the very
+    # object that every table of that context and quiver is keyed by
+    get_bundle(D4, XI_D4)
+    real_eq, calls = Vertex.__eq__, []
+
+    def counted(self, other):
+        calls.append((self, other))
+        return real_eq(self, other)
+
+    monkeypatch.setattr(Vertex, "__eq__", counted)
+    report = verify_properties(D4, XI_D4, walks=300)
+    monkeypatch.undo()
+    assert_passes(report)
+    assert calls == []
+
+
 def test_a_wrong_expansion_fails_the_edge_identity_of_every_relation_reading_it(monkeypatch):
     graph = verify.get_bundle(A3, XI3).graph
     g = (0, 1, 0)
